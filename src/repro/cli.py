@@ -46,13 +46,11 @@ from repro.benchgen.suite import (
     reduction_suite,
 )
 from repro.core.frames import available_frame_backends
-from repro.sat.context import available_sat_backends
 from repro.core.options import IC3Options
 from repro.core.result import CheckResult
 from repro.engines import available_engines, create_engine
 from repro.harness.configs import (
     apply_frame_backend,
-    apply_sat_backend,
     apply_seed,
     paper_configurations,
 )
@@ -130,12 +128,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=available_frame_backends(),
         default=None,
         help="IC3 frame-management substrate (default: monolithic)",
-    )
-    check.add_argument(
-        "--sat-backend",
-        choices=available_sat_backends(),
-        default=None,
-        help="SAT kernel behind every solver the run creates (default: default)",
     )
     check.add_argument(
         "--jobs",
@@ -240,12 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=available_frame_backends(),
         default=None,
         help="frame-management substrate for every IC3 configuration",
-    )
-    evaluate.add_argument(
-        "--sat-backend",
-        choices=available_sat_backends(),
-        default=None,
-        help="SAT kernel for every configuration (default: default)",
     )
     evaluate.add_argument(
         "--seed",
@@ -531,7 +517,7 @@ def _command_version(args: argparse.Namespace) -> int:
     """Print the version plus every extension registry's contents.
 
     The registries are the supported customization points (engines,
-    frame substrates, SAT kernels, reduction passes); listing them in
+    frame substrates, reduction passes); listing them in
     one place is the quickest way to see what a given checkout or
     third-party plugin actually provides.
     """
@@ -542,7 +528,6 @@ def _command_version(args: argparse.Namespace) -> int:
     print(f"manifest schema:  {MANIFEST_SCHEMA}")
     print(f"engines:          {', '.join(available_engines(include_aliases=True))}")
     print(f"frame backends:   {', '.join(available_frame_backends())}")
-    print(f"sat backends:     {', '.join(available_sat_backends())}")
     print(f"reduction passes: {', '.join(available_passes())}")
     return 0
 
@@ -585,8 +570,6 @@ def _engine_kwargs(args: argparse.Namespace) -> dict:
     }
     if getattr(args, "frame_backend", None):
         kwargs["frame_backend"] = args.frame_backend
-    if getattr(args, "sat_backend", None):
-        kwargs["sat_backend"] = args.sat_backend
     if args.engine == "bmc":
         kwargs["max_depth"] = args.max_depth
     elif args.engine in ("kind", "k-induction"):
@@ -665,7 +648,6 @@ def _check_scheduled(args: argparse.Namespace, aig, options) -> int:
             max_k=args.max_k,
             max_depth=args.max_depth,
             frame_backend=getattr(args, "frame_backend", None),
-            sat_backend=getattr(args, "sat_backend", None),
         )
     except SchedulerError as error:
         print(f"error: {error}")
@@ -737,17 +719,13 @@ def _evaluate_body(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         reduce=not args.no_reduce,
         frame_backend=args.frame_backend,
-        sat_backend=args.sat_backend,
         seed=args.seed,
     )
     wall_clock = time.perf_counter() - start
     print(report.to_text())
     if args.output:
         configs = apply_seed(
-            apply_sat_backend(
-                apply_frame_backend(paper_configurations(), args.frame_backend),
-                args.sat_backend,
-            ),
+            apply_frame_backend(paper_configurations(), args.frame_backend),
             args.seed,
         )
         telemetry = None

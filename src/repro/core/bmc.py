@@ -13,12 +13,7 @@ import time
 from typing import Optional
 
 from repro.aiger.aig import AIG
-from repro.core.result import (
-    CheckOutcome,
-    CheckResult,
-    CounterexampleTrace,
-    TraceStep,
-)
+from repro.core.result import CheckOutcome, CheckResult
 from repro.core.share import UnrollingInvariantImporter
 from repro.core.stats import IC3Stats
 from repro.obs.heartbeat import get_heartbeat
@@ -33,7 +28,6 @@ class BMC:
         self,
         aig: AIG,
         property_index: int = 0,
-        sat_backend: str = "default",
         seed: int = 0,
         lemma_port=None,
         lemma_map=None,
@@ -43,15 +37,13 @@ class BMC:
         # One persistent unrolling for the whole run: deeper bounds only
         # append frames, and the initial-state constraint rides along as
         # an assumption so the encoding itself stays reusable.
-        self.unroller = Unroller(
-            aig, init_as_assumption=True, backend=sat_backend, seed=seed
-        )
+        self.unroller = Unroller(aig, init_as_assumption=True, seed=seed)
         self.stats = IC3Stats()
         self.importer = None
         if lemma_port is not None:
             self.importer = UnrollingInvariantImporter(
                 lemma_port, aig, self.unroller, self.stats,
-                map_in=lemma_map, sat_backend=sat_backend,
+                map_in=lemma_map,
             )
 
     def check(
@@ -91,9 +83,8 @@ class BMC:
                 )
             self.stats.sat_time += time.perf_counter() - sat_start
             if satisfiable:
-                trace = self._extract_trace(depth)
                 outcome = self._outcome(CheckResult.UNSAFE, start)
-                outcome.trace = trace
+                outcome.trace = self.unroller.extract_trace(depth)
                 outcome.frames = depth
                 return outcome
         return self._outcome(
@@ -109,18 +100,6 @@ class BMC:
         )
 
     # ------------------------------------------------------------------
-    def _extract_trace(self, depth: int) -> CounterexampleTrace:
-        model = self.unroller.solver.get_model()
-        steps = []
-        for frame in range(depth + 1):
-            steps.append(
-                TraceStep(
-                    state=self.unroller.latch_cube_at(model, frame),
-                    inputs=self.unroller.input_values_at(model, frame),
-                )
-            )
-        return CounterexampleTrace(steps=steps)
-
     def _outcome(self, result: CheckResult, start: float, reason: str = "") -> CheckOutcome:
         solver_stats = self.unroller.solver.stats
         self.stats.solver_conflicts = solver_stats.conflicts

@@ -37,8 +37,8 @@ from typing import Dict, List, Optional
 from repro.core.options import IC3Options
 from repro.core.stats import IC3Stats
 from repro.logic.cube import Clause, Cube
-from repro.sat.context import SatContext, apply_solver_seed, sat_backend
-from repro.sat.solver import Solver
+from repro.sat.arena import ArenaSolver
+from repro.sat.context import SatContext
 from repro.ts.system import TransitionSystem
 
 
@@ -294,8 +294,8 @@ class MonolithicFrameManager(FrameManagerBase):
         return self._ctx
 
     def _new_trans_context(self) -> SatContext:
-        """A fresh context of the configured backend loaded with T."""
-        ctx = SatContext(backend=self.options.sat_backend, seed=self.options.seed)
+        """A fresh solving context loaded with T."""
+        ctx = SatContext(seed=self.options.seed)
         ctx.solver.ensure_var(self.ts.num_vars)
         ctx.load(clause.literals for clause in self.ts.trans)
         return ctx
@@ -577,7 +577,7 @@ class PerFrameFrameManager(FrameManagerBase):
 
     def __init__(self, ts: TransitionSystem, options: IC3Options, stats: IC3Stats):
         super().__init__(ts, options, stats)
-        self._solvers: List[Solver] = []
+        self._solvers: List[ArenaSolver] = []
         self._garbage: List[int] = []
 
         # Frame 0 holds the initial states.
@@ -625,9 +625,9 @@ class PerFrameFrameManager(FrameManagerBase):
     # ------------------------------------------------------------------
     # Solver lifecycle
     # ------------------------------------------------------------------
-    def _fresh_trans_solver(self) -> Solver:
-        solver = sat_backend(self.options.sat_backend)()
-        apply_solver_seed(solver, self.options.seed)
+    def _fresh_trans_solver(self) -> ArenaSolver:
+        solver = ArenaSolver()
+        solver.set_seed(self.options.seed)
         solver.ensure_var(self.ts.num_vars)
         for clause in self.ts.trans:
             solver.add_clause(clause.literals)

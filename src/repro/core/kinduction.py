@@ -36,7 +36,6 @@ class KInduction:
         self,
         aig: AIG,
         property_index: int = 0,
-        sat_backend: str = "default",
         seed: int = 0,
         lemma_port=None,
         lemma_map=None,
@@ -44,14 +43,14 @@ class KInduction:
         self.aig = aig
         self.property_index = property_index
         self.unroller = Unroller(
-            aig, use_init=True, init_as_assumption=True, backend=sat_backend, seed=seed
+            aig, use_init=True, init_as_assumption=True, seed=seed
         )
         self.stats = IC3Stats()
         self.importer = None
         if lemma_port is not None:
             self.importer = UnrollingInvariantImporter(
                 lemma_port, aig, self.unroller, self.stats,
-                map_in=lemma_map, sat_backend=sat_backend,
+                map_in=lemma_map,
             )
 
     def check(
@@ -90,6 +89,7 @@ class KInduction:
             self.stats.sat_time += time.perf_counter() - sat_start
             if base_sat:
                 outcome = self._outcome(CheckResult.UNSAFE, start)
+                outcome.trace = unroller.extract_trace(k - 1)
                 outcome.frames = k - 1
                 return outcome
 

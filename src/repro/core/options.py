@@ -77,10 +77,6 @@ class IC3Options:
     solver with activation-literal frame selection; ``"per-frame"`` is the
     classic one-solver-per-frame baseline."""
 
-    sat_backend: str = "default"
-    """Registered SAT backend name used by the monolithic substrate
-    (see :func:`repro.sat.context.register_sat_backend`)."""
-
     solver_rebuild_interval: int = 400
     """Per-frame backend only: rebuild a frame solver after this many
     garbage clauses (temporary activation tombstones + subsumed lemmas)."""
@@ -92,8 +88,8 @@ class IC3Options:
     """0 = silent, 1 = per-frame progress, 2 = per-obligation detail."""
 
     seed: int = 0
-    """Deterministic RNG seed for the SAT kernels' randomized branching
-    (see :meth:`repro.sat.solver.Solver.set_seed`).  0 disables the
+    """Deterministic RNG seed for the SAT kernel's randomized branching
+    (see :meth:`repro.sat.arena.ArenaSolver.set_seed`).  0 disables the
     randomization entirely; any non-zero seed gives a reproducible but
     diversified decision order — the portfolio uses distinct seeds per
     member so cooperative lemma sharing has value."""
@@ -162,7 +158,5 @@ class IC3Options:
                 f"{', '.join(available_frame_backends())}, "
                 f"got {self.frame_backend!r}"
             )
-        if not self.sat_backend:
-            raise ValueError("sat_backend must be a registered backend name")
         if self.seed < 0:
             raise ValueError("seed must be non-negative (0 disables randomization)")

@@ -215,14 +215,12 @@ class UnrollingInvariantImporter:
     MAX_PENDING = 256
 
     def __init__(self, port, aig, unroller, stats: IC3Stats,
-                 map_in: Optional[ClauseMap] = None,
-                 sat_backend: str = "default"):
+                 map_in: Optional[ClauseMap] = None):
         self.port = port
         self.aig = aig
         self.unroller = unroller
         self.stats = stats
         self._map_in = map_in
-        self._backend = sat_backend
         self._ts = None
         self._ctx = None
         self._seen: set = set()
@@ -238,7 +236,7 @@ class UnrollingInvariantImporter:
             from repro.ts.system import TransitionSystem
 
             self._ts = TransitionSystem(self.aig)
-            self._ctx = SatContext(backend=self._backend)
+            self._ctx = SatContext()
             self._ctx.solver.ensure_var(self._ts.num_vars)
             self._ctx.load(clause.literals for clause in self._ts.trans)
         return self._ts, self._ctx

@@ -14,7 +14,7 @@ the three success rates reported in Table 2 of the paper:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, Optional
 
 
@@ -128,63 +128,7 @@ class IC3Stats:
     # ------------------------------------------------------------------
     def as_dict(self) -> Dict[str, object]:
         """Flatten all counters and rates into a dictionary (for reports)."""
-        data = {
-            "sat_calls": self.sat_calls,
-            "consecution_calls": self.consecution_calls,
-            "consecution_fallbacks": self.consecution_fallbacks,
-            "lifting_calls": self.lifting_calls,
-            "assumption_levels_reused": self.assumption_levels_reused,
-            "frames_opened": self.frames_opened,
-            "lemmas_added": self.lemmas_added,
-            "lemmas_pushed": self.lemmas_pushed,
-            "subsumed_lemmas": self.subsumed_lemmas,
-            "obligations_processed": self.obligations_processed,
-            "bad_cubes": self.bad_cubes,
-            "ctis": self.ctis,
-            "lemma_clauses_added": self.lemma_clauses_added,
-            "lemma_clauses_removed": self.lemma_clauses_removed,
-            "solver_clauses_shared": self.solver_clauses_shared,
-            "solver_clauses_duplicated": self.solver_clauses_duplicated,
-            "solver_garbage_lemmas": self.solver_garbage_lemmas,
-            "solver_rebuilds": self.solver_rebuilds,
-            "activation_vars_allocated": self.activation_vars_allocated,
-            "activation_vars_recycled": self.activation_vars_recycled,
-            "activation_vars_retired": self.activation_vars_retired,
-            "shared_lemmas_offered": self.shared_lemmas_offered,
-            "shared_lemmas_applied": self.shared_lemmas_applied,
-            "shared_unrolling_queries": self.shared_unrolling_queries,
-            "watch_traversals": self.watch_traversals,
-            "blocker_hits": self.blocker_hits,
-            "literal_pool_bytes": self.literal_pool_bytes,
-            "arena_compactions": self.arena_compactions,
-            "solver_removed_clauses": self.solver_removed_clauses,
-            "solver_conflicts": self.solver_conflicts,
-            "solver_decisions": self.solver_decisions,
-            "solver_propagations": self.solver_propagations,
-            "lemmas_published": self.lemmas_published,
-            "lemmas_received": self.lemmas_received,
-            "lemmas_validated": self.lemmas_validated,
-            "lemmas_rejected": self.lemmas_rejected,
-            "lemmas_imported": self.lemmas_imported,
-            "bus_overflows": self.bus_overflows,
-            "time_import_validation": self.time_import_validation,
-            "generalizations": self.generalizations,
-            "mic_drop_attempts": self.mic_drop_attempts,
-            "mic_drop_successes": self.mic_drop_successes,
-            "ctg_blocked": self.ctg_blocked,
-            "prediction_queries": self.prediction_queries,
-            "prediction_successes": self.prediction_successes,
-            "parent_lemma_hits": self.parent_lemma_hits,
-            "parent_lemmas_found": self.parent_lemmas_found,
-            "ctp_recorded": self.ctp_recorded,
-            "ctp_table_clears": self.ctp_table_clears,
-            "predicted_push_parent": self.predicted_push_parent,
-            "predicted_extended": self.predicted_extended,
-            "time_total": self.time_total,
-            "time_generalization": self.time_generalization,
-            "time_prediction": self.time_prediction,
-            "time_propagation": self.time_propagation,
-        }
+        data = asdict(self)
         data["sr_lp"] = self.sr_lp
         data["sr_fp"] = self.sr_fp
         data["sr_adv"] = self.sr_adv

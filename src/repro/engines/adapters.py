@@ -90,7 +90,6 @@ class IC3Engine:
         reduce: bool = True,
         passes: Optional[Sequence[str]] = None,
         frame_backend: Optional[str] = None,
-        sat_backend: Optional[str] = None,
         shared_lemmas: Optional[Sequence[Sequence[int]]] = None,
         seed: Optional[int] = None,
         lemma_port=None,
@@ -99,8 +98,6 @@ class IC3Engine:
         self.options = options if options is not None else IC3Options()
         if frame_backend is not None:
             self.options = replace(self.options, frame_backend=frame_backend)
-        if sat_backend is not None:
-            self.options = replace(self.options, sat_backend=sat_backend)
         if seed is not None:
             self.options = replace(self.options, seed=seed)
         self.name = name or ("ic3-pl" if self.options.enable_prediction else "ic3")
@@ -150,7 +147,6 @@ class BMCEngine:
         max_depth: int = 50,
         reduce: bool = True,
         passes: Optional[Sequence[str]] = None,
-        sat_backend: Optional[str] = None,
         seed: Optional[int] = None,
         lemma_port=None,
         **_ignored,
@@ -159,16 +155,13 @@ class BMCEngine:
         model, model_property, self.reduction = prepare_model(
             aig, property_index, reduce, passes
         )
-        base_options = options or IC3Options()
-        if sat_backend is None:
-            sat_backend = base_options.sat_backend
         if seed is None:
-            seed = base_options.seed
+            seed = (options or IC3Options()).seed
         lemma_map = None
         if lemma_port is not None and self.reduction is not None:
             lemma_map = self.reduction.recon.map_latch_index_clauses
         self._engine = BMC(
-            model, property_index=model_property, sat_backend=sat_backend,
+            model, property_index=model_property,
             seed=seed, lemma_port=lemma_port, lemma_map=lemma_map,
         )
 
@@ -194,7 +187,6 @@ class KInductionEngine:
         max_k: int = 20,
         reduce: bool = True,
         passes: Optional[Sequence[str]] = None,
-        sat_backend: Optional[str] = None,
         seed: Optional[int] = None,
         lemma_port=None,
         **_ignored,
@@ -203,16 +195,13 @@ class KInductionEngine:
         model, model_property, self.reduction = prepare_model(
             aig, property_index, reduce, passes
         )
-        base_options = options or IC3Options()
-        if sat_backend is None:
-            sat_backend = base_options.sat_backend
         if seed is None:
-            seed = base_options.seed
+            seed = (options or IC3Options()).seed
         lemma_map = None
         if lemma_port is not None and self.reduction is not None:
             lemma_map = self.reduction.recon.map_latch_index_clauses
         self._engine = KInduction(
-            model, property_index=model_property, sat_backend=sat_backend,
+            model, property_index=model_property,
             seed=seed, lemma_port=lemma_port, lemma_map=lemma_map,
         )
 

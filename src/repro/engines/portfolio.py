@@ -118,7 +118,6 @@ _IC3_JITTER: Tuple[Dict[str, object], ...] = (
 """Option overrides cycled across duplicated IC3-kind members."""
 
 _IC3_KWARG_JITTER: Tuple[Dict[str, object], ...] = (
-    {"sat_backend": "arena"},
     {"frame_backend": "per-frame"},
     {},
 )
@@ -185,7 +184,6 @@ class PortfolioEngine:
         reduce: bool = True,
         passes: Optional[Sequence[str]] = None,
         frame_backend: Optional[str] = None,
-        sat_backend: Optional[str] = None,
         portfolio_options: Optional[PortfolioOptions] = None,
         **_ignored,
     ):
@@ -204,8 +202,6 @@ class PortfolioEngine:
         self._common_kwargs: Dict[str, object] = {}
         if frame_backend is not None:
             self._common_kwargs["frame_backend"] = frame_backend
-        if sat_backend is not None:
-            self._common_kwargs["sat_backend"] = sat_backend
         self.grace = grace
         # Reduce once in the parent: every member races on the same shrunk
         # model (members are spawned with reduce=False), and the winning

@@ -101,31 +101,12 @@ def apply_frame_backend(
     ]
 
 
-def apply_sat_backend(
-    configs: Sequence[EngineConfig], sat_backend: Optional[str]
-) -> List[EngineConfig]:
-    """Override the SAT kernel of every configuration carrying options.
-
-    Mirrors :func:`apply_frame_backend` for the ``--sat-backend``
-    override: one helper serves both the harness (engine construction)
-    and the CLI (manifest recording), so the two cannot drift.
-    """
-    if sat_backend is None:
-        return list(configs)
-    return [
-        replace(config, options=replace(config.options, sat_backend=sat_backend))
-        if config.options is not None
-        else config
-        for config in configs
-    ]
-
-
 def apply_seed(
     configs: Sequence[EngineConfig], seed: Optional[int]
 ) -> List[EngineConfig]:
     """Override the SAT-kernel RNG seed of every configuration.
 
-    Mirrors :func:`apply_sat_backend` for the ``--seed`` override.  The
+    Mirrors :func:`apply_frame_backend` for the ``--seed`` override.  The
     same seed is applied to every configuration — per-run determinism,
     not portfolio diversification (the portfolio derives distinct
     per-member seeds itself, see ``PortfolioOptions.base_seed``).

@@ -30,9 +30,9 @@ Schema v3 (``repro-check/manifest/v3``) additions over v2:
   ``_retired`` (removable-clause scopes), ``consecution_fallbacks``
   (clause-free consecution re-queries) and ``assumption_levels_reused``
   (solver trail reuse across queries);
-* per-configuration ``frame_backend`` and ``sat_backend`` — which
+* per-configuration ``frame_backend`` and the SAT-kernel name — which
   solving substrate the configuration ran on (None for engines that do
-  not take IC3 options).
+  not take IC3 options; the kernel name was dropped in v10).
 
 Schema v4 (``repro-check/manifest/v4``) additions over v3:
 
@@ -52,7 +52,7 @@ Schema v4 (``repro-check/manifest/v4``) additions over v3:
 Schema v5 (``repro-check/manifest/v5``) additions over v4:
 
 * per-result ``stats`` now includes the SAT-kernel memory-system
-  counters maintained identically by both registered backends:
+  counters maintained identically by both SAT kernels:
   ``watch_traversals`` (watcher entries inspected by unit propagation),
   ``blocker_hits`` (entries resolved from the cached blocker literal
   without touching clause memory), ``literal_pool_bytes`` (live
@@ -116,6 +116,15 @@ Schema v9 (``repro-check/manifest/v9``) additions over v8:
   ``repro_harness_tasks_total`` / ``repro_stalls_total``, and
   ``sum``/``count`` pairs for the latency histograms).  ``None`` —
   and therefore byte-identical output for identical runs — otherwise.
+
+Schema v10 (``repro-check/manifest/v10``) changes over v9:
+
+* the per-configuration SAT-kernel name is gone: every engine runs the
+  one production SAT kernel (:class:`repro.sat.arena.ArenaSolver`), so there
+  is no per-configuration kernel choice left to record;
+* per-result ``stats`` now carries every :class:`repro.core.stats.IC3Stats`
+  field, which adds ``sat_time`` (seconds inside SAT calls) to the
+  record.
 """
 
 from __future__ import annotations
@@ -127,7 +136,7 @@ from typing import Dict, Optional, Sequence
 from repro.harness.configs import EngineConfig
 from repro.harness.runner import CaseResult, SuiteResult
 
-MANIFEST_SCHEMA = "repro-check/manifest/v9"
+MANIFEST_SCHEMA = "repro-check/manifest/v10"
 
 
 def _phase_times(results: Sequence[CaseResult]) -> Dict[str, float]:
@@ -201,9 +210,6 @@ def build_manifest(
             "uses_prediction": config.uses_prediction,
             "frame_backend": (
                 config.options.frame_backend if config.options is not None else None
-            ),
-            "sat_backend": (
-                config.options.sat_backend if config.options is not None else None
             ),
             "seed": (
                 config.options.seed if config.options is not None else None

@@ -17,7 +17,6 @@ from repro.benchgen.suite import default_suite
 from repro.harness.configs import (
     EngineConfig,
     apply_frame_backend,
-    apply_sat_backend,
     apply_seed,
     paper_configurations,
     prediction_pairs,
@@ -101,7 +100,6 @@ def run_paper_evaluation(
     jobs: int = 1,
     reduce: bool = True,
     frame_backend: Optional[str] = None,
-    sat_backend: Optional[str] = None,
     seed: Optional[int] = None,
 ) -> PaperReport:
     """Run the full evaluation and return the assembled report.
@@ -111,8 +109,7 @@ def run_paper_evaluation(
     ``reduce=False`` disables the reduction preprocessing pipeline.
     ``frame_backend`` overrides the frame-management substrate of every
     IC3-based configuration (``"monolithic"`` or ``"per-frame"``);
-    ``sat_backend`` overrides the SAT kernel the same way (``"default"``
-    or ``"arena"``); ``seed`` sets the kernels' RNG seed on every
+    ``seed`` sets the SAT kernel's RNG seed on every
     configuration (0/None keeps the deterministic unseeded order).
     """
     if cases is None:
@@ -120,7 +117,6 @@ def run_paper_evaluation(
     if configs is None:
         configs = paper_configurations()
     configs = apply_frame_backend(configs, frame_backend)
-    configs = apply_sat_backend(configs, sat_backend)
     configs = apply_seed(configs, seed)
 
     runner = BenchmarkRunner(

@@ -39,12 +39,7 @@ from repro.core.invariant import (
     check_certificate,
     check_counterexample,
 )
-from repro.core.result import (
-    CheckOutcome,
-    CheckResult,
-    CounterexampleTrace,
-    TraceStep,
-)
+from repro.core.result import CheckOutcome, CheckResult
 from repro.core.stats import IC3Stats
 from repro.engines.registry import create_engine
 from repro.props.obligations import PropertyObligation, enumerate_obligations
@@ -214,7 +209,6 @@ class PropertyScheduler:
         max_depth: int = 50,
         validate: bool = True,
         frame_backend: Optional[str] = None,
-        sat_backend: Optional[str] = None,
         **_ignored,
     ):
         # The default engine kinds (ic3*/bmc/kind/l2s/klive) register on
@@ -237,7 +231,6 @@ class PropertyScheduler:
         self.max_depth = max_depth
         self.validate = validate
         self.frame_backend = frame_backend
-        self.sat_backend = sat_backend
 
         all_obligations = enumerate_obligations(aig, use_outputs_as_bad)
         if not all_obligations:
@@ -307,9 +300,7 @@ class PropertyScheduler:
         self, safety: List[PropertyObligation], deadline: Optional[float]
     ) -> Tuple[Dict[int, PropertyVerdict], int]:
         """Probe all safety obligations on one incremental unrolling."""
-        unroller = Unroller(
-            self.aig, init_as_assumption=True, backend=self.sat_backend or "default"
-        )
+        unroller = Unroller(self.aig, init_as_assumption=True)
         unresolved = list(safety)
         resolved: Dict[int, PropertyVerdict] = {}
         queries = 0
@@ -332,21 +323,11 @@ class PropertyScheduler:
                 if not satisfiable:
                     still.append(obligation)
                     continue
-                model = unroller.solver.get_model()
-                trace = CounterexampleTrace(
-                    steps=[
-                        TraceStep(
-                            state=unroller.latch_cube_at(model, frame),
-                            inputs=unroller.input_values_at(model, frame),
-                        )
-                        for frame in range(depth + 1)
-                    ]
-                )
                 outcome = CheckOutcome(
                     result=CheckResult.UNSAFE,
                     runtime=spent_on[obligation.number],
                     frames=depth,
-                    trace=trace,
+                    trace=unroller.extract_trace(depth),
                     engine="bmc",
                 )
                 validated = self._validate_safety(obligation, outcome)
@@ -379,7 +360,6 @@ class PropertyScheduler:
             passes=self.passes,
             shared_lemmas=shared,
             frame_backend=self.frame_backend,
-            sat_backend=self.sat_backend,
             max_depth=self.max_depth,
         )
         outcome = engine.check(time_limit=budget)
@@ -450,7 +430,6 @@ class PropertyScheduler:
                 max_k=self.max_k,
                 max_depth=self.max_depth,
                 frame_backend=self.frame_backend,
-                sat_backend=self.sat_backend,
             )
             outcome = engine.check(time_limit=slice_budget)
             last_outcome, last_engine = outcome, kind

@@ -7,18 +7,15 @@ ordering with phase saving, Luby restarts, learnt-clause reduction,
 solving under assumptions, model extraction, and assumption cores (the
 ``analyzeFinal`` of MiniSat) which IC3 uses to shrink predecessor cubes
 and accelerate generalization.
+
+Every engine runs :class:`ArenaSolver`, the flat-arena kernel.  The
+object-based :class:`Solver` is the reference oracle of the differential
+tests and the kernel of the independent witness checker.
 """
 
 from repro.sat.solver import Solver, SolverStats
 from repro.sat.arena import ArenaClauseRef, ArenaSolver
-from repro.sat.context import (
-    ContextStats,
-    SatContext,
-    available_sat_backends,
-    register_sat_backend,
-    sat_backend,
-    unregister_sat_backend,
-)
+from repro.sat.context import ContextStats, SatContext
 from repro.sat.exceptions import SolverError, ResourceBudgetExceeded
 from repro.sat.luby import luby
 from repro.sat.dimacs import parse_dimacs, write_dimacs
@@ -30,10 +27,6 @@ __all__ = [
     "ArenaClauseRef",
     "SatContext",
     "ContextStats",
-    "register_sat_backend",
-    "unregister_sat_backend",
-    "sat_backend",
-    "available_sat_backends",
     "SolverError",
     "ResourceBudgetExceeded",
     "luby",

@@ -1,4 +1,4 @@
-"""Flat-arena CDCL solver: the cache-conscious ``"arena"`` SAT backend.
+"""Flat-arena CDCL solver: the production SAT kernel of every engine.
 
 :class:`ArenaSolver` implements the same external interface as
 :class:`repro.sat.solver.Solver` — DIMACS-literal clauses, assumptions,
@@ -12,9 +12,8 @@ database in flat integer arenas instead of per-clause Python objects:
   offset in the pool) and occupies ``size + 2`` words: a packed header
   word ``(size << 3) | (learnt << 1) | deleted``, an activity-slot
   index (``-1`` for problem clauses), then the literals.  The pool is a
-  plain list by default — CPython indexes lists measurably faster than
-  ``array('i')`` (which re-boxes every read) — flip ``_TYPED_POOL`` to
-  trade ~20% propagation speed for a 4-byte-per-word C-int arena.
+  plain list: CPython indexes lists measurably faster than
+  ``array('i')``, which re-boxes every read.
 * **Encoded literals** — literal ``l`` is stored as
   ``(|l| << 1) | (l < 0)``, so the negation is ``enc ^ 1`` and a
   literal's truth value is a single indexed load from ``_values``
@@ -34,15 +33,13 @@ the :class:`ArenaClauseRef` handles held by callers) once enough dead
 words accumulate, but only at decision level 0 so no trail state can
 point into freed storage.
 
-The object-based ``Solver`` stays registered as the ``default``
-reference oracle; ``benchmarks/backend_compare.py`` runs both backends
-over the canonical suite and asserts zero verdict drift.
+The object-based :class:`repro.sat.solver.Solver` is the reference
+oracle the randomized differential tests compare this kernel against.
 """
 
 from __future__ import annotations
 
 import random
-from array import array
 from heapq import heapify, heappop, heappush
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -59,15 +56,8 @@ _SIZE_SHIFT = 3
 
 _NO_REASON = -1
 
-
-# When True the pool is an ``array('i')`` of C ints (4 bytes/word, reads
-# re-box); when False a flat Python list (8-byte slots, faster indexing).
-_TYPED_POOL = False
-
-
-def _new_pool():
-    """A fresh literal pool (flat signed-int arena)."""
-    return array("i") if _TYPED_POOL else []
+# Bytes per pool word: a list slot is one 8-byte object pointer.
+_POOL_WORD_BYTES = 8
 
 
 class ArenaClauseRef:
@@ -130,8 +120,7 @@ class ArenaSolver:
         self._seen = bytearray(1)
 
         # Clause arena.
-        self._pool = _new_pool()
-        self._pool_item_bytes = getattr(self._pool, "itemsize", 8)
+        self._pool: List[int] = []
         self._dead_words = 0
         self._num_problem = 0
         self._learnts: List[int] = []
@@ -626,7 +615,7 @@ class ArenaSolver:
             self._num_problem += 1
         pool.append(slot)
         pool.extend(enc_lits)
-        self.stats.literal_pool_bytes = len(pool) * self._pool_item_bytes
+        self.stats.literal_pool_bytes = len(pool) * _POOL_WORD_BYTES
         return cref
 
     def _delete_clause(self, cref: int) -> bool:
@@ -684,7 +673,7 @@ class ArenaSolver:
         because every kept clause keeps its watched literals.
         """
         old = self._pool
-        new = _new_pool()
+        new: List[int] = []
         remap: Dict[int, int] = {}
         i = 0
         n = len(old)
@@ -737,7 +726,7 @@ class ArenaSolver:
             self._act_learnts[act] = [remap[c] for c in dependents if c in remap]
 
         self.stats.arena_compactions += 1
-        self.stats.literal_pool_bytes = len(new) * self._pool_item_bytes
+        self.stats.literal_pool_bytes = len(new) * _POOL_WORD_BYTES
 
     # ------------------------------------------------------------------
     # Internal machinery

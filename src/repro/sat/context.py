@@ -1,4 +1,4 @@
-"""Pluggable incremental SAT-context layer.
+"""Incremental SAT-context layer.
 
 A :class:`SatContext` is one persistent incremental solver plus the
 bookkeeping that model-checking engines need around it: activation-literal
@@ -7,112 +7,17 @@ and clause-loading accounting.  (The clauses-shared vs clauses-duplicated
 comparison between frame substrates lives in
 :class:`repro.core.stats.IC3Stats`, where the manifest reads it.)
 
-The concrete solver behind a context is chosen by name from a small
-factory registry, so alternative backends (a different CDCL
-implementation, an instrumented wrapper, a native binding) can be plugged
-in without touching the engines::
-
-    @register_sat_backend("counting")
-    def _make():
-        return MyInstrumentedSolver()
-
-    ctx = SatContext(backend="counting")
-
-Every registered backend must provide the :class:`~repro.sat.solver.Solver`
-interface (``add_clause``, ``solve``, assumptions, ``unsat_core``,
-``get_model`` and the activation-literal API).
+The solver behind every context is the flat-arena production kernel,
+:class:`~repro.sat.arena.ArenaSolver`.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from dataclasses import asdict, dataclass
+from typing import Dict, Iterable, List, Sequence
 
 from repro.sat.arena import ArenaSolver
-from repro.sat.exceptions import SolverError
-from repro.sat.solver import Solver
-
-SolverFactory = Callable[[], Solver]
-
-_BACKENDS: Dict[str, SolverFactory] = {}
-
-
-# Backends every installation must keep: "default" is the reference
-# oracle the differential tests and benchmarks compare against, "arena"
-# is the flat-arena production kernel.
-_PROTECTED_BACKENDS = frozenset({"default", "arena"})
-
-
-def register_sat_backend(
-    name: str, factory: Optional[SolverFactory] = None, override: bool = False
-):
-    """Register a solver factory under ``name`` (usable as a decorator).
-
-    Re-registering an existing name raises :class:`SolverError` unless
-    ``override=True`` is passed explicitly, so a plugin cannot silently
-    shadow another backend (or the built-in ones).
-    """
-
-    def _register(fn: SolverFactory) -> SolverFactory:
-        if name in _BACKENDS and not override:
-            raise SolverError(
-                f"SAT backend {name!r} is already registered "
-                "(pass override=True to replace it)"
-            )
-        _BACKENDS[name] = fn
-        return fn
-
-    if factory is not None:
-        return _register(factory)
-    return _register
-
-
-def unregister_sat_backend(name: str) -> None:
-    """Remove a backend registration (primarily for tests).
-
-    The built-in backends cannot be unregistered: ``default`` is the
-    reference oracle behind the differential-soundness guarantees and
-    ``arena`` is the shipped production kernel.
-    """
-    if name in _PROTECTED_BACKENDS:
-        raise SolverError(
-            f"SAT backend {name!r} is built in and cannot be unregistered"
-        )
-    _BACKENDS.pop(name, None)
-
-
-def sat_backend(name: str) -> SolverFactory:
-    """Look up a registered solver factory by name."""
-    try:
-        return _BACKENDS[name]
-    except KeyError:
-        raise SolverError(
-            f"unknown SAT backend {name!r} "
-            f"(available: {', '.join(sorted(_BACKENDS))})"
-        ) from None
-
-
-def available_sat_backends() -> List[str]:
-    """Names of all registered backends."""
-    return sorted(_BACKENDS)
-
-
-register_sat_backend("default", Solver)
-register_sat_backend("arena", ArenaSolver)
-
-
-def apply_solver_seed(solver, seed: int) -> None:
-    """Seed a solver's branching randomization if the backend supports it.
-
-    Both built-in kernels expose ``set_seed``; custom registered backends
-    may not, in which case the seed is silently ignored (the solver just
-    stays deterministic-unseeded, which is always sound).
-    """
-    if seed:
-        set_seed = getattr(solver, "set_seed", None)
-        if set_seed is not None:
-            set_seed(seed)
 
 
 @dataclass
@@ -126,13 +31,7 @@ class ContextStats:
     clauses_loaded: int = 0
 
     def as_dict(self) -> Dict[str, object]:
-        return {
-            "solve_calls": self.solve_calls,
-            "sat_answers": self.sat_answers,
-            "unsat_answers": self.unsat_answers,
-            "solve_time": self.solve_time,
-            "clauses_loaded": self.clauses_loaded,
-        }
+        return asdict(self)
 
 
 class SatContext:
@@ -144,11 +43,9 @@ class SatContext:
     assumptions that select which scopes are active.
     """
 
-    def __init__(self, backend: str = "default", seed: int = 0):
-        self.backend_name = backend
-        self.solver = sat_backend(backend)()
-        if seed:
-            apply_solver_seed(self.solver, seed)
+    def __init__(self, seed: int = 0):
+        self.solver = ArenaSolver()
+        self.solver.set_seed(seed)
         self.stats = ContextStats()
 
     # ------------------------------------------------------------------

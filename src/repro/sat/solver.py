@@ -6,6 +6,17 @@ phase saving, Luby restarts and learnt-clause database reduction.  The
 external interface works directly with DIMACS-style signed integer
 literals, which is what the rest of the library (CNF encoding, IC3) uses.
 
+The engines do not run this kernel; they run the flat-arena
+:class:`repro.sat.arena.ArenaSolver`.  This one is kept for three
+reasons:
+
+* it is the reference the randomized differential tests compare the
+  arena kernel against (verdicts, models and assumption cores);
+* it is the kernel of the independent witness checker
+  (:mod:`repro.core.invariant`), so a certificate is never re-checked by
+  the kernel of the engine that produced it;
+* ``perfbench/layers.py`` wraps :meth:`Solver.solve` by name.
+
 Typical use::
 
     solver = Solver()

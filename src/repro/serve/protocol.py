@@ -57,7 +57,6 @@ class JobOptions:
     reduce: bool = True
     passes: Optional[Sequence[str]] = None
     frame_backend: Optional[str] = None
-    sat_backend: Optional[str] = None
 
     def cache_fields(self) -> Dict[str, Any]:
         """The verdict-relevant fields (the time budget is excluded: only
@@ -72,7 +71,6 @@ class JobOptions:
             "reduce": self.reduce,
             "passes": list(self.passes) if self.passes is not None else None,
             "frame_backend": self.frame_backend,
-            "sat_backend": self.sat_backend,
         }
 
     def as_dict(self) -> Dict[str, Any]:
@@ -215,7 +213,6 @@ _OPTION_TYPES = {
     "reduce": bool,
     "passes": list,
     "frame_backend": str,
-    "sat_backend": str,
     "priority": int,
 }
 
@@ -279,7 +276,6 @@ def options_from_document(
         reduce=bool(document.get("reduce", True)),
         passes=list(passes) if passes is not None else None,
         frame_backend=document.get("frame_backend"),
-        sat_backend=document.get("sat_backend"),
     )
 
 

@@ -69,8 +69,6 @@ def _engine_kwargs(options: JobOptions) -> Dict[str, Any]:
     kwargs: Dict[str, Any] = {}
     if options.frame_backend:
         kwargs["frame_backend"] = options.frame_backend
-    if options.sat_backend:
-        kwargs["sat_backend"] = options.sat_backend
     if options.engine == "bmc":
         kwargs["max_depth"] = options.max_depth
     elif options.engine in ("kind", "k-induction"):
@@ -116,7 +114,6 @@ def _execute_job(payload: Dict[str, Any], warm: Dict[Any, Any]) -> Dict[str, Any
                 max_k=options.max_k,
                 max_depth=options.max_depth,
                 frame_backend=options.frame_backend,
-                sat_backend=options.sat_backend,
             )
             outcome = engine.check(time_limit=options.timeout)
         elif options.engine in _SAFETY_KINDS and options.reduce:

@@ -22,35 +22,32 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from repro.aiger.aig import AIG, FALSE_LIT, TRUE_LIT
+from repro.core.result import CounterexampleTrace, TraceStep
 from repro.logic.cube import Cube
 from repro.obs.tracer import get_tracer
-from repro.sat.context import apply_solver_seed, sat_backend
-from repro.sat.solver import Solver
+from repro.sat.arena import ArenaSolver
 
 
 class Unroller:
     """Incrementally unrolls an AIG into a SAT solver.
 
-    The solver is either passed in directly or constructed from the
-    registered ``backend`` name (see :func:`repro.sat.context.
-    register_sat_backend`), so BMC/k-induction unrollings pick up
-    alternative kernels such as the flat-arena solver.
+    The solver is either passed in directly or a fresh
+    :class:`~repro.sat.arena.ArenaSolver`, seeded with ``seed``.
     """
 
     def __init__(
         self,
         aig: AIG,
-        solver: Optional[Solver] = None,
+        solver: Optional[ArenaSolver] = None,
         use_init: bool = True,
         init_as_assumption: bool = False,
-        backend: str = "default",
         seed: int = 0,
     ):
         aig.validate()
         self.aig = aig
-        self.solver = solver if solver is not None else sat_backend(backend)()
+        self.solver = solver if solver is not None else ArenaSolver()
         if seed:
-            apply_solver_seed(self.solver, seed)
+            self.solver.set_seed(seed)
         self.use_init = use_init
         self.init_as_assumption = init_as_assumption
         # Validated global-invariant clauses (AIG literals over latches),
@@ -117,6 +114,23 @@ class Unroller:
             value = model.get(abs(lit), False)
             values[aig_lit] = (not value) if lit < 0 else value
         return values
+
+    def extract_trace(self, depth: int) -> CounterexampleTrace:
+        """The counterexample of frames ``0..depth`` in the solver's model.
+
+        Call right after an initialised query that asserted the bad cone
+        at ``depth`` came back SAT.
+        """
+        model = self.solver.get_model()
+        return CounterexampleTrace(
+            steps=[
+                TraceStep(
+                    state=self.latch_cube_at(model, frame),
+                    inputs=self.input_values_at(model, frame),
+                )
+                for frame in range(depth + 1)
+            ]
+        )
 
     # ------------------------------------------------------------------
     # Frame construction

@@ -3,11 +3,10 @@
 Every test in this module runs against both frame-management substrates
 (the monolithic single-solver manager and the per-frame baseline) via the
 ``backend`` fixture; backend-specific behaviour has its own classes at
-the bottom — and under both registered SAT kernels via the autouse
-``sat_kernel`` fixture.
+the bottom — and under both SAT kernels via the autouse ``sat_kernel``
+fixture, which swaps the reference :class:`~repro.sat.solver.Solver` in
+for the production arena kernel.
 """
-
-import sys
 
 import pytest
 
@@ -22,6 +21,7 @@ from repro.core.frames import (
 from repro.core.options import IC3Options
 from repro.core.stats import IC3Stats
 from repro.logic import Cube
+from repro.sat.solver import Solver
 from repro.ts import TransitionSystem
 
 
@@ -30,21 +30,20 @@ def backend(request):
     return request.param
 
 
-# The SAT kernel every manager in this file runs on; the autouse fixture
-# below sweeps it so the whole substrate suite exercises both kernels.
-_SAT_KERNEL = "default"
-
-
+# "default" runs every manager on the reference Solver (both substrates
+# build their solvers from these two module names), "arena" on the
+# production kernel.
 @pytest.fixture(params=["default", "arena"], autouse=True)
 def sat_kernel(request, monkeypatch):
-    monkeypatch.setattr(sys.modules[__name__], "_SAT_KERNEL", request.param)
+    if request.param == "default":
+        monkeypatch.setattr("repro.core.frames.ArenaSolver", Solver)
+        monkeypatch.setattr("repro.sat.context.ArenaSolver", Solver)
     return request.param
 
 
 def _manager(case=None, backend="monolithic", **option_kwargs):
     case = case if case is not None else token_ring(3)
     ts = TransitionSystem(case.aig)
-    option_kwargs.setdefault("sat_backend", _SAT_KERNEL)
     options = IC3Options(frame_backend=backend, **option_kwargs)
     stats = IC3Stats()
     manager = FrameManager(ts, options, stats)
@@ -306,26 +305,6 @@ class TestMonolithicSubstrate:
         )
         manager.finalize_stats()
         assert stats.activation_vars_allocated >= 1
-
-    def test_monolithic_honours_sat_backend_option(self):
-        from repro.sat import register_sat_backend, unregister_sat_backend
-        from repro.sat.solver import Solver
-
-        instances = []
-
-        class Tagged(Solver):
-            def __init__(self):
-                super().__init__()
-                instances.append(self)
-
-        register_sat_backend("frames-test", Tagged)
-        try:
-            manager, _, _ = _manager(
-                backend="monolithic", sat_backend="frames-test"
-            )
-            assert len(instances) >= 2  # main + init (+ lift) contexts
-        finally:
-            unregister_sat_backend("frames-test")
 
 
 class TestPerFrameSubstrate:

@@ -6,9 +6,12 @@ from repro.benchgen import (
     modular_counter,
     parity_counter,
     pipeline_tag,
+    shadowed_ring,
     token_ring,
 )
 from repro.core import KInduction, CheckResult
+from repro.core.invariant import check_counterexample
+from repro.engines import create_engine
 
 
 class TestSafeProofs:
@@ -32,10 +35,23 @@ class TestUnsafeAndUnknown:
         case = modular_counter(3, modulus=8, bad_value=3)
         outcome = KInduction(case.aig).check(max_k=10)
         assert outcome.result == CheckResult.UNSAFE
+        assert outcome.trace.depth == outcome.frames == 3
+        assert check_counterexample(case.aig, outcome.trace)
 
     def test_lock_found(self):
-        outcome = KInduction(combination_lock([1, 2]).aig).check(max_k=10)
+        case = combination_lock([1, 2])
+        outcome = KInduction(case.aig).check(max_k=10)
         assert outcome.result == CheckResult.UNSAFE
+        assert check_counterexample(case.aig, outcome.trace)
+
+    def test_standalone_engine_lifts_trace_to_original_model(self):
+        # The engine reduces the model first; the base-case trace must
+        # survive the lift back through the reduction passes.
+        case = shadowed_ring(3, noise=4, safe=False)
+        outcome = create_engine("kind", case.aig).check(time_limit=60)
+        assert outcome.result == CheckResult.UNSAFE
+        assert outcome.trace is not None
+        assert check_counterexample(case.aig, outcome.trace)
 
     def test_unknown_when_not_k_inductive_within_bound(self):
         # The counter range property usually needs k larger than 1-2.

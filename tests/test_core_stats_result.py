@@ -1,5 +1,7 @@
 """Tests for statistics (Table 2 rates) and result containers."""
 
+import dataclasses
+
 import pytest
 
 from repro.core import CheckOutcome, CheckResult, Certificate, CounterexampleTrace
@@ -41,6 +43,12 @@ class TestSuccessRates:
         assert data["prediction_queries"] == 2
         assert data["sr_lp"] == pytest.approx(0.5)
         assert data["sr_adv"] == pytest.approx(0.25)
+
+    def test_as_dict_keys_are_every_field_plus_rates(self):
+        data = IC3Stats(sat_time=0.5).as_dict()
+        names = [field.name for field in dataclasses.fields(IC3Stats)]
+        assert list(data) == names + ["sr_lp", "sr_fp", "sr_adv"]
+        assert data["sat_time"] == 0.5
 
     def test_merge_adds_counters(self):
         a = IC3Stats(sat_calls=3, generalizations=1, time_total=1.5)

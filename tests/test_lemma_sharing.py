@@ -4,7 +4,7 @@ The exchange layer's contract is that the bus is *untrusted*: every
 foreign record is revalidated locally before installation, so malformed,
 out-of-range, non-inductive or mislevelled records may waste a SAT call
 but can never change a verdict.  These tests inject exactly such records
-— parametrized over both SAT kernels and both frame backends — and
+— parametrized over both frame backends — and
 assert verdict preservation, witness validity and the rejection
 counters.  The positive path (a published lemma imported and installed
 by another member) is covered in-process with two engines sharing one
@@ -23,7 +23,6 @@ from repro.core.options import IC3Options
 from repro.core.result import CheckResult
 from repro.engines.lembus import SharePolicy, ShmRingBus
 
-SAT_BACKENDS = ["default", "arena"]
 FRAME_BACKENDS = ["monolithic", "per-frame"]
 
 
@@ -77,12 +76,11 @@ def _stuck_flag_counter(modulus=None, bad_value=5):
     return aig
 
 
-@pytest.mark.parametrize("sat_backend", SAT_BACKENDS)
 @pytest.mark.parametrize("frame_backend", FRAME_BACKENDS)
 class TestIC3HostileBus:
-    def test_safe_verdict_survives_poisoned_bus(self, sat_backend, frame_backend):
+    def test_safe_verdict_survives_poisoned_bus(self, frame_backend):
         case = token_ring(3)
-        options = IC3Options(frame_backend=frame_backend, sat_backend=sat_backend)
+        options = IC3Options(frame_backend=frame_backend)
         baseline = IC3(case.aig, options).check(time_limit=60)
         assert baseline.result == CheckResult.SAFE
 
@@ -105,10 +103,10 @@ class TestIC3HostileBus:
         # certificate above already vouches for it.
         assert engine.stats.lemmas_imported <= engine.stats.lemmas_validated
 
-    def test_unsafe_verdict_survives_masking_attempt(self, sat_backend, frame_backend):
+    def test_unsafe_verdict_survives_masking_attempt(self, frame_backend):
         case = modular_counter(3, modulus=6, bad_value=3)
         assert case.expected == CheckResult.UNSAFE
-        options = IC3Options(frame_backend=frame_backend, sat_backend=sat_backend)
+        options = IC3Options(frame_backend=frame_backend)
 
         bus = _open_bus()
         try:
@@ -128,9 +126,8 @@ class TestIC3HostileBus:
         assert outcome.trace.depth == case.expected_depth
 
 
-@pytest.mark.parametrize("sat_backend", SAT_BACKENDS)
 class TestIC3ImportAcceptPath:
-    def test_true_invariant_accepted_despite_absurd_level(self, sat_backend):
+    def test_true_invariant_accepted_despite_absurd_level(self):
         aig = _stuck_flag_counter(modulus=6, bad_value=7)
         bus = _open_bus()
         try:
@@ -140,9 +137,7 @@ class TestIC3ImportAcceptPath:
             # beyond anything the member has: the level is clamped and the
             # clause revalidated, so it still imports.
             attacker.publish(999, [-4])
-            engine = IC3(
-                aig, IC3Options(sat_backend=sat_backend), lemma_port=victim_port
-            )
+            engine = IC3(aig, IC3Options(), lemma_port=victim_port)
             outcome = engine.check(time_limit=60)
         finally:
             bus.close()
@@ -153,7 +148,7 @@ class TestIC3ImportAcceptPath:
         assert engine.stats.lemmas_imported >= 1
         assert engine.stats.lemmas_rejected == 0
 
-    def test_two_members_exchange_lemmas_in_process(self, sat_backend):
+    def test_two_members_exchange_lemmas_in_process(self):
         case = modular_counter(3, modulus=6, bad_value=7)
         bus = ShmRingBus(
             capacity=1 << 16, policy=SharePolicy(max_lits=8, min_level=1)
@@ -161,7 +156,7 @@ class TestIC3ImportAcceptPath:
         try:
             port_a = bus.open_local_port(0)
             port_b = bus.open_local_port(1)  # opened first: sees a's records
-            options = IC3Options(sat_backend=sat_backend)
+            options = IC3Options()
             engine_a = IC3(case.aig, options, lemma_port=port_a)
             outcome_a = engine_a.check(time_limit=60)
             assert outcome_a.result == CheckResult.SAFE
@@ -182,9 +177,8 @@ class TestIC3ImportAcceptPath:
         assert engine_b.stats.lemmas_imported > 0
 
 
-@pytest.mark.parametrize("sat_backend", SAT_BACKENDS)
 class TestUnrollingImporter:
-    def test_bmc_rejects_hostile_still_finds_cex(self, sat_backend):
+    def test_bmc_rejects_hostile_still_finds_cex(self):
         aig = _stuck_flag_counter(modulus=None, bad_value=5)
         bus = _open_bus()
         try:
@@ -193,7 +187,7 @@ class TestUnrollingImporter:
             _publish_hostile(attacker, num_latches=len(aig.latches))
             # A clause that would mask the counterexample if trusted.
             attacker.publish(10, [-1, -2])
-            engine = BMC(aig, sat_backend=sat_backend, lemma_port=victim_port)
+            engine = BMC(aig, lemma_port=victim_port)
             outcome = engine.check(max_depth=10, time_limit=60)
         finally:
             bus.close()
@@ -203,14 +197,14 @@ class TestUnrollingImporter:
         assert engine.stats.lemmas_received > 0
         assert engine.stats.lemmas_rejected > 0
 
-    def test_bmc_accepts_global_invariant(self, sat_backend):
+    def test_bmc_accepts_global_invariant(self):
         aig = _stuck_flag_counter(modulus=None, bad_value=5)
         bus = _open_bus()
         try:
             victim_port = bus.open_local_port(0)
             attacker = bus.open_local_port(1)
             attacker.publish(3, [-4])  # stuck flag stays 0: true invariant
-            engine = BMC(aig, sat_backend=sat_backend, lemma_port=victim_port)
+            engine = BMC(aig, lemma_port=victim_port)
             outcome = engine.check(max_depth=10, time_limit=60)
         finally:
             bus.close()
@@ -220,18 +214,16 @@ class TestUnrollingImporter:
         assert engine.stats.lemmas_validated == 1
         assert engine.stats.lemmas_imported == 1
 
-    def test_kinduction_hostile_bus_keeps_safe_verdict(self, sat_backend):
+    def test_kinduction_hostile_bus_keeps_safe_verdict(self):
         aig = _stuck_flag_counter(modulus=6, bad_value=7)
-        baseline = KInduction(aig, sat_backend=sat_backend).check(
-            max_k=20, time_limit=60
-        )
+        baseline = KInduction(aig).check(max_k=20, time_limit=60)
         bus = _open_bus()
         try:
             victim_port = bus.open_local_port(0)
             attacker = bus.open_local_port(1)
             _publish_hostile(attacker, num_latches=len(aig.latches))
             attacker.publish(3, [-4])  # one true invariant in the noise
-            engine = KInduction(aig, sat_backend=sat_backend, lemma_port=victim_port)
+            engine = KInduction(aig, lemma_port=victim_port)
             outcome = engine.check(max_k=20, time_limit=60)
         finally:
             bus.close()

@@ -76,7 +76,7 @@ class TestManifestDeterminism:
 
     def test_substrate_stats_present_and_deterministic(self):
         manifest = _manifest(jobs=4)
-        assert manifest["schema"] == MANIFEST_SCHEMA == "repro-check/manifest/v9"
+        assert manifest["schema"] == MANIFEST_SCHEMA == "repro-check/manifest/v10"
         # v9: the telemetry block defaults to None so identical runs keep
         # producing byte-identical manifests.
         assert manifest["telemetry"] is None
@@ -111,6 +111,8 @@ class TestManifestDeterminism:
                 assert field in stats
                 assert isinstance(stats[field], int)
             assert "time_import_validation" in stats
+            # v10: the stats record carries every IC3Stats field.
+            assert "sat_time" in stats
             # No bus in these runs: exchange counters must stay zero.
             assert stats["lemmas_imported"] == 0
             assert result["sharing"] is None
@@ -118,7 +120,7 @@ class TestManifestDeterminism:
         # Every configuration records its solving substrate and seed.
         for meta in manifest["configs"].values():
             assert meta["frame_backend"] == "monolithic"
-            assert meta["sat_backend"] == "default"
+            assert "sat_backend" not in meta
             assert meta["seed"] == 0
         # v7: every configuration total carries the phase-time breakdown.
         for totals in manifest["totals"].values():

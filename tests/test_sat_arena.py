@@ -4,9 +4,8 @@ The arena solver must be behaviourally indistinguishable from the
 reference :class:`repro.sat.solver.Solver` — same verdicts, sound
 models, usable cores, identical activation-literal semantics — while
 storing the clause database in flat integer arenas.  The differential
-tests here drive both backends through the same randomized incremental
-workload (the harness of ``test_sat_context.py``, pointed at the arena)
-and the registry-guard tests pin down the built-in backend protection.
+tests here drive both kernels through the same randomized incremental
+workload (the harness of ``test_sat_context.py``, pointed at the arena).
 """
 
 import itertools
@@ -20,10 +19,6 @@ from repro.sat import (
     ResourceBudgetExceeded,
     Solver,
     SolverError,
-    available_sat_backends,
-    register_sat_backend,
-    sat_backend,
-    unregister_sat_backend,
 )
 
 
@@ -335,32 +330,3 @@ class TestAgainstBruteForce:
             verdict = ok and solver.solve()
             assert verdict == brute_force_satisfiable(num_vars, clauses), clauses
 
-
-class TestRegistryGuards:
-    def test_builtin_backends_registered(self):
-        names = available_sat_backends()
-        assert "default" in names and "arena" in names
-        assert sat_backend("default") is Solver
-        assert sat_backend("arena") is ArenaSolver
-
-    @pytest.mark.parametrize("name", ["default", "arena"])
-    def test_builtin_backends_cannot_be_unregistered(self, name):
-        with pytest.raises(SolverError, match="built in"):
-            unregister_sat_backend(name)
-        assert name in available_sat_backends()
-
-    def test_reregistration_requires_override(self):
-        register_sat_backend("guard-test", Solver)
-        try:
-            with pytest.raises(SolverError, match="override=True"):
-                register_sat_backend("guard-test", ArenaSolver)
-            assert sat_backend("guard-test") is Solver
-            register_sat_backend("guard-test", ArenaSolver, override=True)
-            assert sat_backend("guard-test") is ArenaSolver
-        finally:
-            unregister_sat_backend("guard-test")
-
-    def test_shadowing_builtin_requires_override(self):
-        with pytest.raises(SolverError, match="already registered"):
-            register_sat_backend("arena", Solver)
-        assert sat_backend("arena") is ArenaSolver

@@ -1,11 +1,12 @@
-"""Tests for the pluggable SAT-context layer and the incremental solver.
+"""Tests for the SAT-context layer and the incremental solver.
 
-Covers the backend registry, activation-literal scopes (removable
+Covers activation-literal scopes (removable
 clauses, recycling and retirement), physical clause removal, the
 assumption-trail reuse machinery, and a randomized differential check of
 the whole incremental protocol against fresh from-scratch solvers.
 """
 
+import dataclasses
 import random
 
 import pytest
@@ -15,56 +16,7 @@ from repro.sat import (
     SatContext,
     Solver,
     SolverError,
-    available_sat_backends,
-    register_sat_backend,
-    sat_backend,
-    unregister_sat_backend,
 )
-
-
-class TestBackendRegistry:
-    def test_default_backend_is_registered(self):
-        assert "default" in available_sat_backends()
-        assert sat_backend("default") is Solver
-
-    def test_unknown_backend_raises(self):
-        with pytest.raises(SolverError, match="unknown SAT backend"):
-            sat_backend("no-such-backend")
-
-    def test_custom_backend_plugs_in(self):
-        created = []
-
-        class CountingSolver(Solver):
-            def __init__(self):
-                super().__init__()
-                created.append(self)
-
-        register_sat_backend("counting-test", CountingSolver)
-        try:
-            ctx = SatContext(backend="counting-test")
-            assert isinstance(ctx.solver, CountingSolver)
-            assert created == [ctx.solver]
-        finally:
-            unregister_sat_backend("counting-test")
-        assert "counting-test" not in available_sat_backends()
-
-    def test_duplicate_registration_rejected(self):
-        register_sat_backend("dup-test", Solver)
-        try:
-            with pytest.raises(SolverError, match="already registered"):
-                register_sat_backend("dup-test", Solver)
-        finally:
-            unregister_sat_backend("dup-test")
-
-    def test_decorator_form(self):
-        @register_sat_backend("decorated-test")
-        def _factory():
-            return Solver()
-
-        try:
-            assert sat_backend("decorated-test") is _factory
-        finally:
-            unregister_sat_backend("decorated-test")
 
 
 class TestActivationScopes:
@@ -232,6 +184,7 @@ class TestSatContext:
         data = ctx.stats.as_dict()
         assert data["clauses_loaded"] == 1
         assert data["solve_calls"] == 1
+        assert list(data) == [f.name for f in dataclasses.fields(ContextStats)]
 
 
 class TestDifferentialSoundness:

@@ -147,7 +147,13 @@ class TestHttpApi:
         assert server.poll_done(payload["id"])["result"]["result"] == "safe"
 
     def test_malformed_bodies_rejected(self, server):
-        for body in (b"garbage", b'{"engine": "ic3"}', b'{"model": 7}'):
+        retired_option = json.dumps({"model": SAFE_TEXT, "sat_backend": "arena"})
+        for body in (
+            b"garbage",
+            b'{"engine": "ic3"}',
+            b'{"model": 7}',
+            retired_option.encode(),
+        ):
             status, payload, _ = server.request("/jobs", data=body, method="POST")
             assert status == 400, body
             assert "error" in payload

@@ -1,8 +1,8 @@
 """Tests for the time-frame unroller (the substrate of BMC / k-induction).
 
-Every test runs under both registered SAT kernels: the autouse fixture
-below redirects the unroller's backend lookup so default-constructed
-unrollers alternate between the reference solver and the flat arena.
+Every test runs under both SAT kernels: the autouse fixture below swaps
+the reference :class:`~repro.sat.solver.Solver` in for the arena kernel,
+so default-constructed unrollers alternate between the two.
 """
 
 import pytest
@@ -10,18 +10,15 @@ import pytest
 from repro.aiger import AIG
 from repro.benchgen import modular_counter, combination_lock
 from repro.sat import Solver
-from repro.sat.context import sat_backend as _lookup_backend
 from repro.ts import Unroller
 import repro.ts.unroll as _unroll_mod
 
 
 @pytest.fixture(params=["default", "arena"], autouse=True)
 def sat_kernel(request, monkeypatch):
-    kernel = request.param
-    monkeypatch.setattr(
-        _unroll_mod, "sat_backend", lambda _name: _lookup_backend(kernel)
-    )
-    return kernel
+    if request.param == "default":
+        monkeypatch.setattr(_unroll_mod, "ArenaSolver", Solver)
+    return request.param
 
 
 def _counter_aig(width=3):
