@@ -3,8 +3,8 @@
 The paper-scale evaluation (the full synthetic suite, six configurations,
 a several-second per-case timeout) takes minutes; the benchmarks therefore
 run on a *reduced* suite that preserves the mix of families and verdicts.
-The session-scoped ``suite_result`` fixture executes that evaluation once;
-the per-table/figure benchmark modules derive their tables and series from
+The session-scoped ``suite_result`` fixture executes that evaluation once
+(keeping each pair's fastest of a few repeats); the per-table/figure benchmark modules derive their tables and series from
 it and additionally micro-benchmark a representative engine run, so
 ``pytest benchmarks/ --benchmark-only`` both regenerates every artefact
 and reports engine timings.
@@ -31,10 +31,11 @@ from repro.benchgen import (
     token_ring,
     traffic_light,
 )
-from repro.harness import BenchmarkRunner, paper_configurations
+from repro.harness import BenchmarkRunner, SuiteResult, paper_configurations
 from repro.harness.report import build_report
 
 BENCH_TIMEOUT = 10.0
+BENCH_REPEATS = 5
 
 
 def bench_suite():
@@ -67,11 +68,21 @@ def bench_suite():
 
 @pytest.fixture(scope="session")
 def suite_result():
-    """One evaluation of all six configurations over the reduced suite."""
+    """One evaluation of all six configurations over the reduced suite.
+
+    Each (configuration, case) pair keeps the fastest of ``BENCH_REPEATS``
+    runs.  Most reduced cases finish in tens of milliseconds, where a
+    single wall-clock sample is dominated by scheduling noise and would
+    flip Figure 4's per-case ratios from run to run.
+    """
     runner = BenchmarkRunner(
         bench_suite(), paper_configurations(), timeout=BENCH_TIMEOUT, validate=False
     )
-    return runner.run()
+    runs = [runner.run() for _ in range(BENCH_REPEATS)]
+    best = SuiteResult(timeout=runner.timeout)
+    for samples in zip(*(run.results for run in runs)):
+        best.add(min(samples, key=lambda result: result.runtime))
+    return best
 
 
 @pytest.fixture(scope="session")

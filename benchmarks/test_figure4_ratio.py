@@ -15,12 +15,14 @@ from repro.core import IC3, CheckResult
 from repro.harness import ratio_vs_sradv
 from repro.harness.configs import config_by_name
 
-from benchmarks.conftest import bench_suite
+from benchmarks.conftest import BENCH_TIMEOUT, bench_suite
 
 
 # The paper excludes cases below 1 s of its 1000 s budget; scaled to the
-# reduced suite this corresponds to a handful of milliseconds.
-MIN_RUNTIME = 0.02
+# reduced suite's budget this is 10 ms.  Above it sit the cases whose
+# runtime is dominated by the engine; below it, the ones dominated by
+# process and reduction overhead, whose ratios are noise.
+MIN_RUNTIME = BENCH_TIMEOUT / 1000
 
 
 class TestFigure4:

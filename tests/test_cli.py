@@ -36,6 +36,26 @@ class TestParser:
         assert args.timeout == 5.0
         assert not args.quick
 
+    # Every engine runs the one production SAT kernel; the kernel flag
+    # was retired with it and must not be silently accepted.
+    @pytest.mark.parametrize("argv", [["check", "model.aag"], ["evaluate"]])
+    def test_retired_sat_backend_flag_rejected(self, argv):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv + ["--sat-backend", "arena"])
+
+
+class TestVersionCommand:
+    def test_version_lists_registries(self, capsys):
+        from repro.harness.manifest import MANIFEST_SCHEMA
+
+        assert main(["version"]) == 0
+        out = capsys.readouterr().out
+        assert MANIFEST_SCHEMA in out
+        for line in ("engines:", "frame backends:", "reduction passes:"):
+            assert line in out
+        assert "ic3-pl" in out and "monolithic" in out
+        assert "sat backends" not in out
+
 
 class TestCheckCommand:
     def test_safe_model_exit_code(self, safe_model, capsys):

@@ -80,6 +80,11 @@ class TestValidation:
         with pytest.raises(ValueError):
             options.validate()
 
+    def test_retired_sat_backend_option_rejected(self):
+        # One production SAT kernel: the kernel is no longer an option.
+        with pytest.raises(TypeError):
+            IC3Options(sat_backend="arena")
+
     def test_enums_accept_string_values(self):
         assert GeneralizationStrategy("ctg") == GeneralizationStrategy.CTG
         assert LiteralOrdering("activity") == LiteralOrdering.ACTIVITY

@@ -4,7 +4,7 @@ The exchange layer's contract is that the bus is *untrusted*: every
 foreign record is revalidated locally before installation, so malformed,
 out-of-range, non-inductive or mislevelled records may waste a SAT call
 but can never change a verdict.  These tests inject exactly such records
-— parametrized over both frame backends — and
+— parametrized over both SAT kernels and both frame backends — and
 assert verdict preservation, witness validity and the rejection
 counters.  The positive path (a published lemma imported and installed
 by another member) is covered in-process with two engines sharing one
@@ -22,8 +22,25 @@ from repro.core.kinduction import KInduction
 from repro.core.options import IC3Options
 from repro.core.result import CheckResult
 from repro.engines.lembus import SharePolicy, ShmRingBus
+from repro.sat.solver import Solver
 
+SAT_KERNELS = ["default", "arena"]
 FRAME_BACKENDS = ["monolithic", "per-frame"]
+
+
+@pytest.fixture
+def sat_kernel(request, monkeypatch):
+    """Run the importers on the production or the reference kernel.
+
+    "default" swaps the reference :class:`Solver` in for the arena kernel
+    at every module that builds engine solvers (IC3 frames, the sharing
+    importer's context, the BMC / k-induction unrollings), so the hostile
+    bus is checked against both kernels' semantics.
+    """
+    if request.param == "default":
+        for module in ("repro.core.frames", "repro.sat.context", "repro.ts.unroll"):
+            monkeypatch.setattr(f"{module}.ArenaSolver", Solver)
+    return request.param
 
 
 def _open_bus(min_level=0, max_lits=16):
@@ -76,6 +93,8 @@ def _stuck_flag_counter(modulus=None, bad_value=5):
     return aig
 
 
+@pytest.mark.parametrize("sat_kernel", SAT_KERNELS, indirect=True)
+@pytest.mark.usefixtures("sat_kernel")
 @pytest.mark.parametrize("frame_backend", FRAME_BACKENDS)
 class TestIC3HostileBus:
     def test_safe_verdict_survives_poisoned_bus(self, frame_backend):
@@ -126,6 +145,8 @@ class TestIC3HostileBus:
         assert outcome.trace.depth == case.expected_depth
 
 
+@pytest.mark.parametrize("sat_kernel", SAT_KERNELS, indirect=True)
+@pytest.mark.usefixtures("sat_kernel")
 class TestIC3ImportAcceptPath:
     def test_true_invariant_accepted_despite_absurd_level(self):
         aig = _stuck_flag_counter(modulus=6, bad_value=7)
@@ -177,6 +198,8 @@ class TestIC3ImportAcceptPath:
         assert engine_b.stats.lemmas_imported > 0
 
 
+@pytest.mark.parametrize("sat_kernel", SAT_KERNELS, indirect=True)
+@pytest.mark.usefixtures("sat_kernel")
 class TestUnrollingImporter:
     def test_bmc_rejects_hostile_still_finds_cex(self):
         aig = _stuck_flag_counter(modulus=None, bad_value=5)
