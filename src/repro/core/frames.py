@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.core.options import IC3Options
 from repro.core.stats import IC3Stats
@@ -89,6 +89,12 @@ class FrameManagerBase:
         """Optional ``(cube, level)`` callback fired whenever a lemma is
         newly proven at or promoted to ``level`` — the cooperative
         portfolio's export hook (see :mod:`repro.core.share`)."""
+        # Append-only insertion log of ``(level, literal set)``: one entry
+        # per lemma that entered F_level (and so every F_L with L <= level).
+        # Positions are absolute; ``_log_base`` is the position of
+        # ``_lemma_log[0]`` once old entries have been trimmed.
+        self._lemma_log: List[Tuple[int, FrozenSet[int]]] = []
+        self._log_base = 0
 
     # ------------------------------------------------------------------
     # Frame construction
@@ -127,6 +133,7 @@ class FrameManagerBase:
                 kept.append(existing)
             self.frames[frame_level] = kept
         self.frames[level].append(cube)
+        self._lemma_log.append((level, cube.literal_set))
         self._install_lemma(cube, level)
         self.stats.lemmas_added += 1
         if self.lemma_exporter is not None:
@@ -137,6 +144,7 @@ class FrameManagerBase:
         if cube in self.frames[from_level]:
             self.frames[from_level].remove(cube)
         self.frames[to_level].append(cube)
+        self._lemma_log.append((to_level, cube.literal_set))
         self._install_promotion(cube, from_level, to_level)
         self.stats.lemmas_pushed += 1
         if self.lemma_exporter is not None:
@@ -170,6 +178,37 @@ class FrameManagerBase:
     def frames_equal(self, level: int) -> bool:
         """True if F_level = F_{level+1}, i.e. no lemma lives exactly at level."""
         return not self.frames[level]
+
+    # ------------------------------------------------------------------
+    # Lemma insertion log
+    # ------------------------------------------------------------------
+    @property
+    def lemma_log_end(self) -> int:
+        """The log position the next lemma insertion will take."""
+        return self._log_base + len(self._lemma_log)
+
+    def lemma_blocks_since(self, position: int, level: int, state: Cube) -> bool:
+        """True if a lemma logged at ``position`` or later at a level
+        >= ``level`` blocks ``state``, i.e. may have removed it from F_level.
+
+        A position before the trimmed part of the log cannot be checked
+        and answers True.
+        """
+        start = position - self._log_base
+        if start < 0:
+            return True
+        state_lits = state.literal_set
+        for entry_level, lits in self._lemma_log[start:]:
+            if entry_level >= level and lits <= state_lits:
+                return True
+        return False
+
+    def trim_lemma_log(self, position: int) -> None:
+        """Forget the log entries before ``position``."""
+        drop = position - self._log_base
+        if drop > 0:
+            del self._lemma_log[:drop]
+            self._log_base = position
 
     # ------------------------------------------------------------------
     # Introspection

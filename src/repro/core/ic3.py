@@ -104,6 +104,11 @@ class IC3:
             self.frames, self.ts, self.options, self.stats, self._literal_activity
         )
         self.predictor = LemmaPredictor(self.frames, self.options, self.stats)
+        # Failed pushes of the last propagation sweep (see
+        # ``_propagate_inner``): (lemma cube, level) -> (pre-state s,
+        # lemma-log position, successor t).
+        self._push_witnesses: Dict[Tuple[Cube, int], Tuple[Cube, int, Cube]] = {}
+        self._sweep_start = 0
 
         self._deadline: Optional[float] = None
         self._start_time = 0.0
@@ -162,10 +167,7 @@ class IC3:
                 bad = self.frames.get_bad_state(top)
                 if bad is None:
                     break
-                if tracer.enabled:
-                    with tracer.span("ic3.block", cat="ic3", level=top):
-                        blocked, trace = self._block_bad_state(bad, top)
-                else:
+                with tracer.span("ic3.block", cat="ic3", level=top):
                     blocked, trace = self._block_bad_state(bad, top)
                 if not blocked:
                     return CheckOutcome(
@@ -176,10 +178,7 @@ class IC3:
 
             if self.frames.top_level + 1 > self.options.max_frames:
                 return self._unknown("frame limit reached")
-            if tracer.enabled:
-                with tracer.span("ic3.extend", cat="ic3", new_top=top + 1):
-                    self.frames.add_frame()
-            else:
+            with tracer.span("ic3.extend", cat="ic3", new_top=top + 1):
                 self.frames.add_frame()
             self._drain_shared()
             invariant_level = self._propagate()
@@ -329,10 +328,9 @@ class IC3:
 
     def _consecution(self, level: int, cube: Cube):
         """Relative-induction query, traced as an ``ic3.consecution`` span."""
-        tracer = get_tracer()
-        if not tracer.enabled:
-            return self.frames.consecution(level, cube)
-        with tracer.span("ic3.consecution", cat="ic3", level=level, size=len(cube)) as span:
+        with get_tracer().span(
+            "ic3.consecution", cat="ic3", level=level, size=len(cube)
+        ) as span:
             result = self.frames.consecution(level, cube)
             span.add(holds=result.holds)
         return result
@@ -364,27 +362,19 @@ class IC3:
 
         if self.options.enable_prediction:
             start = time.perf_counter()
-            if tracer.enabled:
-                with tracer.span(
-                    "ic3.predict", cat="ic3", level=level, size=len(obligation.cube)
-                ) as span:
-                    prediction = self.predictor.predict(obligation.cube, level)
-                    span.add(hit=prediction is not None)
-            else:
+            with tracer.span(
+                "ic3.predict", cat="ic3", level=level, size=len(obligation.cube)
+            ) as span:
                 prediction = self.predictor.predict(obligation.cube, level)
+                span.add(hit=prediction is not None)
             self.stats.time_prediction += time.perf_counter() - start
             if prediction is not None:
                 return prediction.cube, level
 
         start = time.perf_counter()
-        if tracer.enabled:
-            with tracer.span(
-                "ic3.generalize", cat="ic3", level=level, size=len(cube)
-            ) as span:
-                generalized = self.generalizer.generalize(cube, level)
-                span.add(final_size=len(generalized))
-        else:
+        with tracer.span("ic3.generalize", cat="ic3", level=level, size=len(cube)) as span:
             generalized = self.generalizer.generalize(cube, level)
+            span.add(final_size=len(generalized))
         self.stats.time_generalization += time.perf_counter() - start
         return generalized, level
 
@@ -416,32 +406,61 @@ class IC3:
     # ------------------------------------------------------------------
     def _propagate(self) -> Optional[int]:
         """Push lemmas forward; returns the invariant level if a fixpoint appears."""
-        tracer = get_tracer()
-        if not tracer.enabled:
-            return self._propagate_inner()
-        with tracer.span(
+        skipped = self.stats.pushes_skipped
+        with get_tracer().span(
             "ic3.propagate", cat="ic3", top=self.frames.top_level
         ) as span:
             invariant_level = self._propagate_inner()
-            span.add(fixpoint=invariant_level is not None)
+            span.add(
+                fixpoint=invariant_level is not None,
+                skipped=self.stats.pushes_skipped - skipped,
+            )
         return invariant_level
 
     def _propagate_inner(self) -> Optional[int]:
+        """One propagation sweep over the levels 1..k-1.
+
+        A push of ``¬c`` from level L whose query failed leaves a witness:
+        the model's pre-state ``s``, a full latch assignment in
+        ``F_L ∧ ¬c``, and its successor ``t ⊨ c``.  Frames only get
+        stronger, and T and the constraints never change, so while no
+        lemma inserted at a level >= L since then blocks ``s``, ``s → t``
+        still satisfies ``F_L ∧ ¬c ∧ T ∧ c'``: the push is skipped without
+        a SAT call and ``t`` is recorded as its CTP again.  The witness
+        store keeps only the lemmas this sweep visits, and the lemma log
+        is trimmed to the entries since the previous sweep began, the
+        oldest position a kept witness can refer to.
+        """
         start = time.perf_counter()
-        if self.options.enable_prediction and self.options.clear_ctp_before_propagation:
+        predicting = self.options.enable_prediction
+        if predicting and self.options.clear_ctp_before_propagation:
             self.predictor.clear_table()
 
+        frames = self.frames
+        frames.trim_lemma_log(self._sweep_start)
+        self._sweep_start = frames.lemma_log_end
+        witnesses, self._push_witnesses = self._push_witnesses, {}
+
         invariant_level: Optional[int] = None
-        for level in range(1, self.frames.top_level):
-            for cube in self.frames.lemmas_exactly_at(level):
+        for level in range(1, frames.top_level):
+            for cube in frames.lemmas_exactly_at(level):
                 self._check_limits()
-                result = self._consecution(level, cube)
-                if result.holds:
-                    self.frames.promote_cube(cube, level, level + 1)
+                failure = self._known_push_failure(cube, level, witnesses)
+                if failure is not None:
+                    self.stats.pushes_skipped += 1
+                    state, successor = failure
                 else:
-                    if self.options.enable_prediction:
-                        self.predictor.record_push_failure(cube, level, result.successor)
-            if self.frames.frames_equal(level):
+                    result = self._consecution(level, cube)
+                    if result.holds:
+                        frames.promote_cube(cube, level, level + 1)
+                        continue
+                    state, successor = result.predecessor, result.successor
+                self._push_witnesses[(cube, level)] = (
+                    state, frames.lemma_log_end, successor,
+                )
+                if predicting:
+                    self.predictor.record_push_failure(cube, level, successor)
+            if frames.frames_equal(level):
                 invariant_level = level + 1
                 break
 
@@ -451,6 +470,22 @@ class IC3:
 
         self.stats.time_propagation += time.perf_counter() - start
         return invariant_level
+
+    def _known_push_failure(
+        self,
+        cube: Cube,
+        level: int,
+        witnesses: Dict[Tuple[Cube, int], Tuple[Cube, int, Cube]],
+    ) -> Optional[Tuple[Cube, Cube]]:
+        """The ``(s, t)`` of a stored failed push of ``¬cube`` from
+        ``level`` that still proves the push fails, or None."""
+        witness = witnesses.get((cube, level))
+        if witness is None:
+            return None
+        state, position, successor = witness
+        if self.frames.lemma_blocks_since(position, level, state):
+            return None
+        return state, successor
 
     # ------------------------------------------------------------------
     # Counterexample / special cases

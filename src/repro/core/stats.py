@@ -34,6 +34,7 @@ class IC3Stats:
     frames_opened: int = 0
     lemmas_added: int = 0
     lemmas_pushed: int = 0
+    pushes_skipped: int = 0           # propagation pushes a stored CTP witness proved would fail
     subsumed_lemmas: int = 0
     obligations_processed: int = 0
     bad_cubes: int = 0

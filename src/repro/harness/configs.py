@@ -5,8 +5,10 @@ two independent IC3 code bases (IC3ref in C++ and RIC3 in Rust), each with
 and without the proposed lemma prediction, plus the CAV'23 "i-Good lemmas"
 variant and ABC's PDR.  Those exact binaries are not available here, so
 every row is a differently-configured instance of this library's IC3
-engine; the ``plays_role_of`` field records the mapping (see DESIGN.md for
-the substitution rationale).
+engine.  Each stand-in is an :class:`~repro.core.options.IC3Options`
+profile that reproduces what distinguishes the original code base
+(literal ordering, lifting, pushing, generalization strategy; see each
+``description``), and the ``plays_role_of`` field records the mapping.
 """
 
 from __future__ import annotations

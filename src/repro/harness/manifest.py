@@ -125,6 +125,13 @@ Schema v10 (``repro-check/manifest/v10``) changes over v9:
 * per-result ``stats`` now carries every :class:`repro.core.stats.IC3Stats`
   field, which adds ``sat_time`` (seconds inside SAT calls) to the
   record.
+
+Schema v11 (``repro-check/manifest/v11``) additions over v10:
+
+* per-result ``stats`` now includes ``pushes_skipped``: propagation
+  pushes that IC3 skipped without a SAT call because the stored
+  counterexample to propagation of the lemma's previous failed push
+  still proved the push would fail.
 """
 
 from __future__ import annotations
@@ -136,7 +143,7 @@ from typing import Dict, Optional, Sequence
 from repro.harness.configs import EngineConfig
 from repro.harness.runner import CaseResult, SuiteResult
 
-MANIFEST_SCHEMA = "repro-check/manifest/v10"
+MANIFEST_SCHEMA = "repro-check/manifest/v11"
 
 
 def _phase_times(results: Sequence[CaseResult]) -> Dict[str, float]:

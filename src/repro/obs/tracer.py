@@ -68,6 +68,9 @@ class _NullSpan:
     def __exit__(self, *_exc: object) -> bool:
         return False
 
+    def add(self, **args: Any) -> None:
+        return None
+
 
 _NULL_SPAN = _NullSpan()
 

@@ -111,6 +111,27 @@ class TestFrameBookkeeping:
         assert manager.lemmas_exactly_at(2) == [cube]
         assert stats.lemmas_pushed == 1
 
+    def test_lemma_log_names_new_lemmas_that_block_a_state(self, backend):
+        manager, ts, _ = _manager(backend=backend)
+        manager.add_frame()
+        manager.add_frame()
+        a, b, c = ts.latch_vars[:3]
+        state = Cube([a, -b, c])
+        start = manager.lemma_log_end
+        manager.add_blocked_cube(Cube([a, b]), 2)  # does not block the state
+        assert not manager.lemma_blocks_since(start, 1, state)
+        manager.add_blocked_cube(Cube([a, c]), 1)  # blocks it in F_1 only
+        assert manager.lemma_blocks_since(start, 1, state)
+        assert not manager.lemma_blocks_since(start, 2, state)
+        manager.promote_cube(Cube([a, c]), 1, 2)
+        assert manager.lemma_blocks_since(start, 2, state)
+        later = manager.lemma_log_end
+        assert not manager.lemma_blocks_since(later, 1, state)
+        manager.trim_lemma_log(later)
+        assert not manager.lemma_blocks_since(later, 1, state)
+        # Trimmed entries cannot be checked: an older position answers True.
+        assert manager.lemma_blocks_since(start, 1, state)
+
     def test_is_blocked_syntactically(self, backend):
         manager, ts, _ = _manager(backend=backend)
         manager.add_frame()
