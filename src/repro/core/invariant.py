@@ -9,7 +9,7 @@ bug in the IC3 engine cannot silently validate its own output.
 
 from __future__ import annotations
 
-from typing import Union
+from typing import Dict, Union
 
 from repro.aiger.aig import AIG
 from repro.core.result import Certificate, CounterexampleTrace
@@ -26,55 +26,88 @@ def check_certificate(
     certificate: Certificate,
     property_index: int = 0,
 ) -> bool:
-    """Validate an inductive invariant.
+    """Validate an inductive invariant ``INV = ¬Bad ∧ ⋀ clauses``.
 
-    The invariant is ``INV = P ∧ ⋀ clauses``.  Three conditions are
-    checked with a fresh solver:
+    The checks, in order:
 
-    1. initiation: ``I ⇒ INV``;
-    2. consecution: ``INV ∧ T ⇒ INV'``;
-    3. safety: ``INV ⇒ P`` (trivial because P is a conjunct, but the bad
-       cone is still checked to guard against encoding mistakes).
+    1. every literal ranges over a latch variable;
+    2. initiation of the clauses, ``I ⇒ clause``, syntactically against
+       the reset values;
+    3. ``I ∧ Bad`` is UNSAT (the initial states are safe);
+    4. ``clauses ∧ Bad`` is UNSAT, so ``clauses ⇒ ¬Bad``;
+    5. consecution of every clause, ``clauses ∧ ¬Bad ∧ T ∧ ¬clause'`` is
+       UNSAT, asked as one query: each ``¬clause'`` is guarded by an
+       activation variable and one clause requires some guard to hold.
+
+    These suffice: by 2 and 5 the clauses hold on every reachable state,
+    and by 4 no such state is bad.  Because 4 makes ``¬Bad`` implied by
+    the clauses, ``INV`` is inductive without a separate ``¬Bad'`` check,
+    and 3 is implied by 2 and 4 (it is kept to name the simpler failure).
+
+    Queries 3–5 run on one fresh object :class:`Solver` loaded with
+    :meth:`TransitionSystem.cone_trans` of the latches the clauses
+    mention, renumbered densely.  Every clause the cone drops defines a
+    gate or a primed latch that no query mentions, from variables the
+    cone leaves free, so each query is equisatisfiable with the same
+    query over the full T.
 
     Raises :class:`CertificateError` on failure, returns True on success.
     """
     ts = system if isinstance(system, TransitionSystem) else TransitionSystem(
         system, property_index=property_index, warn_on_ambiguity=False
     )
+    clauses = list(certificate.clauses)
+    mentioned = {abs(lit) for clause in clauses for lit in clause}
+    for var in sorted(mentioned):
+        if not ts.is_state_lit(var):
+            raise CertificateError(f"certificate variable {var} is not a latch variable")
 
-    # 1. Initiation: every clause must hold on the initial states, and the
-    #    initial states must not satisfy Bad.
-    for clause in certificate.clauses:
+    for clause in clauses:
         if not ts.clause_holds_on_init(clause):
             raise CertificateError(f"initiation fails for clause {clause!r}")
-    solver = _solver_with_trans(ts)
-    for lit in ts.init_cube:
-        solver.add_clause([lit])
-    if solver.solve([ts.bad_lit]):
+
+    solver = Solver()
+    dense: Dict[int, int] = {}
+
+    def lit_of(lit: int) -> int:
+        var = dense.get(abs(lit))
+        if var is None:
+            var = dense[abs(lit)] = solver.new_var()
+        return var if lit > 0 else -var
+
+    def add(literals) -> None:
+        solver.add_clause([lit_of(lit) for lit in literals])
+
+    for clause in ts.cone_trans(mentioned):
+        add(clause)
+    bad = lit_of(ts.bad_lit)
+
+    # Reset values of latches outside the cone constrain nothing.
+    init = [lit_of(lit) for lit in ts.init_cube if abs(lit) in dense]
+    if solver.solve(init + [bad]):
         raise CertificateError("an initial state satisfies Bad")
 
-    # 2 + 3. Consecution and safety, under INV = P ∧ clauses.
-    solver = _solver_with_trans(ts)
-    for clause in certificate.clauses:
-        solver.add_clause(clause.literals)
-
-    # Safety of INV: the lemma clauses together with ¬Bad form the invariant,
-    # so the clauses alone must rule out Bad states.
-    if solver.solve([ts.bad_lit]):
+    for clause in clauses:
+        add(clause)
+    if solver.solve([bad]):
         raise CertificateError("the invariant does not imply the property")
-    solver.add_clause([-ts.bad_lit])  # the property holds in the pre-state
+    solver.add_clause([-bad])
 
-    # Consecution per clause: INV ∧ T ∧ ¬clause' is UNSAT for every clause.
-    for clause in certificate.clauses:
-        assumptions = [-ts.prime_lit(lit) for lit in clause]
-        if solver.solve(assumptions):
-            raise CertificateError(f"consecution fails for clause {clause!r}")
-
-    # Consecution of the property itself: INV ∧ T ⇒ P'. The bad cone is
-    # over current-state variables, so this is checked by re-encoding the
-    # successor state: skipped here because IC3's frames guarantee it via
-    # the final blocking phase; the certificate remains a valid inductive
-    # strengthening of P.
+    guards = []
+    for clause in clauses:
+        guard = solver.new_var()
+        guards.append(guard)
+        for lit in clause:
+            solver.add_clause([-guard, -lit_of(ts.prime_lit(lit))])
+    if guards:
+        solver.add_clause(guards)
+        if solver.solve():
+            failing = next(
+                clause
+                for clause, guard in zip(clauses, guards)
+                if solver.model_value(guard)
+            )
+            raise CertificateError(f"consecution fails for clause {failing!r}")
     return True
 
 
@@ -94,20 +127,16 @@ def check_counterexample(
         raise CertificateError("empty counterexample trace")
 
     ts = TransitionSystem(aig, property_index=property_index, warn_on_ambiguity=False)
-    latch_value_of_var = {}
-    for latch, var in zip(aig.latches, ts.latch_vars):
-        latch_value_of_var[var] = latch
+    latch_of_var = dict(zip(ts.latch_vars, aig.latches))
 
     # Initial state: reset values overridden by the trace's first cube
     # (necessary for latches without a defined reset).
-    initial = {}
     first_state = trace.steps[0].state
-    for latch, var in zip(aig.latches, ts.latch_vars):
-        value = bool(latch.init) if latch.init is not None else False
-        for lit in first_state:
-            if abs(lit) == var:
-                value = lit > 0
-        initial[latch.lit] = value
+    initial = {latch.lit: bool(latch.init) for latch in aig.latches}
+    for lit in first_state:
+        latch = latch_of_var.get(abs(lit))
+        if latch is not None:
+            initial[latch.lit] = lit > 0
 
     if not ts.cube_intersects_init(first_state):
         raise CertificateError("the first trace state is not an initial state")
@@ -118,7 +147,7 @@ def check_counterexample(
         simulated = record["latches"]
         for lit in step.state:
             var = abs(lit)
-            latch = latch_value_of_var.get(var)
+            latch = latch_of_var.get(var)
             if latch is None:
                 continue
             if simulated[latch.lit] != (lit > 0):
@@ -139,11 +168,3 @@ def check_counterexample(
     if not signals[property_index]:
         raise CertificateError("the final trace step does not assert the bad signal")
     return True
-
-
-def _solver_with_trans(ts: TransitionSystem) -> Solver:
-    solver = Solver()
-    solver.ensure_var(ts.num_vars)
-    for clause in ts.trans:
-        solver.add_clause(clause.literals)
-    return solver

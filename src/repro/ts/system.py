@@ -10,16 +10,24 @@ The encoding allocates one CNF variable per AIG input, latch and AND gate
 * unit clauses for invariant constraints (assumed every step);
 * a ``bad`` literal — the property is ``G !bad``.
 
+The variable maps, ``bad_lit`` and ``init_cube`` are built on
+construction; the clauses of T are encoded on the first read of
+:attr:`TransitionSystem.trans`, so callers that only need the variable
+numbering (witness lift-back, trace replay) never pay for them.
+:meth:`TransitionSystem.cone_trans` encodes only the one-step cone of a
+set of latches, which is what the certificate checker loads.
+
 IC3, BMC and k-induction all consume this object; it is also the oracle
 used to validate invariant certificates and counterexample traces.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
-from typing import Dict, List
+from typing import Dict, Iterable, List, Sequence
 
-from repro.aiger.aig import AIG, FALSE_LIT, TRUE_LIT, liveness_hint
+from repro.aiger.aig import AIG, FALSE_LIT, TRUE_LIT, AndGate, Latch, liveness_hint
 from repro.logic.cnf import CNF
 from repro.logic.cube import Clause, Cube
 
@@ -110,12 +118,6 @@ class TransitionSystem:
             self.primed_of[var] = primed
             self.unprimed_of[primed] = var
 
-        self.trans = CNF()
-        self.trans.add_unit(self._const_true)
-        self._encode_gates()
-        self._encode_next_state()
-        self._encode_constraints()
-
         self.bad_lit = self.to_solver_lit(self._bad_aig_lit)
         self.init_cube = self._build_init_cube()
         self._init_value: Dict[int, bool] = {
@@ -196,26 +198,74 @@ class TransitionSystem:
     # ------------------------------------------------------------------
     # Encoding
     # ------------------------------------------------------------------
-    def _encode_gates(self) -> None:
-        for gate in self.aig.ands:
+    @functools.cached_property
+    def trans(self) -> CNF:
+        """The transition relation T, encoded on first read."""
+        return self._encode(self.aig.ands, self.aig.latches)
+
+    def cone_trans(self, state_vars: Iterable[int]) -> CNF:
+        """T restricted to the one-step cone of the latches ``state_vars``.
+
+        Keeps the definitions of the AND gates in the combinational fan-in
+        of Bad, of every invariant constraint and of the next-state
+        functions of those latches, plus the next-state equivalences of
+        those latches only.  Every dropped clause defines a gate or a
+        primed latch that no kept clause mentions, from variables the kept
+        clauses leave free, so any model of the cone extends to a model of
+        the full T: a query over the cone, Bad, the constraints and the
+        given latches (current or primed) is equisatisfiable with the same
+        query over :attr:`trans`.
+        """
+        wanted = set(state_vars)
+        latches = [
+            latch
+            for latch, var in zip(self.aig.latches, self.latch_vars)
+            if var in wanted
+        ]
+        roots = [self._bad_aig_lit, *self.aig.constraints]
+        roots.extend(latch.next for latch in latches)
+        gate_of = {gate.lhs >> 1: gate for gate in self.aig.ands}
+        cone = set()
+        stack = [lit >> 1 for lit in roots]
+        while stack:
+            var = stack.pop()
+            gate = gate_of.get(var)
+            if gate is None or var in cone:
+                continue
+            cone.add(var)
+            stack.append(gate.rhs0 >> 1)
+            stack.append(gate.rhs1 >> 1)
+        gates = [gate for gate in self.aig.ands if gate.lhs >> 1 in cone]
+        return self._encode(gates, latches)
+
+    def _encode(self, gates: Sequence[AndGate], latches: Sequence[Latch]) -> CNF:
+        cnf = CNF()
+        cnf.add_unit(self._const_true)
+        self._encode_gates(cnf, gates)
+        self._encode_next_state(cnf, latches)
+        self._encode_constraints(cnf)
+        return cnf
+
+    def _encode_gates(self, cnf: CNF, gates: Sequence[AndGate]) -> None:
+        for gate in gates:
             out = self.to_solver_lit(gate.lhs)
             a = self.to_solver_lit(gate.rhs0)
             b = self.to_solver_lit(gate.rhs1)
-            self.trans.add([-out, a])
-            self.trans.add([-out, b])
-            self.trans.add([out, -a, -b])
+            cnf.add([-out, a])
+            cnf.add([-out, b])
+            cnf.add([out, -a, -b])
 
-    def _encode_next_state(self) -> None:
-        for latch in self.aig.latches:
+    def _encode_next_state(self, cnf: CNF, latches: Sequence[Latch]) -> None:
+        for latch in latches:
             current = self.to_solver_lit(latch.lit)
             primed = self.prime_lit(current)
             next_lit = self.to_solver_lit(latch.next)
-            self.trans.add([-primed, next_lit])
-            self.trans.add([primed, -next_lit])
+            cnf.add([-primed, next_lit])
+            cnf.add([primed, -next_lit])
 
-    def _encode_constraints(self) -> None:
+    def _encode_constraints(self, cnf: CNF) -> None:
         for constraint in self.aig.constraints:
-            self.trans.add_unit(self.to_solver_lit(constraint))
+            cnf.add_unit(self.to_solver_lit(constraint))
 
     def _build_init_cube(self) -> Cube:
         literals = []

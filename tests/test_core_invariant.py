@@ -7,7 +7,14 @@ as independent oracles.
 
 import pytest
 
-from repro.benchgen import modular_counter, token_ring, fifo_controller
+from repro.aiger import AIG
+from repro.benchgen import (
+    fifo_controller,
+    modular_counter,
+    monitored_counter,
+    shadowed_ring,
+    token_ring,
+)
 from repro.core import (
     IC3,
     BMC,
@@ -18,8 +25,11 @@ from repro.core import (
     check_counterexample,
     CertificateError,
 )
-from repro.core.result import CounterexampleTrace, TraceStep
+from repro.core.result import CheckOutcome, CounterexampleTrace, TraceStep
+from repro.engines import create_engine
+from repro.harness.runner import _validate
 from repro.logic import Clause, Cube
+from repro.sat import Solver
 from repro.ts import TransitionSystem
 
 
@@ -83,6 +93,170 @@ class TestCertificateValidation:
             clauses=[Clause([-ts.latch_vars[0], -ts.latch_vars[1]])]
         )
         assert check_certificate(case.aig, certificate)
+
+    def test_rejects_non_latch_literal(self):
+        case = token_ring(4)
+        ts = TransitionSystem(case.aig)
+        assert not ts.is_state_lit(6)
+        with pytest.raises(CertificateError, match="not a latch variable"):
+            check_certificate(case.aig, Certificate(clauses=[Clause([6, 2])]))
+
+    def test_harness_reports_non_latch_certificate_as_invalid(self):
+        case = token_ring(4)
+        outcome = CheckOutcome(
+            result=CheckResult.SAFE,
+            certificate=Certificate(clauses=[Clause([6, 2])]),
+        )
+        assert _validate(case, outcome) is False
+
+
+# ----------------------------------------------------------------------
+# Differential check against the full-width reference algorithm
+# ----------------------------------------------------------------------
+def _full_solver(ts):
+    solver = Solver()
+    solver.ensure_var(ts.num_vars)
+    for clause in ts.trans:
+        solver.add_clause(clause.literals)
+    return solver
+
+
+def _reference_failures(ts, clauses):
+    """The former checker: the full T and one consecution query per clause.
+
+    Returns None when the clauses are accepted, ``"consecution"`` plus the
+    list of clauses that fail consecution on their own, or the name of the
+    first other check that fails.
+    """
+    if any(not ts.clause_holds_on_init(clause) for clause in clauses):
+        return "initiation", []
+    solver = _full_solver(ts)
+    for lit in ts.init_cube:
+        solver.add_clause([lit])
+    if solver.solve([ts.bad_lit]):
+        return "init-bad", []
+    solver = _full_solver(ts)
+    for clause in clauses:
+        solver.add_clause(clause.literals)
+    if solver.solve([ts.bad_lit]):
+        return "bad", []
+    solver.add_clause([-ts.bad_lit])
+    failing = [
+        clause
+        for clause in clauses
+        if solver.solve([-ts.prime_lit(lit) for lit in clause])
+    ]
+    return ("consecution", failing) if failing else None
+
+
+def _constrained_counter():
+    """A 2-bit counter kept below 3 only by an invariant constraint.
+
+    ``en`` increments the counter; the constraint forbids ``en`` at 2, so
+    the counter never reaches the bad value 3.  Two noise latches copy an
+    input and are outside every cone the property needs.
+    """
+    aig = AIG(comment="constrained counter")
+    en = aig.add_input("en")
+    c0 = aig.add_latch(init=0, name="c0")
+    c1 = aig.add_latch(init=0, name="c1")
+    carry = aig.add_and(en, c0)
+    aig.set_latch_next(c0, aig.xor_gate(c0, en))
+    aig.set_latch_next(c1, aig.xor_gate(c1, carry))
+    at_two = aig.add_and(aig.negate(c0), c1)
+    aig.add_constraint(aig.negate(aig.add_and(en, at_two)))
+    sensor = aig.add_input("sensor")
+    previous = sensor
+    for index in range(2):
+        noise = aig.add_latch(init=0, name=f"noise{index}")
+        aig.set_latch_next(noise, aig.xor_gate(noise, previous))
+        previous = noise
+    aig.add_bad(aig.add_and(c0, c1))
+    return aig
+
+
+DIFFERENTIAL_MODELS = {
+    "monitored_counter": lambda: monitored_counter(3, noise=8, copies=2).aig,
+    "shadowed_ring": lambda: shadowed_ring(3, noise=4).aig,
+    "constrained_counter": _constrained_counter,
+    "token_ring": lambda: token_ring(4).aig,
+}
+
+
+def _genuine_certificates(aig):
+    """Certificates of plain IC3 and of a reduced run lifted back."""
+    certificates = []
+    for kwargs in ({"reduce": False}, {"reduce": True}):
+        outcome = create_engine("ic3", aig, **kwargs).check(time_limit=60)
+        assert outcome.result == CheckResult.SAFE
+        certificates.append(list(outcome.certificate.clauses))
+    return certificates
+
+
+def _mutants(ts, clauses):
+    """Dropped clauses, flipped literals and extra reset-value clauses."""
+    yield []
+    for index in range(len(clauses)):
+        yield clauses[:index] + clauses[index + 1:]
+    for index, clause in enumerate(clauses):
+        lits = list(clause)
+        flipped = Clause([-lits[0]] + lits[1:])
+        yield clauses[:index] + [flipped] + clauses[index + 1:]
+    # "latch keeps its reset value": holds initially, rarely inductive.
+    reset = {abs(lit): lit for lit in ts.init_cube}
+    for var in ts.latch_vars:
+        if var in reset:
+            yield clauses + [Clause([reset[var]])]
+
+
+def _new_verdict(aig, clauses):
+    try:
+        check_certificate(aig, Certificate(clauses=clauses))
+    except CertificateError as error:
+        return str(error)
+    return None
+
+
+@pytest.mark.parametrize("model", sorted(DIFFERENTIAL_MODELS))
+def test_cone_checker_agrees_with_full_reference(model):
+    aig = DIFFERENTIAL_MODELS[model]()
+    ts = TransitionSystem(aig, warn_on_ambiguity=False)
+    genuine = _genuine_certificates(aig)
+    for clauses in genuine:
+        assert _reference_failures(ts, clauses) is None
+        assert _new_verdict(aig, clauses) is None
+
+    seen = set()
+    rejected = consecution_rejections = 0
+    for clauses in (m for g in genuine for m in _mutants(ts, g)):
+        key = tuple(clauses)
+        if key in seen:
+            continue
+        seen.add(key)
+        reference = _reference_failures(ts, clauses)
+        message = _new_verdict(aig, clauses)
+        assert (reference is None) == (message is None), (clauses, reference, message)
+        if reference is None:
+            continue
+        rejected += 1
+        kind, failing = reference
+        if kind == "consecution":
+            consecution_rejections += 1
+            assert message in {
+                f"consecution fails for clause {clause!r}" for clause in failing
+            }
+    assert rejected and consecution_rejections
+
+
+def test_constrained_counter_needs_the_constraint():
+    aig = _constrained_counter()
+    ts = TransitionSystem(aig)
+    c0, c1 = ts.latch_vars[:2]
+    below_three = Certificate(clauses=[Clause([-c0, -c1])])
+    assert check_certificate(aig, below_three)
+    aig.constraints.clear()
+    with pytest.raises(CertificateError, match="consecution fails"):
+        check_certificate(aig, below_three)
 
 
 class TestCounterexampleValidation:

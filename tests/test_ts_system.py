@@ -6,11 +6,15 @@ same values the simulator computes, and the bad literal must match the
 simulated bad signal.
 """
 
+import functools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.aiger import AIG
-from repro.benchgen import token_ring, fifo_controller, modular_counter
+from repro.benchgen import token_ring, fifo_controller, modular_counter, monitored_counter
+from repro.core import CheckResult, check_certificate, check_counterexample
+from repro.engines import create_engine
 from repro.logic import Clause, Cube
 from repro.sat import Solver
 from repro.ts import TransitionSystem, EncodingError
@@ -214,3 +218,78 @@ class TestModelProjection:
         succ = ts.state_cube_from_model(model, primed=True)
         assert len(succ) == len(ts.latch_vars)
         assert all(abs(l) in ts.primed_of for l in succ)  # over current vars
+
+
+class TestLazyEncoding:
+    @pytest.fixture
+    def encoded(self, monkeypatch):
+        """The AIG of every TransitionSystem whose T gets encoded."""
+        aigs = []
+        encode = TransitionSystem.__dict__["trans"].func
+
+        def recording(ts):
+            aigs.append(ts.aig)
+            return encode(ts)
+
+        trans = functools.cached_property(recording)
+        trans.__set_name__(TransitionSystem, "trans")
+        monkeypatch.setattr(TransitionSystem, "trans", trans)
+        return aigs
+
+    def test_construction_does_not_encode(self):
+        ts = TransitionSystem(fifo_controller(2).aig)
+        assert "trans" not in vars(ts)
+        trans = ts.trans
+        assert "trans" in vars(ts)
+        assert ts.trans is trans
+
+    def test_trans_layout(self):
+        # Constant unit, three clauses per gate, two per latch, then the
+        # constraints, in AIG order.
+        aig = fifo_controller(2).aig
+        ts = TransitionSystem(aig)
+        assert ts.trans[0] == Clause([1])
+        gate = aig.ands[0]
+        out, a, b = (ts.to_solver_lit(lit) for lit in (gate.lhs, gate.rhs0, gate.rhs1))
+        assert list(ts.trans)[1:4] == [Clause([-out, a]), Clause([-out, b]), Clause([out, -a, -b])]
+        expected = 1 + 3 * len(aig.ands) + 2 * len(aig.latches) + len(aig.constraints)
+        assert len(ts.trans) == expected
+        assert f"trans_clauses={expected}" in ts.describe()
+
+    def test_cone_of_every_latch_is_the_whole_relation(self):
+        ts = TransitionSystem(token_ring(4).aig)
+        assert list(ts.cone_trans(ts.latch_vars)) == list(ts.trans)
+
+    def test_cone_leaves_out_unmentioned_logic(self):
+        ts = TransitionSystem(monitored_counter(3, noise=8, copies=2).aig, warn_on_ambiguity=False)
+        cone = ts.cone_trans([])
+        assert 0 < len(cone) < len(ts.trans)
+        assert set(cone).issubset(set(ts.trans))
+        assert not any(ts.unprimed_of.get(abs(lit)) for clause in cone for lit in clause)
+        latch = ts.latch_vars[0]
+        mentioned = {abs(lit) for clause in ts.cone_trans([latch]) for lit in clause}
+        assert mentioned & set(ts.unprimed_of) == {ts.prime_lit(latch)}
+
+    def test_checkers_do_not_encode(self, encoded):
+        case = token_ring(4)
+        ts = TransitionSystem(case.aig)
+        outcome = create_engine("ic3", case.aig, reduce=False).check(time_limit=60)
+        assert outcome.result == CheckResult.SAFE
+        encoded.clear()
+        assert check_certificate(ts, outcome.certificate)
+        assert "trans" not in vars(ts)
+
+        unsafe = modular_counter(3, modulus=8, bad_value=4).aig
+        outcome = create_engine("bmc", unsafe).check(time_limit=60)
+        assert outcome.result == CheckResult.UNSAFE
+        encoded.clear()
+        assert check_counterexample(unsafe, outcome.trace)
+        assert encoded == []
+
+    @pytest.mark.parametrize("safe", [True, False])
+    def test_lift_back_does_not_encode_the_original(self, encoded, safe):
+        aig = monitored_counter(3, noise=8, copies=2, safe=safe).aig
+        outcome = create_engine("ic3", aig, reduce=True).check(time_limit=60)
+        assert outcome.result == (CheckResult.SAFE if safe else CheckResult.UNSAFE)
+        assert outcome.reduction is not None
+        assert encoded and not any(seen is aig for seen in encoded)
