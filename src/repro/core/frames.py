@@ -23,7 +23,10 @@ The three queries every IC3 variant needs are provided by both:
 
 * :meth:`FrameManagerBase.get_bad_state` — ``SAT?(F_k ∧ Bad)``;
 * :meth:`FrameManagerBase.consecution` — ``SAT?(F_i ∧ ¬c ∧ T ∧ c')`` with
-  assumption-core extraction on UNSAT and CTI/CTP extraction on SAT;
+  assumption-core extraction on UNSAT and CTI/CTP extraction on SAT.
+  Every SAT answer at a level >= 1 is kept in the consecution witness
+  store of :class:`FrameManagerBase`, which answers later failing
+  queries without a SAT call;
 * :meth:`FrameManagerBase.lift_predecessor` — assumption-core shrinking of
   a concrete predecessor state.
 """
@@ -78,6 +81,37 @@ class FrameManagerBase:
     Subclasses implement the solver side through four hooks:
     ``_open_frame``, ``_install_lemma``, ``_install_promotion`` and
     ``_note_subsumed`` plus the three SAT queries.
+
+    The base also keeps the **consecution witness store**.  Every SAT
+    answer of ``consecution(L, c)`` at ``L >= 1`` is recorded as a
+    witness ``(min_level, s, i, t)``: the model's pre-state ``s`` and
+    successor ``t`` (full latch cubes) and its inputs ``i``, with
+    ``min_level = L``.  A later query ``(L', c')`` is answered from a
+    witness, without a SAT call, when ``min_level <= L'``, ``c' ⊆ t`` and
+    ``c' ⊄ s``.  When a lemma ``¬d`` enters level ``j``
+    (:meth:`add_blocked_cube`, or :meth:`promote_cube` to ``j``), every
+    witness with ``d ⊆ s`` gets ``min_level := max(min_level, j + 1)``;
+    seed clauses, CTG, prediction and sharing imports all add lemmas
+    through those two methods.  A caller passing ``reuse=False`` always
+    gets a SAT call (its model is still recorded): generalization's drop
+    attempts do, see :mod:`repro.core.generalize`.
+
+    Why an answer is sound: the invariant kept is ``s ∈ F_L'`` for every
+    ``L' >= min_level``.  It holds when the witness is recorded, since
+    ``s ∈ F_L`` and ``F_L ⊆ F_L'``.  Frames only get stronger, and only
+    by lemmas entering through the two methods above, so a lemma at
+    ``j`` can remove ``s`` from ``F_1..F_j`` only if it blocks ``s``,
+    which is exactly the invalidation.  ``T`` and the invariant
+    constraints never change, and ``(s, i)`` deterministically yields
+    the full successor ``t``, so ``s ∧ i ∧ T ∧ t'`` still holds.  With
+    ``c' ⊆ t`` the successor lies in ``c'``, and because ``s`` assigns
+    every latch, ``c' ⊄ s`` means ``s ⊨ ¬c'``: the transition is a model
+    of ``F_L' ∧ ¬c' ∧ T ∧ c''``.  Lifting the reused predecessor against
+    ``c'`` therefore stays valid too.  Frame 0 (the initial states) is a
+    different formula; it is never recorded nor answered, which
+    ``min_level >= 1`` ensures.  Memory grows with the number of
+    distinct ``(s, t)`` answers; lookups cost one integer AND per
+    literal over per-literal bitmask indexes of ``t`` and of ``s``.
     """
 
     def __init__(self, ts: TransitionSystem, options: IC3Options, stats: IC3Stats):
@@ -89,12 +123,15 @@ class FrameManagerBase:
         """Optional ``(cube, level)`` callback fired whenever a lemma is
         newly proven at or promoted to ``level`` — the cooperative
         portfolio's export hook (see :mod:`repro.core.share`)."""
-        # Append-only insertion log of ``(level, literal set)``: one entry
-        # per lemma that entered F_level (and so every F_L with L <= level).
-        # Positions are absolute; ``_log_base`` is the position of
-        # ``_lemma_log[0]`` once old entries have been trimmed.
-        self._lemma_log: List[Tuple[int, FrozenSet[int]]] = []
-        self._log_base = 0
+        # Consecution witness store: ``_witnesses[k]`` is
+        # ``[min_level, s, inputs, input_values, t]``, one entry per
+        # distinct ``(s, t)`` (``_witness_keys`` maps it to ``k``).  Bit
+        # ``k`` of ``_successor_index[lit]`` / ``_state_index[lit]`` is
+        # set when ``t`` / ``s`` contains ``lit``.
+        self._witnesses: List[list] = []
+        self._witness_keys: Dict[Tuple[FrozenSet[int], FrozenSet[int]], int] = {}
+        self._successor_index: Dict[int, int] = {}
+        self._state_index: Dict[int, int] = {}
 
     # ------------------------------------------------------------------
     # Frame construction
@@ -133,7 +170,7 @@ class FrameManagerBase:
                 kept.append(existing)
             self.frames[frame_level] = kept
         self.frames[level].append(cube)
-        self._lemma_log.append((level, cube.literal_set))
+        self._invalidate_witnesses(cube, level)
         self._install_lemma(cube, level)
         self.stats.lemmas_added += 1
         if self.lemma_exporter is not None:
@@ -144,7 +181,7 @@ class FrameManagerBase:
         if cube in self.frames[from_level]:
             self.frames[from_level].remove(cube)
         self.frames[to_level].append(cube)
-        self._lemma_log.append((to_level, cube.literal_set))
+        self._invalidate_witnesses(cube, to_level)
         self._install_promotion(cube, from_level, to_level)
         self.stats.lemmas_pushed += 1
         if self.lemma_exporter is not None:
@@ -180,35 +217,78 @@ class FrameManagerBase:
         return not self.frames[level]
 
     # ------------------------------------------------------------------
-    # Lemma insertion log
+    # Consecution witness store
     # ------------------------------------------------------------------
-    @property
-    def lemma_log_end(self) -> int:
-        """The log position the next lemma insertion will take."""
-        return self._log_base + len(self._lemma_log)
+    def _record_witness(self, level: int, result: ConsecutionResult) -> None:
+        """Keep the model of a failed ``consecution`` at ``level``."""
+        if level < 1:
+            return
+        state, successor = result.predecessor, result.successor
+        key = (state.literal_set, successor.literal_set)
+        index = self._witness_keys.get(key)
+        if index is not None:
+            entry = self._witnesses[index]
+            entry[0] = min(entry[0], level)
+            return
+        index = len(self._witnesses)
+        self._witness_keys[key] = index
+        self._witnesses.append(
+            [level, state, result.inputs, result.input_values, successor]
+        )
+        bit = 1 << index
+        for index_map, cube in (
+            (self._state_index, state),
+            (self._successor_index, successor),
+        ):
+            for lit in cube:
+                index_map[lit] = index_map.get(lit, 0) | bit
 
-    def lemma_blocks_since(self, position: int, level: int, state: Cube) -> bool:
-        """True if a lemma logged at ``position`` or later at a level
-        >= ``level`` blocks ``state``, i.e. may have removed it from F_level.
+    def _matching_witnesses(self, index_map: Dict[int, int], cube: Cube) -> int:
+        """Bitmask of the witnesses whose indexed cube contains ``cube``."""
+        mask = (1 << len(self._witnesses)) - 1
+        for lit in cube:
+            mask &= index_map.get(lit, 0)
+            if not mask:
+                break
+        return mask
 
-        A position before the trimmed part of the log cannot be checked
-        and answers True.
+    def _invalidate_witnesses(self, cube: Cube, level: int) -> None:
+        """The lemma ``¬cube`` entered ``level``: it removes the pre-states
+        it blocks from F_1..F_level."""
+        mask = self._matching_witnesses(self._state_index, cube)
+        while mask:
+            index = mask.bit_length() - 1
+            entry = self._witnesses[index]
+            entry[0] = max(entry[0], level + 1)
+            mask ^= 1 << index
+
+    def _reuse_witness(self, level: int, cube: Cube) -> Optional[ConsecutionResult]:
+        """Answer ``consecution(level, cube)`` from a stored witness, or None.
+
+        Takes the newest witness with ``min_level <= level``,
+        ``cube ⊆ t`` and ``cube ⊄ s``; the class docstring says why it
+        is a model of the query.
         """
-        start = position - self._log_base
-        if start < 0:
-            return True
-        state_lits = state.literal_set
-        for entry_level, lits in self._lemma_log[start:]:
-            if entry_level >= level and lits <= state_lits:
-                return True
-        return False
-
-    def trim_lemma_log(self, position: int) -> None:
-        """Forget the log entries before ``position``."""
-        drop = position - self._log_base
-        if drop > 0:
-            del self._lemma_log[:drop]
-            self._log_base = position
+        if level < 1:
+            return None
+        mask = self._matching_witnesses(self._successor_index, cube)
+        if not mask:
+            return None
+        mask &= ~self._matching_witnesses(self._state_index, cube)
+        while mask:
+            index = mask.bit_length() - 1
+            min_level, state, inputs, input_values, successor = self._witnesses[index]
+            if min_level <= level:
+                self.stats.consecution_reuses += 1
+                return ConsecutionResult(
+                    holds=False,
+                    predecessor=state,
+                    inputs=inputs,
+                    successor=successor,
+                    input_values=input_values,
+                )
+            mask ^= 1 << index
+        return None
 
     # ------------------------------------------------------------------
     # Introspection
@@ -259,7 +339,7 @@ class FrameManagerBase:
         raise NotImplementedError
 
     def consecution(
-        self, level: int, cube: Cube, extract_model: bool = True
+        self, level: int, cube: Cube, reuse: bool = True
     ) -> ConsecutionResult:
         raise NotImplementedError
 
@@ -487,11 +567,13 @@ class MonolithicFrameManager(FrameManagerBase):
         )
 
     def consecution(
-        self, level: int, cube: Cube, extract_model: bool = True
+        self, level: int, cube: Cube, reuse: bool = True
     ) -> ConsecutionResult:
         """Check whether ``¬cube`` is inductive relative to ``F_level``.
 
-        The query is ``SAT?(F_level ∧ ¬cube ∧ T ∧ cube')``.  When it is
+        With ``reuse`` a stored witness answers the query first when one
+        applies (see :class:`FrameManagerBase`).  Otherwise the query
+        ``SAT?(F_level ∧ ¬cube ∧ T ∧ cube')`` runs.  When it is
         UNSAT the lemma ``¬cube`` may be added at ``level + 1``; the
         assumption core is translated back into a sub-cube to accelerate
         generalization.  When it is SAT the model yields the predecessor
@@ -506,6 +588,9 @@ class MonolithicFrameManager(FrameManagerBase):
         query re-run.  UNSAT answers of the relaxed query are always
         answers of the exact one (it has strictly more models).
         """
+        reused = self._reuse_witness(level, cube) if reuse else None
+        if reused is not None:
+            return reused
         self._flush_pending(level)
         ctx = self._query_ctx(level)
         assumptions = self._frame_assumptions(level) + [
@@ -536,12 +621,14 @@ class MonolithicFrameManager(FrameManagerBase):
                     predecessor = self.ts.state_cube_from_model(model)
 
         if satisfiable:
-            result = ConsecutionResult(holds=False)
-            if extract_model:
-                result.predecessor = predecessor
-                result.inputs = self.ts.input_cube_from_model(model)
-                result.successor = self.ts.state_cube_from_model(model, primed=True)
-                result.input_values = self.ts.input_assignment_from_model(model)
+            result = ConsecutionResult(
+                holds=False,
+                predecessor=predecessor,
+                inputs=self.ts.input_cube_from_model(model),
+                successor=self.ts.state_cube_from_model(model, primed=True),
+                input_values=self.ts.input_assignment_from_model(model),
+            )
+            self._record_witness(level, result)
         else:
             core = set(ctx.unsat_core())
             reduced = [lit for lit in cube if self.ts.prime_lit(lit) in core]
@@ -721,9 +808,13 @@ class PerFrameFrameManager(FrameManagerBase):
         )
 
     def consecution(
-        self, level: int, cube: Cube, extract_model: bool = True
+        self, level: int, cube: Cube, reuse: bool = True
     ) -> ConsecutionResult:
-        """Check whether ``¬cube`` is inductive relative to ``F_level``."""
+        """Check whether ``¬cube`` is inductive relative to ``F_level``
+        (with ``reuse``, answered from a stored witness when one applies)."""
+        reused = self._reuse_witness(level, cube) if reuse else None
+        if reused is not None:
+            return reused
         solver = self._solvers[level]
         activation = solver.new_var()
         solver.add_clause([-activation] + [-lit for lit in cube])
@@ -736,13 +827,15 @@ class PerFrameFrameManager(FrameManagerBase):
         self.stats.consecution_calls += 1
 
         if satisfiable:
-            result = ConsecutionResult(holds=False)
-            if extract_model:
-                model = solver.get_model()
-                result.predecessor = self.ts.state_cube_from_model(model)
-                result.inputs = self.ts.input_cube_from_model(model)
-                result.successor = self.ts.state_cube_from_model(model, primed=True)
-                result.input_values = self.ts.input_assignment_from_model(model)
+            model = solver.get_model()
+            result = ConsecutionResult(
+                holds=False,
+                predecessor=self.ts.state_cube_from_model(model),
+                inputs=self.ts.input_cube_from_model(model),
+                successor=self.ts.state_cube_from_model(model, primed=True),
+                input_values=self.ts.input_assignment_from_model(model),
+            )
+            self._record_witness(level, result)
         else:
             core = set(solver.unsat_core())
             reduced = [lit for lit in cube if self.ts.prime_lit(lit) in core]

@@ -6,6 +6,14 @@ time — each drop paid for with a consecution SAT query — to obtain a small,
 strong lemma.  This is the most expensive part of IC3 and the part the
 paper's lemma prediction tries to bypass.
 
+Drop attempts always run on the SAT solver (``reuse=False``): the
+frame manager's witness store would answer most failed drops from stored
+models, and the failed drops are exactly the cost prediction avoids.
+When they were answered from the store, RIC3 and RIC3-pl made 791 and
+819 SAT-backed consecution calls on parity_w5: the same work, which
+erases the comparison of Table 1 and Figures 3-4.  The models of drop
+attempts are still stored for the other callers.
+
 Three strategies are provided:
 
 * :class:`BasicGeneralizer` — the standard drop loop of Algorithm 1, with
@@ -91,7 +99,7 @@ class Generalizer:
     def _attempt_drop(self, candidate: Cube, level: int) -> Optional[Cube]:
         """Check one candidate; returns the (possibly core-shrunk) cube or None."""
         self.stats.mic_drop_attempts += 1
-        result = self.frames.consecution(level - 1, candidate)
+        result = self.frames.consecution(level - 1, candidate, reuse=False)
         if not result.holds:
             return None
         self.stats.mic_drop_successes += 1
@@ -126,7 +134,7 @@ class CtgGeneralizer(Generalizer):
         ctgs_blocked = 0
         while True:
             self.stats.mic_drop_attempts += 1
-            result = self.frames.consecution(level - 1, candidate)
+            result = self.frames.consecution(level - 1, candidate, reuse=False)
             if result.holds:
                 self.stats.mic_drop_successes += 1
                 return self._apply_core(candidate, result.core_cube)

@@ -104,11 +104,6 @@ class IC3:
             self.frames, self.ts, self.options, self.stats, self._literal_activity
         )
         self.predictor = LemmaPredictor(self.frames, self.options, self.stats)
-        # Failed pushes of the last propagation sweep (see
-        # ``_propagate_inner``): (lemma cube, level) -> (pre-state s,
-        # lemma-log position, successor t).
-        self._push_witnesses: Dict[Tuple[Cube, int], Tuple[Cube, int, Cube]] = {}
-        self._sweep_start = 0
 
         self._deadline: Optional[float] = None
         self._start_time = 0.0
@@ -406,30 +401,22 @@ class IC3:
     # ------------------------------------------------------------------
     def _propagate(self) -> Optional[int]:
         """Push lemmas forward; returns the invariant level if a fixpoint appears."""
-        skipped = self.stats.pushes_skipped
+        reused = self.stats.consecution_reuses
         with get_tracer().span(
             "ic3.propagate", cat="ic3", top=self.frames.top_level
         ) as span:
             invariant_level = self._propagate_inner()
             span.add(
                 fixpoint=invariant_level is not None,
-                skipped=self.stats.pushes_skipped - skipped,
+                reused=self.stats.consecution_reuses - reused,
             )
         return invariant_level
 
     def _propagate_inner(self) -> Optional[int]:
         """One propagation sweep over the levels 1..k-1.
 
-        A push of ``¬c`` from level L whose query failed leaves a witness:
-        the model's pre-state ``s``, a full latch assignment in
-        ``F_L ∧ ¬c``, and its successor ``t ⊨ c``.  Frames only get
-        stronger, and T and the constraints never change, so while no
-        lemma inserted at a level >= L since then blocks ``s``, ``s → t``
-        still satisfies ``F_L ∧ ¬c ∧ T ∧ c'``: the push is skipped without
-        a SAT call and ``t`` is recorded as its CTP again.  The witness
-        store keeps only the lemmas this sweep visits, and the lemma log
-        is trimmed to the entries since the previous sweep began, the
-        oldest position a kept witness can refer to.
+        Pushes that a stored consecution witness proves will fail cost
+        no SAT call (see :class:`repro.core.frames.FrameManagerBase`).
         """
         start = time.perf_counter()
         predicting = self.options.enable_prediction
@@ -437,29 +424,15 @@ class IC3:
             self.predictor.clear_table()
 
         frames = self.frames
-        frames.trim_lemma_log(self._sweep_start)
-        self._sweep_start = frames.lemma_log_end
-        witnesses, self._push_witnesses = self._push_witnesses, {}
-
         invariant_level: Optional[int] = None
         for level in range(1, frames.top_level):
             for cube in frames.lemmas_exactly_at(level):
                 self._check_limits()
-                failure = self._known_push_failure(cube, level, witnesses)
-                if failure is not None:
-                    self.stats.pushes_skipped += 1
-                    state, successor = failure
-                else:
-                    result = self._consecution(level, cube)
-                    if result.holds:
-                        frames.promote_cube(cube, level, level + 1)
-                        continue
-                    state, successor = result.predecessor, result.successor
-                self._push_witnesses[(cube, level)] = (
-                    state, frames.lemma_log_end, successor,
-                )
-                if predicting:
-                    self.predictor.record_push_failure(cube, level, successor)
+                result = self._consecution(level, cube)
+                if result.holds:
+                    frames.promote_cube(cube, level, level + 1)
+                elif predicting:
+                    self.predictor.record_push_failure(cube, level, result.successor)
             if frames.frames_equal(level):
                 invariant_level = level + 1
                 break
@@ -470,22 +443,6 @@ class IC3:
 
         self.stats.time_propagation += time.perf_counter() - start
         return invariant_level
-
-    def _known_push_failure(
-        self,
-        cube: Cube,
-        level: int,
-        witnesses: Dict[Tuple[Cube, int], Tuple[Cube, int, Cube]],
-    ) -> Optional[Tuple[Cube, Cube]]:
-        """The ``(s, t)`` of a stored failed push of ``¬cube`` from
-        ``level`` that still proves the push fails, or None."""
-        witness = witnesses.get((cube, level))
-        if witness is None:
-            return None
-        state, position, successor = witness
-        if self.frames.lemma_blocks_since(position, level, state):
-            return None
-        return state, successor
 
     # ------------------------------------------------------------------
     # Counterexample / special cases

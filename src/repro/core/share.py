@@ -177,7 +177,7 @@ class FrameLemmaExchange:
         if not self.ts.clause_holds_on_init(clause):
             self.stats.lemmas_rejected += 1
             return False
-        result = self.frames.consecution(level - 1, cube, extract_model=False)
+        result = self.frames.consecution(level - 1, cube)
         if not result.holds:
             self.stats.lemmas_rejected += 1
             return False

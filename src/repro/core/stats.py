@@ -27,6 +27,7 @@ class IC3Stats:
     sat_time: float = 0.0
     consecution_calls: int = 0
     consecution_fallbacks: int = 0
+    consecution_reuses: int = 0       # failed consecutions answered from stored witnesses
     lifting_calls: int = 0
     assumption_levels_reused: int = 0
 
@@ -34,7 +35,6 @@ class IC3Stats:
     frames_opened: int = 0
     lemmas_added: int = 0
     lemmas_pushed: int = 0
-    pushes_skipped: int = 0           # propagation pushes a stored CTP witness proved would fail
     subsumed_lemmas: int = 0
     obligations_processed: int = 0
     bad_cubes: int = 0

@@ -132,6 +132,15 @@ Schema v11 (``repro-check/manifest/v11``) additions over v10:
   pushes that IC3 skipped without a SAT call because the stored
   counterexample to propagation of the lemma's previous failed push
   still proved the push would fail.
+
+Schema v12 (``repro-check/manifest/v12``) changes over v11:
+
+* per-result ``stats`` replaces ``pushes_skipped`` with
+  ``consecution_reuses``: failed consecution queries (blocking, pushes,
+  propagation, prediction, CTG blocking, sharing imports; MIC drop
+  attempts always run on the solver) that the frame manager answered
+  from a stored SAT model instead of a SAT call.
+  ``consecution_calls`` keeps counting SAT-backed queries only.
 """
 
 from __future__ import annotations
@@ -143,7 +152,7 @@ from typing import Dict, Optional, Sequence
 from repro.harness.configs import EngineConfig
 from repro.harness.runner import CaseResult, SuiteResult
 
-MANIFEST_SCHEMA = "repro-check/manifest/v11"
+MANIFEST_SCHEMA = "repro-check/manifest/v12"
 
 
 def _phase_times(results: Sequence[CaseResult]) -> Dict[str, float]:

@@ -1,0 +1,75 @@
+"""Shared fixtures for the test suite."""
+
+import weakref
+
+import pytest
+
+from repro.core.frames import FrameManagerBase
+from repro.sat.solver import Solver
+
+
+def assert_witness_answers(solver, frames, level, cube, result):
+    """Re-solve a consecution answered from the witness store.
+
+    ``solver`` is a reference solver loaded with T.  With the lemmas of
+    the logical frame ``F_level`` in one temporary scope and ``¬cube`` in
+    another, the exact query ``F_level ∧ ¬cube ∧ T ∧ cube'`` must be SAT,
+    and so must ``F_level ∧ s ∧ i ∧ T ∧ t'`` for the returned pre-state
+    ``s``, inputs ``i`` and successor ``t``.
+    """
+    ts = frames.ts
+    assert level >= 1, "the witness store answered a frame-0 query"
+    assert not result.holds
+    state, successor = result.predecessor, result.successor
+    assert len(state) == len(successor) == len(ts.latch_vars)
+    assert cube.literal_set <= successor.literal_set
+    assert not cube.literal_set <= state.literal_set
+
+    frame, negation = solver.new_activation(), solver.new_activation()
+    for clause in frames.frame_clauses(level):
+        solver.add_guarded(frame, clause.literals)
+    solver.add_guarded(negation, [-lit for lit in cube])
+    try:
+        assert solver.solve([frame, negation] + [ts.prime_lit(lit) for lit in cube]), (
+            f"reused a witness for {cube} at level {level} whose query is UNSAT"
+        )
+        transition = (
+            list(state) + list(result.inputs) + [ts.prime_lit(lit) for lit in successor]
+        )
+        assert solver.solve([frame] + transition), (
+            f"stored transition for {cube} at level {level} left F_{level} ∧ T"
+        )
+    finally:
+        solver.release(frame)
+        solver.release(negation)
+
+
+def _trans_solver(ts):
+    solver = Solver()
+    solver.ensure_var(ts.num_vars)
+    for clause in ts.trans:
+        solver.add_clause(clause.literals)
+    return solver
+
+
+@pytest.fixture
+def checked_reuses(monkeypatch):
+    """Re-solve every consecution the witness store answers.
+
+    Returns the answers as ``(level, cube, result)`` in the order given.
+    """
+    reuses = []
+    solvers = weakref.WeakKeyDictionary()
+    original = FrameManagerBase._reuse_witness
+
+    def checked(self, level, cube):
+        result = original(self, level, cube)
+        if result is not None:
+            if self not in solvers:
+                solvers[self] = _trans_solver(self.ts)
+            assert_witness_answers(solvers[self], self, level, cube, result)
+            reuses.append((level, cube, result))
+        return result
+
+    monkeypatch.setattr(FrameManagerBase, "_reuse_witness", checked)
+    return reuses

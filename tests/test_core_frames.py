@@ -111,27 +111,6 @@ class TestFrameBookkeeping:
         assert manager.lemmas_exactly_at(2) == [cube]
         assert stats.lemmas_pushed == 1
 
-    def test_lemma_log_names_new_lemmas_that_block_a_state(self, backend):
-        manager, ts, _ = _manager(backend=backend)
-        manager.add_frame()
-        manager.add_frame()
-        a, b, c = ts.latch_vars[:3]
-        state = Cube([a, -b, c])
-        start = manager.lemma_log_end
-        manager.add_blocked_cube(Cube([a, b]), 2)  # does not block the state
-        assert not manager.lemma_blocks_since(start, 1, state)
-        manager.add_blocked_cube(Cube([a, c]), 1)  # blocks it in F_1 only
-        assert manager.lemma_blocks_since(start, 1, state)
-        assert not manager.lemma_blocks_since(start, 2, state)
-        manager.promote_cube(Cube([a, c]), 1, 2)
-        assert manager.lemma_blocks_since(start, 2, state)
-        later = manager.lemma_log_end
-        assert not manager.lemma_blocks_since(later, 1, state)
-        manager.trim_lemma_log(later)
-        assert not manager.lemma_blocks_since(later, 1, state)
-        # Trimmed entries cannot be checked: an older position answers True.
-        assert manager.lemma_blocks_since(start, 1, state)
-
     def test_is_blocked_syntactically(self, backend):
         manager, ts, _ = _manager(backend=backend)
         manager.add_frame()
@@ -244,6 +223,86 @@ class TestQueries:
         manager.add_blocked_cube(Cube([ts.latch_vars[1]]), 1)
         manager.add_blocked_cube(Cube([ts.latch_vars[2]]), 1)
         assert manager.total_lemmas() == 2
+
+
+def _witness_manager(backend, levels):
+    """A token ring manager with ``levels`` frames and one stored witness
+    ``(s, t)`` recorded at ``levels``: token in stage 0, then stage 1."""
+    manager, ts, stats = _manager(token_ring(3), backend=backend)
+    for _ in range(levels):
+        manager.add_frame()
+    a, b, c = ts.latch_vars
+    result = manager.consecution(levels, Cube([-a, b, -c]))
+    assert not result.holds
+    return manager, ts, stats, result
+
+
+class TestWitnessStore:
+    def test_failed_query_is_answered_from_its_witness(self, backend):
+        manager, ts, stats, witness = _witness_manager(backend, 1)
+        manager.add_frame()
+        calls = (stats.sat_calls, stats.consecution_calls)
+        for level in (1, 2):
+            reused = manager.consecution(level, Cube([ts.latch_vars[1]]))
+            assert not reused.holds
+            assert reused.predecessor == witness.predecessor
+            assert reused.successor == witness.successor
+            assert reused.inputs == witness.inputs
+        assert (stats.sat_calls, stats.consecution_calls) == calls
+        assert stats.consecution_reuses == 2
+
+    def test_reuse_false_runs_the_solver_and_records(self, backend):
+        manager, ts, stats, _ = _witness_manager(backend, 1)
+        query = Cube([ts.latch_vars[1]])
+        calls = stats.consecution_calls
+        assert not manager.consecution(1, query, reuse=False).holds
+        assert stats.consecution_calls == calls + 1
+        assert stats.consecution_reuses == 0
+        assert manager._reuse_witness(1, query) is not None
+
+    def test_lemma_at_or_above_the_level_blocking_s_disables_it(self, backend):
+        manager, ts, _, witness = _witness_manager(backend, 1)
+        manager.add_frame()
+        query = Cube([ts.latch_vars[1]])
+        manager.add_blocked_cube(witness.predecessor, 1)
+        assert manager._reuse_witness(1, query) is None
+        # F_2 does not contain the lemma: s is still in it.
+        assert manager._reuse_witness(2, query) is not None
+
+    def test_lemma_below_the_level_keeps_it(self, backend):
+        manager, ts, _, witness = _witness_manager(backend, 2)
+        query = Cube([ts.latch_vars[1]])
+        manager.add_blocked_cube(witness.predecessor, 1)
+        assert manager._reuse_witness(1, query) is None
+        assert manager._reuse_witness(2, query) is not None
+
+    def test_promotion_counts_as_insertion_at_its_target(self, backend):
+        manager, ts, _, witness = _witness_manager(backend, 2)
+        manager.add_frame()
+        query = Cube([ts.latch_vars[1]])
+        manager.add_blocked_cube(witness.predecessor, 1)
+        manager.promote_cube(witness.predecessor, 1, 2)
+        assert manager._reuse_witness(2, query) is None
+        assert manager._reuse_witness(3, query) is not None
+
+    def test_query_inside_the_pre_state_is_not_answered(self, backend):
+        manager, _, _, witness = _witness_manager(backend, 1)
+        common = witness.predecessor.literal_set & witness.successor.literal_set
+        assert common
+        assert manager._reuse_witness(1, Cube(sorted(common))) is None
+
+    def test_frame_zero_is_never_recorded_or_answered(self, backend):
+        manager, ts, stats = _manager(token_ring(3), backend=backend)
+        manager.add_frame()
+        query = Cube([ts.latch_vars[1]])
+        assert not manager.consecution(0, query).holds
+        assert manager._reuse_witness(0, query) is None
+        assert manager._reuse_witness(1, query) is None
+        # A level-1 answer is recorded but never answers frame 0.
+        assert not manager.consecution(1, query).holds
+        assert stats.consecution_reuses == 0
+        assert manager._reuse_witness(1, query) is not None
+        assert manager._reuse_witness(0, query) is None
 
 
 class TestBackendSelection:

@@ -76,7 +76,7 @@ class TestManifestDeterminism:
 
     def test_substrate_stats_present_and_deterministic(self):
         manifest = _manifest(jobs=4)
-        assert manifest["schema"] == MANIFEST_SCHEMA == "repro-check/manifest/v11"
+        assert manifest["schema"] == MANIFEST_SCHEMA == "repro-check/manifest/v12"
         # v9: the telemetry block defaults to None so identical runs keep
         # producing byte-identical manifests.
         assert manifest["telemetry"] is None
@@ -107,8 +107,8 @@ class TestManifestDeterminism:
                 "lemmas_rejected",
                 "lemmas_imported",
                 "bus_overflows",
-                # v11: propagation pushes skipped on a stored CTP witness.
-                "pushes_skipped",
+                # v12: failed consecutions answered from stored witnesses.
+                "consecution_reuses",
             ):
                 assert field in stats
                 assert isinstance(stats[field], int)

@@ -1,11 +1,11 @@
-"""Propagation skips pushes that a stored CTP witness proves will fail.
+"""Failed consecution queries are answered from stored SAT models.
 
-A failed push of the lemma ``¬c`` from level L leaves a witness: the
-model's pre-state ``s`` (a full latch assignment in ``F_L ∧ ¬c``) and its
-successor ``t ⊨ c``.  While no lemma inserted at a level >= L blocks
-``s``, the push must fail again and IC3 skips its SAT query.  The
-``checked_skips`` fixture still runs the query of every skipped push and
-requires it to come back SAT.
+Every SAT answer of ``consecution(L, c)`` at ``L >= 1`` leaves a witness
+``(s, i, t)`` in the frame manager.  A later query ``(L', c')`` with
+``c' ⊆ t`` and ``c' ⊄ s`` is answered from it while no lemma entered at a
+level >= L' blocks ``s``.  The ``checked_reuses`` fixture (see
+``conftest.py``) re-solves every such answer on a fresh solver and
+requires both the exact query and the stored transition to be SAT.
 """
 
 import dataclasses
@@ -13,9 +13,11 @@ import dataclasses
 import pytest
 
 from repro.aiger import AIG
-from repro.benchgen import gray_counter, johnson_counter, token_ring
+from repro.benchgen import counter_overflow, gray_counter, johnson_counter, token_ring
 from repro.core import IC3, CheckResult, IC3Options
+from repro.core.generalize import Generalizer
 from repro.core.invariant import check_certificate, check_counterexample
+from repro.core.options import GeneralizationStrategy
 from repro.harness.configs import paper_configurations
 from repro.obs.tracer import Tracer, install, uninstall
 
@@ -28,27 +30,6 @@ CASES = [
     gray_counter(4, safe=False),
     token_ring(5, safe=True),
 ]
-
-
-@pytest.fixture
-def checked_skips(monkeypatch):
-    """Run the SAT query of every skipped push and require it to fail.
-
-    Returns the list of skipped pushes as ``(cube, level, successor)``.
-    """
-    skipped = []
-    original = IC3._known_push_failure
-
-    def checked(self, cube, level, witnesses):
-        failure = original(self, cube, level, witnesses)
-        if failure is not None:
-            result = self.frames.consecution(level, cube)
-            assert not result.holds, f"skipped a push of {cube} at {level} that holds"
-            skipped.append((cube, level, failure[1]))
-        return failure
-
-    monkeypatch.setattr(IC3, "_known_push_failure", checked)
-    return skipped
 
 
 def _constrained_johnson(width: int) -> AIG:
@@ -78,20 +59,21 @@ def _assert_verdict(aig, outcome, expected):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("config", CONFIGS, ids=lambda config: config.name)
-class TestSkippedPushesFail:
+class TestReusedAnswersAreModels:
     @pytest.mark.parametrize("case", CASES, ids=lambda case: case.name)
-    def test_benchmark_cases(self, checked_skips, config, backend, case):
+    def test_benchmark_cases(self, checked_reuses, config, backend, case):
         options = dataclasses.replace(config.options, frame_backend=backend)
         outcome = _check(case.aig, options)
         _assert_verdict(case.aig, outcome, case.expected)
-        assert outcome.stats.pushes_skipped == len(checked_skips)
+        assert outcome.stats.consecution_reuses == len(checked_reuses) > 0
 
-    def test_invariant_constraints(self, checked_skips, config, backend):
+    def test_invariant_constraints(self, checked_reuses, config, backend):
         aig = _constrained_johnson(6)
         options = dataclasses.replace(config.options, frame_backend=backend)
         _assert_verdict(aig, _check(aig, options), CheckResult.SAFE)
+        assert checked_reuses
 
-    def test_seed_clauses(self, checked_skips, config, backend):
+    def test_seed_clauses(self, checked_reuses, config, backend):
         case = johnson_counter(7, safe=True)
         options = dataclasses.replace(config.options, frame_backend=backend)
         first = IC3(case.aig, options)
@@ -102,52 +84,96 @@ class TestSkippedPushesFail:
             [index_of[lit] if lit > 0 else -index_of[-lit] for lit in clause]
             for clause in proof.certificate.clauses[::2]
         ]
+        del checked_reuses[:]
         outcome = _check(case.aig, options, seed_clauses=seeds)
         assert outcome.stats.shared_lemmas_applied > 0
         _assert_verdict(case.aig, outcome, CheckResult.SAFE)
+        assert outcome.stats.consecution_reuses == len(checked_reuses)
 
 
 @pytest.mark.parametrize("config", CONFIGS, ids=lambda config: config.name)
-def test_johnson_skips_pushes_and_proves(checked_skips, config):
+def test_johnson_reuses_witnesses_and_proves(checked_reuses, config):
     case = johnson_counter(8, safe=True)
     outcome = _check(case.aig, config.options)
     assert outcome.result == CheckResult.SAFE
     assert check_certificate(case.aig, outcome.certificate)
-    assert outcome.stats.pushes_skipped > 0
+    assert outcome.stats.consecution_reuses > 0
 
 
-def test_skipped_pushes_keep_their_ctp_in_the_table(checked_skips, monkeypatch):
-    """Algorithm 2 sees every failure: a skip re-records its CTP."""
+@pytest.mark.parametrize(
+    "config",
+    [
+        config
+        for config in CONFIGS
+        if not config.uses_prediction
+        and config.options.generalization != GeneralizationStrategy.CTG
+    ],
+    ids=lambda config: config.name,
+)
+def test_drop_attempts_run_on_the_solver(checked_reuses, config, monkeypatch):
+    """A failed drop is the cost prediction avoids: never answered from
+    the store, so Table 1 compares what the paper compares."""
+    original = Generalizer._attempt_drop
+    attempts = []
+
+    def attempt(self, candidate, level):
+        reuses, calls = len(checked_reuses), self.stats.consecution_calls
+        dropped = original(self, candidate, level)
+        assert len(checked_reuses) == reuses
+        assert self.stats.consecution_calls == calls + 1
+        attempts.append(dropped)
+        return dropped
+
+    monkeypatch.setattr(Generalizer, "_attempt_drop", attempt)
+    outcome = _check(gray_counter(4, safe=True).aig, config.options)
+    assert outcome.result == CheckResult.SAFE
+    assert None in attempts
+    assert outcome.stats.consecution_reuses > 0
+
+
+def test_reused_push_failures_keep_their_ctp_in_the_table(checked_reuses, monkeypatch):
+    """Algorithm 2 sees every failure: a reused push records its CTP."""
     options = IC3Options.profile_ic3_a().with_prediction()
     assert options.clear_ctp_before_propagation
     original = IC3._propagate_inner
     sweeps = []
 
     def sweep(self):
-        first_skip = len(checked_skips)
+        first_reuse = len(checked_reuses)
         recorded = self.stats.ctp_recorded
         invariant_level = original(self)
-        skipped = checked_skips[first_skip:]
-        for cube, level, successor in skipped:
-            assert self.predictor.table.lookup(cube, level) == successor
-        sweeps.append((len(skipped), self.stats.ctp_recorded - recorded))
+        reused = checked_reuses[first_reuse:]
+        for level, cube, result in reused:
+            assert self.predictor.table.lookup(cube, level) == result.successor
+        sweeps.append((len(reused), self.stats.ctp_recorded - recorded))
         return invariant_level
 
     monkeypatch.setattr(IC3, "_propagate_inner", sweep)
     outcome = _check(johnson_counter(8, safe=True).aig, options)
     assert outcome.result == CheckResult.SAFE
-    assert sum(skipped for skipped, _ in sweeps) == outcome.stats.pushes_skipped > 0
-    for skipped, recorded in sweeps:
-        assert recorded >= skipped
+    assert sum(reused for reused, _ in sweeps) > 0
+    for reused, recorded in sweeps:
+        assert recorded >= reused
 
 
-def test_propagate_span_reports_skipped_pushes():
+def test_propagate_span_reports_reused_queries(checked_reuses, monkeypatch):
+    """``reused=N`` on ``ic3.propagate`` counts the answers inside the
+    sweep; blocking and pushing reuse witnesses too."""
+    original = IC3._propagate_inner
+    in_sweeps = []
+
+    def sweep(self):
+        first_reuse = len(checked_reuses)
+        invariant_level = original(self)
+        in_sweeps.append(len(checked_reuses) - first_reuse)
+        return invariant_level
+
+    monkeypatch.setattr(IC3, "_propagate_inner", sweep)
     tracer = install(Tracer())
     try:
-        outcome = _check(johnson_counter(8, safe=True).aig, IC3Options())
+        outcome = _check(counter_overflow(4, safe=False).aig, IC3Options())
     finally:
         uninstall()
     spans = [event for event in tracer.events() if event["name"] == "ic3.propagate"]
-    assert spans
-    total = sum(event["args"]["skipped"] for event in spans)
-    assert total == outcome.stats.pushes_skipped > 0
+    assert [event["args"]["reused"] for event in spans] == in_sweeps
+    assert 0 < sum(in_sweeps) < outcome.stats.consecution_reuses

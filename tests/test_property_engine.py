@@ -3,10 +3,14 @@
 Random small AIGs are generated from a hypothesis-drawn recipe; IC3 (with
 and without prediction), BMC and explicit-state reachability must agree on
 every one of them, and every certificate / counterexample must validate.
+IC3 runs on both frame substrates with the ``checked_reuses`` fixture
+active, so every consecution answered from a stored witness is re-solved.
 This is the strongest end-to-end guard against soundness bugs anywhere in
-the stack (encoding, SAT solver, frames, generalization, prediction).
+the stack (encoding, SAT solver, frames, witness store, generalization,
+prediction).
 """
 
+import dataclasses
 import itertools
 
 from hypothesis import given, settings, strategies as st, HealthCheck
@@ -20,6 +24,21 @@ from repro.core import (
     check_certificate,
     check_counterexample,
 )
+
+BACKENDS = ("monolithic", "per-frame")
+ENGINES = (IC3Options(), IC3Options().with_prediction())
+SETTINGS = dict(
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+)
+
+
+def _ic3_runs(aig):
+    """IC3 and IC3-pl on both substrates: ``(options, outcome)`` pairs."""
+    for backend in BACKENDS:
+        for options in ENGINES:
+            options = dataclasses.replace(options, frame_backend=backend)
+            yield options, IC3(aig, options).check(time_limit=30)
 
 
 def build_random_aig(recipe):
@@ -110,29 +129,28 @@ recipe_strategy = st.tuples(
 
 
 class TestEnginesAgreeOnRandomCircuits:
-    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @settings(max_examples=25, **SETTINGS)
     @given(recipe_strategy)
-    def test_ic3_with_prediction_matches_explicit_reachability(self, recipe):
+    def test_ic3_matches_explicit_reachability(self, checked_reuses, recipe):
         aig = build_random_aig(recipe)
         expected_reachable, expected_depth = explicit_reachability(aig)
 
-        outcome = IC3(aig, IC3Options().with_prediction()).check(time_limit=30)
-        assert outcome.result != CheckResult.UNKNOWN
-        assert (outcome.result == CheckResult.UNSAFE) == expected_reachable
+        for options, outcome in _ic3_runs(aig):
+            assert outcome.result != CheckResult.UNKNOWN, options
+            assert (outcome.result == CheckResult.UNSAFE) == expected_reachable, options
 
-        if outcome.result == CheckResult.SAFE:
-            assert check_certificate(aig, outcome.certificate)
-        else:
-            assert check_counterexample(aig, outcome.trace)
-            assert outcome.trace.depth >= expected_depth
+            if outcome.result == CheckResult.SAFE:
+                assert check_certificate(aig, outcome.certificate)
+            else:
+                assert check_counterexample(aig, outcome.trace)
+                assert outcome.trace.depth >= expected_depth
 
-    @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @settings(max_examples=15, **SETTINGS)
     @given(recipe_strategy)
-    def test_base_and_prediction_engines_agree(self, recipe):
+    def test_base_and_prediction_engines_agree(self, checked_reuses, recipe):
         aig = build_random_aig(recipe)
-        base = IC3(aig, IC3Options()).check(time_limit=30)
-        predicted = IC3(aig, IC3Options().with_prediction()).check(time_limit=30)
-        assert base.result == predicted.result
+        verdicts = {outcome.result for _, outcome in _ic3_runs(aig)}
+        assert len(verdicts) == 1
 
     @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(recipe_strategy)

@@ -102,6 +102,14 @@ def _wait_for(predicate, timeout=15.0, message="condition"):
     raise AssertionError(f"timed out waiting for {message}")
 
 
+def _job_heartbeat(pool, pid, job):
+    """The worker's latest heartbeat record once it names ``job``."""
+    record = pool.worker_heartbeat(pid)
+    if record and record.get("progress", {}).get("job") == job:
+        return record
+    return None
+
+
 class TestStallWatchdog:
     def test_sigstop_trips_watchdog_before_hard_deadline(
         self, fault_injection, heartbeat_dir
@@ -126,9 +134,11 @@ class TestStallWatchdog:
             worker = _wait_for(
                 lambda: pool.worker_for_job("frozen"), message="job to start"
             )
+            # The worker's idle record can still be the latest one when
+            # the pool already lists the job: wait for the job's record.
             record = _wait_for(
-                lambda: pool.worker_heartbeat(worker["pid"]),
-                message="first heartbeat",
+                lambda: _job_heartbeat(pool, worker["pid"], "frozen"),
+                message="first heartbeat of the job",
             )
             assert record["role"] == "serve"
             assert record["progress"]["job"] == "frozen"
