@@ -144,20 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(0 = deterministic unseeded order; the portfolio derives "
         "distinct per-member seeds from it)",
     )
-    check.add_argument(
-        "--portfolio-share",
-        dest="portfolio_share",
-        action="store_true",
-        default=True,
-        help="portfolio only: exchange proven lemmas between members "
-        "over a shared-memory bus (default: on)",
-    )
-    check.add_argument(
-        "--no-portfolio-share",
-        dest="portfolio_share",
-        action="store_false",
-        help="portfolio only: run members fully independently",
-    )
     _add_reduction_arguments(check)
     check.add_argument("--verbose", action="store_true", help="per-frame progress")
     check.add_argument(
@@ -587,8 +573,7 @@ def _engine_kwargs(args: argparse.Namespace) -> dict:
             "kind": {"max_k": args.max_k},
         }
         kwargs["portfolio_options"] = PortfolioOptions(
-            share=args.portfolio_share,
-            base_seed=args.seed if args.seed else 1,
+            base_seed=args.seed if args.seed else 1
         )
     return kwargs
 

@@ -14,7 +14,6 @@ from typing import Optional
 
 from repro.aiger.aig import AIG
 from repro.core.result import CheckOutcome, CheckResult
-from repro.core.share import UnrollingInvariantImporter
 from repro.core.stats import IC3Stats
 from repro.obs.heartbeat import get_heartbeat
 from repro.obs.tracer import get_tracer
@@ -29,8 +28,6 @@ class BMC:
         aig: AIG,
         property_index: int = 0,
         seed: int = 0,
-        lemma_port=None,
-        lemma_map=None,
     ):
         self.aig = aig
         self.property_index = property_index
@@ -39,12 +36,6 @@ class BMC:
         # an assumption so the encoding itself stays reusable.
         self.unroller = Unroller(aig, init_as_assumption=True, seed=seed)
         self.stats = IC3Stats()
-        self.importer = None
-        if lemma_port is not None:
-            self.importer = UnrollingInvariantImporter(
-                lemma_port, aig, self.unroller, self.stats,
-                map_in=lemma_map,
-            )
 
     def check(
         self,
@@ -65,22 +56,14 @@ class BMC:
             hb = get_heartbeat()
             if hb.enabled:
                 hb.update(engine="bmc", bound=depth, sat_calls=self.stats.sat_calls)
-            if self.importer is not None:
-                self.importer.drain()
-                self.importer.flush()
             bad_lit = self.unroller.bad_lit_at(depth, self.property_index)
             self.stats.sat_calls += 1
             sat_start = time.perf_counter()
-            if tracer.enabled:
-                with tracer.span("bmc.depth", cat="bmc", depth=depth) as span:
-                    satisfiable = self.unroller.solver.solve(
-                        self.unroller.init_assumptions() + [bad_lit]
-                    )
-                    span.add(sat=satisfiable)
-            else:
+            with tracer.span("bmc.depth", cat="bmc", depth=depth) as span:
                 satisfiable = self.unroller.solver.solve(
                     self.unroller.init_assumptions() + [bad_lit]
                 )
+                span.add(sat=satisfiable)
             self.stats.sat_time += time.perf_counter() - sat_start
             if satisfiable:
                 outcome = self._outcome(CheckResult.UNSAFE, start)

@@ -91,8 +91,8 @@ class FrameManagerBase:
     ``c' ⊄ s``.  When a lemma ``¬d`` enters level ``j``
     (:meth:`add_blocked_cube`, or :meth:`promote_cube` to ``j``), every
     witness with ``d ⊆ s`` gets ``min_level := max(min_level, j + 1)``;
-    seed clauses, CTG, prediction and sharing imports all add lemmas
-    through those two methods.  A caller passing ``reuse=False`` always
+    seed clauses, CTG and prediction all add lemmas through those two
+    methods.  A caller passing ``reuse=False`` always
     gets a SAT call (its model is still recorded): generalization's drop
     attempts do, see :mod:`repro.core.generalize`.
 
@@ -119,10 +119,6 @@ class FrameManagerBase:
         self.options = options
         self.stats = stats
         self.frames: List[List[Cube]] = []
-        self.lemma_exporter = None
-        """Optional ``(cube, level)`` callback fired whenever a lemma is
-        newly proven at or promoted to ``level`` — the cooperative
-        portfolio's export hook (see :mod:`repro.core.share`)."""
         # Consecution witness store: ``_witnesses[k]`` is
         # ``[min_level, s, inputs, input_values, t]``, one entry per
         # distinct ``(s, t)`` (``_witness_keys`` maps it to ``k``).  Bit
@@ -173,8 +169,6 @@ class FrameManagerBase:
         self._invalidate_witnesses(cube, level)
         self._install_lemma(cube, level)
         self.stats.lemmas_added += 1
-        if self.lemma_exporter is not None:
-            self.lemma_exporter(cube, level)
 
     def promote_cube(self, cube: Cube, from_level: int, to_level: int) -> None:
         """Move a lemma up after a successful propagation push."""
@@ -184,8 +178,6 @@ class FrameManagerBase:
         self._invalidate_witnesses(cube, to_level)
         self._install_promotion(cube, from_level, to_level)
         self.stats.lemmas_pushed += 1
-        if self.lemma_exporter is not None:
-            self.lemma_exporter(cube, to_level)
 
     def lemmas_exactly_at(self, level: int) -> List[Cube]:
         """Cubes whose lemma lives exactly at ``level`` (F_level \\ F_{level+1})."""

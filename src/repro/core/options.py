@@ -92,7 +92,7 @@ class IC3Options:
     (see :meth:`repro.sat.arena.ArenaSolver.set_seed`).  0 disables the
     randomization entirely; any non-zero seed gives a reproducible but
     diversified decision order — the portfolio uses distinct seeds per
-    member so cooperative lemma sharing has value."""
+    member so that racing members search differently."""
 
     # ------------------------------------------------------------------
     # Named profiles used by the evaluation harness

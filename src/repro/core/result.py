@@ -153,11 +153,6 @@ class CheckOutcome:
     """For multi-property scheduler runs: one per-property verdict record
     (see ``ScheduleResult.as_dict``), None for single-property runs."""
 
-    sharing: Optional[Dict[str, object]] = None
-    """For cooperative portfolio runs: lemma-bus accounting (transport,
-    total records published, per-member exchange counters), None when the
-    run did not share lemmas."""
-
     @property
     def solved(self) -> bool:
         """True if the verdict is SAFE or UNSAFE."""

@@ -65,20 +65,10 @@ class IC3Stats:
     solver_removed_clauses: int = 0   # clauses lazily deleted (guarded + learnt)
 
     # SAT-kernel search activity (manifest schema v8); aggregated over
-    # every solver the run created.  The portfolio benchmark uses the
-    # conflict total to measure work saved by cooperative lemma sharing.
+    # every solver the run created.
     solver_conflicts: int = 0
     solver_decisions: int = 0
     solver_propagations: int = 0
-
-    # Cooperative portfolio lemma sharing (manifest schema v8).
-    lemmas_published: int = 0         # own lemmas put on the bus
-    lemmas_received: int = 0          # foreign records drained from the bus
-    lemmas_validated: int = 0         # foreign lemmas that passed revalidation
-    lemmas_rejected: int = 0          # foreign lemmas refused (failed validation)
-    lemmas_imported: int = 0          # validated lemmas installed locally
-    bus_overflows: int = 0            # drains that lost records to ring lag
-    time_import_validation: float = 0.0  # seconds spent validating imports
 
     # Generalization activity
     generalizations: int = 0          # N_g

@@ -67,13 +67,9 @@ def traced_check(name, run, time_limit):
     check folds its verdict, runtime and solver counters into the
     process-default registry exactly once (end-of-run, never hot-path).
     """
-    tracer = get_tracer()
-    if not tracer.enabled:
+    with get_tracer().span("engine." + name, cat="engine") as span:
         outcome = run(time_limit)
-    else:
-        with tracer.span("engine." + name, cat="engine") as span:
-            outcome = run(time_limit)
-            span.add(result=outcome.result.value, frames=outcome.frames)
+        span.add(result=outcome.result.value, frames=outcome.frames)
     record_engine_outcome(outcome)
     return outcome
 
@@ -92,7 +88,6 @@ class IC3Engine:
         frame_backend: Optional[str] = None,
         shared_lemmas: Optional[Sequence[Sequence[int]]] = None,
         seed: Optional[int] = None,
-        lemma_port=None,
         **_ignored,
     ):
         self.options = options if options is not None else IC3Options()
@@ -110,19 +105,8 @@ class IC3Engine:
         seeds = list(shared_lemmas or [])
         if seeds and self.reduction is not None:
             seeds = self.reduction.recon.map_latch_index_clauses(seeds)
-        # Live bus lemmas travel in the latch-index space of the model
-        # this adapter was handed; when it reduced further, imports follow
-        # the pass chain forward and exports lift back through it.
-        lemma_maps = None
-        if lemma_port is not None and self.reduction is not None:
-            recon = self.reduction.recon
-            lemma_maps = (
-                recon.map_latch_index_clauses,
-                recon.lift_latch_index_clauses,
-            )
         self._engine = IC3(
-            model, self.options, property_index=model_property, seed_clauses=seeds,
-            lemma_port=lemma_port, lemma_maps=lemma_maps,
+            model, self.options, property_index=model_property, seed_clauses=seeds
         )
 
     def check(self, time_limit: Optional[float] = None) -> CheckOutcome:
@@ -148,7 +132,6 @@ class BMCEngine:
         reduce: bool = True,
         passes: Optional[Sequence[str]] = None,
         seed: Optional[int] = None,
-        lemma_port=None,
         **_ignored,
     ):
         self.max_depth = max_depth
@@ -157,13 +140,7 @@ class BMCEngine:
         )
         if seed is None:
             seed = (options or IC3Options()).seed
-        lemma_map = None
-        if lemma_port is not None and self.reduction is not None:
-            lemma_map = self.reduction.recon.map_latch_index_clauses
-        self._engine = BMC(
-            model, property_index=model_property,
-            seed=seed, lemma_port=lemma_port, lemma_map=lemma_map,
-        )
+        self._engine = BMC(model, property_index=model_property, seed=seed)
 
     def check(self, time_limit: Optional[float] = None) -> CheckOutcome:
         outcome = traced_check(
@@ -188,7 +165,6 @@ class KInductionEngine:
         reduce: bool = True,
         passes: Optional[Sequence[str]] = None,
         seed: Optional[int] = None,
-        lemma_port=None,
         **_ignored,
     ):
         self.max_k = max_k
@@ -197,13 +173,7 @@ class KInductionEngine:
         )
         if seed is None:
             seed = (options or IC3Options()).seed
-        lemma_map = None
-        if lemma_port is not None and self.reduction is not None:
-            lemma_map = self.reduction.recon.map_latch_index_clauses
-        self._engine = KInduction(
-            model, property_index=model_property,
-            seed=seed, lemma_port=lemma_port, lemma_map=lemma_map,
-        )
+        self._engine = KInduction(model, property_index=model_property, seed=seed)
 
     def check(self, time_limit: Optional[float] = None) -> CheckOutcome:
         outcome = traced_check(

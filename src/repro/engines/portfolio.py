@@ -16,15 +16,9 @@ inside a single SAT call are killed shortly after the budget, so a
 portfolio ``check`` never overshoots the budget by more than a small
 grace period.
 
-With ``PortfolioOptions.share`` (the default) the race is *cooperative*:
-the parent opens a shared-memory lemma bus (:mod:`repro.engines.lembus`),
-every member publishes its newly proven frame lemmas and drains foreign
-ones at its check-in points, and each import is revalidated locally
-before installation — a poisoned or stale bus record can waste a SAT
-call but can never flip a verdict.  Members may now repeat an engine
-kind (``["ic3-pl", "ic3-pl", "bmc"]``): duplicates are auto-labelled
-``name#k`` and diversified with distinct RNG seeds and configuration
-jitter so that they explore different lemma sequences worth exchanging.
+Members may repeat an engine kind (``["ic3-pl", "ic3-pl", "bmc"]``):
+duplicates are auto-labelled ``name#k`` and diversified with distinct
+RNG seeds and configuration jitter so that they search differently.
 """
 
 from __future__ import annotations
@@ -41,12 +35,6 @@ from repro.core.options import IC3Options, LiteralOrdering
 from repro.core.result import CheckOutcome, CheckResult
 from repro.core.stats import IC3Stats
 from repro.engines.adapters import finish_outcome, prepare_model
-from repro.engines.lembus import (
-    DEFAULT_CAPACITY,
-    SharePolicy,
-    create_bus,
-    open_port,
-)
 from repro.engines.registry import canonical_name, create_engine, register_engine
 from repro.obs.heartbeat import (
     get_heartbeat,
@@ -63,38 +51,17 @@ from repro.obs.tracer import (
 DEFAULT_PORTFOLIO: Tuple[str, ...] = ("ic3-pl", "bmc", "kind")
 
 _POLL_INTERVAL = 0.05
-
-# Engine kinds whose members publish frame lemmas onto the bus; the
-# unrolling engines (bmc, kind) are import-only.
-_EXPORTING_ENGINES = ("ic3", "ic3-pl")
 """How often the parent re-checks deadlines while waiting on members."""
 
 
 @dataclass
 class PortfolioOptions:
-    """Cooperative-portfolio configuration (lemma sharing + diversification)."""
-
-    share: bool = True
-    """Exchange frame lemmas between members over the shared bus."""
-
-    transport: str = "shm"
-    """Bus transport: ``"shm"`` ring buffer, ``"queue"`` fallback
-    (shm silently falls back to queues when the platform refuses it)."""
-
-    capacity: int = DEFAULT_CAPACITY
-    """Ring-buffer size in bytes (shm transport only)."""
-
-    max_lits: int = 8
-    """Quality filter: only clauses this short are worth shipping."""
-
-    min_level: int = 2
-    """Quality filter: minimum frame level before a lemma is exported."""
+    """Portfolio member seeding and diversification."""
 
     base_seed: int = 1
     """Member ``i`` runs with SAT-kernel seed ``base_seed + i`` so the
-    kernels branch differently and produce complementary lemmas.
-    0 disables seeding entirely (all members run the deterministic
-    unseeded decision order)."""
+    kernels branch differently.  0 disables seeding entirely (all
+    members run the deterministic unseeded decision order)."""
 
     diversify: bool = True
     """Apply per-member configuration jitter to duplicated engine kinds."""
@@ -126,33 +93,18 @@ _IC3_KWARG_JITTER: Tuple[Dict[str, object], ...] = (
 
 
 def _run_member(
-    conn, label, engine_name, aig, options, property_index, time_limit, kwargs,
-    lemma_handle=None,
+    conn, label, engine_name, aig, options, property_index, time_limit, kwargs
 ):
     """Subprocess body: build one member engine, run it, ship the outcome back."""
     maybe_install_worker_tracer(f"portfolio-{label}")
     maybe_install_worker_heartbeat(f"portfolio-{label}")
-    port = None
     try:
-        if lemma_handle is not None:
-            port = open_port(lemma_handle)
-            kwargs = dict(kwargs)
-            kwargs["lemma_port"] = port
-        tracer = get_tracer()
-        if tracer.enabled:
-            with tracer.span(
-                "portfolio.member", cat="engine", member=label
-            ) as span:
-                engine = create_engine(
-                    engine_name, aig, options=options, property_index=property_index, **kwargs
-                )
-                outcome = engine.check(time_limit=time_limit)
-                span.add(result=outcome.result.value)
-        else:
+        with get_tracer().span("portfolio.member", cat="engine", member=label) as span:
             engine = create_engine(
                 engine_name, aig, options=options, property_index=property_index, **kwargs
             )
             outcome = engine.check(time_limit=time_limit)
+            span.add(result=outcome.result.value)
         conn.send(("ok", outcome))
     except BaseException as exc:  # noqa: BLE001 - must not kill the pipe silently
         try:
@@ -160,8 +112,6 @@ def _run_member(
         except (BrokenPipeError, OSError):
             pass
     finally:
-        if port is not None:
-            port.close()
         shutdown_worker_heartbeat()
         shutdown_worker_tracer()
         conn.close()
@@ -249,15 +199,11 @@ class PortfolioEngine:
     # ------------------------------------------------------------------
     def check(self, time_limit: Optional[float] = None) -> CheckOutcome:
         """Race the members; return the first definite verdict."""
-        tracer = get_tracer()
-        if not tracer.enabled:
+        with get_tracer().span(
+            "portfolio.race", cat="engine", members=list(self.engines)
+        ) as span:
             outcome = self._check_inner(time_limit)
-        else:
-            with tracer.span(
-                "portfolio.race", cat="engine", members=list(self.engines)
-            ) as span:
-                outcome = self._check_inner(time_limit)
-                span.add(winner=outcome.winner, result=outcome.result.value)
+            span.add(winner=outcome.winner, result=outcome.result.value)
         record_engine_outcome(outcome)
         if outcome.winner:
             PORTFOLIO_WINS.inc(member=outcome.winner)
@@ -275,7 +221,6 @@ class PortfolioEngine:
         running: Dict[object, Tuple[_MemberPlan, object]] = {}  # conn -> (plan, process)
         unknown: List[Tuple[str, CheckOutcome]] = []
         errors: List[Tuple[str, str]] = []
-        reports: Dict[str, IC3Stats] = {}
         hb = get_heartbeat()
         member_states: Dict[str, str] = (
             {plan.label: "pending" for plan in self._plan} if hb.enabled else {}
@@ -285,34 +230,15 @@ class PortfolioEngine:
             if hb.enabled:
                 hb.update(engine=self.name, members=dict(member_states))
 
-        pf = self.portfolio_options
-        bus = None
-        # Only IC3-family members export lemmas; a bus without at least
-        # one exporter would leave import-only members (BMC, k-induction)
-        # listening to silence — k-induction in particular would then sit
-        # in its cooperative wait instead of conceding early.
-        exporters = sum(1 for plan in self._plan if plan.engine in _EXPORTING_ENGINES)
-        if pf.share and len(self._plan) >= 2 and exporters >= 1:
-            bus = create_bus(
-                len(self._plan),
-                transport=pf.transport,
-                capacity=pf.capacity,
-                policy=SharePolicy(max_lits=pf.max_lits, min_level=pf.min_level),
-            )
-
         try:
             while pending or running:
                 while pending and len(running) < self.jobs:
                     plan = pending.pop(0)
-                    member_index = self._plan.index(plan)
                     parent_conn, child_conn = ctx.Pipe(duplex=False)
                     remaining = (
                         max(0.0, deadline - time.perf_counter())
                         if deadline is not None
                         else None
-                    )
-                    handle = (
-                        bus.port_handle(member_index) if bus is not None else None
                     )
                     proc = ctx.Process(
                         target=_run_member,
@@ -325,7 +251,6 @@ class PortfolioEngine:
                             self.property_index,
                             remaining,
                             plan.kwargs,
-                            handle,
                         ),
                         daemon=True,
                         name=f"portfolio-{plan.label}",
@@ -352,14 +277,11 @@ class PortfolioEngine:
                         else:
                             member_states[plan.label] = "unknown"
                         _publish_members()
-                    if kind == "ok":
-                        reports[plan.label] = payload.stats
                     if kind == "ok" and payload.solved:
                         payload = finish_outcome(payload, self._reduction)
                         payload.winner = plan.label
                         payload.engine = self.name
                         payload.runtime = time.perf_counter() - start
-                        payload.sharing = self._sharing_summary(bus, reports)
                         return payload
                     if kind == "ok":
                         unknown.append((plan.label, payload))
@@ -372,16 +294,8 @@ class PortfolioEngine:
             for conn, (plan, proc) in running.items():
                 _terminate(proc)
                 conn.close()
-            if bus is not None:
-                self._sharing = self._sharing_summary(bus, reports)
-                bus.close()
-                bus.unlink()
-            else:
-                self._sharing = None
 
-        outcome = self._inconclusive(start, deadline, unknown, errors)
-        outcome.sharing = self._sharing
-        return outcome
+        return self._inconclusive(start, deadline, unknown, errors)
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -393,38 +307,6 @@ class PortfolioEngine:
         finally:
             conn.close()
         return kind, payload
-
-    def _sharing_summary(
-        self, bus, reports: Dict[str, IC3Stats]
-    ) -> Optional[Dict[str, object]]:
-        """Bus accounting attached to the outcome (and traced) after a race."""
-        if bus is None:
-            return None
-        members = {
-            label: {
-                "lemmas_published": stats.lemmas_published,
-                "lemmas_received": stats.lemmas_received,
-                "lemmas_validated": stats.lemmas_validated,
-                "lemmas_rejected": stats.lemmas_rejected,
-                "lemmas_imported": stats.lemmas_imported,
-                "bus_overflows": stats.bus_overflows,
-            }
-            for label, stats in reports.items()
-        }
-        summary = {
-            "transport": bus.transport,
-            "bus_published": bus.total_published(),
-            "members": members,
-        }
-        tracer = get_tracer()
-        if tracer.enabled:
-            tracer.instant(
-                "portfolio.share",
-                cat="share",
-                published=summary["bus_published"],
-                members=len(members),
-            )
-        return summary
 
     def _inconclusive(self, start, deadline, unknown, errors) -> CheckOutcome:
         stats = IC3Stats()

@@ -92,18 +92,15 @@ Schema v8 (``repro-check/manifest/v8``) additions over v7:
 
 * per-result ``stats`` now includes the SAT-kernel search totals
   ``solver_conflicts`` / ``solver_decisions`` / ``solver_propagations``
-  (aggregated over every kernel the run created) and the cooperative
-  lemma-sharing counters ``lemmas_published`` / ``lemmas_received`` /
-  ``lemmas_validated`` / ``lemmas_rejected`` / ``lemmas_imported`` /
-  ``bus_overflows`` plus the ``time_import_validation`` phase timer
-  (seconds spent revalidating foreign clauses before installing them);
+  (aggregated over every kernel the run created) and six cooperative
+  lemma-sharing counters plus an import-validation timer (all removed
+  in v13);
 * per-configuration ``seed`` — the SAT-kernel RNG seed the
   configuration ran with (0 for the deterministic unseeded order, None
   for engines that do not take IC3 options);
 * per-result ``sharing`` — for cooperative portfolio runs, the lemma
-  bus accounting (transport, total records published, per-member
-  exchange counters of every member that reported back); None when the
-  run did not share lemmas.
+  bus accounting; None when the run did not share lemmas (removed in
+  v13).
 
 Schema v9 (``repro-check/manifest/v9``) additions over v8:
 
@@ -137,10 +134,17 @@ Schema v12 (``repro-check/manifest/v12``) changes over v11:
 
 * per-result ``stats`` replaces ``pushes_skipped`` with
   ``consecution_reuses``: failed consecution queries (blocking, pushes,
-  propagation, prediction, CTG blocking, sharing imports; MIC drop
-  attempts always run on the solver) that the frame manager answered
+  propagation, prediction, CTG blocking and the cooperative portfolio's
+  lemma imports; MIC drop attempts always run on the solver) that the frame manager answered
   from a stored SAT model instead of a SAT call.
   ``consecution_calls`` keeps counting SAT-backed queries only.
+
+Schema v13 (``repro-check/manifest/v13``) changes over v12:
+
+* cooperative lemma sharing between portfolio members was removed, so
+  per-result ``sharing`` is gone, and per-result ``stats`` drops the six
+  lemma-bus counters of v8 (``lemmas_published`` through
+  ``bus_overflows``) and the ``time_import_validation`` timer.
 """
 
 from __future__ import annotations
@@ -152,7 +156,7 @@ from typing import Dict, Optional, Sequence
 from repro.harness.configs import EngineConfig
 from repro.harness.runner import CaseResult, SuiteResult
 
-MANIFEST_SCHEMA = "repro-check/manifest/v12"
+MANIFEST_SCHEMA = "repro-check/manifest/v13"
 
 
 def _phase_times(results: Sequence[CaseResult]) -> Dict[str, float]:
@@ -250,7 +254,6 @@ def build_manifest(
             "reduction": _reduction_sizes(r),
             "properties": r.properties,
             "transformation": r.transformation,
-            "sharing": r.sharing,
             "error": r.error,
         }
         for r in suite_result.results

@@ -3,12 +3,11 @@
 The tracer (:mod:`repro.obs.tracer`) answers *what happened* after a run;
 this module answers *what is happening right now*: engines publish cheap
 structured progress (IC3 frame count, lemma/obligation totals, BMC
-bound, k-induction ``k``, portfolio member states, lembus sharing
-counters) into a per-process :class:`Heartbeat`, and a background
-publisher thread writes the current snapshot — plus worker RSS/CPU
-sampled from ``/proc`` — to ``hb-<role>-<pid>.json`` in a shared
-directory at a fixed interval, via an atomic ``mkstemp`` + ``rename`` so
-readers never see a torn file.
+bound, k-induction ``k``, portfolio member states) into a per-process
+:class:`Heartbeat`, and a background publisher thread writes the
+current snapshot — plus worker RSS/CPU sampled from ``/proc`` — to
+``hb-<role>-<pid>.json`` in a shared directory at a fixed interval, via
+an atomic ``mkstemp`` + ``rename`` so readers never see a torn file.
 
 The parent side (:class:`HeartbeatMonitor`) lists that directory and
 reads the records.  Timestamps are :func:`time.monotonic`, which is
@@ -352,13 +351,9 @@ def format_progress(record: Dict[str, Any]) -> str:
     if engine:
         parts.append(str(engine))
     for key in ("case", "config", "job", "frame", "bound", "k", "lemmas",
-                "obligations", "sat_calls", "published", "imported"):
+                "obligations", "sat_calls"):
         value = progress.get(key)
-        if value is None:
-            continue
-        if key in ("case", "config", "job"):
-            parts.append(f"{key}={value}")
-        else:
+        if value is not None:
             parts.append(f"{key}={value}")
     members = progress.get("members")
     if isinstance(members, dict) and members:

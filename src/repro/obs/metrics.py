@@ -626,12 +626,6 @@ SAT_DECISIONS = REGISTRY.counter(
 SAT_PROPAGATIONS = REGISTRY.counter(
     "repro_sat_propagations_total", "Unit propagations across engine runs."
 )
-LEMMAS_PUBLISHED = REGISTRY.counter(
-    "repro_lemmas_published_total", "Lemmas published to the sharing bus."
-)
-LEMMAS_IMPORTED = REGISTRY.counter(
-    "repro_lemmas_imported_total", "Foreign lemmas installed after validation."
-)
 HARNESS_TASKS = REGISTRY.counter(
     "repro_harness_tasks_total",
     "Pooled harness tasks by completion status.",
@@ -670,8 +664,6 @@ def record_engine_outcome(outcome: Any) -> None:
         (SAT_CONFLICTS, "solver_conflicts"),
         (SAT_DECISIONS, "solver_decisions"),
         (SAT_PROPAGATIONS, "solver_propagations"),
-        (LEMMAS_PUBLISHED, "lemmas_published"),
-        (LEMMAS_IMPORTED, "lemmas_imported"),
     ):
         amount = getattr(stats, attr, 0) or 0
         if amount > 0:

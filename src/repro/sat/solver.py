@@ -946,7 +946,7 @@ class Solver:
         A small fraction of decisions picks a uniformly random unassigned
         variable instead of the top-activity one, steering otherwise
         identical solvers into different parts of the search space —
-        the per-member jitter of the cooperative portfolio.  Seed 0 (the
+        the per-member jitter of the portfolio.  Seed 0 (the
         default) disables the randomization entirely, keeping the kernel
         byte-for-byte deterministic against its unseeded behaviour; any
         other seed is itself fully deterministic.

@@ -19,7 +19,7 @@ and learnt clauses between them.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from repro.aiger.aig import AIG, FALSE_LIT, TRUE_LIT
 from repro.core.result import CounterexampleTrace, TraceStep
@@ -50,10 +50,6 @@ class Unroller:
             self.solver.set_seed(seed)
         self.use_init = use_init
         self.init_as_assumption = init_as_assumption
-        # Validated global-invariant clauses (AIG literals over latches),
-        # asserted on every existing and future time frame — the import
-        # side of cooperative lemma sharing (see repro.core.share).
-        self._invariant_clauses: List[List[int]] = []
         # Allocated lazily after frame 0's variables so that the frame-0
         # variable numbering matches the TransitionSystem encoding (the
         # trace validators rely on that correspondence).
@@ -136,13 +132,7 @@ class Unroller:
     # Frame construction
     # ------------------------------------------------------------------
     def _add_frame(self) -> None:
-        tracer = get_tracer()
-        if not tracer.enabled:
-            self._add_frame_inner()
-            return
-        with tracer.span(
-            "unroll.frame", cat="unroll", frame=len(self._frames)
-        ):
+        with get_tracer().span("unroll.frame", cat="unroll", frame=len(self._frames)):
             self._add_frame_inner()
 
     def _add_frame_inner(self) -> None:
@@ -169,12 +159,6 @@ class Unroller:
         for constraint in self.aig.constraints:
             self.solver.add_clause([self.lit_at(constraint, frame_index)])
 
-        # Validated global invariants hold on every frame too.
-        for clause in self._invariant_clauses:
-            self.solver.add_clause(
-                [self.lit_at(aig_lit, frame_index) for aig_lit in clause]
-            )
-
         if frame_index == 0:
             if self.use_init:
                 if self.init_as_assumption and self._init_act is None:
@@ -195,22 +179,6 @@ class Unroller:
                 prev_next = self.lit_at(latch.next, frame_index - 1)
                 self.solver.add_clause([-now, prev_next])
                 self.solver.add_clause([now, -prev_next])
-
-    def add_invariant_clause(self, aig_lits: Sequence[int]) -> None:
-        """Assert a *validated global invariant* clause on every frame.
-
-        ``aig_lits`` are AIG literals over latches.  The caller must have
-        proven the clause to hold on all reachable states (see
-        :class:`repro.core.share.UnrollingInvariantImporter`): only then
-        is asserting it at every time frame sound for both initialized
-        and uninitialized queries without masking real counterexamples.
-        """
-        clause = list(aig_lits)
-        self._invariant_clauses.append(clause)
-        for frame_index in range(self.num_frames):
-            self.solver.add_clause(
-                [self.lit_at(aig_lit, frame_index) for aig_lit in clause]
-            )
 
     def bad_lit_at(self, frame: int, property_index: int = 0) -> int:
         """Solver literal of the bad cone (or first output) at a frame."""

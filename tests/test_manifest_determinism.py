@@ -35,7 +35,6 @@ TIMING_FIELDS = {
     "time_generalization",
     "time_prediction",
     "time_propagation",
-    "time_import_validation",
     "par1_time",
     "phase_times",
     "wall_clock",
@@ -76,7 +75,7 @@ class TestManifestDeterminism:
 
     def test_substrate_stats_present_and_deterministic(self):
         manifest = _manifest(jobs=4)
-        assert manifest["schema"] == MANIFEST_SCHEMA == "repro-check/manifest/v12"
+        assert manifest["schema"] == MANIFEST_SCHEMA == "repro-check/manifest/v13"
         # v9: the telemetry block defaults to None so identical runs keep
         # producing byte-identical manifests.
         assert manifest["telemetry"] is None
@@ -97,27 +96,25 @@ class TestManifestDeterminism:
                 "literal_pool_bytes",
                 "arena_compactions",
                 "solver_removed_clauses",
-                # v8: kernel search totals + lemma-sharing counters.
+                # v8: kernel search totals.
                 "solver_conflicts",
                 "solver_decisions",
                 "solver_propagations",
-                "lemmas_published",
-                "lemmas_received",
-                "lemmas_validated",
-                "lemmas_rejected",
-                "lemmas_imported",
-                "bus_overflows",
                 # v12: failed consecutions answered from stored witnesses.
                 "consecution_reuses",
             ):
                 assert field in stats
                 assert isinstance(stats[field], int)
-            assert "time_import_validation" in stats
             # v10: the stats record carries every IC3Stats field.
             assert "sat_time" in stats
-            # No bus in these runs: exchange counters must stay zero.
-            assert stats["lemmas_imported"] == 0
-            assert result["sharing"] is None
+            # v13: the lemma-bus counters and the sharing record are gone.
+            assert {key for key in stats if key.startswith("lemmas_")} == {
+                "lemmas_added",
+                "lemmas_pushed",
+            }
+            assert "bus_overflows" not in stats
+            assert "time_import_validation" not in stats
+            assert "sharing" not in result
             assert result["validated"] is True
         # Every configuration records its solving substrate and seed.
         for meta in manifest["configs"].values():

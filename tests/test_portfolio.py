@@ -1,20 +1,18 @@
-"""Cooperative portfolio: sharing races, teardown hygiene, seeding.
+"""Portfolio races: teardown hygiene, seeding, removed sharing switches.
 
 Three contracts pinned here:
 
-* a sharing race returns the same verdict as a non-sharing race and
-  reports its bus accounting (transport, per-member counters);
-* killing the losers leaks nothing — every shm segment the race created
-  is gone afterwards and no member process survives;
+* killing the losers leaks nothing — no member process survives a race,
+  whether the members finished or were killed midway;
 * ``--seed`` is deterministic end to end: the same seed reproduces a
   byte-identical evaluation manifest (modulo wall-clock fields), seeded
-  kernels are self-consistent, and seed 0 is exactly the unseeded order.
+  kernels are self-consistent, and seed 0 is exactly the unseeded order;
+* cooperative lemma sharing is gone: its CLI switches are refused and
+  ``PortfolioOptions`` no longer takes its fields.
 """
 
-import glob
 import json
 import multiprocessing
-import os
 
 import pytest
 
@@ -31,97 +29,34 @@ from repro.sat.arena import ArenaSolver
 from repro.sat.solver import Solver
 
 
-def _shm_segments():
-    if not os.path.isdir("/dev/shm"):
-        return None
-    return set(glob.glob("/dev/shm/psm_*"))
-
-
-class TestSharingRace:
-    def test_sharing_race_same_verdict_with_accounting(self):
-        case = modular_counter(3, modulus=6, bad_value=7)
-        shared = PortfolioEngine(
-            case.aig,
-            engines=("ic3-pl", "ic3", "bmc", "kind"),
-            portfolio_options=PortfolioOptions(share=True),
-        ).check(time_limit=60)
-        solo = PortfolioEngine(
-            case.aig,
-            engines=("ic3-pl", "ic3", "bmc", "kind"),
-            portfolio_options=PortfolioOptions(share=False),
-        ).check(time_limit=60)
-
-        assert shared.result == solo.result == CheckResult.SAFE
-        assert solo.sharing is None
-        assert shared.sharing is not None
-        assert shared.sharing["transport"] in ("shm", "queue")
-        assert shared.sharing["bus_published"] >= 0
-        assert shared.winner in shared.sharing["members"]
-        winner_counters = shared.sharing["members"][shared.winner]
-        assert set(winner_counters) == {
-            "lemmas_published",
-            "lemmas_received",
-            "lemmas_validated",
-            "lemmas_rejected",
-            "lemmas_imported",
-            "bus_overflows",
-        }
-
-    def test_single_member_never_opens_a_bus(self):
-        outcome = PortfolioEngine(
-            token_ring(3).aig, engines=("ic3",),
-            portfolio_options=PortfolioOptions(share=True),
-        ).check(time_limit=60)
-        assert outcome.result == CheckResult.SAFE
-        assert outcome.sharing is None
-
-    def test_queue_transport_also_races(self):
-        outcome = PortfolioEngine(
-            token_ring(3).aig,
-            engines=("ic3", "bmc"),
-            portfolio_options=PortfolioOptions(share=True, transport="queue"),
-        ).check(time_limit=60)
-        assert outcome.result == CheckResult.SAFE
-        assert outcome.sharing is not None
-        assert outcome.sharing["transport"] == "queue"
+def _live_children():
+    return {p.pid for p in multiprocessing.active_children() if p.is_alive()}
 
 
 class TestTeardown:
-    def test_no_shm_or_process_leak_after_race(self):
-        before = _shm_segments()
-        children_before = {p.pid for p in multiprocessing.active_children()}
+    def test_no_process_leak_after_race(self):
+        children_before = _live_children()
         for _ in range(3):
             outcome = PortfolioEngine(
                 modular_counter(3, modulus=6, bad_value=7).aig,
                 engines=("ic3-pl", "bmc", "kind"),
-                portfolio_options=PortfolioOptions(share=True),
             ).check(time_limit=60)
             assert outcome.solved
         for proc in multiprocessing.active_children():
             if proc.pid not in children_before:
                 proc.join(timeout=5)
-        children_after = {
-            p.pid for p in multiprocessing.active_children() if p.is_alive()
-        }
-        assert children_after <= children_before
-        after = _shm_segments()
-        if before is not None:
-            assert after - before == set()
+        assert _live_children() <= children_before
 
     def test_no_leak_when_losers_are_killed_midway(self):
         # BMC wins UNSAFE quickly; the IC3 members are killed while still
-        # holding open bus ports.  The parent must still unlink cleanly.
-        before = _shm_segments()
+        # searching.  No member process may outlive the race.
+        children_before = _live_children()
         case = modular_counter(4, modulus=14, bad_value=3)
         outcome = PortfolioEngine(
-            case.aig,
-            engines=("ic3", "ic3-pl", "bmc"),
-            portfolio_options=PortfolioOptions(share=True),
+            case.aig, engines=("ic3", "ic3-pl", "bmc")
         ).check(time_limit=60)
         assert outcome.result == CheckResult.UNSAFE
-        after = _shm_segments()
-        if before is not None:
-            assert after - before == set()
+        assert _live_children() <= children_before
 
 
 SEED_CASES = [token_ring(3), modular_counter(3, modulus=6, bad_value=7)]
@@ -147,7 +82,6 @@ TIMING_FIELDS = {
     "time_generalization",
     "time_prediction",
     "time_propagation",
-    "time_import_validation",
     "par1_time",
     "phase_times",
     "wall_clock",
@@ -211,12 +145,22 @@ class TestCLISwitches:
         assert main(["check", safe_model, "--seed", "3"]) == 0
         assert "safe" in capsys.readouterr().out
 
-    def test_portfolio_share_flags(self, safe_model, capsys):
-        assert main(
-            ["check", safe_model, "--engine", "portfolio", "--portfolio-share"]
-        ) == 0
-        assert "safe" in capsys.readouterr().out
-        assert main(
-            ["check", safe_model, "--engine", "portfolio", "--no-portfolio-share"]
-        ) == 0
-        assert "safe" in capsys.readouterr().out
+    @pytest.mark.parametrize("flag", ["--portfolio-share", "--no-portfolio-share"])
+    def test_removed_sharing_flags_are_refused(self, safe_model, flag, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["check", safe_model, "--engine", "portfolio", flag])
+        assert excinfo.value.code == 2
+        assert flag in capsys.readouterr().err
+
+
+class TestPortfolioOptions:
+    def test_only_seeding_and_diversification_remain(self):
+        options = PortfolioOptions(base_seed=3, diversify=False)
+        assert (options.base_seed, options.diversify) == (3, False)
+
+    @pytest.mark.parametrize(
+        "field", ["share", "transport", "capacity", "max_lits", "min_level"]
+    )
+    def test_sharing_fields_are_rejected(self, field):
+        with pytest.raises(TypeError):
+            PortfolioOptions(**{field: True})

@@ -1,8 +1,9 @@
 """Property-based cross-validation of the engines on random circuits.
 
 Random small AIGs are generated from a hypothesis-drawn recipe; IC3 (with
-and without prediction), BMC and explicit-state reachability must agree on
-every one of them, and every certificate / counterexample must validate.
+and without prediction), BMC, k-induction and explicit-state reachability
+must agree on every one of them, and every certificate / counterexample
+must validate.
 IC3 runs on both frame substrates with the ``checked_reuses`` fixture
 active, so every consecution answered from a stored witness is re-solved.
 This is the strongest end-to-end guard against soundness bugs anywhere in
@@ -20,6 +21,7 @@ from repro.core import (
     IC3,
     BMC,
     CheckResult,
+    KInduction,
     IC3Options,
     check_certificate,
     check_counterexample,
@@ -162,3 +164,20 @@ class TestEnginesAgreeOnRandomCircuits:
         outcome = BMC(aig).check(max_depth=expected_depth + 2)
         assert outcome.result == CheckResult.UNSAFE
         assert outcome.trace.depth == expected_depth
+
+    # derandomize: the same circuits are drawn on every run, so a
+    # k-induction regression fails reproducibly instead of by chance.
+    @settings(max_examples=40, derandomize=True, **SETTINGS)
+    @given(recipe_strategy)
+    def test_kinduction_never_contradicts_reachability(self, recipe):
+        aig = build_random_aig(recipe)
+        expected_reachable, expected_depth = explicit_reachability(aig)
+        # At most 8 states, so every reachable bad state is within 7 steps
+        # and the base case at k = depth + 1 finds it.
+        outcome = KInduction(aig).check(max_k=10)
+        if expected_reachable:
+            assert outcome.result == CheckResult.UNSAFE
+            assert check_counterexample(aig, outcome.trace)
+            assert outcome.trace.depth == expected_depth
+        else:
+            assert outcome.result != CheckResult.UNSAFE
