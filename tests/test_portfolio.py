@@ -8,7 +8,10 @@ Three contracts pinned here:
   byte-identical evaluation manifest (modulo wall-clock fields), seeded
   kernels are self-consistent, and seed 0 is exactly the unseeded order;
 * cooperative lemma sharing is gone: its CLI switches are refused and
-  ``PortfolioOptions`` no longer takes its fields.
+  ``PortfolioOptions`` no longer takes its fields;
+* an ``ic3-pl,kind`` race gives every case of the canonical bench suite its
+  ground-truth verdict, with a replayable trace on UNSAFE cases and a
+  valid invariant whenever IC3 wins a SAFE case.
 """
 
 import json
@@ -17,8 +20,9 @@ import multiprocessing
 import pytest
 
 from repro.aiger import write_aag
-from repro.benchgen import modular_counter, token_ring
+from repro.benchgen import bench_suite, modular_counter, token_ring
 from repro.cli import main
+from repro.core.invariant import check_certificate, check_counterexample
 from repro.core.options import IC3Options
 from repro.core.result import CheckResult
 from repro.engines.portfolio import PortfolioEngine, PortfolioOptions
@@ -164,3 +168,21 @@ class TestPortfolioOptions:
     def test_sharing_fields_are_rejected(self, field):
         with pytest.raises(TypeError):
             PortfolioOptions(**{field: True})
+
+
+BENCH_CASES = {case.name: case for case in bench_suite()}
+
+
+class TestBenchVerdicts:
+    @pytest.mark.parametrize("name", sorted(BENCH_CASES))
+    def test_race_gives_expected_verdict(self, name):
+        case = BENCH_CASES[name]
+        outcome = PortfolioEngine(case.aig, engines=("ic3-pl", "kind")).check(
+            time_limit=60
+        )
+        assert outcome.result == case.expected
+        assert outcome.winner in ("ic3-pl", "kind")
+        if outcome.result == CheckResult.UNSAFE:
+            assert check_counterexample(case.aig, outcome.trace)
+        elif outcome.winner == "ic3-pl":
+            assert check_certificate(case.aig, outcome.certificate)
