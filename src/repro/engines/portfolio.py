@@ -14,7 +14,7 @@ UNKNOWN is only returned once every member has given up or the time limit
 expired.  The parent enforces the ``time_limit`` *hard* — members stuck
 inside a single SAT call are killed shortly after the budget, so a
 portfolio ``check`` never overshoots the budget by more than a small
-grace period.
+grace period.  Members are children of :class:`repro.supervise.Supervisor`.
 
 Members may repeat an engine kind (``["ic3-pl", "ic3-pl", "bmc"]``):
 duplicates are auto-labelled ``name#k`` and diversified with distinct
@@ -23,8 +23,7 @@ RNG seeds and configuration jitter so that they search differently.
 
 from __future__ import annotations
 
-import multiprocessing
-import multiprocessing.connection
+import os
 import time
 from collections import Counter
 from dataclasses import dataclass, field, replace
@@ -36,17 +35,10 @@ from repro.core.result import CheckOutcome, CheckResult
 from repro.core.stats import IC3Stats
 from repro.engines.adapters import finish_outcome, prepare_model
 from repro.engines.registry import canonical_name, create_engine, register_engine
-from repro.obs.heartbeat import (
-    get_heartbeat,
-    maybe_install_worker_heartbeat,
-    shutdown_worker_heartbeat,
-)
+from repro.obs.heartbeat import HEARTBEAT_DIR_ENV, get_heartbeat
 from repro.obs.metrics import PORTFOLIO_WINS, record_engine_outcome
-from repro.obs.tracer import (
-    get_tracer,
-    maybe_install_worker_tracer,
-    shutdown_worker_tracer,
-)
+from repro.obs.tracer import get_tracer
+from repro.supervise import Child, Supervisor
 
 DEFAULT_PORTFOLIO: Tuple[str, ...] = ("ic3-pl", "bmc", "kind")
 
@@ -92,29 +84,15 @@ _IC3_KWARG_JITTER: Tuple[Dict[str, object], ...] = (
 (explicit portfolio-level or per-member settings still win)."""
 
 
-def _run_member(
-    conn, label, engine_name, aig, options, property_index, time_limit, kwargs
-):
-    """Subprocess body: build one member engine, run it, ship the outcome back."""
-    maybe_install_worker_tracer(f"portfolio-{label}")
-    maybe_install_worker_heartbeat(f"portfolio-{label}")
-    try:
-        with get_tracer().span("portfolio.member", cat="engine", member=label) as span:
-            engine = create_engine(
-                engine_name, aig, options=options, property_index=property_index, **kwargs
-            )
-            outcome = engine.check(time_limit=time_limit)
-            span.add(result=outcome.result.value)
-        conn.send(("ok", outcome))
-    except BaseException as exc:  # noqa: BLE001 - must not kill the pipe silently
-        try:
-            conn.send(("error", f"{type(exc).__name__}: {exc}"))
-        except (BrokenPipeError, OSError):
-            pass
-    finally:
-        shutdown_worker_heartbeat()
-        shutdown_worker_tracer()
-        conn.close()
+def _run_member(label, engine_name, aig, options, property_index, time_limit, kwargs):
+    """Member body: build one member engine and run it."""
+    with get_tracer().span("portfolio.member", cat="engine", member=label) as span:
+        engine = create_engine(
+            engine_name, aig, options=options, property_index=property_index, **kwargs
+        )
+        outcome = engine.check(time_limit=time_limit)
+        span.add(result=outcome.result.value)
+    return outcome
 
 
 class PortfolioEngine:
@@ -216,9 +194,11 @@ class PortfolioEngine:
             deadline + max(self.grace, 0.05) if deadline is not None else None
         )
 
-        ctx = multiprocessing.get_context()
+        # Members stay in this process's group: the group kill of a
+        # harness task or serve worker running this race ends them too.
+        supervisor = Supervisor(leader=False, heartbeat_dir=os.environ.get(HEARTBEAT_DIR_ENV))
         pending: List[_MemberPlan] = list(self._plan)
-        running: Dict[object, Tuple[_MemberPlan, object]] = {}  # conn -> (plan, process)
+        running: List[Child] = []
         unknown: List[Tuple[str, CheckOutcome]] = []
         errors: List[Tuple[str, str]] = []
         hb = get_heartbeat()
@@ -234,16 +214,15 @@ class PortfolioEngine:
             while pending or running:
                 while pending and len(running) < self.jobs:
                     plan = pending.pop(0)
-                    parent_conn, child_conn = ctx.Pipe(duplex=False)
                     remaining = (
                         max(0.0, deadline - time.perf_counter())
                         if deadline is not None
                         else None
                     )
-                    proc = ctx.Process(
-                        target=_run_member,
-                        args=(
-                            child_conn,
+                    running.append(
+                        supervisor.spawn(
+                            f"portfolio-{plan.label}",
+                            _run_member,
                             plan.label,
                             plan.engine,
                             self._aig,
@@ -251,24 +230,20 @@ class PortfolioEngine:
                             self.property_index,
                             remaining,
                             plan.kwargs,
-                        ),
-                        daemon=True,
-                        name=f"portfolio-{plan.label}",
+                            task=plan,
+                        )
                     )
-                    proc.start()
-                    child_conn.close()
-                    running[parent_conn] = (plan, proc)
                     if hb.enabled:
                         member_states[plan.label] = "running"
                         _publish_members()
 
-                ready = multiprocessing.connection.wait(
-                    list(running), timeout=_POLL_INTERVAL
-                )
-                for conn in ready:
-                    plan, proc = running.pop(conn)
-                    kind, payload = self._receive(conn)
-                    proc.join(timeout=1.0)
+                for child in supervisor.wait(running, _POLL_INTERVAL):
+                    plan = child.task
+                    running.remove(child)
+                    kind, payload = child.receive() or (
+                        "error", "member process died without reporting"
+                    )
+                    supervisor.reap(child)
                     if hb.enabled:
                         if kind != "ok":
                             member_states[plan.label] = "error"
@@ -291,23 +266,12 @@ class PortfolioEngine:
                 if hard_deadline is not None and time.perf_counter() > hard_deadline:
                     break
         finally:
-            for conn, (plan, proc) in running.items():
-                _terminate(proc)
-                conn.close()
+            for child in running:
+                supervisor.reap(child, kill=True)
 
         return self._inconclusive(start, deadline, unknown, errors)
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _receive(conn) -> Tuple[str, object]:
-        try:
-            kind, payload = conn.recv()
-        except (EOFError, OSError):
-            kind, payload = "error", "member process died without reporting"
-        finally:
-            conn.close()
-        return kind, payload
-
     def _inconclusive(self, start, deadline, unknown, errors) -> CheckOutcome:
         stats = IC3Stats()
         frames = 0
@@ -329,18 +293,6 @@ class PortfolioEngine:
             reason=reason,
             reduction=self._reduction.summary() if self._reduction else None,
         )
-
-
-def _terminate(proc) -> None:
-    """Stop a member process, escalating to SIGKILL if needed."""
-    if not proc.is_alive():
-        proc.join(timeout=0.1)
-        return
-    proc.terminate()
-    proc.join(timeout=1.0)
-    if proc.is_alive():
-        proc.kill()
-        proc.join(timeout=1.0)
 
 
 @register_engine("portfolio")

@@ -5,10 +5,10 @@ stuck inside a single long SAT call — a cancelled future only prevents a
 task from starting.  The benchmark harness needs the opposite guarantee:
 a case whose budget is ``t`` seconds must terminate within roughly ``t``
 plus a short grace period even if the engine never polls its cooperative
-deadline.  This module therefore runs **one forked process per task**,
-bounded to ``jobs`` concurrent workers, and enforces deadlines from the
-parent with process-group kills (so nested children, e.g. portfolio
-members, die with their worker).
+deadline.  This module therefore runs **one process per task**, bounded
+to ``jobs`` concurrent workers, on :class:`repro.supervise.Supervisor`:
+every worker leads its own process group and an overdue one is killed
+with its group (so nested children, e.g. portfolio members, die with it).
 
 Results come back over a pipe in completion order and are re-assembled in
 task order, which makes downstream tables deterministic regardless of
@@ -17,29 +17,17 @@ scheduling.
 
 from __future__ import annotations
 
-import multiprocessing
-import multiprocessing.connection
 import os
-import signal
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, List, Optional, Sequence
 
-from repro.obs.heartbeat import (
-    HEARTBEAT_DIR_ENV,
-    HeartbeatMonitor,
-    maybe_install_worker_heartbeat,
-    shutdown_worker_heartbeat,
-)
+from repro.obs.heartbeat import HEARTBEAT_DIR_ENV
 from repro.obs.metrics import HARNESS_TASKS, STALLS
-from repro.obs.tracer import (
-    get_tracer,
-    maybe_install_worker_tracer,
-    shutdown_worker_tracer,
-)
+from repro.obs.tracer import get_tracer
+from repro.supervise import Child, Supervisor
 
 _POLL_INTERVAL = 0.05
-_STALL_CHECK_INTERVAL = 0.5
 
 
 @dataclass
@@ -75,43 +63,10 @@ def resolve_jobs(jobs: Optional[int]) -> int:
     return jobs
 
 
-def _worker_shim(conn, worker, payload):
-    """Subprocess body: isolate a process group, run the task, ship the result."""
-    try:
-        os.setpgid(0, 0)
-    except OSError:  # pragma: no cover - already a group leader
-        pass
-    maybe_install_worker_tracer("harness")
-    maybe_install_worker_heartbeat("harness")
-    try:
-        tracer = get_tracer()
-        if tracer.enabled:
-            with tracer.span("harness.task", cat="harness"):
-                value = worker(payload)
-        else:
-            value = worker(payload)
-        conn.send(("ok", value))
-    except BaseException as exc:  # noqa: BLE001 - report, never hang the pipe
-        try:
-            conn.send(("error", f"{type(exc).__name__}: {exc}"))
-        except (BrokenPipeError, OSError):
-            pass
-    finally:
-        shutdown_worker_heartbeat()
-        shutdown_worker_tracer()
-        conn.close()
-
-
-def _kill_hard(proc) -> None:
-    """SIGKILL a worker and its entire process group."""
-    if proc.pid is not None:
-        try:
-            os.killpg(proc.pid, signal.SIGKILL)
-        except (ProcessLookupError, PermissionError, OSError):
-            pass
-    if proc.is_alive():
-        proc.kill()
-    proc.join(timeout=1.0)
+def _run_task(worker: Callable[[Any], Any], payload: Any) -> Any:
+    """Worker body: one task under a ``harness.task`` span."""
+    with get_tracer().span("harness.task", cat="harness"):
+        return worker(payload)
 
 
 def map_with_hard_timeout(
@@ -136,44 +91,20 @@ def map_with_hard_timeout(
     if grace is None:
         grace = default_grace(timeout)
 
-    ctx = multiprocessing.get_context()
-    results: List[Optional[PoolResult]] = [None] * len(payloads)
-    pending = list(enumerate(payloads))
-    running: Dict[object, tuple] = {}  # conn -> (index, proc, start, kill_at)
-
     # When a heartbeat session is active the parent also *watches* the
     # records: a worker whose publisher goes silent well before its hard
     # deadline is counted as a stall (the deadline still does the
     # killing — the harness has one, unlike a hung interactive run).
-    heartbeat_dir = os.environ.get(HEARTBEAT_DIR_ENV)
-    monitor = HeartbeatMonitor(heartbeat_dir) if heartbeat_dir else None
+    supervisor = Supervisor(leader=True, heartbeat_dir=os.environ.get(HEARTBEAT_DIR_ENV))
     stall_limit = max(1.0, 0.5 * timeout)
-    stalled: set = set()
-    next_stall_check = time.perf_counter() + _STALL_CHECK_INTERVAL
+    results: List[Optional[PoolResult]] = [None] * len(payloads)
+    pending = list(enumerate(payloads))
+    running: List[Child] = []
 
-    def _check_stalls() -> None:
-        nonlocal next_stall_check
-        now = time.perf_counter()
-        if monitor is None or now < next_stall_check:
-            return
-        next_stall_check = now + _STALL_CHECK_INTERVAL
-        for index, proc, start, _kill_at in running.values():
-            if index in stalled or now - start <= stall_limit:
-                continue
-            record = monitor.latest_for(proc.pid)
-            age = monitor.age(record) if record is not None else now - start
-            if age <= stall_limit:
-                continue
-            stalled.add(index)
-            STALLS.inc(pool="harness")
-            tracer = get_tracer()
-            if tracer.enabled:
-                tracer.instant(
-                    "harness.stall", cat="harness", task=index, age=round(age, 2)
-                )
-
-    def _record(index: int, result: PoolResult) -> None:
-        results[index] = result
+    def _finish(child: Child, result: PoolResult, *, kill: bool) -> None:
+        running.remove(child)
+        supervisor.reap(child, kill=kill)
+        results[child.task] = result
         if result.timed_out:
             HARNESS_TASKS.inc(status="timeout")
         elif result.error is not None:
@@ -181,63 +112,43 @@ def map_with_hard_timeout(
         else:
             HARNESS_TASKS.inc(status="ok")
         if on_result is not None:
-            on_result(index, result)
+            on_result(child.task, result)
 
     try:
         while pending or running:
             while pending and len(running) < jobs:
                 index, payload = pending.pop(0)
-                parent_conn, child_conn = ctx.Pipe(duplex=False)
-                proc = ctx.Process(
-                    target=_worker_shim,
-                    args=(child_conn, worker, payload),
-                    name=f"harness-worker-{index}",
-                )
-                proc.start()
-                child_conn.close()
-                start = time.perf_counter()
-                running[parent_conn] = (index, proc, start, start + timeout + grace)
-
-            ready = multiprocessing.connection.wait(
-                list(running), timeout=_POLL_INTERVAL
-            )
-            for conn in ready:
-                index, proc, start, _ = running.pop(conn)
-                elapsed = time.perf_counter() - start
-                try:
-                    kind, payload = conn.recv()
-                except (EOFError, OSError):
-                    kind, payload = "error", "worker died without reporting"
-                finally:
-                    conn.close()
-                proc.join(timeout=1.0)
-                if proc.is_alive():  # pragma: no cover - defensive
-                    _kill_hard(proc)
-                if kind == "ok":
-                    _record(index, PoolResult(value=payload, elapsed=elapsed))
-                else:
-                    _record(
-                        index, PoolResult(elapsed=elapsed, error=str(payload))
+                running.append(
+                    supervisor.spawn(
+                        "harness", _run_task, worker, payload,
+                        task=index, budget=timeout + grace,
                     )
-
-            _check_stalls()
-            now = time.perf_counter()
-            overdue = [conn for conn, task in running.items() if now > task[3]]
-            for conn in overdue:
-                index, proc, start, _ = running.pop(conn)
-                _kill_hard(proc)
-                conn.close()
-                _record(
-                    index,
-                    PoolResult(elapsed=time.perf_counter() - start, timed_out=True),
                 )
+
+            for child in supervisor.wait(running, _POLL_INTERVAL):
+                elapsed = time.perf_counter() - child.started
+                kind, value = child.receive() or ("error", "worker died without reporting")
+                if kind == "ok":
+                    result = PoolResult(value=value, elapsed=elapsed)
+                else:
+                    result = PoolResult(elapsed=elapsed, error=str(value))
+                _finish(child, result, kill=False)
+
+            for child, age in supervisor.stalled(running, stall_limit):
+                STALLS.inc(pool="harness")
+                get_tracer().instant(
+                    "harness.stall", cat="harness", task=child.task, age=round(age, 2)
+                )
+
+            for child in supervisor.overdue(running):
+                elapsed = time.perf_counter() - child.started
+                _finish(child, PoolResult(elapsed=elapsed, timed_out=True), kill=True)
     finally:
-        for conn, (index, proc, start, _) in running.items():
-            _kill_hard(proc)
-            conn.close()
-            if results[index] is None:
-                results[index] = PoolResult(
-                    elapsed=time.perf_counter() - start, timed_out=True
+        for child in running:
+            supervisor.reap(child, kill=True)
+            if results[child.task] is None:
+                results[child.task] = PoolResult(
+                    elapsed=time.perf_counter() - child.started, timed_out=True
                 )
 
     return [result if result is not None else PoolResult(timed_out=True) for result in results]

@@ -190,27 +190,19 @@ def _execute_case(spec: _TaskSpec) -> CaseResult:
     if hb.enabled:
         hb.reset(case=spec.case.name, config=spec.config.name)
     start = time.perf_counter()
-    if tracer.enabled:
-        with tracer.span(
-            "harness.case",
-            cat="harness",
-            case=spec.case.name,
-            config=spec.config.name,
-        ) as span:
-            engine = create_engine(
-                spec.config.engine, spec.case.aig, options=spec.config.options,
-                **engine_kwargs,
-            )
-            remaining = max(0.0, spec.timeout - (time.perf_counter() - start))
-            outcome = engine.check(time_limit=remaining)
-            span.add(result=outcome.result.value)
-    else:
+    with tracer.span(
+        "harness.case",
+        cat="harness",
+        case=spec.case.name,
+        config=spec.config.name,
+    ) as span:
         engine = create_engine(
             spec.config.engine, spec.case.aig, options=spec.config.options,
             **engine_kwargs,
         )
         remaining = max(0.0, spec.timeout - (time.perf_counter() - start))
         outcome = engine.check(time_limit=remaining)
+        span.add(result=outcome.result.value)
     runtime = time.perf_counter() - start
     validated = _validate(spec.case, outcome) if spec.validate else None
     return CaseResult(

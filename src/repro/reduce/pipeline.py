@@ -160,20 +160,17 @@ class ReductionPipeline:
         current_property = property_index
         tracer = get_tracer()
         for reduction_pass in self.passes:
-            if tracer.enabled:
-                with tracer.span(
-                    "reduce." + reduction_pass.name,
-                    cat="reduce",
-                    latches=current.num_latches,
-                    ands=current.num_ands,
-                ) as span:
-                    result = reduction_pass.run(current, current_property)
-                    span.add(
-                        latches_after=result.aig.num_latches,
-                        ands_after=result.aig.num_ands,
-                    )
-            else:
+            with tracer.span(
+                "reduce." + reduction_pass.name,
+                cat="reduce",
+                latches=current.num_latches,
+                ands=current.num_ands,
+            ) as span:
                 result = reduction_pass.run(current, current_property)
+                span.add(
+                    latches_after=result.aig.num_latches,
+                    ands_after=result.aig.num_ands,
+                )
             results.append(result)
             current = result.aig
             current_property = result.property_index

@@ -3,12 +3,13 @@
 The benchmark harness (:mod:`repro.harness.pool`) forks one process per
 task because each task is disposable; a service cannot afford that — the
 fork/import cost would dominate small jobs and nothing would ever stay
-warm.  This pool keeps ``size`` long-lived worker processes, each running
-a recv/execute/send loop, and reuses the harness pool's *hard-timeout
-discipline*: every worker is its own process group, an overdue or crashed
-worker is SIGKILLed group-wide (portfolio members die with it) and
-replaced with a fresh process **without touching the queue** — jobs that
-were still queued simply run on the replacement.
+warm.  This pool keeps ``size`` long-lived worker processes, each a warm
+child of :class:`repro.supervise.Supervisor` answering one job per
+message, under the harness pool's *hard-timeout discipline*: every worker
+is its own process group, an overdue or crashed worker is SIGKILLed
+group-wide (portfolio members die with it) and replaced with a fresh
+process **without touching the queue** — jobs that were still queued
+simply run on the replacement.
 
 Warm state kept inside a worker between jobs:
 
@@ -29,27 +30,18 @@ memo state, and on every crash or hard timeout.
 
 from __future__ import annotations
 
-import multiprocessing
-import multiprocessing.connection
 import os
 import threading
 import time
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.harness.pool import _kill_hard, default_grace
-from repro.obs.heartbeat import (
-    DEFAULT_INTERVAL,
-    NULL_HEARTBEAT,
-    Heartbeat,
-    HeartbeatMonitor,
-    heartbeat_path,
-    install_heartbeat,
-    uninstall_heartbeat,
-)
+from repro.harness.pool import default_grace
+from repro.obs.heartbeat import DEFAULT_INTERVAL, get_heartbeat
 from repro.obs.tracer import FLIGHT_PREFIX, JsonlSink, Tracer, get_tracer, install, uninstall
 from repro.serve.jobqueue import JobQueue
 from repro.serve.metrics import Metrics
 from repro.serve.protocol import JobOptions, error_record, outcome_to_record
+from repro.supervise import Child, Supervisor
 
 _POLL_INTERVAL = 0.05
 _WARM_MEMO_LIMIT = 32
@@ -185,129 +177,27 @@ def _traced_execute(job_id: str, payload: Dict[str, Any], warm, trace_dir: str):
         tracer.close()
 
 
-def _worker_main(
-    conn,
-    trace_dir: Optional[str] = None,
-    heartbeat_dir: Optional[str] = None,
-    heartbeat_interval: float = DEFAULT_INTERVAL,
-) -> None:
-    """Worker-process body: isolate a process group, then serve jobs.
+def _run_job(message, trace_dir: Optional[str], warm: Dict[Any, Any]):
+    """Warm-worker body: run one ``(job_id, payload)`` job, keeping ``warm``.
 
-    With a ``heartbeat_dir`` the worker installs a publishing
-    :class:`~repro.obs.heartbeat.Heartbeat` (independent of tracing —
-    the liveness channel works with tracing off) that the engines feed
-    and the dispatcher's stall watchdog reads; fields are reset at job
-    boundaries so a poll never sees a previous job's progress.
+    The worker's heartbeat (independent of tracing — the liveness channel
+    works with tracing off) is reset at job boundaries so a poll never
+    sees a previous job's progress.
     """
-    try:
-        os.setpgid(0, 0)
-    except OSError:  # pragma: no cover - already a group leader
-        pass
-    heartbeat = NULL_HEARTBEAT
-    if heartbeat_dir:
-        try:
-            heartbeat = install_heartbeat(
-                Heartbeat(
-                    role="serve",
-                    path=heartbeat_path(heartbeat_dir, "serve"),
-                    interval=heartbeat_interval,
-                )
-            )
-        except OSError:  # pragma: no cover - unwritable heartbeat dir
-            heartbeat = NULL_HEARTBEAT
-    warm: Dict[Any, Any] = {}
-    try:
-        while True:
-            try:
-                message = conn.recv()
-            except (EOFError, OSError):
-                break
-            if message is None:
-                break
-            job_id, payload = message
-            heartbeat.reset(
-                state="running", job=job_id, engine=payload["options"].engine
-            )
-            if trace_dir:
-                record = _traced_execute(job_id, payload, warm, trace_dir)
-            else:
-                record = _execute_job(payload, warm)
-            heartbeat.reset(state="idle")
-            try:
-                conn.send((job_id, record))
-            except (BrokenPipeError, OSError):
-                break
-    finally:
-        uninstall_heartbeat()
-        heartbeat.close()
-        conn.close()
+    job_id, payload = message
+    heartbeat = get_heartbeat()
+    heartbeat.reset(state="running", job=job_id, engine=payload["options"].engine)
+    if trace_dir:
+        record = _traced_execute(job_id, payload, warm, trace_dir)
+    else:
+        record = _execute_job(payload, warm)
+    heartbeat.reset(state="idle")
+    return job_id, record
 
 
 # ----------------------------------------------------------------------
 # Parent side
 # ----------------------------------------------------------------------
-class _WorkerHandle:
-    """Parent-side state of one warm worker process."""
-
-    def __init__(
-        self,
-        ctx,
-        index: int,
-        trace_dir: Optional[str] = None,
-        heartbeat_dir: Optional[str] = None,
-        heartbeat_interval: float = DEFAULT_INTERVAL,
-    ):
-        self.index = index
-        self.conn, child_conn = ctx.Pipe(duplex=True)
-        self.proc = ctx.Process(
-            target=_worker_main,
-            args=(child_conn, trace_dir, heartbeat_dir, heartbeat_interval),
-            name=f"serve-worker-{index}",
-        )
-        self.proc.start()
-        child_conn.close()
-        self.jobs_done = 0
-        self.job_id: Optional[str] = None
-        self.payload: Optional[Dict[str, Any]] = None
-        self.deadline = 0.0
-        self.started_at = 0.0
-
-    @property
-    def busy(self) -> bool:
-        return self.job_id is not None
-
-    def assign(self, job_id: str, payload: Dict[str, Any], grace: Optional[float]) -> None:
-        timeout = payload["options"].timeout or 30.0
-        self.job_id = job_id
-        self.payload = payload
-        self.started_at = time.perf_counter()
-        self.deadline = self.started_at + timeout + (
-            grace if grace is not None else default_grace(timeout)
-        )
-        self.conn.send((job_id, payload))
-
-    def clear(self) -> None:
-        self.job_id = None
-        self.payload = None
-
-    def stop(self, kill: bool = False) -> None:
-        if not kill:
-            try:
-                self.conn.send(None)
-            except (BrokenPipeError, OSError):
-                kill = True
-        if kill:
-            _kill_hard(self.proc)
-        else:
-            self.proc.join(timeout=1.0)
-            if self.proc.is_alive():
-                _kill_hard(self.proc)
-        try:
-            self.conn.close()
-        except OSError:  # pragma: no cover - defensive
-            pass
-
-
 class WarmWorkerPool:
     """Dispatches queued jobs onto warm workers with hard deadlines.
 
@@ -317,13 +207,10 @@ class WarmWorkerPool:
     when a job is handed to a worker.
 
     With a ``heartbeat_dir``, workers publish heartbeat records into it
-    and the dispatcher runs a **stall watchdog**: a busy worker whose
-    heartbeat record is older than ``stall_timeout`` seconds is killed
-    and replaced *early* — before its hard deadline — because a silent
-    publisher thread means the process is frozen (SIGSTOP), wedged
-    outside the interpreter, or dead.  A worker that is merely slow
-    keeps beating (the GIL preempts into the publisher thread even
-    mid-SAT-call) and is never stalled.
+    and the dispatcher runs a **stall watchdog**: a busy worker that
+    :meth:`repro.supervise.Supervisor.stalled` reports silent for
+    ``stall_timeout`` seconds is killed and replaced *early* — before
+    its hard deadline.
     """
 
     def __init__(
@@ -352,14 +239,12 @@ class WarmWorkerPool:
         self.max_jobs_per_worker = max_jobs_per_worker
         self.grace = grace
         self.trace_dir = trace_dir
-        self.heartbeat_dir = heartbeat_dir
-        self.heartbeat_interval = heartbeat_interval
         self.stall_timeout = stall_timeout
-        self._monitor = HeartbeatMonitor(heartbeat_dir) if heartbeat_dir else None
         self.metrics = metrics or Metrics()
-        self._ctx = multiprocessing.get_context()
-        self._workers: List[_WorkerHandle] = []
-        self._next_index = 0
+        self._supervisor = Supervisor(
+            leader=True, heartbeat_dir=heartbeat_dir, heartbeat_interval=heartbeat_interval
+        )
+        self._workers: List[Child] = []
         self._stop = threading.Event()
         self._paused = threading.Event()
         self._thread: Optional[threading.Thread] = None
@@ -383,20 +268,13 @@ class WarmWorkerPool:
             self._thread.join(timeout=10.0)
             self._thread = None
         for worker in self._workers:
+            self._supervisor.reap(worker, kill=worker.busy)
             if worker.busy:
-                _kill_hard(worker.proc)
                 self.on_result(
-                    worker.job_id,
+                    worker.task,
                     error_record("service shut down while the job was running"),
                     "crash",
                 )
-                worker.clear()
-                try:
-                    worker.conn.close()
-                except OSError:
-                    pass
-            else:
-                worker.stop()
         self._workers.clear()
 
     def pause(self) -> None:
@@ -420,68 +298,43 @@ class WarmWorkerPool:
         """Pid and busy time of the worker currently running ``job_id``."""
         with self._lock:
             for worker in self._workers:
-                if worker.job_id == job_id:
+                if worker.task == job_id:
                     return {
-                        "pid": worker.proc.pid,
-                        "busy_seconds": time.perf_counter() - worker.started_at,
+                        "pid": worker.pid,
+                        "busy_seconds": time.perf_counter() - worker.started,
                         "deadline_seconds": worker.deadline - time.perf_counter(),
                     }
         return None
 
     def worker_heartbeat(self, pid: int) -> Optional[Dict[str, Any]]:
         """The latest heartbeat record of one worker process (or None)."""
-        if self._monitor is None:
-            return None
-        return self._monitor.latest_for(pid)
+        monitor = self._supervisor.monitor
+        return monitor.latest_for(pid) if monitor is not None else None
 
     # -- internals ------------------------------------------------------
-    def _spawn(self) -> _WorkerHandle:
-        handle = _WorkerHandle(
-            self._ctx,
-            self._next_index,
-            self.trace_dir,
-            self.heartbeat_dir,
-            self.heartbeat_interval,
-        )
-        self._next_index += 1
-        return handle
+    def _spawn(self) -> Child:
+        return self._supervisor.spawn("serve", _run_job, self.trace_dir, {}, warm=True)
 
-    def _replace(self, worker: _WorkerHandle, *, kill: bool) -> None:
-        worker.stop(kill=kill)
-        if self.heartbeat_dir and worker.proc.pid is not None:
-            # Drop the dead worker's record so a recycled OS pid can
-            # never inherit a stale heartbeat.
-            try:
-                os.remove(heartbeat_path(self.heartbeat_dir, "serve", worker.proc.pid))
-            except OSError:
-                pass
+    def _replace(self, worker: Child, *, kill: bool) -> None:
+        self._supervisor.reap(worker, kill=kill)
         with self._lock:
             position = self._workers.index(worker)
             self._workers[position] = self._spawn()
         self.metrics.incr("worker_recycles")
 
-    def _finish(self, worker: _WorkerHandle, record: Dict[str, Any], kind: str) -> None:
-        job_id = worker.job_id
-        worker.clear()
-        worker.jobs_done += 1
-        if job_id is not None:
-            self.on_result(job_id, record, kind)
+    def _finish(self, worker: Child, record: Dict[str, Any], kind: str) -> None:
+        job_id = worker.task
+        worker.task = None
+        self.on_result(job_id, record, kind)
 
     def _dispatch_loop(self) -> None:
         while not self._stop.is_set():
             self._assign_idle()
             busy = [worker for worker in self._workers if worker.busy]
-            if busy:
-                ready = multiprocessing.connection.wait(
-                    [worker.conn for worker in busy], timeout=_POLL_INTERVAL
-                )
-                by_conn = {worker.conn: worker for worker in busy}
-                for conn in ready:
-                    self._collect(by_conn[conn])
-                self._reap_overdue()
-                self._reap_stalled()
-            else:
-                time.sleep(_POLL_INTERVAL)
+            for worker in self._supervisor.wait(busy, _POLL_INTERVAL):
+                self._collect(worker)
+            self._reap_overdue()
+            self._reap_stalled()
 
     def _assign_idle(self) -> None:
         if self._paused.is_set():
@@ -493,11 +346,12 @@ class WarmWorkerPool:
             if item is None:
                 return
             job_id, payload = item
+            timeout = payload["options"].timeout or 30.0
+            grace = self.grace if self.grace is not None else default_grace(timeout)
             try:
-                worker.assign(job_id, payload, self.grace)
+                worker.send(item, job_id, timeout + grace)
             except (BrokenPipeError, OSError):
                 # The worker died while idle; replace it and fail over.
-                worker.clear()
                 self._replace(worker, kill=True)
                 self.metrics.incr("worker_crashes")
                 try:
@@ -508,13 +362,12 @@ class WarmWorkerPool:
             if self.on_start is not None:
                 self.on_start(job_id)
 
-    def _collect(self, worker: _WorkerHandle) -> None:
-        try:
-            job_id, record = worker.conn.recv()
-        except (EOFError, OSError):
+    def _collect(self, worker: Child) -> None:
+        elapsed = time.perf_counter() - worker.started
+        reply = worker.receive()
+        if reply is None:
             # Crashed mid-job (killed, segfault, ...): fail the job,
             # recycle the worker, leave the queue alone.
-            elapsed = time.perf_counter() - worker.started_at
             self.metrics.incr("worker_crashes")
             self._finish(
                 worker,
@@ -523,61 +376,42 @@ class WarmWorkerPool:
             )
             self._replace(worker, kill=True)
             return
-        if job_id != worker.job_id:  # pragma: no cover - protocol safety net
-            record = error_record(f"worker answered for foreign job {job_id}")
+        kind, value = reply
+        if kind != "ok":
+            record = error_record(value, runtime=elapsed)
+        else:
+            job_id, record = value
+            if job_id != worker.task:  # pragma: no cover - protocol safety net
+                record = error_record(f"worker answered for foreign job {job_id}")
         self._finish(worker, record, "ok")
-        if worker.jobs_done >= self.max_jobs_per_worker:
+        if worker.answers >= self.max_jobs_per_worker:
             self._replace(worker, kill=False)
 
     def _reap_overdue(self) -> None:
-        now = time.perf_counter()
-        for worker in self._workers:
-            if worker.busy and now > worker.deadline:
-                elapsed = time.perf_counter() - worker.started_at
-                self.metrics.incr("worker_timeouts")
-                self._finish(
-                    worker,
-                    error_record("hard timeout: worker killed", runtime=elapsed),
-                    "timeout",
-                )
-                self._replace(worker, kill=True)
+        for worker in self._supervisor.overdue(self._workers):
+            elapsed = time.perf_counter() - worker.started
+            self.metrics.incr("worker_timeouts")
+            self._finish(
+                worker,
+                error_record("hard timeout: worker killed", runtime=elapsed),
+                "timeout",
+            )
+            self._replace(worker, kill=True)
 
     def _reap_stalled(self) -> None:
-        """Early replacement of workers whose heartbeat went silent.
-
-        Only workers that have been busy longer than ``stall_timeout``
-        are examined (a fresh assignment gets that long to publish its
-        first beat), and a worker with no record at all is judged by its
-        busy time — a crashed-on-arrival worker is caught by the pipe
-        EOF in :meth:`_collect` first.
-        """
-        if self._monitor is None or self.stall_timeout is None:
+        """Early replacement of workers whose heartbeat went silent."""
+        if self.stall_timeout is None:
             return
-        now = time.perf_counter()
-        for worker in self._workers:
-            if not worker.busy:
-                continue
-            busy_for = now - worker.started_at
-            if busy_for <= self.stall_timeout:
-                continue
-            record = self._monitor.latest_for(worker.proc.pid)
-            age = self._monitor.age(record) if record is not None else busy_for
-            if age <= self.stall_timeout:
-                continue
+        for worker, age in self._supervisor.stalled(self._workers, self.stall_timeout):
             self.metrics.incr("worker_stalls")
-            tracer = get_tracer()
-            if tracer.enabled:
-                tracer.instant(
-                    "serve.stall",
-                    cat="serve",
-                    job=worker.job_id,
-                    pid=worker.proc.pid,
-                    age=round(age, 2),
-                )
+            get_tracer().instant(
+                "serve.stall", cat="serve", job=worker.task, pid=worker.pid, age=round(age, 2)
+            )
             self._finish(
                 worker,
                 error_record(
-                    f"stalled: no heartbeat for {age:.1f}s", runtime=busy_for
+                    f"stalled: no heartbeat for {age:.1f}s",
+                    runtime=time.perf_counter() - worker.started,
                 ),
                 "stall",
             )

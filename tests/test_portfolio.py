@@ -16,6 +16,8 @@ Three contracts pinned here:
 
 import json
 import multiprocessing
+import threading
+import time
 
 import pytest
 
@@ -24,7 +26,8 @@ from repro.benchgen import bench_suite, modular_counter, token_ring
 from repro.cli import main
 from repro.core.invariant import check_certificate, check_counterexample
 from repro.core.options import IC3Options
-from repro.core.result import CheckResult
+from repro.core.result import CheckOutcome, CheckResult
+from repro.engines import register_engine
 from repro.engines.portfolio import PortfolioEngine, PortfolioOptions
 from repro.harness.configs import EngineConfig, apply_seed
 from repro.harness.manifest import build_manifest
@@ -35,6 +38,25 @@ from repro.sat.solver import Solver
 
 def _live_children():
     return {p.pid for p in multiprocessing.active_children() if p.is_alive()}
+
+
+class _LingeringUnsafe:
+    """Answers UNSAFE at once but leaves a non-daemon thread running, so
+    its process outlives the answer it shipped."""
+
+    name = "lingering-unsafe"
+
+    def __init__(self, aig, **_):
+        pass
+
+    def check(self, time_limit=None):
+        threading.Thread(target=time.sleep, args=(30,), daemon=False).start()
+        return CheckOutcome(result=CheckResult.UNSAFE, engine=self.name)
+
+
+register_engine(
+    "lingering-unsafe-test", lambda aig, **kw: _LingeringUnsafe(aig, **kw), overwrite=True
+)
 
 
 class TestTeardown:
@@ -60,6 +82,17 @@ class TestTeardown:
             case.aig, engines=("ic3", "ic3-pl", "bmc")
         ).check(time_limit=60)
         assert outcome.result == CheckResult.UNSAFE
+        assert _live_children() <= children_before
+
+    def test_lingering_winner_is_reaped(self):
+        # The winner ships its verdict, then a non-daemon thread keeps
+        # its process alive: the race must still end that process.
+        children_before = _live_children()
+        outcome = PortfolioEngine(
+            token_ring(2).aig, engines=("lingering-unsafe-test",), reduce=False
+        ).check(time_limit=60)
+        assert outcome.result == CheckResult.UNSAFE
+        assert outcome.winner == "lingering-unsafe-test"
         assert _live_children() <= children_before
 
 
