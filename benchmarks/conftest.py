@@ -54,6 +54,19 @@ def bench_suite():
         round_robin_arbiter(4, safe=True),
         fifo_controller(3, safe=True),
         traffic_light(safe=True),
+        # The next size of every sized SAFE family: with the compiled SAT
+        # kernel most of the cases above finish under Figure 4's 10 ms
+        # exclusion threshold, and its correlation check needs at least
+        # four engine-dominated cases.
+        counter_overflow(5, safe=True),
+        parity_counter(6, safe=True),
+        modular_counter(6, modulus=62, bad_value=63),
+        token_ring(8, safe=True),
+        johnson_counter(12, safe=True),
+        lfsr(6, safe=True),
+        pipeline_tag(8, safe=True),
+        round_robin_arbiter(5, safe=True),
+        fifo_controller(4, safe=True),
         # UNSAFE cases with growing counterexample depths.
         counter_overflow(3, safe=False),
         parity_counter(4, safe=False),

@@ -55,8 +55,10 @@ Schema v5 (``repro-check/manifest/v5``) additions over v4:
   counters maintained identically by both SAT kernels:
   ``watch_traversals`` (watcher entries inspected by unit propagation),
   ``blocker_hits`` (entries resolved from the cached blocker literal
-  without touching clause memory), ``literal_pool_bytes`` (live
-  clause-storage bytes at finalize), ``arena_compactions``
+  without touching clause memory), ``literal_pool_bytes``
+  (clause-storage bytes at finalize; for the arena kernel the int32
+  clause pool at 4 bytes per word, dead words not yet compacted
+  included), ``arena_compactions``
   (clause-storage garbage collections) and ``solver_removed_clauses``
   (lazily deleted clauses: reduce-DB victims, removed guarded clauses
   and purged learnts).

@@ -13,6 +13,9 @@ import random
 
 import pytest
 
+from repro.benchgen import johnson_counter
+from repro.core.ic3 import IC3
+from repro.harness.configs import config_by_name
 from repro.sat import (
     ArenaClauseRef,
     ArenaSolver,
@@ -20,6 +23,7 @@ from repro.sat import (
     Solver,
     SolverError,
 )
+from repro.sat.arena import MAX_VAR
 
 
 def brute_force_satisfiable(num_vars, clauses):
@@ -168,6 +172,31 @@ class TestActivationLayer:
         with pytest.raises(SolverError, match="does not belong"):
             solver.remove_guarded(act, foreign)
 
+    def test_remove_guarded_rejects_handle_of_another_arena_solver(self):
+        solver = ArenaSolver()
+        solver.ensure_var(2)
+        act = solver.new_activation()
+        other = ArenaSolver()
+        other.ensure_var(2)
+        other_act = other.new_activation()
+        for _ in range(3):
+            other.add_guarded(other_act, [1, 2])
+        _, foreign = other.add_guarded(other_act, [1, 2])
+        with pytest.raises(SolverError, match="does not belong"):
+            solver.remove_guarded(act, foreign)
+
+    def test_remove_guarded_rejects_handle_of_released_group(self):
+        solver = ArenaSolver()
+        solver.ensure_var(2)
+        act = solver.new_activation()
+        _, handle = solver.add_guarded(act, [1, 2])
+        solver.release(act)
+        recycled = solver.new_activation()
+        assert recycled == act
+        with pytest.raises(SolverError, match="does not belong"):
+            solver.remove_guarded(recycled, handle)
+        assert solver.stats.guarded_clauses_freed == 1
+
     def test_release_frees_group_and_recycles_var(self):
         solver = ArenaSolver()
         solver.ensure_var(2)
@@ -234,70 +263,77 @@ class TestCompaction:
             assert solver.solve(assumptions) == oracle.solve(assumptions)
 
 
-class TestDifferentialAgainstDefault:
-    """The randomized incremental harness, arena vs reference solver."""
+def _differential_walk(seed):
+    """The randomized incremental harness, arena vs reference solver.
 
+    Drives both kernels through the same 400 steps, asserts agreement at
+    every solve and returns the arena solver.
+    """
+    rng = random.Random(seed)
+    ref, arena = Solver(), ArenaSolver()
+    num_vars = 10
+    ref.ensure_var(num_vars)
+    arena.ensure_var(num_vars)
+    groups = []  # [act_ref, act_arena, [(handle_ref, handle_arena, lits)]]
+
+    def random_clause():
+        return [
+            rng.choice([-1, 1]) * rng.randint(1, num_vars)
+            for _ in range(rng.randint(1, 4))
+        ]
+
+    for step in range(400):
+        roll = rng.random()
+        if roll < 0.25 or not groups:
+            groups.append([ref.new_activation(), arena.new_activation(), []])
+        elif roll < 0.45:
+            group = rng.choice(groups)
+            lits = random_clause()
+            _, h_ref = ref.add_guarded(group[0], lits)
+            _, h_arena = arena.add_guarded(group[1], lits)
+            group[2].append((h_ref, h_arena, lits))
+        elif roll < 0.55 and any(g[2] for g in groups):
+            group = rng.choice([g for g in groups if g[2]])
+            h_ref, h_arena, _ = group[2].pop(rng.randrange(len(group[2])))
+            if h_ref is not None:
+                ref.remove_guarded(group[0], h_ref)
+            if h_arena is not None:
+                arena.remove_guarded(group[1], h_arena)
+        elif roll < 0.6:
+            group = groups.pop(rng.randrange(len(groups)))
+            ref.release(group[0])
+            arena.release(group[1])
+        else:
+            if rng.random() < 0.3:
+                lits = random_clause()
+                assert ref.add_clause(lits) == arena.add_clause(lits)
+            active = rng.sample(groups, rng.randint(0, len(groups)))
+            extra = [
+                rng.choice([-1, 1]) * rng.randint(1, num_vars)
+                for _ in range(rng.randint(0, 2))
+            ]
+            verdict_ref = ref.solve([g[0] for g in active] + extra)
+            verdict_arena = arena.solve([g[1] for g in active] + extra)
+            assert verdict_ref == verdict_arena, (seed, step)
+            if verdict_arena:
+                model = arena.get_model()
+                for group in active:
+                    for _, _, lits in group[2]:
+                        assert any(
+                            model.get(abs(l), False) == (l > 0) for l in lits
+                        ), (seed, step, lits)
+                for lit in extra:
+                    assert model.get(abs(lit), False) == (lit > 0)
+            else:
+                core = arena.unsat_core()
+                assert arena.solve(core) is False, (seed, step)
+    return arena
+
+
+class TestDifferentialAgainstDefault:
     @pytest.mark.parametrize("seed", [20240707, 20240708, 20240709])
     def test_randomized_incremental_agreement(self, seed):
-        rng = random.Random(seed)
-        ref, arena = Solver(), ArenaSolver()
-        num_vars = 10
-        ref.ensure_var(num_vars)
-        arena.ensure_var(num_vars)
-        groups = []  # [act_ref, act_arena, [(handle_ref, handle_arena, lits)]]
-
-        def random_clause():
-            return [
-                rng.choice([-1, 1]) * rng.randint(1, num_vars)
-                for _ in range(rng.randint(1, 4))
-            ]
-
-        for step in range(400):
-            roll = rng.random()
-            if roll < 0.25 or not groups:
-                groups.append([ref.new_activation(), arena.new_activation(), []])
-            elif roll < 0.45:
-                group = rng.choice(groups)
-                lits = random_clause()
-                _, h_ref = ref.add_guarded(group[0], lits)
-                _, h_arena = arena.add_guarded(group[1], lits)
-                group[2].append((h_ref, h_arena, lits))
-            elif roll < 0.55 and any(g[2] for g in groups):
-                group = rng.choice([g for g in groups if g[2]])
-                h_ref, h_arena, _ = group[2].pop(rng.randrange(len(group[2])))
-                if h_ref is not None:
-                    ref.remove_guarded(group[0], h_ref)
-                if h_arena is not None:
-                    arena.remove_guarded(group[1], h_arena)
-            elif roll < 0.6:
-                group = groups.pop(rng.randrange(len(groups)))
-                ref.release(group[0])
-                arena.release(group[1])
-            else:
-                if rng.random() < 0.3:
-                    lits = random_clause()
-                    assert ref.add_clause(lits) == arena.add_clause(lits)
-                active = rng.sample(groups, rng.randint(0, len(groups)))
-                extra = [
-                    rng.choice([-1, 1]) * rng.randint(1, num_vars)
-                    for _ in range(rng.randint(0, 2))
-                ]
-                verdict_ref = ref.solve([g[0] for g in active] + extra)
-                verdict_arena = arena.solve([g[1] for g in active] + extra)
-                assert verdict_ref == verdict_arena, (seed, step)
-                if verdict_arena:
-                    model = arena.get_model()
-                    for group in active:
-                        for _, _, lits in group[2]:
-                            assert any(
-                                model.get(abs(l), False) == (l > 0) for l in lits
-                            ), (seed, step, lits)
-                    for lit in extra:
-                        assert model.get(abs(lit), False) == (lit > 0)
-                else:
-                    core = arena.unsat_core()
-                    assert arena.solve(core) is False, (seed, step)
-        # Trail reuse must have kicked in somewhere over 400 steps.
+        arena = _differential_walk(seed)
         assert arena.stats.solve_calls > 0
 
     def test_trail_reuse_counter_advances(self):
@@ -330,3 +366,93 @@ class TestAgainstBruteForce:
             verdict = ok and solver.solve()
             assert verdict == brute_force_satisfiable(num_vars, clauses), clauses
 
+
+
+def _search_counters(*solvers):
+    """(conflicts, decisions, propagations, learnt_clauses) summed."""
+    return tuple(
+        sum(getattr(solver.stats, name) for solver in solvers)
+        for name in ("conflicts", "decisions", "propagations", "learnt_clauses")
+    )
+
+
+@pytest.fixture
+def created_kernels(monkeypatch):
+    """Every ArenaSolver constructed while the test runs."""
+    created = []
+    original = ArenaSolver.__init__
+
+    def init(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+        created.append(self)
+
+    monkeypatch.setattr(ArenaSolver, "__init__", init)
+    return created
+
+
+class TestPinnedSearch:
+    """Search counters recorded from the pure-Python kernel the C one replaced.
+
+    The C port makes the same decisions and learns the same clauses, so
+    any divergence of its search shows up here.
+    """
+
+    def test_pigeonhole(self):
+        solver = ArenaSolver()
+        _pigeonhole(solver)
+        assert solver.solve() is False
+        assert _search_counters(solver) == (28, 38, 297, 23)
+
+    def test_differential_walk(self):
+        assert _search_counters(_differential_walk(20240707)) == (0, 176, 454, 0)
+
+    @pytest.mark.parametrize(
+        "config, counters",
+        [("IC3ref", (20, 171, 5317, 20)), ("IC3ref-pl", (24, 93, 5873, 24))],
+    )
+    def test_ic3_johnson_counter(self, created_kernels, config, counters):
+        case = johnson_counter(6, safe=True)
+        outcome = IC3(case.aig, config_by_name(config).options).check(time_limit=60)
+        assert outcome.result == case.expected
+        assert _search_counters(*created_kernels) == counters
+
+
+class TestInputRange:
+    """Literals and variables outside the kernel's int32 range never reach C."""
+
+    OUT_OF_RANGE = [MAX_VAR + 1, -(MAX_VAR + 1), 2**40, -(2**40)]
+
+    @pytest.mark.parametrize("lit", OUT_OF_RANGE)
+    def test_add_clause(self, lit):
+        solver = ArenaSolver()
+        with pytest.raises(SolverError, match="out of the kernel's range"):
+            solver.add_clause([1, lit])
+        assert solver.num_vars == 0
+
+    @pytest.mark.parametrize("lit", OUT_OF_RANGE)
+    def test_add_guarded(self, lit):
+        solver = ArenaSolver()
+        act = solver.new_activation()
+        with pytest.raises(SolverError, match="out of the kernel's range"):
+            solver.add_guarded(act, [lit])
+        assert solver.num_vars == act
+        assert solver.stats.guarded_clauses_added == 0
+
+    @pytest.mark.parametrize("lit", OUT_OF_RANGE)
+    def test_solve_assumptions(self, lit):
+        solver = ArenaSolver()
+        with pytest.raises(SolverError, match="out of the kernel's range"):
+            solver.solve([1, lit])
+        assert solver.num_vars == 0
+        assert solver.stats.solve_calls == 0
+
+    @pytest.mark.parametrize("var", [MAX_VAR + 1, 2**40])
+    def test_ensure_var(self, var):
+        solver = ArenaSolver()
+        with pytest.raises(SolverError, match="out of the kernel's range"):
+            solver.ensure_var(var)
+        assert solver.num_vars == 0
+
+    def test_zero_assumption_rejected(self):
+        with pytest.raises(SolverError, match="0 is not a valid assumption literal"):
+            ArenaSolver().solve([1, 0])
