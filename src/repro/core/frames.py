@@ -111,7 +111,14 @@ class FrameManagerBase:
     different formula; it is never recorded nor answered, which
     ``min_level >= 1`` ensures.  Memory grows with the number of
     distinct ``(s, t)`` answers; lookups cost one integer AND per
-    literal over per-literal bitmask indexes of ``t`` and of ``s``.
+    literal over per-literal bitmask indexes of ``t`` and of ``s``,
+    plus one with the bitmask of the witnesses usable at ``L'``.
+
+    ``min_level`` itself is kept as those per-level bitmasks: bit ``k``
+    of ``_usable[L]`` is set iff witness ``k`` has ``min_level <= L``.
+    Lemmas live at levels ``<= top``, so every ``min_level`` is at most
+    ``top + 1``, and a newly opened top frame starts with every witness
+    usable.
     """
 
     def __init__(self, ts: TransitionSystem, options: IC3Options, stats: IC3Stats):
@@ -120,14 +127,16 @@ class FrameManagerBase:
         self.stats = stats
         self.frames: List[List[Cube]] = []
         # Consecution witness store: ``_witnesses[k]`` is
-        # ``[min_level, s, inputs, input_values, t]``, one entry per
-        # distinct ``(s, t)`` (``_witness_keys`` maps it to ``k``).  Bit
-        # ``k`` of ``_successor_index[lit]`` / ``_state_index[lit]`` is
-        # set when ``t`` / ``s`` contains ``lit``.
-        self._witnesses: List[list] = []
+        # ``(s, inputs, input_values, t)``, one entry per distinct
+        # ``(s, t)`` (``_witness_keys`` maps it to ``k``).  Bit ``k`` of
+        # ``_successor_index[lit]`` / ``_state_index[lit]`` is set when
+        # ``t`` / ``s`` contains ``lit``, and of ``_usable[L]`` when the
+        # witness may answer queries at level ``L``.
+        self._witnesses: List[tuple] = []
         self._witness_keys: Dict[Tuple[FrozenSet[int], FrozenSet[int]], int] = {}
         self._successor_index: Dict[int, int] = {}
         self._state_index: Dict[int, int] = {}
+        self._usable: List[int] = []
 
     # ------------------------------------------------------------------
     # Frame construction
@@ -146,6 +155,7 @@ class FrameManagerBase:
     def _push_new_frame(self) -> None:
         level = len(self.frames)
         self.frames.append([])
+        self._usable.append((1 << len(self._witnesses)) - 1 if level else 0)
         self._open_frame(level)
 
     # ------------------------------------------------------------------
@@ -156,15 +166,20 @@ class FrameManagerBase:
         if level < 1 or level > self.top_level:
             raise ValueError(f"lemma level {level} out of range 1..{self.top_level}")
         # Subsumption: drop weaker cubes made redundant by the new lemma.
+        # The frozenset test rejects a shorter lemma on its size alone,
+        # and a frame is only rebuilt when it loses a lemma.
+        literal_set = cube.literal_set
         for frame_level in range(1, level + 1):
-            kept = []
-            for existing in self.frames[frame_level]:
-                if cube.literal_set <= existing.literal_set:
-                    self.stats.subsumed_lemmas += 1
-                    self._note_subsumed(existing, frame_level)
-                    continue
-                kept.append(existing)
-            self.frames[frame_level] = kept
+            frame = self.frames[frame_level]
+            subsumed = [e for e in frame if literal_set <= e.literal_set]
+            if not subsumed:
+                continue
+            for existing in subsumed:
+                self.stats.subsumed_lemmas += 1
+                self._note_subsumed(existing, frame_level)
+            self.frames[frame_level] = [
+                e for e in frame if not literal_set <= e.literal_set
+            ]
         self.frames[level].append(cube)
         self._invalidate_witnesses(cube, level)
         self._install_lemma(cube, level)
@@ -218,41 +233,45 @@ class FrameManagerBase:
         state, successor = result.predecessor, result.successor
         key = (state.literal_set, successor.literal_set)
         index = self._witness_keys.get(key)
-        if index is not None:
-            entry = self._witnesses[index]
-            entry[0] = min(entry[0], level)
-            return
-        index = len(self._witnesses)
-        self._witness_keys[key] = index
-        self._witnesses.append(
-            [level, state, result.inputs, result.input_values, successor]
-        )
+        if index is None:
+            index = len(self._witnesses)
+            self._witness_keys[key] = index
+            self._witnesses.append((state, result.inputs, result.input_values, successor))
+            bit = 1 << index
+            for index_map, cube in (
+                (self._state_index, state),
+                (self._successor_index, successor),
+            ):
+                for lit in cube.literals:
+                    index_map[lit] = index_map.get(lit, 0) | bit
+        # ``min_level := min(min_level, level)``.
         bit = 1 << index
-        for index_map, cube in (
-            (self._state_index, state),
-            (self._successor_index, successor),
-        ):
-            for lit in cube:
-                index_map[lit] = index_map.get(lit, 0) | bit
+        usable = self._usable
+        for usable_level in range(level, len(usable)):
+            usable[usable_level] |= bit
 
     def _matching_witnesses(self, index_map: Dict[int, int], cube: Cube) -> int:
         """Bitmask of the witnesses whose indexed cube contains ``cube``."""
-        mask = (1 << len(self._witnesses)) - 1
-        for lit in cube:
-            mask &= index_map.get(lit, 0)
+        lits = cube.literals
+        if not lits:
+            return (1 << len(self._witnesses)) - 1
+        mask = index_map.get(lits[0], 0)
+        for lit in lits[1:]:
             if not mask:
                 break
+            mask &= index_map.get(lit, 0)
         return mask
 
     def _invalidate_witnesses(self, cube: Cube, level: int) -> None:
         """The lemma ``¬cube`` entered ``level``: it removes the pre-states
-        it blocks from F_1..F_level."""
+        it blocks from F_1..F_level (``min_level := max(min_level,
+        level + 1)``)."""
         mask = self._matching_witnesses(self._state_index, cube)
-        while mask:
-            index = mask.bit_length() - 1
-            entry = self._witnesses[index]
-            entry[0] = max(entry[0], level + 1)
-            mask ^= 1 << index
+        if mask:
+            keep = ~mask
+            usable = self._usable
+            for usable_level in range(1, level + 1):
+                usable[usable_level] &= keep
 
     def _reuse_witness(self, level: int, cube: Cube) -> Optional[ConsecutionResult]:
         """Answer ``consecution(level, cube)`` from a stored witness, or None.
@@ -263,24 +282,67 @@ class FrameManagerBase:
         """
         if level < 1:
             return None
-        mask = self._matching_witnesses(self._successor_index, cube)
+        mask = self._matching_witnesses(self._successor_index, cube) & self._usable[level]
         if not mask:
             return None
         mask &= ~self._matching_witnesses(self._state_index, cube)
-        while mask:
-            index = mask.bit_length() - 1
-            min_level, state, inputs, input_values, successor = self._witnesses[index]
-            if min_level <= level:
-                self.stats.consecution_reuses += 1
-                return ConsecutionResult(
-                    holds=False,
-                    predecessor=state,
-                    inputs=inputs,
-                    successor=successor,
-                    input_values=input_values,
-                )
-            mask ^= 1 << index
-        return None
+        if not mask:
+            return None
+        self.stats.consecution_reuses += 1
+        state, inputs, input_values, successor = self._witnesses[mask.bit_length() - 1]
+        return ConsecutionResult(
+            holds=False,
+            predecessor=state,
+            inputs=inputs,
+            successor=successor,
+            input_values=input_values,
+        )
+
+    # ------------------------------------------------------------------
+    # Reading a query's answer
+    # ------------------------------------------------------------------
+    def _bad_state(self, solver: ArenaSolver) -> BadState:
+        """The SAT answer of a bad-state query."""
+        inputs = self.ts.input_cube(solver)
+        return BadState(
+            state=self.ts.state_cube(solver),
+            inputs=inputs,
+            input_values=self.ts.input_values(inputs),
+        )
+
+    def _failed_consecution(
+        self, solver: ArenaSolver, predecessor: Cube
+    ) -> ConsecutionResult:
+        """The SAT answer of a consecution query, with its pre-state."""
+        inputs = self.ts.input_cube(solver)
+        return ConsecutionResult(
+            holds=False,
+            predecessor=predecessor,
+            inputs=inputs,
+            successor=self.ts.successor_cube(solver),
+            input_values=self.ts.input_values(inputs),
+        )
+
+    @staticmethod
+    def _core_result(
+        solver: ArenaSolver, cube: Cube, primed_cube: List[int]
+    ) -> ConsecutionResult:
+        """The UNSAT answer of a consecution query: the literals of
+        ``cube`` whose primed copies (``primed_cube``, in the same order)
+        are in the assumption core."""
+        core = set(solver.unsat_core())
+        reduced = tuple(
+            [lit for lit, primed in zip(cube.literals, primed_cube) if primed in core]
+        )
+        return ConsecutionResult(holds=True, core_cube=Cube._from_canonical(reduced))
+
+    @staticmethod
+    def _lifted(solver: ArenaSolver, predecessor: Cube) -> Cube:
+        """The literals of ``predecessor`` in the UNSAT core of a lift
+        query, or the whole predecessor if the core keeps none."""
+        core = set(solver.unsat_core())
+        kept = tuple([lit for lit in predecessor.literals if lit in core])
+        return Cube._from_canonical(kept) if kept else predecessor
 
     # ------------------------------------------------------------------
     # Introspection
@@ -550,13 +612,8 @@ class MonolithicFrameManager(FrameManagerBase):
         self.stats.sat_calls += 1
         if not satisfiable:
             return None
-        model = ctx.get_model()
         self.stats.bad_cubes += 1
-        return BadState(
-            state=self.ts.state_cube_from_model(model),
-            inputs=self.ts.input_cube_from_model(model),
-            input_values=self.ts.input_assignment_from_model(model),
-        )
+        return self._bad_state(ctx.solver)
 
     def consecution(
         self, level: int, cube: Cube, reuse: bool = True
@@ -585,9 +642,9 @@ class MonolithicFrameManager(FrameManagerBase):
             return reused
         self._flush_pending(level)
         ctx = self._query_ctx(level)
-        assumptions = self._frame_assumptions(level) + [
-            self.ts.prime_lit(lit) for lit in cube
-        ]
+        solver = ctx.solver
+        primed_cube = self.ts.primed_literals(cube)
+        assumptions = self._frame_assumptions(level) + primed_cube
 
         start = time.perf_counter()
         satisfiable = ctx.solve(assumptions)
@@ -597,8 +654,7 @@ class MonolithicFrameManager(FrameManagerBase):
 
         scope: Optional[int] = None
         if satisfiable:
-            model = ctx.get_model()
-            predecessor = self.ts.state_cube_from_model(model)
+            predecessor = self.ts.state_cube(solver)
             if cube.literal_set <= predecessor.literal_set:
                 # Rare fallback: exclude cube itself and ask again.
                 self.stats.consecution_fallbacks += 1
@@ -609,22 +665,13 @@ class MonolithicFrameManager(FrameManagerBase):
                 self.stats.sat_time += time.perf_counter() - start
                 self.stats.sat_calls += 1
                 if satisfiable:
-                    model = ctx.get_model()
-                    predecessor = self.ts.state_cube_from_model(model)
+                    predecessor = self.ts.state_cube(solver)
 
         if satisfiable:
-            result = ConsecutionResult(
-                holds=False,
-                predecessor=predecessor,
-                inputs=self.ts.input_cube_from_model(model),
-                successor=self.ts.state_cube_from_model(model, primed=True),
-                input_values=self.ts.input_assignment_from_model(model),
-            )
+            result = self._failed_consecution(solver, predecessor)
             self._record_witness(level, result)
         else:
-            core = set(ctx.unsat_core())
-            reduced = [lit for lit in cube if self.ts.prime_lit(lit) in core]
-            result = ConsecutionResult(holds=True, core_cube=Cube(reduced))
+            result = self._core_result(solver, cube, primed_cube)
 
         if scope is not None:
             ctx.release_scope(scope)
@@ -643,8 +690,8 @@ class MonolithicFrameManager(FrameManagerBase):
         """
         ctx = self._lift_ctx
         scope = ctx.new_scope()
-        ctx.add_to_scope(scope, [-self.ts.prime_lit(lit) for lit in successor])
-        assumptions = [scope] + list(predecessor) + list(inputs)
+        ctx.add_to_scope(scope, [-lit for lit in self.ts.primed_literals(successor)])
+        assumptions = [scope, *predecessor.literals, *inputs.literals]
 
         start = time.perf_counter()
         satisfiable = ctx.solve(assumptions)
@@ -652,14 +699,8 @@ class MonolithicFrameManager(FrameManagerBase):
         self.stats.sat_calls += 1
         self.stats.lifting_calls += 1
 
-        if satisfiable:
-            # Should not happen; fall back to the unshrunk predecessor.
-            lifted = predecessor
-        else:
-            core = set(ctx.unsat_core())
-            kept = [lit for lit in predecessor if lit in core]
-            lifted = Cube(kept) if kept else predecessor
-
+        # A SAT answer should not happen; keep the unshrunk predecessor.
+        lifted = predecessor if satisfiable else self._lifted(ctx.solver, predecessor)
         ctx.release_scope(scope)
         return lifted
 
@@ -791,13 +832,8 @@ class PerFrameFrameManager(FrameManagerBase):
         self.stats.sat_calls += 1
         if not satisfiable:
             return None
-        model = solver.get_model()
         self.stats.bad_cubes += 1
-        return BadState(
-            state=self.ts.state_cube_from_model(model),
-            inputs=self.ts.input_cube_from_model(model),
-            input_values=self.ts.input_assignment_from_model(model),
-        )
+        return self._bad_state(solver)
 
     def consecution(
         self, level: int, cube: Cube, reuse: bool = True
@@ -810,7 +846,8 @@ class PerFrameFrameManager(FrameManagerBase):
         solver = self._solvers[level]
         activation = solver.new_var()
         solver.add_clause([-activation] + [-lit for lit in cube])
-        assumptions = [activation] + [self.ts.prime_lit(lit) for lit in cube]
+        primed_cube = self.ts.primed_literals(cube)
+        assumptions = [activation] + primed_cube
 
         start = time.perf_counter()
         satisfiable = solver.solve(assumptions)
@@ -819,19 +856,10 @@ class PerFrameFrameManager(FrameManagerBase):
         self.stats.consecution_calls += 1
 
         if satisfiable:
-            model = solver.get_model()
-            result = ConsecutionResult(
-                holds=False,
-                predecessor=self.ts.state_cube_from_model(model),
-                inputs=self.ts.input_cube_from_model(model),
-                successor=self.ts.state_cube_from_model(model, primed=True),
-                input_values=self.ts.input_assignment_from_model(model),
-            )
+            result = self._failed_consecution(solver, self.ts.state_cube(solver))
             self._record_witness(level, result)
         else:
-            core = set(solver.unsat_core())
-            reduced = [lit for lit in cube if self.ts.prime_lit(lit) in core]
-            result = ConsecutionResult(holds=True, core_cube=Cube(reduced))
+            result = self._core_result(solver, cube, primed_cube)
 
         solver.add_clause([-activation])
         self._note_garbage(level)
@@ -844,9 +872,9 @@ class PerFrameFrameManager(FrameManagerBase):
         solver = self._lift_solver
         activation = solver.new_var()
         solver.add_clause(
-            [-activation] + [-self.ts.prime_lit(lit) for lit in successor]
+            [-activation] + [-lit for lit in self.ts.primed_literals(successor)]
         )
-        assumptions = [activation] + list(predecessor) + list(inputs)
+        assumptions = [activation, *predecessor.literals, *inputs.literals]
 
         start = time.perf_counter()
         satisfiable = solver.solve(assumptions)
@@ -854,14 +882,8 @@ class PerFrameFrameManager(FrameManagerBase):
         self.stats.sat_calls += 1
         self.stats.lifting_calls += 1
 
-        if satisfiable:
-            # Should not happen; fall back to the unshrunk predecessor.
-            lifted = predecessor
-        else:
-            core = set(solver.unsat_core())
-            kept = [lit for lit in predecessor if lit in core]
-            lifted = Cube(kept) if kept else predecessor
-
+        # A SAT answer should not happen; keep the unshrunk predecessor.
+        lifted = predecessor if satisfiable else self._lifted(solver, predecessor)
         solver.add_clause([-activation])
         self._lift_garbage += 1
         if self._lift_garbage >= self.options.solver_rebuild_interval:

@@ -6,15 +6,22 @@ immutable, canonically sorted tuples of DIMACS literals with a companion
 frozenset for O(1) membership tests — IC3 performs an enormous number of
 subset and containment checks on them.
 
+The public constructors validate, deduplicate and sort their input.  Hot
+paths whose output is canonical by construction skip that work through
+the private :meth:`_LiteralSet._from_canonical`: a projection over
+ascending variables, a subsequence of a canonical tuple, or a sorted
+insert into one (:meth:`Cube.without`, :meth:`Cube.extended`).
+
 ``diff(a, b)`` is the paper's Definition 3.1: the set of literals of ``a``
 whose negation occurs in ``b``.  It is the workhorse of lemma prediction.
 """
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, Iterator, Tuple
+from bisect import bisect_left
+from typing import FrozenSet, Iterable, Iterator, Tuple, TypeVar
 
-from repro.logic.literal import lit_neg, lit_var
+from repro.logic.literal import lit_var
 
 
 def _canonical(literals: Iterable[int]) -> Tuple[int, ...]:
@@ -27,6 +34,9 @@ def _canonical(literals: Iterable[int]) -> Tuple[int, ...]:
     return tuple(sorted(seen, key=lambda l: (lit_var(l), l < 0)))
 
 
+_Self = TypeVar("_Self", bound="_LiteralSet")
+
+
 class _LiteralSet:
     """Shared implementation of immutable literal containers."""
 
@@ -36,6 +46,20 @@ class _LiteralSet:
         self._lits: Tuple[int, ...] = _canonical(literals)
         self._set: FrozenSet[int] = frozenset(self._lits)
         self._hash = hash((type(self).__name__, self._lits))
+
+    @classmethod
+    def _from_canonical(cls: "type[_Self]", literals: Tuple[int, ...]) -> _Self:
+        """Build from a tuple that is already in canonical order.
+
+        Skips validation and sorting, so the caller must guarantee what
+        :func:`_canonical` would produce: non-zero int literals, no
+        duplicates, sorted by (variable, polarity).
+        """
+        self = object.__new__(cls)
+        self._lits = literals
+        self._set = frozenset(literals)
+        self._hash = hash((cls.__name__, literals))
+        return self
 
     # -- container protocol -------------------------------------------------
     def __iter__(self) -> Iterator[int]:
@@ -113,21 +137,31 @@ class Cube(_LiteralSet):
 
     def negate(self) -> "Clause":
         """Return the clause ``¬cube``."""
-        return Clause(lit_neg(l) for l in self._lits)
+        return _negated(self, Clause)
 
     def without(self, lit: int) -> "Cube":
         """Return a copy of the cube with ``lit`` removed (variable drop)."""
         if lit not in self._set:
             raise KeyError(f"literal {lit} not in cube")
-        return Cube(l for l in self._lits if l != lit)
+        lits = self._lits
+        index = lits.index(lit)
+        return Cube._from_canonical(lits[:index] + lits[index + 1:])
 
     def extended(self, lit: int) -> "Cube":
         """Return a copy of the cube with ``lit`` added (Equation 6)."""
+        if not isinstance(lit, int) or lit == 0:
+            raise ValueError(f"invalid literal: {lit!r}")
         if -lit in self._set:
             raise ValueError(
                 f"adding literal {lit} would make the cube contradictory"
             )
-        return Cube(self._lits + (lit,))
+        if lit in self._set:
+            return self
+        # Neither polarity of the variable is present, so ordering by
+        # variable alone finds the canonical slot.
+        lits = self._lits
+        index = bisect_left(list(map(abs, lits)), abs(lit))
+        return Cube._from_canonical(lits[:index] + (lit,) + lits[index:])
 
     def implies(self, other: "Cube") -> bool:
         """Theorem 3.4: for non-⊥ cubes, ``a ⇒ b`` iff ``b ⊆ a``."""
@@ -148,7 +182,7 @@ class Clause(_LiteralSet):
 
     def negate(self) -> Cube:
         """Return the cube ``¬clause``."""
-        return Cube(lit_neg(l) for l in self._lits)
+        return _negated(self, Cube)
 
     def without(self, lit: int) -> "Clause":
         """Return a copy of the clause with ``lit`` removed."""
@@ -159,6 +193,18 @@ class Clause(_LiteralSet):
     def implies(self, other: "Clause") -> bool:
         """Clause implication by syntactic subsumption: ``a ⇒ b`` if a ⊆ b."""
         return self._set <= other._set
+
+
+def _negated(literals: _LiteralSet, kind: "type[_Self]") -> _Self:
+    """``literals`` with every literal negated, as a ``kind``.
+
+    Negation keeps the canonical order unless a variable occurs in both
+    polarities (its two literals would swap), so only that case sorts.
+    """
+    negated = tuple([-l for l in literals._lits])
+    if literals.is_tautological():
+        return kind(negated)
+    return kind._from_canonical(negated)
 
 
 def diff(a: Cube, b: Cube) -> FrozenSet[int]:

@@ -29,7 +29,7 @@ from repro.logic.cube import Cube
 from repro.obs.tracer import get_tracer
 from repro.sat import build
 from repro.sat.exceptions import ResourceBudgetExceeded, SolverError
-from repro.sat.solver import SolverStats
+from repro.sat.solver import SolverStats, check_model_variables
 
 _ffi, _lib = build.load()
 
@@ -329,16 +329,24 @@ class ArenaSolver:
             return None
         return (value == 1) == (lit > 0)
 
+    def model_literals(self, variables: Sequence[int]) -> Tuple[int, ...]:
+        """The last model projected onto ``variables``, as signed literals.
+
+        One literal per variable, in the given order: ``var`` if it is
+        true, ``-var`` otherwise, so an unassigned variable reads as
+        false.  Raises :class:`SolverError` when there is no model, or
+        when a variable is outside ``1..num_vars`` of the solve that
+        found it.
+        """
+        model = self._model
+        if model is None:
+            raise SolverError("no model available (last call was not SAT)")
+        check_model_variables(variables, (len(model) >> 1) - 1)
+        return tuple([var if model[var << 1] == 1 else -var for var in variables])
+
     def model_cube(self, variables: Iterable[int]) -> Cube:
-        """Project the last model onto a cube over the given variables."""
-        literals = []
-        for var in variables:
-            value = self.model_value(var)
-            if value is None:
-                # Unconstrained variable: pick the saved phase arbitrarily.
-                value = False
-            literals.append(var if value else -var)
-        return Cube(literals)
+        """The last model projected onto a cube; unassigned variables read as false."""
+        return Cube(self.model_literals(list(variables)))
 
     def unsat_core(self) -> List[int]:
         """Subset of the assumptions responsible for the last UNSAT answer."""

@@ -103,8 +103,5 @@ class SatContext:
             self.stats.unsat_answers += 1
         return result
 
-    def get_model(self) -> Dict[int, bool]:
-        return self.solver.get_model()
-
     def unsat_core(self) -> List[int]:
         return self.solver.unsat_core()

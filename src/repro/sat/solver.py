@@ -46,6 +46,13 @@ _TRUE = 1
 _FALSE = -1
 
 
+def check_model_variables(variables: Sequence[int], num_vars: int) -> None:
+    """Raise :class:`SolverError` unless every variable is in ``1..num_vars``."""
+    if variables and (min(variables) < 1 or max(variables) > num_vars):
+        bad = next(var for var in variables if not 1 <= var <= num_vars)
+        raise SolverError(f"variable {bad} is not in the last model (1..{num_vars})")
+
+
 @dataclass
 class SolverStats:
     """Counters accumulated over the lifetime of a solver instance."""
@@ -589,16 +596,24 @@ class Solver:
             return None
         return (self._model[var] == _TRUE) == (lit > 0)
 
+    def model_literals(self, variables: Sequence[int]) -> Tuple[int, ...]:
+        """The last model projected onto ``variables``, as signed literals.
+
+        One literal per variable, in the given order: ``var`` if it is
+        true, ``-var`` otherwise, so an unassigned variable reads as
+        false.  Raises :class:`SolverError` when there is no model, or
+        when a variable is outside ``1..num_vars`` of the solve that
+        found it.
+        """
+        model = self._model
+        if model is None:
+            raise SolverError("no model available (last call was not SAT)")
+        check_model_variables(variables, len(model) - 1)
+        return tuple([var if model[var] == _TRUE else -var for var in variables])
+
     def model_cube(self, variables: Iterable[int]) -> Cube:
-        """Project the last model onto a cube over the given variables."""
-        literals = []
-        for var in variables:
-            value = self.model_value(var)
-            if value is None:
-                # Unconstrained variable: pick the saved phase arbitrarily.
-                value = False
-            literals.append(var if value else -var)
-        return Cube(literals)
+        """The last model projected onto a cube; unassigned variables read as false."""
+        return Cube(self.model_literals(list(variables)))
 
     def unsat_core(self) -> List[int]:
         """Subset of the assumptions responsible for the last UNSAT answer."""

@@ -111,12 +111,24 @@ class TransitionSystem:
         self.latch_vars: List[int] = [self._map_aig_var(l.lit >> 1) for l in aig.latches]
         self._gate_vars: List[int] = [self._map_aig_var(g.lhs >> 1) for g in aig.ands]
 
+        # Model projections build cubes straight from these lists, so
+        # their canonical (ascending) order is checked once, here.
+        for kind, variables in (("inputs", self.input_vars), ("latches", self.latch_vars)):
+            if any(a >= b for a, b in zip(variables, variables[1:])):
+                raise EncodingError(f"the AIG's {kind} do not define distinct variables")
+
         self.primed_of: Dict[int, int] = {}
         self.unprimed_of: Dict[int, int] = {}
         for var in self.latch_vars:
             primed = self._fresh_var()
             self.primed_of[var] = primed
             self.unprimed_of[primed] = var
+        self._primed_vars: List[int] = [self.primed_of[v] for v in self.latch_vars]
+        # Signed latch literal -> signed primed literal (both polarities).
+        self._primed_lit: Dict[int, int] = {}
+        for var, primed in self.primed_of.items():
+            self._primed_lit[var] = primed
+            self._primed_lit[-var] = -primed
 
         self.bad_lit = self.to_solver_lit(self._bad_aig_lit)
         self.init_cube = self._build_init_cube()
@@ -152,7 +164,7 @@ class TransitionSystem:
     @property
     def next_state_variables(self) -> List[int]:
         """The next-state (primed latch) variables X'."""
-        return [self.primed_of[v] for v in self.latch_vars]
+        return list(self._primed_vars)
 
     def to_solver_lit(self, aig_lit: int) -> int:
         """Translate an AIG literal to a solver literal over current vars."""
@@ -178,6 +190,15 @@ class TransitionSystem:
         if unprimed is None:
             raise EncodingError(f"variable {var} is not a primed latch variable")
         return unprimed if lit > 0 else -unprimed
+
+    def primed_literals(self, cube: Cube) -> List[int]:
+        """The primed copies of a latch cube's literals, in the cube's order.
+
+        A dictionary lookup per literal, for the frame layer's queries; a
+        literal that is not over a latch raises ``KeyError`` (use
+        :meth:`prime_lit` for the checked translation).
+        """
+        return list(map(self._primed_lit.__getitem__, cube.literals))
 
     def prime_cube(self, cube: Cube) -> Cube:
         """Prime every literal of a cube over latch variables."""
@@ -305,31 +326,31 @@ class TransitionSystem:
         return cnf
 
     # ------------------------------------------------------------------
-    # Trace replay
+    # Model projection
     # ------------------------------------------------------------------
-    def input_assignment_from_model(self, model: Dict[int, bool]) -> Dict[int, bool]:
-        """Project a solver model onto the AIG's input literals."""
-        assignment: Dict[int, bool] = {}
-        for aig_lit, var in zip(self.aig.inputs, self.input_vars):
-            assignment[aig_lit] = bool(model.get(var, False))
-        return assignment
+    # ``solver`` is any SAT solver with ``model_literals`` (ArenaSolver,
+    # Solver) whose last answer was SAT; unassigned variables read as
+    # false.  The cubes skip re-sorting: ``latch_vars`` and ``input_vars``
+    # are ascending (checked in ``__init__``).
+    def state_cube(self, solver) -> Cube:
+        """The last model's latch values, as a cube over the latch variables."""
+        return Cube._from_canonical(solver.model_literals(self.latch_vars))
 
-    def state_cube_from_model(self, model: Dict[int, bool], primed: bool = False) -> Cube:
-        """Project a solver model onto a cube over the latch variables."""
-        literals = []
-        for var in self.latch_vars:
-            source = self.primed_of[var] if primed else var
-            value = model.get(source, False)
-            literals.append(var if value else -var)
-        return Cube(literals)
+    def successor_cube(self, solver) -> Cube:
+        """The last model's primed latch values, as a cube over the
+        current-state latch variables."""
+        primed = solver.model_literals(self._primed_vars)
+        return Cube._from_canonical(
+            tuple([var if lit > 0 else -var for var, lit in zip(self.latch_vars, primed)])
+        )
 
-    def input_cube_from_model(self, model: Dict[int, bool]) -> Cube:
-        """Project a solver model onto a cube over the input variables."""
-        literals = []
-        for var in self.input_vars:
-            value = model.get(var, False)
-            literals.append(var if value else -var)
-        return Cube(literals)
+    def input_cube(self, solver) -> Cube:
+        """The last model's input values, as a cube over the input variables."""
+        return Cube._from_canonical(solver.model_literals(self.input_vars))
+
+    def input_values(self, inputs: Cube) -> Dict[int, bool]:
+        """AIG input literal -> value, from a cube of :meth:`input_cube`."""
+        return dict(zip(self.aig.inputs, [lit > 0 for lit in inputs.literals]))
 
     def describe(self) -> str:
         """One-line human-readable summary."""

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.logic import Cube, Clause, diff
+from repro.sat import ArenaSolver
 
 
 def _cube_strategy(max_var=8, min_size=0, max_size=6):
@@ -167,3 +168,86 @@ class TestDiffSet:
         assert diff(c3, t)                      # Equation 2: c3 ∧ t = ⊥
         assert c3.literal_set <= b.literal_set  # Equation 3: b ⊨ c3
         assert c2.literal_set <= c3.literal_set  # Equation 4: c3 ⊨ c2
+
+
+def _literal_lists(max_var=8, max_size=8):
+    """Arbitrary literal lists: repeats and both polarities allowed."""
+    return st.lists(
+        st.integers(min_value=-max_var, max_value=max_var).filter(bool),
+        max_size=max_size,
+    )
+
+
+def _assert_same_as_constructed(fast, literals):
+    """``fast`` is indistinguishable from the validating constructor's result."""
+    slow = type(fast)(literals)
+    assert fast.literals == slow.literals
+    assert fast.literal_set == slow.literal_set
+    assert hash(fast) == hash(slow)
+    assert fast == slow and not fast != slow
+    assert not fast < slow and not slow < fast
+    for other in (type(fast)([]), type(fast)([1]), type(fast)([-1, 2])):
+        assert (fast < other) == (slow < other)
+        assert (other < fast) == (other < slow)
+
+
+class TestPreSortedPaths:
+    """Every path that skips sorting builds exactly what ``Cube(...)`` builds."""
+
+    @given(
+        st.lists(st.integers(min_value=1, max_value=12), unique=True, max_size=8),
+        st.data(),
+    )
+    def test_model_projection(self, variables, data):
+        variables = sorted(variables)
+        fixed = {v: data.draw(st.booleans()) for v in variables}
+        solver = ArenaSolver()
+        solver.ensure_var(12)
+        for var, value in fixed.items():
+            solver.add_clause([var if value else -var])
+        assert solver.solve()
+        projected = solver.model_literals(variables)
+        cube = Cube._from_canonical(projected)
+        _assert_same_as_constructed(cube, [v if fixed[v] else -v for v in variables])
+
+    @given(_literal_lists(), st.data())
+    def test_subsequence(self, literals, data):
+        canonical = Cube(literals).literals
+        kept = tuple(l for l in canonical if data.draw(st.booleans()))
+        _assert_same_as_constructed(Cube._from_canonical(kept), kept)
+
+    @given(_literal_lists(), st.data())
+    def test_without(self, literals, data):
+        cube = Cube(literals)
+        if not cube.literals:
+            return
+        lit = data.draw(st.sampled_from(cube.literals))
+        _assert_same_as_constructed(
+            cube.without(lit), [l for l in cube.literals if l != lit]
+        )
+
+    @given(_literal_lists(), st.integers(min_value=-10, max_value=10).filter(bool))
+    def test_extended(self, literals, lit):
+        cube = Cube(literals)
+        if -lit in cube:
+            with pytest.raises(ValueError, match="contradictory"):
+                cube.extended(lit)
+            return
+        _assert_same_as_constructed(cube.extended(lit), literals + [lit])
+
+    @given(_literal_lists())
+    def test_extended_with_present_literal(self, literals):
+        cube = Cube(literals)
+        for lit in cube.literals:
+            if -lit not in cube:
+                _assert_same_as_constructed(cube.extended(lit), literals)
+
+    @given(_literal_lists())
+    def test_negate(self, literals):
+        negated = [-l for l in literals]
+        _assert_same_as_constructed(Cube(literals).negate(), negated)
+        _assert_same_as_constructed(Clause(literals).negate(), negated)
+
+    def test_extended_rejects_invalid_literal(self):
+        with pytest.raises(ValueError, match="invalid literal"):
+            Cube([1]).extended(0)

@@ -15,6 +15,7 @@ import pytest
 
 from repro.benchgen import johnson_counter
 from repro.core.ic3 import IC3
+from repro.logic import Cube
 from repro.harness.configs import config_by_name
 from repro.sat import (
     ArenaClauseRef,
@@ -394,7 +395,10 @@ class TestPinnedSearch:
     """Search counters recorded from the pure-Python kernel the C one replaced.
 
     The C port makes the same decisions and learns the same clauses, so
-    any divergence of its search shows up here.
+    any divergence of its search shows up here.  The IC3 runs also pin
+    the engine's own counters, so a change above the kernel that alters
+    which queries IC3 asks (cube order, model projection, witness reuse)
+    shows up too.
     """
 
     def test_pigeonhole(self):
@@ -406,15 +410,130 @@ class TestPinnedSearch:
     def test_differential_walk(self):
         assert _search_counters(_differential_walk(20240707)) == (0, 176, 454, 0)
 
+    # (sat_calls, consecution_calls, consecution_reuses, lemmas_added,
+    #  mic_drop_attempts, prediction_queries, prediction_successes) of the
+    # same runs: the whole IC3 search, not just the kernel, is pinned.
+    ENGINE_COUNTERS = {
+        "RIC3": (152, 122, 165, 24, 50, 0, 0),
+        "RIC3-pl": (346, 300, 612, 49, 65, 53, 26),
+        "IC3ref": (304, 249, 385, 38, 120, 0, 0),
+        "IC3ref-pl": (364, 301, 456, 61, 69, 65, 39),
+        "IC3ref-CAV23": (304, 249, 385, 38, 120, 0, 0),
+        "ABC-PDR": (395, 342, 432, 52, 136, 0, 0),
+    }
+
     @pytest.mark.parametrize(
         "config, counters",
-        [("IC3ref", (20, 171, 5317, 20)), ("IC3ref-pl", (24, 93, 5873, 24))],
+        [
+            ("IC3ref", (20, 171, 5317, 20)),
+            ("IC3ref-pl", (24, 93, 5873, 24)),
+            ("RIC3", (13, 119, 2325, 13)),
+            ("RIC3-pl", (33, 142, 7089, 33)),
+            ("IC3ref-CAV23", (20, 176, 5262, 20)),
+            ("ABC-PDR", (26, 178, 7032, 26)),
+        ],
     )
     def test_ic3_johnson_counter(self, created_kernels, config, counters):
         case = johnson_counter(6, safe=True)
         outcome = IC3(case.aig, config_by_name(config).options).check(time_limit=60)
         assert outcome.result == case.expected
         assert _search_counters(*created_kernels) == counters
+        stats = outcome.stats
+        assert (
+            stats.sat_calls,
+            stats.consecution_calls,
+            stats.consecution_reuses,
+            stats.lemmas_added,
+            stats.mic_drop_attempts,
+            stats.prediction_queries,
+            stats.prediction_successes,
+        ) == self.ENGINE_COUNTERS[config]
+
+
+def _random_cnf(rng, num_vars):
+    return [
+        [rng.choice([-1, 1]) * rng.randint(1, num_vars) for _ in range(rng.randint(1, 3))]
+        for _ in range(rng.randint(0, 3 * num_vars))
+    ]
+
+
+class TestModelLiterals:
+    """``model_literals`` against the object solver and against ``get_model``."""
+
+    @staticmethod
+    def _load(solver, num_vars, clauses):
+        """Load the CNF plus one released activation, which stays unassigned."""
+        solver.ensure_var(num_vars)
+        for clause in clauses:
+            solver.add_clause(clause)
+        act = solver.new_activation()
+        solver.release(act)
+        return act
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_cnf(self, seed):
+        rng = random.Random(seed)
+        num_vars = rng.randint(1, 10)
+        clauses = _random_cnf(rng, num_vars)
+        arena, oracle = ArenaSolver(), Solver()
+        unassigned = self._load(arena, num_vars, clauses)
+        assert self._load(oracle, num_vars, clauses) == unassigned
+        verdict = arena.solve()
+        assert oracle.solve() == verdict
+        if not verdict:
+            return
+        variables = list(range(1, unassigned + 1))
+        rng.shuffle(variables)
+        variables += variables[: rng.randint(0, len(variables))]  # repeats too
+        projections = []
+        for solver in (arena, oracle):
+            model = solver.get_model()
+            assert unassigned not in model
+            projected = solver.model_literals(variables)
+            assert projected == tuple(v if model.get(v, False) else -v for v in variables)
+            assert solver.model_cube(variables) == Cube(projected)
+            projections.append(projected)
+        # Each kernel's projection is a model of the CNF for the other.
+        assert oracle.solve(list(projections[0]))
+        assert arena.solve(list(projections[1]))
+
+    def test_unique_model_projects_identically(self):
+        rng = random.Random(7)
+        values = {var: rng.random() < 0.5 for var in range(1, 16)}
+        units = [[var if value else -var] for var, value in values.items()]
+        projections = []
+        for solver in (ArenaSolver(), Solver()):
+            unassigned = self._load(solver, 15, units)
+            assert solver.solve()
+            projections.append(solver.model_literals([unassigned, *range(15, 0, -1)]))
+        assert projections[0] == projections[1]
+        assert projections[0][0] == -16  # unassigned reads as false
+
+    @pytest.mark.parametrize("kind", [ArenaSolver, Solver])
+    def test_no_model_before_any_solve(self, kind):
+        solver = kind()
+        solver.ensure_var(2)
+        with pytest.raises(SolverError, match="no model available"):
+            solver.model_literals([1, 2])
+
+    @pytest.mark.parametrize("kind", [ArenaSolver, Solver])
+    def test_no_model_after_unsat(self, kind):
+        solver = kind()
+        solver.add_clause([1])
+        assert solver.solve() is True
+        assert solver.solve([-1]) is False
+        with pytest.raises(SolverError, match="no model available"):
+            solver.model_literals([1])
+
+    @pytest.mark.parametrize("kind", [ArenaSolver, Solver])
+    @pytest.mark.parametrize("var", [0, -1, 4, MAX_VAR + 1])
+    def test_out_of_range_variable(self, kind, var):
+        solver = kind()
+        solver.ensure_var(3)
+        assert solver.solve()
+        with pytest.raises(SolverError, match=f"variable {var} is not in the last model"):
+            solver.model_literals([1, var, 2])
+        assert solver.model_literals([]) == ()
 
 
 class TestInputRange:

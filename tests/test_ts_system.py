@@ -16,7 +16,7 @@ from repro.benchgen import token_ring, fifo_controller, modular_counter, monitor
 from repro.core import CheckResult, check_certificate, check_counterexample
 from repro.engines import create_engine
 from repro.logic import Clause, Cube
-from repro.sat import Solver
+from repro.sat import ArenaSolver, Solver, SolverError
 from repro.ts import TransitionSystem, EncodingError
 
 
@@ -212,12 +212,50 @@ class TestModelProjection:
             solver.add_clause([lit])
         assert solver.solve()
         model = solver.get_model()
-        state = ts.state_cube_from_model(model)
-        assert len(state) == len(ts.latch_vars)
+        state = ts.state_cube(solver)
+        assert state == Cube(v if model.get(v, False) else -v for v in ts.latch_vars)
         assert ts.cube_intersects_init(state)
-        succ = ts.state_cube_from_model(model, primed=True)
-        assert len(succ) == len(ts.latch_vars)
-        assert all(abs(l) in ts.primed_of for l in succ)  # over current vars
+        succ = ts.successor_cube(solver)
+        assert succ == Cube(
+            v if model.get(ts.primed_of[v], False) else -v for v in ts.latch_vars
+        )  # over current vars
+        inputs = ts.input_cube(solver)
+        assert inputs == Cube(v if model.get(v, False) else -v for v in ts.input_vars)
+        assert ts.input_values(inputs) == {
+            aig_lit: model.get(var, False)
+            for aig_lit, var in zip(case.aig.inputs, ts.input_vars)
+        }
+
+    def test_cubes_are_canonical(self):
+        ts = TransitionSystem(token_ring(3).aig)
+        solver = ArenaSolver()
+        solver.ensure_var(ts.num_vars)
+        solver.add_clause([ts.latch_vars[0]])
+        assert solver.solve()
+        for cube in (ts.state_cube(solver), ts.successor_cube(solver), ts.input_cube(solver)):
+            assert cube.literals == Cube(cube.literals).literals
+            assert hash(cube) == hash(Cube(cube.literals))
+
+    def test_projection_without_model_raises(self):
+        ts = TransitionSystem(token_ring(3).aig)
+        solver = ArenaSolver()
+        solver.ensure_var(ts.num_vars)
+        with pytest.raises(SolverError):
+            ts.state_cube(solver)
+
+    def test_primed_literals_match_prime_lit(self):
+        ts = TransitionSystem(token_ring(3).aig)
+        cube = Cube(-v if i % 2 else v for i, v in enumerate(ts.latch_vars))
+        assert ts.primed_literals(cube) == [ts.prime_lit(lit) for lit in cube]
+        with pytest.raises(KeyError):
+            ts.primed_literals(Cube([ts.bad_lit]))
+        assert ts.next_state_variables == [ts.primed_of[v] for v in ts.latch_vars]
+
+    def test_duplicate_latch_variable_rejected(self):
+        aig = token_ring(3).aig
+        aig.latches.append(aig.latches[0])
+        with pytest.raises(EncodingError, match="distinct variables"):
+            TransitionSystem(aig)
 
 
 class TestLazyEncoding:
