@@ -9,7 +9,6 @@ replay, and readers/writers for both the ASCII ``.aag`` and the binary
 """
 
 from repro.aiger.aig import AIG, AigerError, AigerParseError, FALSE_LIT, TRUE_LIT
-from repro.aiger.digest import structural_digest
 from repro.aiger.parser import parse_aiger, read_aiger
 from repro.aiger.writer import write_aag, write_aig, to_aag_string, to_aig_bytes
 
@@ -21,7 +20,6 @@ __all__ = [
     "TRUE_LIT",
     "parse_aiger",
     "read_aiger",
-    "structural_digest",
     "write_aag",
     "write_aig",
     "to_aag_string",

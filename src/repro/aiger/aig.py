@@ -323,18 +323,6 @@ class AIG:
         """Name of an input literal, if one was given."""
         return self._input_names.get(lit & ~1)
 
-    def structural_digest(self) -> str:
-        """Stable, order-independent hash of the circuit's structure.
-
-        Invariant under gate reordering, AND-operand order, structural
-        duplicates, dead logic and isomorphic rebuilds (renumbered
-        variables); sensitive to input/latch/property order and to any
-        semantic change.  See :mod:`repro.aiger.digest`.
-        """
-        from repro.aiger.digest import structural_digest
-
-        return structural_digest(self)
-
     def validate(self) -> None:
         """Check structural well-formedness; raises :class:`AigerError`."""
         seen_vars = {0}

@@ -1,7 +1,7 @@
 """Command-line interface.
 
-``repro-check`` exposes the four things a user typically wants from the
-command line:
+``repro-check`` exposes what a user typically wants from the command
+line:
 
 * ``repro-check check model.aag`` — model-check one AIGER file with any
   registered engine (``--engine ic3|ic3-pl|bmc|kind|portfolio|l2s|klive``;
@@ -20,10 +20,8 @@ command line:
   worker processes with hard per-case timeouts, and ``--output run.json``
   records a machine-readable manifest of the run;
 * ``repro-check suite --list`` — show the benchmark suite;
-* ``repro-check serve`` — run the verification-as-a-service HTTP daemon
-  (warm worker pool, bounded queue, per-tenant budgets, structural-hash
-  result cache); ``repro-check submit model.aag --wait 60`` is the
-  matching client.
+* ``repro-check trace-report trace.json`` — summarize a recorded trace
+  into a per-phase hotspot table.
 """
 
 from __future__ import annotations
@@ -81,6 +79,24 @@ def _select_suite(args: argparse.Namespace):
     return globals()[_SUITES[name]](), name
 
 
+def _int_at_least(minimum: int, text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+    if value < minimum:
+        raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+    return value
+
+
+def _non_negative_int(text: str) -> int:
+    return _int_at_least(0, text)
+
+
+def _positive_int(text: str) -> int:
+    return _int_at_least(1, text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Create the argument parser (exposed for testing)."""
     parser = argparse.ArgumentParser(
@@ -100,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--timeout", type=float, default=None, help="time limit in seconds")
     check.add_argument("--max-depth", type=int, default=50, help="BMC depth bound")
     check.add_argument(
-        "--max-k", type=int, default=20, help="k-induction / k-liveness bound"
+        "--max-k", type=_positive_int, default=20, help="k-induction / k-liveness bound"
     )
     check.add_argument(
         "--all-properties",
@@ -137,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     check.add_argument(
         "--seed",
-        type=int,
+        type=_non_negative_int,
         default=0,
         metavar="N",
         help="RNG seed for the SAT kernels' randomized branching "
@@ -221,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     evaluate.add_argument(
         "--seed",
-        type=int,
+        type=_non_negative_int,
         default=None,
         metavar="N",
         help="RNG seed for the SAT kernels of every configuration "
@@ -255,135 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="check the Chrome trace-event schema first; nonzero exit on problems",
     )
 
-    serve = sub.add_parser(
-        "serve", help="run the verification-as-a-service HTTP daemon"
-    )
-    serve.add_argument("--host", default="127.0.0.1", help="bind address")
-    serve.add_argument(
-        "--port", type=int, default=8123, help="bind port (0 = ephemeral)"
-    )
-    serve.add_argument(
-        "--workers", type=int, default=2, help="warm worker processes (default: 2)"
-    )
-    serve.add_argument(
-        "--queue-depth",
-        type=int,
-        default=16,
-        help="bounded job-queue depth; overflow answers 503 (default: 16)",
-    )
-    serve.add_argument(
-        "--max-jobs-per-worker",
-        type=int,
-        default=32,
-        help="recycle a worker process after this many jobs (default: 32)",
-    )
-    serve.add_argument(
-        "--default-timeout",
-        type=float,
-        default=30.0,
-        help="per-job time budget when the submission names none (default: 30)",
-    )
-    serve.add_argument(
-        "--max-timeout",
-        type=float,
-        default=300.0,
-        help="hard ceiling on requested per-job budgets (default: 300)",
-    )
-    serve.add_argument(
-        "--cache-size",
-        type=int,
-        default=256,
-        help="result-cache entries before LRU eviction (default: 256)",
-    )
-    serve.add_argument(
-        "--tenant-rate",
-        type=float,
-        default=5.0,
-        help="token-bucket refill rate per tenant, jobs/second (default: 5)",
-    )
-    serve.add_argument(
-        "--tenant-burst",
-        type=float,
-        default=20.0,
-        help="token-bucket burst capacity per tenant (default: 20)",
-    )
-    serve.add_argument(
-        "--trace-dir",
-        metavar="DIR",
-        default=None,
-        help="record one JSONL trace per job into DIR and expose it at "
-        "GET /jobs/{id}/trace",
-    )
-    serve.add_argument(
-        "--stall-timeout",
-        type=float,
-        default=10.0,
-        help="replace a busy worker whose heartbeat has been silent this "
-        "long, before its hard deadline (default: 10)",
-    )
-    serve.add_argument(
-        "--no-heartbeats",
-        action="store_true",
-        help="disable worker heartbeats (and with them /jobs/{id}/progress "
-        "and the stall watchdog)",
-    )
-
-    submit = sub.add_parser(
-        "submit", help="submit an AIGER file to a running serve daemon"
-    )
-    submit.add_argument("model", help="path to an .aag or .aig file")
-    submit.add_argument(
-        "--url", default="http://127.0.0.1:8123", help="daemon base URL"
-    )
-    submit.add_argument(
-        "--engine",
-        choices=available_engines(include_aliases=True),
-        default="ic3-pl",
-        help="engine to request (default: ic3-pl)",
-    )
-    submit.add_argument("--timeout", type=float, default=None, help="job time budget")
-    submit.add_argument(
-        "--tenant", default="cli", help="X-Tenant header value (default: cli)"
-    )
-    submit.add_argument(
-        "--priority", type=int, default=0, help="queue priority (lower runs first)"
-    )
-    submit.add_argument(
-        "--all-properties",
-        action="store_true",
-        help="verify every property via the scheduler",
-    )
-    submit.add_argument(
-        "--no-reduce", action="store_true", help="skip reduction preprocessing"
-    )
-    submit.add_argument(
-        "--wait",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="poll until the job finishes (at most SECONDS); exit code follows "
-        "the verdict: 0 safe, 1 unsafe, 2 unknown/failed",
-    )
-
-    metrics = sub.add_parser(
-        "metrics",
-        help="one-shot metrics dump: this process's registry, or a running "
-        "serve daemon when --url is given",
-    )
-    metrics.add_argument(
-        "--url",
-        default=None,
-        metavar="URL",
-        help="scrape GET /metrics of a running serve daemon instead of "
-        "rendering the in-process registry",
-    )
-    metrics.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the JSON snapshot (GET /metrics.json against a daemon) "
-        "instead of Prometheus text",
-    )
-
     sub.add_parser(
         "version",
         help="print version and registry diagnostics (engines, backends, passes)",
@@ -412,14 +299,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _command_evaluate(args)
     if args.command == "suite":
         return _command_suite(args)
-    if args.command == "serve":
-        return _command_serve(args)
-    if args.command == "submit":
-        return _command_submit(args)
     if args.command == "trace-report":
         return _command_trace_report(args)
-    if args.command == "metrics":
-        return _command_metrics(args)
     if args.command == "version":
         return _command_version(args)
     return 2  # pragma: no cover - argparse enforces the choices
@@ -818,35 +699,6 @@ def _evaluate_liveness(args: argparse.Namespace, cases, suite_name: str) -> int:
     return exit_code
 
 
-def _command_metrics(args: argparse.Namespace) -> int:
-    """One-shot metrics dump: the process registry, or a scraped daemon."""
-    import json
-
-    if args.url:
-        import urllib.error
-        import urllib.request
-
-        base = args.url.rstrip("/")
-        path = "/metrics.json" if args.json else "/metrics"
-        try:
-            with urllib.request.urlopen(base + path, timeout=30) as response:
-                body = response.read().decode("utf-8")
-        except (urllib.error.URLError, OSError) as error:
-            print(f"error: cannot scrape {base + path}: {error}")
-            return 2
-        sys.stdout.write(body if body.endswith("\n") else body + "\n")
-        return 0
-
-    from repro.obs.metrics import get_registry, render_prometheus
-
-    snapshot = get_registry().snapshot()
-    if args.json:
-        print(json.dumps(snapshot, indent=2, sort_keys=True))
-    else:
-        sys.stdout.write(render_prometheus(snapshot))
-    return 0
-
-
 def _command_trace_report(args: argparse.Namespace) -> int:
     """Print the per-phase hotspot table of a recorded trace."""
     from repro.obs import format_report, read_trace, validate_trace_file
@@ -878,100 +730,6 @@ def _command_suite(args: argparse.Namespace) -> int:
         for case in cases:
             print("  " + case.describe())
     return 0
-
-
-def _command_serve(args: argparse.Namespace) -> int:
-    from repro.serve.server import run_server
-    from repro.serve.service import VerificationService
-
-    service = VerificationService(
-        workers=args.workers,
-        queue_depth=args.queue_depth,
-        max_jobs_per_worker=args.max_jobs_per_worker,
-        default_timeout=args.default_timeout,
-        max_timeout=args.max_timeout,
-        cache_size=args.cache_size,
-        tenant_rate=args.tenant_rate,
-        tenant_burst=args.tenant_burst,
-        trace_dir=args.trace_dir,
-        heartbeats=not args.no_heartbeats,
-        stall_timeout=args.stall_timeout,
-    )
-    run_server(service, host=args.host, port=args.port)
-    return 0
-
-
-def _command_submit(args: argparse.Namespace) -> int:
-    """HTTP client for a running ``repro-check serve`` daemon.
-
-    Binary ``.aig`` inputs are re-serialized as ASCII AAG locally so the
-    wire format is always the JSON envelope the daemon accepts.
-    """
-    import json
-    import urllib.error
-    import urllib.request
-
-    from repro.aiger.writer import to_aag_string
-
-    model_text = to_aag_string(read_aiger(args.model))
-    document = {
-        "model": model_text,
-        "engine": args.engine,
-        "priority": args.priority,
-    }
-    if args.timeout is not None:
-        document["timeout"] = args.timeout
-    if args.all_properties:
-        document["all_properties"] = True
-    if args.no_reduce:
-        document["reduce"] = False
-    base = args.url.rstrip("/")
-    request = urllib.request.Request(
-        base + "/jobs",
-        data=json.dumps(document).encode("utf-8"),
-        headers={"Content-Type": "application/json", "X-Tenant": args.tenant},
-        method="POST",
-    )
-
-    def _send(req):
-        try:
-            with urllib.request.urlopen(req, timeout=30) as response:
-                return response.status, json.loads(response.read().decode("utf-8"))
-        except urllib.error.HTTPError as exc:
-            return exc.code, json.loads(exc.read().decode("utf-8"))
-
-    status, payload = _send(request)
-    if status not in (200, 202):
-        retry = payload.get("retry_after")
-        suffix = f" (retry after {retry}s)" if retry is not None else ""
-        print(f"submission rejected ({status}): {payload.get('error')}{suffix}")
-        return 2
-    job_id = payload["id"]
-    if payload.get("cache_hit"):
-        print(f"{job_id}: served from cache")
-    else:
-        print(f"{job_id}: {payload['status']}")
-    if args.wait is None:
-        print(json.dumps(payload, indent=2))
-        return 0
-
-    deadline = time.monotonic() + args.wait
-    while payload.get("status") not in ("done", "failed"):
-        if time.monotonic() >= deadline:
-            print(f"{job_id}: still {payload.get('status')} after {args.wait}s")
-            return 2
-        time.sleep(min(0.5, max(0.05, deadline - time.monotonic())))
-        status, payload = _send(
-            urllib.request.Request(base + f"/jobs/{job_id}", method="GET")
-        )
-        if status != 200:
-            print(f"poll failed ({status}): {payload.get('error')}")
-            return 2
-    print(json.dumps(payload, indent=2))
-    result = (payload.get("result") or {}).get("result")
-    if payload.get("status") == "failed":
-        return 2
-    return {"safe": 0, "unsafe": 1}.get(result, 2)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -195,7 +195,7 @@ class PortfolioEngine:
         )
 
         # Members stay in this process's group: the group kill of a
-        # harness task or serve worker running this race ends them too.
+        # harness task running this race ends them too.
         supervisor = Supervisor(leader=False, heartbeat_dir=os.environ.get(HEARTBEAT_DIR_ENV))
         pending: List[_MemberPlan] = list(self._plan)
         running: List[Child] = []

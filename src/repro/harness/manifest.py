@@ -65,18 +65,10 @@ Schema v5 (``repro-check/manifest/v5``) additions over v4:
 
 Schema v6 (``repro-check/manifest/v6``) additions over v5:
 
-* optional top-level ``service`` — when the run was produced through the
-  ``repro.serve`` daemon (or its smoke benchmark), a block describing
-  the serving context: the service counters of
-  :data:`repro.serve.metrics.COUNTERS` (jobs submitted/completed/failed,
-  cache hits/misses, queue and budget rejections, worker
-  recycles/crashes/timeouts, reduction reuses) plus any transport
-  details the producer adds.  ``None`` for plain ``repro-check
-  evaluate`` runs, so readers that ignore unknown keys keep working;
-* per-result records produced by the daemon follow the same shape as
-  harness results (``result``/``runtime``/``engine``/``stats``/
-  ``reduction``/``properties``/``transformation``/``witness``), with an
-  additional ``cache_hit`` flag on the job envelope.
+* optional top-level ``service`` — the serving context (job counters and
+  transport details) of runs produced through the verification HTTP
+  daemon; ``None`` for plain ``repro-check evaluate`` runs.  Removed in
+  v14 together with the daemon.
 
 Schema v7 (``repro-check/manifest/v7``) additions over v6:
 
@@ -147,6 +139,11 @@ Schema v13 (``repro-check/manifest/v13``) changes over v12:
   per-result ``sharing`` is gone, and per-result ``stats`` drops the six
   lemma-bus counters of v8 (``lemmas_published`` through
   ``bus_overflows``) and the ``time_import_validation`` timer.
+
+Schema v14 (``repro-check/manifest/v14``) changes over v13:
+
+* the verification daemon was removed, so the top-level ``service`` key
+  of v6 is gone (``repro-check evaluate`` always wrote it as ``None``).
 """
 
 from __future__ import annotations
@@ -158,7 +155,7 @@ from typing import Dict, Optional, Sequence
 from repro.harness.configs import EngineConfig
 from repro.harness.runner import CaseResult, SuiteResult
 
-MANIFEST_SCHEMA = "repro-check/manifest/v13"
+MANIFEST_SCHEMA = "repro-check/manifest/v14"
 
 
 def _phase_times(results: Sequence[CaseResult]) -> Dict[str, float]:
@@ -221,7 +218,6 @@ def build_manifest(
     reduce: bool = True,
     configs: Optional[Sequence[EngineConfig]] = None,
     wall_clock: Optional[float] = None,
-    service: Optional[Dict[str, object]] = None,
     telemetry: Optional[Dict[str, object]] = None,
 ) -> Dict[str, object]:
     """Assemble the JSON-serializable manifest of one harness run."""
@@ -291,7 +287,6 @@ def build_manifest(
         "totals": totals,
         "results": results,
         "wall_clock": round(wall_clock, 6) if wall_clock is not None else None,
-        "service": service,
         "telemetry": telemetry,
     }
 

@@ -6,19 +6,16 @@ Three layers:
   instants that compile to no-ops when disabled, JSONL sinks and a
   bounded flight-recorder ring for post-mortems of hard-killed workers,
   Chrome trace-event export with cross-process stitching, hotspot
-  reports.  Surfaces: ``--trace-out``, ``repro-check trace-report``,
-  ``GET /jobs/{id}/trace``.
+  reports.  Surfaces: ``--trace-out`` and ``repro-check trace-report``.
 * **Metrics** (:mod:`repro.obs.metrics`) — a unified registry of
-  counters, gauges and log-bucketed histograms with label families,
-  per-thread accumulation, cross-process snapshot/merge, Prometheus
-  text exposition and an in-repo exposition parser.  Surfaces:
-  ``GET /metrics`` (Prometheus) / ``GET /metrics.json`` (JSON) and
-  ``repro-check metrics``.
+  counters and log-bucketed histograms with label families and
+  per-thread accumulation.  Surface: the ``telemetry`` block of an
+  ``evaluate --live --output`` run manifest.
 * **Heartbeats** (:mod:`repro.obs.heartbeat`) — live structured
   progress (IC3 frame, BMC bound, k-induction k, portfolio member
   states, RSS/CPU from ``/proc``) published by worker processes and
-  read by the parent.  Surfaces: ``GET /jobs/{id}/progress``, the
-  ``--live`` status line, and the serve stall watchdog.
+  read by the parent.  Surfaces: the ``--live`` status line and the
+  harness pool's stall counter.
 """
 
 from repro.obs.export import (
@@ -50,10 +47,7 @@ from repro.obs.metrics import (
     REGISTRY,
     MetricsRegistry,
     get_registry,
-    merge_snapshots,
-    parse_prometheus,
     record_engine_outcome,
-    render_prometheus,
     snapshot_totals,
 )
 from repro.obs.report import format_report, hotspots, phase_totals
@@ -97,13 +91,10 @@ __all__ = [
     "install_heartbeat",
     "maybe_install_worker_heartbeat",
     "maybe_install_worker_tracer",
-    "merge_snapshots",
-    "parse_prometheus",
     "phase_totals",
     "read_jsonl_events",
     "read_trace",
     "record_engine_outcome",
-    "render_prometheus",
     "snapshot_totals",
     "shutdown_worker_heartbeat",
     "shutdown_worker_tracer",

@@ -17,9 +17,9 @@ measure, immune to wall-clock steps.  A record whose age exceeds the
 stall limit while its worker is busy means the *publisher thread* went
 silent: under CPython's GIL the thread keeps beating through the longest
 SAT call (the interpreter preempts every few milliseconds), so silence
-indicates a frozen (SIGSTOP), livelocked-in-C, or dead process — exactly
-what the serve dispatcher's stall watchdog wants to know *before* the
-hard deadline fires.
+indicates a frozen (SIGSTOP), livelocked-in-C, or dead process — what
+the supervisor's stall check (:meth:`repro.supervise.Supervisor.stalled`)
+wants to know *before* the hard deadline fires.
 
 The same three design constraints as the tracer apply, the first one
 verbatim: **disabled heartbeats must cost nothing**.  The module-level
@@ -105,7 +105,7 @@ class Heartbeat:
 
     ``update(**fields)`` merges fields under a lock (a few dict writes —
     safe to call from frame-extension loops); ``reset(**fields)``
-    replaces them (a serve worker starting its next job).  With ``path``
+    replaces them (a harness worker starting its next case).  With ``path``
     set, a daemon thread republishes every ``interval`` seconds whether
     or not anything changed — the *sequence number advancing* is the
     liveness signal, the fields are the progress payload.
@@ -119,7 +119,6 @@ class Heartbeat:
         role: str = "worker",
         path: Optional[str] = None,
         interval: float = DEFAULT_INTERVAL,
-        metrics_snapshot: Optional[Callable[[], Dict[str, Any]]] = None,
     ):
         self.role = role
         self.path = path
@@ -128,7 +127,6 @@ class Heartbeat:
         self._fields: Dict[str, Any] = {}
         self._lock = threading.Lock()
         self._seq = 0
-        self._metrics_snapshot = metrics_snapshot
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
         if path is not None:
@@ -160,11 +158,6 @@ class Heartbeat:
             "progress": fields,
         }
         record.update(_proc_sample())
-        if self._metrics_snapshot is not None:
-            try:
-                record["metrics"] = self._metrics_snapshot()
-            except Exception:  # noqa: BLE001 - telemetry must never kill the host
-                pass
         return record
 
     def publish(self) -> None:

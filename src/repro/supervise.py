@@ -1,29 +1,27 @@
 """One supervisor for every child process the stack starts.
 
-The benchmark harness, the serve daemon and the portfolio race each run
-work in a child process that the parent can kill on time: a case whose
-budget is ``t`` seconds must end within ``t`` plus a short grace even if
-the engine is stuck inside one SAT call and never polls its cooperative
-deadline.  This module is the only code that spawns, waits on, reaps or
-kills those processes.  The callers keep their own budgets, grace values
-and reactions to a stall.
+The benchmark harness and the portfolio race each run work in a child
+process that the parent can kill on time: a case whose budget is ``t``
+seconds must end within ``t`` plus a short grace even if the engine is
+stuck inside one SAT call and never polls its cooperative deadline.
+This module is the only code that spawns, waits on, reaps or kills those
+processes.  The callers keep their own budgets, grace values and
+reactions to a stall.
 
 Two process decisions live here:
 
-* a *leader* child (a harness task, a serve worker) leads its own process
-  group, so its hard kill takes everything it started with it, portfolio
-  members included.  A member stays in its parent's group for the same
-  reason: the kill of that group must reach it;
+* a *leader* child (a harness task) leads its own process group, so its
+  hard kill takes everything it started with it, portfolio members
+  included.  A member stays in its parent's group for the same reason:
+  the kill of that group must reach it;
 * leaders are non-daemonic, because a daemonic process may not start
   children (the portfolio members).  Members are daemonic, so the
   interpreter's exit also ends a member that was never reaped.
 
 A child runs its body under one observability bootstrap: the tracer the
 parent requested through :data:`~repro.obs.tracer.TRACE_DIR_ENV` and a
-heartbeat publishing into the supervisor's heartbeat directory.  A
-*per-task* child runs ``body(*args)`` once; a *warm* child runs
-``body(message, *args)`` for every message the parent sends until it
-receives ``None``.  Each answer is shipped as ``("ok", value)`` or
+heartbeat publishing into the supervisor's heartbeat directory.  It runs
+``body(*args)`` once and ships the answer as ``("ok", value)`` or
 ``("error", "Type: msg")``.
 """
 
@@ -53,8 +51,8 @@ to flush its trace and final heartbeat after it shipped its answer."""
 _STALL_CHECK_INTERVAL = 0.5
 
 
-def _answer(conn, body: Callable[..., Any], args: tuple) -> bool:
-    """Run ``body(*args)`` and ship its outcome; False once the pipe is gone.
+def _answer(conn, body: Callable[..., Any], args: tuple) -> None:
+    """Run ``body(*args)`` and ship its outcome.
 
     An interrupt or exit is shipped like an exception, then re-raised so
     that it still ends the child.
@@ -66,18 +64,17 @@ def _answer(conn, body: Callable[..., Any], args: tuple) -> bool:
         if not isinstance(exc, Exception):
             _ship(conn, reply)
             raise
-    return _ship(conn, reply)
+    _ship(conn, reply)
 
 
-def _ship(conn, reply: Tuple[str, Any]) -> bool:
+def _ship(conn, reply: Tuple[str, Any]) -> None:
     try:
         conn.send(reply)
     except (BrokenPipeError, OSError):
-        return False
-    return True
+        pass
 
 
-def _child_main(conn, role, leader, heartbeat_dir, heartbeat_interval, warm, body, args):
+def _child_main(conn, role, leader, heartbeat_dir, heartbeat_interval, body, args):
     """Child-process body: bootstrap observability, then answer."""
     if leader:
         try:
@@ -92,16 +89,7 @@ def _child_main(conn, role, leader, heartbeat_dir, heartbeat_interval, warm, bod
         except OSError:  # pragma: no cover - unwritable heartbeat dir
             pass
     try:
-        if not warm:
-            _answer(conn, body, args)
-            return
-        while True:
-            try:
-                message = conn.recv()
-            except (EOFError, OSError):
-                break
-            if message is None or not _answer(conn, body, (message,) + args):
-                break
+        _answer(conn, body, args)
     finally:
         shutdown_worker_heartbeat()
         shutdown_worker_tracer()
@@ -111,21 +99,15 @@ def _child_main(conn, role, leader, heartbeat_dir, heartbeat_interval, warm, bod
 class Child:
     """The parent's handle on one supervised process.
 
-    ``task`` is the caller's tag for the work the child is running (None
-    while a warm child is idle), ``started`` is when that work began and
-    ``deadline`` when it becomes overdue (None: never).  ``answers``
-    counts the answers received so far.
+    ``task`` is the caller's tag for the work the child is running,
+    ``started`` is when it began and ``deadline`` when it becomes overdue
+    (None: never).
     """
 
-    def __init__(self, proc, conn, role: str, warm: bool, task, budget):
+    def __init__(self, proc, conn, role: str, task: Any, budget: Optional[float]):
         self.proc = proc
         self.conn = conn
         self.role = role
-        self.warm = warm
-        self.answers = 0
-        self._begin(task, budget)
-
-    def _begin(self, task: Any, budget: Optional[float]) -> None:
         self.task = task
         self.started = time.perf_counter()
         self.deadline = self.started + budget if budget is not None else None
@@ -135,26 +117,12 @@ class Child:
     def pid(self) -> int:
         return self.proc.pid
 
-    @property
-    def busy(self) -> bool:
-        return self.task is not None
-
-    def send(self, message: Any, task: Any, budget: Optional[float]) -> None:
-        """Hand a warm child ``task``, overdue ``budget`` seconds from now.
-
-        Raises OSError when the child has died.
-        """
-        self.conn.send(message)
-        self._begin(task, budget)
-
     def receive(self) -> Optional[Tuple[str, Any]]:
-        """The child's next answer, or None when it died without one."""
+        """The child's answer, or None when it died without one."""
         try:
-            reply = self.conn.recv()
+            return self.conn.recv()
         except (EOFError, OSError):
             return None
-        self.answers += 1
-        return reply
 
 
 class Supervisor:
@@ -187,24 +155,22 @@ class Supervisor:
         *args: Any,
         task: Any = None,
         budget: Optional[float] = None,
-        warm: bool = False,
     ) -> Child:
-        """Start a child running ``body`` (see the module docstring).
+        """Start a child running ``body(*args)`` as ``task``.
 
-        A per-task child is busy with ``task`` from the start; it is
-        overdue ``budget`` seconds later.
+        The child is overdue ``budget`` seconds later.
         """
-        parent_conn, child_conn = self._ctx.Pipe(duplex=warm)
+        parent_conn, child_conn = self._ctx.Pipe(duplex=False)
         bootstrap = (role, self.leader, self.heartbeat_dir, self.heartbeat_interval)
         proc = self._ctx.Process(
             target=_child_main,
-            args=(child_conn, *bootstrap, warm, body, args),
+            args=(child_conn, *bootstrap, body, args),
             name=role,
             daemon=not self.leader,
         )
         proc.start()
         child_conn.close()
-        return Child(proc, parent_conn, role, warm, task, budget)
+        return Child(proc, parent_conn, role, task, budget)
 
     @staticmethod
     def wait(children: Iterable[Child], timeout: float) -> List[Child]:
@@ -215,29 +181,24 @@ class Supervisor:
 
     @staticmethod
     def overdue(children: Iterable[Child]) -> List[Child]:
-        """The busy children past their deadline."""
+        """The children past their deadline."""
         now = time.perf_counter()
         return [
             child
             for child in children
-            if child.busy and child.deadline is not None and now > child.deadline
+            if child.deadline is not None and now > child.deadline
         ]
 
     def reap(self, child: Child, *, kill: bool = False) -> None:
         """End ``child`` for good and drop its heartbeat record.
 
         Unless ``kill`` is set, the child first gets :data:`JOIN_TIMEOUT`
-        seconds to exit by itself (a warm one is asked to leave its
-        loop).  Then it is SIGKILLed, with its whole group if it leads
-        one, so nothing it started outlives it.  The record is removed
-        after the join, so the child's final publish cannot recreate it.
+        seconds to exit by itself.  Then it is SIGKILLed, with its whole
+        group if it leads one, so nothing it started outlives it.  The
+        record is removed after the join, so the child's final publish
+        cannot recreate it.
         """
         proc = child.proc
-        if not kill and child.warm:
-            try:
-                child.conn.send(None)
-            except OSError:
-                kill = True
         if not kill:
             proc.join(JOIN_TIMEOUT)
         if self.leader:
@@ -256,16 +217,16 @@ class Supervisor:
                 pass
 
     def stalled(self, children: Iterable[Child], limit: float) -> List[Tuple[Child, float]]:
-        """Busy children whose heartbeat went silent, with the record's age.
+        """Children whose heartbeat went silent, with the record's age.
 
-        A child qualifies once it has been busy longer than ``limit`` (a
-        fresh task gets that long to publish its first beat) and its
-        record is older than ``limit``; a child with no record is judged
-        by its busy time.  A merely slow child keeps beating (the GIL
-        preempts into the publisher thread even mid-SAT-call), so silence
-        means it is frozen (SIGSTOP), wedged outside the interpreter, or
-        dead.  Each child is reported once per task; the directory is
-        read at most every 0.5 s, and never without a heartbeat dir.
+        A child qualifies once it has run longer than ``limit`` (a fresh
+        child gets that long to publish its first beat) and its record is
+        older than ``limit``; a child with no record is judged by its
+        running time.  A merely slow child keeps beating (the GIL preempts
+        into the publisher thread even mid-SAT-call), so silence means it
+        is frozen (SIGSTOP), wedged outside the interpreter, or dead.
+        Each child is reported once; the directory is read at most every
+        0.5 s, and never without a heartbeat dir.
         """
         now = time.perf_counter()
         if self.monitor is None or now < self._next_stall_check:
@@ -274,11 +235,11 @@ class Supervisor:
         records = {record.get("pid"): record for record in self.monitor.read_all()}
         found: List[Tuple[Child, float]] = []
         for child in children:
-            busy_for = now - child.started
-            if not child.busy or child.stalled or busy_for <= limit:
+            running_for = now - child.started
+            if child.stalled or running_for <= limit:
                 continue
             record = records.get(child.pid)
-            age = self.monitor.age(record) if record is not None else busy_for
+            age = self.monitor.age(record) if record is not None else running_for
             if age > limit:
                 child.stalled = True
                 found.append((child, age))

@@ -43,6 +43,25 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(argv + ["--sat-backend", "arena"])
 
+    @pytest.mark.parametrize("command", ["serve", "submit", "metrics"])
+    def test_removed_daemon_subcommands_rejected(self, command):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "ring.aag", "--seed", "-3"],
+            ["evaluate", "--seed", "-2"],
+            ["check", "ring.aag", "--engine", "kind", "--max-k", "-2"],
+        ],
+    )
+    def test_bad_numeric_flags_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(argv)
+        assert exit_info.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
 
 class TestVersionCommand:
     def test_version_lists_registries(self, capsys):

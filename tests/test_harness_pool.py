@@ -2,7 +2,7 @@
 
 The happy path is exercised all over the harness tests; these cover what
 happens when workers die, hang, or finish right at the deadline — the
-guarantees the serve worker pool builds on.
+guarantees the evaluation harness builds on.
 """
 
 import multiprocessing

@@ -70,8 +70,8 @@ class TestHeartbeatRecord:
         assert heartbeat.snapshot()["progress"] == {"case": "next"}
 
     def test_snapshot_carries_identity_and_clock(self):
-        record = Heartbeat(role="serve").snapshot()
-        assert record["role"] == "serve"
+        record = Heartbeat(role="harness").snapshot()
+        assert record["role"] == "harness"
         assert record["pid"] == os.getpid()
         assert record["seq"] == 0
         assert record["time_mono"] <= time.monotonic()

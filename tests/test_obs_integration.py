@@ -1,4 +1,4 @@
-"""End-to-end tracing tests: CLI, killed workers, and the serve endpoint."""
+"""End-to-end tracing tests: the CLI and killed workers."""
 
 import json
 import os
@@ -84,39 +84,3 @@ class TestKilledWorkerPostMortem:
     def test_worker_activation_requires_env(self):
         assert maybe_install_worker_tracer("harness") is None
 
-
-class TestServeTraceEndpoint:
-    def test_job_trace_served_and_404_for_unknown(self, tmp_path):
-        from test_serve_http import SAFE_TEXT, ServerUnderTest
-
-        server = ServerUnderTest(trace_dir=str(tmp_path)).start()
-        try:
-            status, payload, _ = server.request(
-                "/jobs", data=SAFE_TEXT.encode(), method="POST"
-            )
-            assert status in (200, 202)
-            job_id = payload["id"]
-            server.poll_done(job_id)
-            status, document, _ = server.request(f"/jobs/{job_id}/trace")
-            assert status == 200
-            names = {e["name"] for e in document["traceEvents"]}
-            assert "serve.job" in names
-            status, payload, _ = server.request("/jobs/nonexistent/trace")
-            assert status == 404
-        finally:
-            server.stop()
-
-    def test_404_when_tracing_disabled(self):
-        from test_serve_http import SAFE_TEXT, ServerUnderTest
-
-        server = ServerUnderTest().start()
-        try:
-            status, payload, _ = server.request(
-                "/jobs", data=SAFE_TEXT.encode(), method="POST"
-            )
-            job_id = payload["id"]
-            server.poll_done(job_id)
-            status, payload, _ = server.request(f"/jobs/{job_id}/trace")
-            assert status == 404
-        finally:
-            server.stop()

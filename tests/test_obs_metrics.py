@@ -1,6 +1,5 @@
 """Unit tests of the metrics core (``repro.obs.metrics``)."""
 
-import math
 import threading
 
 import pytest
@@ -9,9 +8,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
     default_latency_buckets,
     get_registry,
-    merge_snapshots,
-    parse_prometheus,
-    render_prometheus,
     snapshot_totals,
 )
 
@@ -32,7 +28,7 @@ class TestRegistry:
         registry = MetricsRegistry()
         registry.counter("x_total")
         with pytest.raises(ValueError, match="already declared"):
-            registry.gauge("x_total")
+            registry.histogram("x_total")
 
     def test_redeclare_with_different_labels_raises(self):
         registry = MetricsRegistry()
@@ -88,23 +84,6 @@ class TestCounter:
         assert counter.value() == 4
 
 
-class TestGauge:
-    def test_last_write_wins(self):
-        registry = MetricsRegistry()
-        gauge = registry.gauge("depth")
-        assert gauge.value() is None
-        gauge.set(3)
-        gauge.set(7)
-        assert gauge.value() == 7
-
-    def test_labelled_gauge(self):
-        registry = MetricsRegistry()
-        gauge = registry.gauge("tokens", labels=("tenant",))
-        gauge.set(1.5, tenant="a")
-        assert gauge.value(tenant="a") == 1.5
-        assert gauge.value(tenant="b") is None
-
-
 class TestHistogram:
     def test_observations_land_in_log_buckets(self):
         registry = MetricsRegistry()
@@ -138,129 +117,23 @@ class TestHistogram:
             registry.histogram("bad_seconds", buckets=(1.0, 0.5))
 
 
-class TestSnapshotAndMerge:
+class TestSnapshot:
     def _populated(self):
         registry = MetricsRegistry()
         registry.counter("runs_total", "runs", labels=("engine",)).inc(3, engine="ic3")
-        registry.gauge("depth", "queue depth").set(5)
         registry.histogram("lat_seconds", "latency", buckets=(1.0,)).observe(0.5)
         return registry
 
     def test_snapshot_is_plain_json_shape(self):
         snapshot = self._populated().snapshot()
-        assert set(snapshot) == {"counters", "gauges", "histograms"}
+        assert set(snapshot) == {"counters", "histograms"}
         (series,) = snapshot["counters"]["runs_total"]["values"]
         assert series == {"labels": {"engine": "ic3"}, "value": 3}
         (series,) = snapshot["histograms"]["lat_seconds"]["values"]
         assert series["buckets"] == [1, 0] and series["count"] == 1
 
-    def test_merge_adds_counters_and_histograms(self):
-        """Merging a snapshot with itself doubles additive metrics."""
-        snapshot = self._populated().snapshot()
-        merged = merge_snapshots([snapshot, snapshot])
-        (series,) = merged["counters"]["runs_total"]["values"]
-        assert series["value"] == 6
-        (series,) = merged["histograms"]["lat_seconds"]["values"]
-        assert series["buckets"] == [2, 0] and series["count"] == 2
-        # Gauges are point-in-time: the later snapshot wins, no doubling.
-        (series,) = merged["gauges"]["depth"]["values"]
-        assert series["value"] == 5
-
-    def test_merge_gauges_last_write_wins(self):
-        first = MetricsRegistry()
-        first.gauge("depth").set(3)
-        second = MetricsRegistry()
-        second.gauge("depth").set(9)
-        merged = merge_snapshots([first.snapshot(), second.snapshot()])
-        (series,) = merged["gauges"]["depth"]["values"]
-        assert series["value"] == 9
-
     def test_snapshot_totals_condenses_families(self):
         totals = snapshot_totals(self._populated().snapshot())
         assert totals["runs_total"] == 3
         assert totals["lat_seconds"] == {"sum": 0.5, "count": 1}
-        assert "depth" not in totals  # gauges have no meaningful total
 
-
-class TestPrometheusExposition:
-    def test_render_parse_round_trip(self):
-        registry = MetricsRegistry()
-        registry.counter("runs_total", "Engine runs.", labels=("engine",)).inc(
-            2, engine="ic3-pl"
-        )
-        registry.gauge("depth", "Queue depth.").set(4)
-        registry.histogram("lat_seconds", "Latency.", buckets=(0.1, 1.0)).observe(0.5)
-        families = parse_prometheus(render_prometheus(registry.snapshot()))
-        assert families["runs_total"]["type"] == "counter"
-        assert families["runs_total"]["samples"] == [
-            ("runs_total", {"engine": "ic3-pl"}, 2.0)
-        ]
-        assert families["depth"]["samples"] == [("depth", {}, 4.0)]
-        histogram = families["lat_seconds"]
-        assert histogram["type"] == "histogram"
-        by_name = {}
-        for name, labels, value in histogram["samples"]:
-            by_name.setdefault(name, []).append((labels, value))
-        # Cumulative buckets: 0.5 falls past 0.1, inside 1.0 and +Inf.
-        assert by_name["lat_seconds_bucket"] == [
-            ({"le": "0.1"}, 0.0),
-            ({"le": "1"}, 1.0),
-            ({"le": "+Inf"}, 1.0),
-        ]
-        assert by_name["lat_seconds_count"] == [({}, 1.0)]
-
-    def test_untouched_unlabelled_metric_exposes_zero(self):
-        registry = MetricsRegistry()
-        registry.counter("quiet_total", "Never incremented.")
-        families = parse_prometheus(render_prometheus(registry.snapshot()))
-        assert families["quiet_total"]["samples"] == [("quiet_total", {}, 0.0)]
-
-    def test_label_values_are_escaped(self):
-        registry = MetricsRegistry()
-        registry.counter("odd_total", labels=("name",)).inc(name='a"b\\c\nd')
-        families = parse_prometheus(render_prometheus(registry.snapshot()))
-        ((_, labels, value),) = families["odd_total"]["samples"]
-        assert value == 1.0 and labels["name"] == 'a\\"b\\\\c\\nd'
-
-    def test_parser_rejects_sample_without_type(self):
-        with pytest.raises(ValueError, match="without a TYPE"):
-            parse_prometheus("orphan_total 3\n")
-
-    def test_parser_rejects_unknown_type(self):
-        with pytest.raises(ValueError, match="unknown metric type"):
-            parse_prometheus("# TYPE x_total rainbow\nx_total 1\n")
-
-    def test_parser_rejects_malformed_sample(self):
-        with pytest.raises(ValueError, match="malformed sample"):
-            parse_prometheus("# TYPE x_total counter\nx_total\n")
-
-    def test_parser_rejects_garbage_labels(self):
-        with pytest.raises(ValueError, match="malformed labels"):
-            parse_prometheus('# TYPE x_total counter\nx_total{a="1" junk} 1\n')
-
-    def test_parser_rejects_unparseable_value(self):
-        with pytest.raises(ValueError, match="unparseable value"):
-            parse_prometheus("# TYPE x_total counter\nx_total banana\n")
-
-    def test_parser_requires_histogram_inf_bucket(self):
-        text = (
-            "# TYPE lat_seconds histogram\n"
-            'lat_seconds_bucket{le="1"} 1\n'
-            "lat_seconds_sum 0.5\n"
-            "lat_seconds_count 1\n"
-        )
-        with pytest.raises(ValueError, match=r"missing its \+Inf bucket"):
-            parse_prometheus(text)
-
-    def test_parser_requires_histogram_sum_and_count(self):
-        text = (
-            "# TYPE lat_seconds histogram\n"
-            'lat_seconds_bucket{le="+Inf"} 1\n'
-        )
-        with pytest.raises(ValueError, match="missing _sum/_count"):
-            parse_prometheus(text)
-
-    def test_parser_accepts_special_values(self):
-        families = parse_prometheus("# TYPE x gauge\nx +Inf\n")
-        ((_, _, value),) = families["x"]["samples"]
-        assert value == math.inf

@@ -1,11 +1,9 @@
-"""Failure paths of the process supervisor, written once for both uses.
+"""Failure paths of the process supervisor.
 
-Every scenario runs twice: as a *per-task* child (the harness pool: one
-process per payload) and as a *warm* child (the serve workers: a
-long-lived process answering one message at a time).  The last two
-classes pin the process decisions the callers rely on: a harness kill
-reaches the portfolio members its worker started, and reaped workers
-leave no heartbeat records behind.
+Every scenario runs one child per payload, as the harness pool does.
+The last two classes pin the process decisions the callers rely on: a
+harness kill reaches the portfolio members its worker started, and
+reaped workers leave no heartbeat records behind.
 """
 
 import multiprocessing
@@ -29,8 +27,6 @@ pytestmark = pytest.mark.skipif(
     reason="child bodies and test engines are inherited through fork",
 )
 
-MODES = ["per-task", "warm"]
-
 
 def _die(payload):
     os._exit(17)  # simulates a SIGKILL / segfault: no exception, no report
@@ -52,13 +48,9 @@ def _linger(payload):
     return payload
 
 
-def _start(supervisor, mode, body, payload, budget=30.0):
-    """One child running ``body(payload)`` as task "t", in either mode."""
-    if mode == "per-task":
-        return supervisor.spawn("harness", body, payload, task="t", budget=budget)
-    child = supervisor.spawn("serve", body, warm=True)
-    child.send(payload, "t", budget)
-    return child
+def _start(supervisor, body, payload, budget=30.0):
+    """One child running ``body(payload)`` as task "t"."""
+    return supervisor.spawn("harness", body, payload, task="t", budget=budget)
 
 
 def _await_answer(supervisor, child, timeout=10.0):
@@ -69,32 +61,26 @@ def _await_answer(supervisor, child, timeout=10.0):
     raise AssertionError("child never answered")
 
 
-@pytest.mark.parametrize("mode", MODES)
 class TestFailurePaths:
-    def test_exit_without_answer_reads_as_death(self, mode):
+    def test_exit_without_answer_reads_as_death(self):
         supervisor = Supervisor(leader=True)
-        child = _start(supervisor, mode, _die, "x")
+        child = _start(supervisor, _die, "x")
         assert _await_answer(supervisor, child) is None
         supervisor.reap(child, kill=True)
         assert not child.proc.is_alive()
         assert not multiprocessing.active_children()
 
-    def test_exception_is_shipped_as_error(self, mode):
+    def test_exception_is_shipped_as_error(self):
         supervisor = Supervisor(leader=True)
-        child = _start(supervisor, mode, _raise, "p1")
+        child = _start(supervisor, _raise, "p1")
         assert _await_answer(supervisor, child) == ("error", "RuntimeError: bad payload p1")
-        if mode == "warm":
-            # A warm child survives the error and answers its next message.
-            child.send(2, "t2", 30.0)
-            assert _await_answer(supervisor, child) == ("error", "RuntimeError: bad payload 2")
-            assert child.answers == 2
         supervisor.reap(child)
         assert not child.proc.is_alive()
 
-    def test_hang_is_overdue_and_killed(self, mode):
+    def test_hang_is_overdue_and_killed(self):
         supervisor = Supervisor(leader=True)
         start = time.monotonic()
-        child = _start(supervisor, mode, _sleep, 120, budget=0.3)
+        child = _start(supervisor, _sleep, 120, budget=0.3)
         while not supervisor.overdue([child]):
             assert not supervisor.wait([child], 0.05)
             assert time.monotonic() - start < 10
@@ -104,21 +90,21 @@ class TestFailurePaths:
         assert time.monotonic() - start < 10
         assert not multiprocessing.active_children()
 
-    def test_answer_in_flight_survives_lingering(self, mode):
+    def test_answer_in_flight_survives_lingering(self):
         supervisor = Supervisor(leader=True)
         start = time.monotonic()
-        child = _start(supervisor, mode, _linger, "kept")
+        child = _start(supervisor, _linger, "kept")
         assert _await_answer(supervisor, child) == ("ok", "kept")
         supervisor.reap(child)
         assert not child.proc.is_alive()
         assert time.monotonic() - start < 10
         assert not multiprocessing.active_children()
 
-    def test_sigstop_is_a_stall_before_the_deadline(self, mode, tmp_path):
+    def test_sigstop_is_a_stall_before_the_deadline(self, tmp_path):
         supervisor = Supervisor(
             leader=True, heartbeat_dir=str(tmp_path), heartbeat_interval=0.05
         )
-        child = _start(supervisor, mode, _sleep, 120, budget=60.0)
+        child = _start(supervisor, _sleep, 120, budget=60.0)
         try:
             deadline = time.monotonic() + 10
             while supervisor.monitor.latest_for(child.pid) is None:
