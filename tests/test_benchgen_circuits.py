@@ -3,13 +3,17 @@
 Every generator's ``expected`` verdict is checked against an independent
 oracle: explicit-state reachability (breadth-first search over the latch
 state space with all input combinations) for the small instances, and BMC
-for the expected counterexample depths.
+for the expected counterexample depths.  The same oracle then checks that
+the default reduction pipeline and both AIGER encodings keep every small
+instance's verdict and shortest counterexample depth.
 """
 
 import itertools
 
 import pytest
 
+from repro.aiger import parse_aiger, to_aag_string
+from repro.aiger.writer import to_aig_bytes
 from repro.benchgen import (
     combination_lock,
     counter_overflow,
@@ -25,6 +29,7 @@ from repro.benchgen import (
     traffic_light,
 )
 from repro.core import BMC, CheckResult
+from repro.reduce import reduce_aig
 
 
 def exhaustive_bad_reachability(aig, max_states=1 << 14):
@@ -122,6 +127,26 @@ class TestExpectedDepthsAgainstBMC:
         if depth > 0:
             assert bmc.check_depth(depth - 1) is False
         assert bmc.check_depth(depth) is True
+
+
+class TestTransformationsAgainstExplicitSearch:
+    @pytest.mark.parametrize("case", SMALL_CASES, ids=lambda c: c.name)
+    def test_default_reduction_keeps_verdict_and_depth(self, case):
+        reduced = reduce_aig(case.aig)
+        assert reduced.aig.num_latches <= case.aig.num_latches
+        assert exhaustive_bad_reachability(reduced.aig) == exhaustive_bad_reachability(
+            case.aig
+        )
+
+    @pytest.mark.parametrize("case", SMALL_CASES, ids=lambda c: c.name)
+    def test_ascii_round_trip_keeps_verdict_and_depth(self, case):
+        parsed = parse_aiger(to_aag_string(case.aig))
+        assert exhaustive_bad_reachability(parsed) == exhaustive_bad_reachability(case.aig)
+
+    @pytest.mark.parametrize("case", SMALL_CASES, ids=lambda c: c.name)
+    def test_binary_round_trip_keeps_verdict_and_depth(self, case):
+        parsed = parse_aiger(to_aig_bytes(case.aig))
+        assert exhaustive_bad_reachability(parsed) == exhaustive_bad_reachability(case.aig)
 
 
 class TestGeneratorParameterValidation:

@@ -63,6 +63,43 @@ class TestParser:
         assert "usage:" in capsys.readouterr().err
 
 
+SEED_COMMANDS = [["check", "model.aag"], ["evaluate"]]
+
+
+class TestNumericFlagTypes:
+    @pytest.mark.parametrize("text", ["0", "1", "4096"])
+    @pytest.mark.parametrize("command", SEED_COMMANDS, ids=lambda argv: argv[0])
+    def test_seed_accepts_non_negative_integers(self, command, text):
+        args = build_parser().parse_args(command + ["--seed", text])
+        assert args.seed == int(text)
+
+    @pytest.mark.parametrize("text", ["1.5", "abc", ""])
+    @pytest.mark.parametrize("command", SEED_COMMANDS, ids=lambda argv: argv[0])
+    def test_seed_rejects_non_integers(self, command, text, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(command + ["--seed", text])
+        assert exit_info.value.code == 2
+        assert "invalid integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", SEED_COMMANDS, ids=lambda argv: argv[0])
+    def test_negative_seed_error_names_the_bound(self, command, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(command + ["--seed", "-1"])
+        assert "must be at least 0, got -1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["1", "3", "20"])
+    def test_max_k_accepts_positive_integers(self, text):
+        args = build_parser().parse_args(["check", "model.aag", "--max-k", text])
+        assert args.max_k == int(text)
+
+    @pytest.mark.parametrize("text", ["0", "-1", "two", "2.0"])
+    def test_max_k_rejects_everything_else(self, text, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["check", "model.aag", "--max-k", text])
+        assert exit_info.value.code == 2
+        assert "--max-k" in capsys.readouterr().err
+
+
 class TestVersionCommand:
     def test_version_lists_registries(self, capsys):
         from repro.harness.manifest import MANIFEST_SCHEMA

@@ -48,6 +48,14 @@ def _linger(payload):
     return payload
 
 
+def _exit_with(code):
+    raise SystemExit(code)
+
+
+def _group(payload):
+    return os.getpgid(0)
+
+
 def _start(supervisor, body, payload, budget=30.0):
     """One child running ``body(payload)`` as task "t"."""
     return supervisor.spawn("harness", body, payload, task="t", budget=budget)
@@ -132,6 +140,88 @@ class TestFailurePaths:
         finally:
             supervisor.reap(child, kill=True)
         assert not child.proc.is_alive()
+        assert supervisor.monitor.read_all() == []
+
+
+class TestChildLifecycle:
+    def test_sigkill_reads_as_death_before_the_deadline(self):
+        supervisor = Supervisor(leader=True)
+        child = _start(supervisor, _sleep, 120, budget=60.0)
+        try:
+            os.kill(child.pid, signal.SIGKILL)
+            assert _await_answer(supervisor, child) is None
+            assert not supervisor.overdue([child])
+        finally:
+            supervisor.reap(child, kill=True)
+        assert child.proc.exitcode == -signal.SIGKILL
+
+    def test_exit_is_shipped_then_ends_the_child(self):
+        supervisor = Supervisor(leader=True)
+        child = _start(supervisor, _exit_with, 3)
+        assert _await_answer(supervisor, child) == ("error", "SystemExit: 3")
+        supervisor.reap(child)
+        assert child.proc.exitcode == 3
+
+    def test_unbudgeted_child_is_never_overdue(self):
+        supervisor = Supervisor(leader=True)
+        child = _start(supervisor, _sleep, 120, budget=None)
+        try:
+            assert child.deadline is None
+            time.sleep(0.2)
+            assert supervisor.overdue([child]) == []
+        finally:
+            supervisor.reap(child, kill=True)
+
+    def test_wait_reports_only_ready_children(self):
+        supervisor = Supervisor(leader=True)
+        quick = _start(supervisor, _sleep, 0)
+        slow = _start(supervisor, _sleep, 120)
+        try:
+            assert _await_answer(supervisor, quick) == ("ok", 0)
+            assert supervisor.wait([quick, slow], 0.05) == [quick]
+        finally:
+            supervisor.reap(quick)
+            supervisor.reap(slow, kill=True)
+
+    def test_leader_child_leads_its_own_group(self):
+        supervisor = Supervisor(leader=True)
+        child = _start(supervisor, _group, None)
+        assert not child.proc.daemon
+        assert _await_answer(supervisor, child) == ("ok", child.pid)
+        supervisor.reap(child)
+
+    def test_member_child_stays_in_the_parent_group(self):
+        supervisor = Supervisor(leader=False)
+        child = _start(supervisor, _group, None)
+        assert child.proc.daemon
+        assert _await_answer(supervisor, child) == ("ok", os.getpgid(0))
+        supervisor.reap(child)
+
+    def test_no_stall_reports_without_a_heartbeat_dir(self):
+        supervisor = Supervisor(leader=True)
+        child = _start(supervisor, _sleep, 120)
+        try:
+            time.sleep(0.2)
+            assert supervisor.stalled([child], 0.05) == []
+        finally:
+            supervisor.reap(child, kill=True)
+
+    def test_heartbeat_names_role_and_pid_until_reaped(self, tmp_path):
+        supervisor = Supervisor(
+            leader=True, heartbeat_dir=str(tmp_path), heartbeat_interval=0.05
+        )
+        child = _start(supervisor, _sleep, 120)
+        try:
+            deadline = time.monotonic() + 10
+            record = None
+            while record is None:
+                assert time.monotonic() < deadline, "no heartbeat published"
+                record = supervisor.monitor.latest_for(child.pid)
+                time.sleep(0.05)
+            assert record["role"] == "harness"
+            assert record["pid"] == child.pid
+        finally:
+            supervisor.reap(child, kill=True)
         assert supervisor.monitor.read_all() == []
 
 
