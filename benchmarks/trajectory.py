@@ -13,7 +13,7 @@ totals, and two machine-independent shapes:
   the *relative* cost of the configurations is a property of the code;
 * ``overhead_ratio`` — harness wall clock divided by the sum of the
   engines' own runtimes: the end-to-end overhead of process pools,
-  result plumbing and (when enabled) telemetry.
+  result plumbing and (when enabled) tracing and heartbeats.
 
 Usage::
 

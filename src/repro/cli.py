@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import sys
 import time
 from contextlib import contextmanager, nullcontext
@@ -55,6 +56,7 @@ from repro.harness.configs import (
 from repro.harness.manifest import build_manifest, write_manifest
 from repro.harness.report import run_paper_evaluation
 from repro.reduce import available_passes, reduce_aig
+from repro.reduce.base import no_properties_message, selected_bads
 
 
 # Suite name -> module-level factory attribute; the single source for
@@ -97,6 +99,16 @@ def _positive_int(text: str) -> int:
     return _int_at_least(1, text)
 
 
+def _positive_seconds(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid number {text!r}") from None
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Create the argument parser (exposed for testing)."""
     parser = argparse.ArgumentParser(
@@ -113,8 +125,10 @@ def build_parser() -> argparse.ArgumentParser:
         default="ic3-pl",
         help="engine to use (default: ic3-pl)",
     )
-    check.add_argument("--timeout", type=float, default=None, help="time limit in seconds")
-    check.add_argument("--max-depth", type=int, default=50, help="BMC depth bound")
+    check.add_argument(
+        "--timeout", type=_positive_seconds, default=None, help="time limit in seconds"
+    )
+    check.add_argument("--max-depth", type=_non_negative_int, default=50, help="BMC depth bound")
     check.add_argument(
         "--max-k", type=_positive_int, default=20, help="k-induction / k-liveness bound"
     )
@@ -134,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     check.add_argument(
         "--property-timeout",
-        type=float,
+        type=_positive_seconds,
         default=None,
         metavar="SECONDS",
         help="per-property time budget for scheduled multi-property runs",
@@ -199,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     evaluate = sub.add_parser("evaluate", help="run the paper evaluation harness")
-    evaluate.add_argument("--timeout", type=float, default=5.0, help="per-case timeout")
+    evaluate.add_argument("--timeout", type=_positive_seconds, default=5.0, help="per-case timeout")
     evaluate.add_argument(
         "--quick", action="store_true", help="use the small smoke-test suite"
     )
@@ -533,6 +547,16 @@ def _check_scheduled(args: argparse.Namespace, aig, options) -> int:
 
 def _command_reduce(args: argparse.Namespace) -> int:
     aig = read_aiger(args.model)
+    properties = len(selected_bads(aig))
+    if not 0 <= args.property < properties:
+        problem = (
+            f"property index {args.property} out of range "
+            f"(valid: 0..{properties - 1})"
+            if properties
+            else no_properties_message(aig)
+        )
+        print(f"error: {problem}")
+        return 2
     result = reduce_aig(
         aig, property_index=args.property, passes=_parse_passes(args.passes)
     )
@@ -594,11 +618,6 @@ def _evaluate_body(args: argparse.Namespace) -> int:
             apply_frame_backend(paper_configurations(), args.frame_backend),
             args.seed,
         )
-        telemetry = None
-        if args.live:
-            from repro.obs.metrics import get_registry, snapshot_totals
-
-            telemetry = snapshot_totals(get_registry().snapshot())
         manifest = build_manifest(
             report.suite_result,
             suite=suite_name,
@@ -607,7 +626,6 @@ def _evaluate_body(args: argparse.Namespace) -> int:
             reduce=not args.no_reduce,
             configs=configs,
             wall_clock=wall_clock,
-            telemetry=telemetry,
         )
         write_manifest(args.output, manifest)
         print(f"\nRun manifest written to {args.output}")

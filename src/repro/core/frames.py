@@ -41,7 +41,6 @@ from repro.core.options import IC3Options
 from repro.core.stats import IC3Stats
 from repro.logic.cube import Clause, Cube
 from repro.sat.arena import ArenaSolver
-from repro.sat.context import SatContext
 from repro.ts.system import TransitionSystem
 
 
@@ -355,23 +354,48 @@ class FrameManagerBase:
         """Number of lemmas across all frames."""
         return sum(len(frame) for frame in self.frames)
 
-    def finalize_stats(self) -> None:
-        """Copy substrate-level counters into the run's :class:`IC3Stats`."""
+    def solvers(self) -> List[ArenaSolver]:
+        """The SAT solvers the substrate holds at this point of the run."""
+        raise NotImplementedError
 
-    def _absorb_kernel_stats(self, solver_stats) -> None:
-        """Fold one solver's memory-system counters (manifest v5) in."""
-        self.stats.solver_conflicts += solver_stats.conflicts
-        self.stats.solver_decisions += solver_stats.decisions
-        self.stats.solver_propagations += solver_stats.propagations
-        self.stats.watch_traversals += solver_stats.watch_traversals
-        self.stats.blocker_hits += solver_stats.blocker_hits
-        self.stats.literal_pool_bytes += solver_stats.literal_pool_bytes
-        self.stats.arena_compactions += solver_stats.arena_compactions
-        self.stats.solver_removed_clauses += (
-            solver_stats.removed_clauses
-            + solver_stats.guarded_clauses_freed
-            + solver_stats.learnts_purged
-        )
+    def finalize_stats(self) -> None:
+        """Fold the solvers' kernel counters into the run's :class:`IC3Stats`.
+
+        Rebuilt per-frame solvers take their counters with them, so the
+        totals cover the solvers alive at the end of the run.
+        """
+        for solver in self.solvers():
+            solver_stats = solver.stats
+            self.stats.solver_conflicts += solver_stats.conflicts
+            self.stats.solver_decisions += solver_stats.decisions
+            self.stats.solver_propagations += solver_stats.propagations
+            self.stats.watch_traversals += solver_stats.watch_traversals
+            self.stats.blocker_hits += solver_stats.blocker_hits
+            self.stats.literal_pool_bytes += solver_stats.literal_pool_bytes
+            self.stats.arena_compactions += solver_stats.arena_compactions
+            self.stats.solver_removed_clauses += (
+                solver_stats.removed_clauses
+                + solver_stats.guarded_clauses_freed
+                + solver_stats.learnts_purged
+            )
+            self.stats.activation_vars_allocated += (
+                solver_stats.activation_vars_allocated
+            )
+            self.stats.activation_vars_recycled += (
+                solver_stats.activation_vars_recycled
+            )
+            self.stats.activation_vars_retired += (
+                solver_stats.activation_vars_retired
+            )
+
+    def _trans_solver(self) -> ArenaSolver:
+        """A fresh, seeded solver loaded with the transition relation T."""
+        solver = ArenaSolver()
+        solver.set_seed(self.options.seed)
+        solver.ensure_var(self.ts.num_vars)
+        for clause in self.ts.trans:
+            solver.add_clause(clause.literals)
+        return solver
 
     # ------------------------------------------------------------------
     # Substrate hooks
@@ -406,40 +430,41 @@ class FrameManagerBase:
 class MonolithicFrameManager(FrameManagerBase):
     """Frame management on a single persistent incremental solver.
 
-    One :class:`~repro.sat.context.SatContext` holds the transition
+    One :class:`~repro.sat.arena.ArenaSolver` holds the transition
     relation for the whole run.  Every frame ``i >= 1`` owns a persistent
     activation literal ``act_i``; the lemma ``¬c`` at level ``i`` becomes
     the single clause ``¬act_i ∨ ¬c`` and a query against the logical
     frame ``F_i`` assumes ``{act_i, …, act_top}``.  Frame 0 is exactly
     the initial states and never receives lemmas, so its queries run in a
-    small dedicated context with the initial cube asserted as persistent
-    unit clauses.  Per-query clauses — the ``¬c`` of a consecution
-    fallback, the ``¬t'`` of a lift — live in recyclable scopes that are
-    deleted right after the query, so the solver never accumulates
-    garbage from temporary clauses and no rebuild heuristic is needed.
+    small dedicated solver with the initial cube asserted as persistent
+    unit clauses; predecessor lifting runs in a third.  Per-query
+    clauses — the ``¬c`` of a consecution fallback, the ``¬t'`` of a
+    lift — live in recyclable activation scopes that are released right
+    after the query, so the solver never accumulates garbage from
+    temporary clauses and no rebuild heuristic is needed.
     """
 
     def __init__(self, ts: TransitionSystem, options: IC3Options, stats: IC3Stats):
         super().__init__(ts, options, stats)
-        self._ctx = self._new_trans_context()
+        self._solver = self._trans_solver()
         self._acts: List[int] = []
 
         # Frame 0 is exactly the initial states and never receives
-        # lemmas, so it lives in its own small context with the initial
+        # lemmas, so it lives in its own small solver with the initial
         # cube as hard unit clauses: their unit-propagation closure then
         # persists at level 0 across every frame-0 query instead of being
         # replayed through an assumption each time.
-        self._init_ctx = self._new_trans_context()
+        self._init_solver = self._trans_solver()
         for lit in ts.init_cube:
-            self._init_ctx.add_clause([lit])
+            self._init_solver.add_clause([lit])
 
         self._push_new_frame()
 
         # Predecessor lifting runs against the bare transition relation
-        # (no frame lemmas), so it gets its own small context: routing it
+        # (no frame lemmas), so it gets its own small solver: routing it
         # through the main solver would flush the reusable assumption
         # trail between consecutive consecution queries.
-        self._lift_ctx = self._new_trans_context()
+        self._lift_solver = self._trans_solver()
 
         # One live clause per lemma: ``_lemma_handles`` maps a cube's
         # literal set to ``(coverage level, solver clause handle)``.  The
@@ -461,28 +486,16 @@ class MonolithicFrameManager(FrameManagerBase):
         self._pending_moves: List[tuple] = []  # (from_level, to_level, cube)
         self._pending_removals: List[frozenset] = []
 
-    @property
-    def context(self) -> SatContext:
-        """The solving context backing every query of this run."""
-        return self._ctx
-
-    def _new_trans_context(self) -> SatContext:
-        """A fresh solving context loaded with T."""
-        ctx = SatContext(seed=self.options.seed)
-        ctx.solver.ensure_var(self.ts.num_vars)
-        ctx.load(clause.literals for clause in self.ts.trans)
-        return ctx
-
     # ------------------------------------------------------------------
     # Substrate hooks
     # ------------------------------------------------------------------
     def _open_frame(self, level: int) -> None:
-        # Frame 0 lives in ``_init_ctx``; its slot in the act list is a
+        # Frame 0 lives in ``_init_solver``; its slot in the act list is a
         # placeholder so that ``_acts[level]`` lines up with frame levels.
         if level == 0:
             self._acts.append(0)
             return
-        act = self._ctx.new_scope()
+        act = self._solver.new_activation()
         self._acts.append(act)
         if level >= 2:
             # Frame implication chain: a query at level <= L-1 always
@@ -491,7 +504,7 @@ class MonolithicFrameManager(FrameManagerBase):
             # query's answer, but it makes a lemma's pre-promotion copy
             # implied by its promoted copy — which is what allows real
             # clause deletion below.
-            self._ctx.add_clause([-self._acts[level - 1], act])
+            self._solver.add_clause([-self._acts[level - 1], act])
 
     def _process_removals(self) -> None:
         """Physically delete the clauses of fully-subsumed lemmas."""
@@ -508,11 +521,11 @@ class MonolithicFrameManager(FrameManagerBase):
         self._pending_removals.clear()
 
     def _remove_clause_at(self, level: int, handle) -> None:
-        self._ctx.remove_from_scope(self._acts[level], handle)
+        self._solver.remove_guarded(self._acts[level], handle)
         self.stats.lemma_clauses_removed += 1
 
     def _install_clause(self, cube: Cube, level: int):
-        handle = self._ctx.add_to_scope(self._acts[level], cube.negate().literals)
+        _, handle = self._solver.add_guarded(self._acts[level], cube.negate().literals)
         self.stats.lemma_clauses_added += 1
         return handle
 
@@ -594,18 +607,18 @@ class MonolithicFrameManager(FrameManagerBase):
         whole active lemma set.
         """
         if level == 0:
-            return []  # frame 0 queries run in the dedicated init context
+            return []  # frame 0 queries run in the dedicated init solver
         return self._acts[len(self._acts) - 1:level - 1:-1]
 
-    def _query_ctx(self, level: int) -> SatContext:
-        return self._init_ctx if level == 0 else self._ctx
+    def _query_solver(self, level: int) -> ArenaSolver:
+        return self._init_solver if level == 0 else self._solver
 
     def get_bad_state(self, level: int) -> Optional[BadState]:
         """Return a state of F_level that can reach Bad combinationally."""
         self._flush_pending(level)
-        ctx = self._query_ctx(level)
+        solver = self._query_solver(level)
         start = time.perf_counter()
-        satisfiable = ctx.solve(
+        satisfiable = solver.solve(
             self._frame_assumptions(level) + [self.ts.bad_lit]
         )
         self.stats.sat_time += time.perf_counter() - start
@@ -613,7 +626,7 @@ class MonolithicFrameManager(FrameManagerBase):
         if not satisfiable:
             return None
         self.stats.bad_cubes += 1
-        return self._bad_state(ctx.solver)
+        return self._bad_state(solver)
 
     def consecution(
         self, level: int, cube: Cube, reuse: bool = True
@@ -641,13 +654,12 @@ class MonolithicFrameManager(FrameManagerBase):
         if reused is not None:
             return reused
         self._flush_pending(level)
-        ctx = self._query_ctx(level)
-        solver = ctx.solver
+        solver = self._query_solver(level)
         primed_cube = self.ts.primed_literals(cube)
         assumptions = self._frame_assumptions(level) + primed_cube
 
         start = time.perf_counter()
-        satisfiable = ctx.solve(assumptions)
+        satisfiable = solver.solve(assumptions)
         self.stats.sat_time += time.perf_counter() - start
         self.stats.sat_calls += 1
         self.stats.consecution_calls += 1
@@ -658,10 +670,10 @@ class MonolithicFrameManager(FrameManagerBase):
             if cube.literal_set <= predecessor.literal_set:
                 # Rare fallback: exclude cube itself and ask again.
                 self.stats.consecution_fallbacks += 1
-                scope = ctx.new_scope()
-                ctx.add_to_scope(scope, [-lit for lit in cube])
+                scope = solver.new_activation()
+                solver.add_guarded(scope, [-lit for lit in cube])
                 start = time.perf_counter()
-                satisfiable = ctx.solve([scope] + assumptions)
+                satisfiable = solver.solve([scope] + assumptions)
                 self.stats.sat_time += time.perf_counter() - start
                 self.stats.sat_calls += 1
                 if satisfiable:
@@ -674,7 +686,7 @@ class MonolithicFrameManager(FrameManagerBase):
             result = self._core_result(solver, cube, primed_cube)
 
         if scope is not None:
-            ctx.release_scope(scope)
+            solver.release(scope)
         return result
 
     def lift_predecessor(
@@ -686,41 +698,32 @@ class MonolithicFrameManager(FrameManagerBase):
         the query ``predecessor ∧ inputs ∧ T ∧ ¬successor'`` is UNSAT and
         the core restricted to the predecessor literals is a generalized
         predecessor cube.  The query uses no frame lemmas, so it runs in
-        the dedicated lift context against the bare transition relation.
+        the dedicated lift solver against the bare transition relation.
         """
-        ctx = self._lift_ctx
-        scope = ctx.new_scope()
-        ctx.add_to_scope(scope, [-lit for lit in self.ts.primed_literals(successor)])
+        solver = self._lift_solver
+        scope = solver.new_activation()
+        solver.add_guarded(scope, [-lit for lit in self.ts.primed_literals(successor)])
         assumptions = [scope, *predecessor.literals, *inputs.literals]
 
         start = time.perf_counter()
-        satisfiable = ctx.solve(assumptions)
+        satisfiable = solver.solve(assumptions)
         self.stats.sat_time += time.perf_counter() - start
         self.stats.sat_calls += 1
         self.stats.lifting_calls += 1
 
         # A SAT answer should not happen; keep the unshrunk predecessor.
-        lifted = predecessor if satisfiable else self._lifted(ctx.solver, predecessor)
-        ctx.release_scope(scope)
+        lifted = predecessor if satisfiable else self._lifted(solver, predecessor)
+        solver.release(scope)
         return lifted
 
     # ------------------------------------------------------------------
+    def solvers(self) -> List[ArenaSolver]:
+        return [self._solver, self._lift_solver, self._init_solver]
+
     def finalize_stats(self) -> None:
-        """Mirror the solvers' activation accounting into the run stats."""
-        for ctx in (self._ctx, self._lift_ctx, self._init_ctx):
-            solver_stats = ctx.solver.stats
-            self._absorb_kernel_stats(solver_stats)
-            self.stats.activation_vars_allocated += (
-                solver_stats.activation_vars_allocated
-            )
-            self.stats.activation_vars_recycled += (
-                solver_stats.activation_vars_recycled
-            )
-            self.stats.activation_vars_retired += (
-                solver_stats.activation_vars_retired
-            )
+        super().finalize_stats()
         self.stats.assumption_levels_reused = (
-            self._ctx.solver.stats.assumption_levels_reused
+            self._solver.stats.assumption_levels_reused
         )
 
 
@@ -742,14 +745,14 @@ class PerFrameFrameManager(FrameManagerBase):
         # Frame 0 holds the initial states.
         self._push_new_frame()
 
-        self._lift_solver = self._fresh_trans_solver()
+        self._lift_solver = self._trans_solver()
         self._lift_garbage = 0
 
     # ------------------------------------------------------------------
     # Substrate hooks
     # ------------------------------------------------------------------
     def _open_frame(self, level: int) -> None:
-        solver = self._fresh_trans_solver()
+        solver = self._trans_solver()
         if level == 0:
             for lit in self.ts.init_cube:
                 solver.add_clause([lit])
@@ -784,16 +787,8 @@ class PerFrameFrameManager(FrameManagerBase):
     # ------------------------------------------------------------------
     # Solver lifecycle
     # ------------------------------------------------------------------
-    def _fresh_trans_solver(self) -> ArenaSolver:
-        solver = ArenaSolver()
-        solver.set_seed(self.options.seed)
-        solver.ensure_var(self.ts.num_vars)
-        for clause in self.ts.trans:
-            solver.add_clause(clause.literals)
-        return solver
-
     def _rebuild_solver(self, level: int) -> None:
-        solver = self._fresh_trans_solver()
+        solver = self._trans_solver()
         if level == 0:
             for lit in self.ts.init_cube:
                 solver.add_clause([lit])
@@ -810,15 +805,8 @@ class PerFrameFrameManager(FrameManagerBase):
             self._rebuild_solver(level)
 
     # ------------------------------------------------------------------
-    def finalize_stats(self) -> None:
-        """Mirror per-solver kernel counters into the run stats.
-
-        Rebuilt solvers take their counters with them, so the totals
-        cover the solvers alive at the end of the run — the same point
-        at which the monolithic substrate snapshots its contexts.
-        """
-        for solver in list(self._solvers) + [self._lift_solver]:
-            self._absorb_kernel_stats(solver.stats)
+    def solvers(self) -> List[ArenaSolver]:
+        return self._solvers + [self._lift_solver]
 
     # ------------------------------------------------------------------
     # SAT queries
@@ -887,7 +875,7 @@ class PerFrameFrameManager(FrameManagerBase):
         solver.add_clause([-activation])
         self._lift_garbage += 1
         if self._lift_garbage >= self.options.solver_rebuild_interval:
-            self._lift_solver = self._fresh_trans_solver()
+            self._lift_solver = self._trans_solver()
             self._lift_garbage = 0
             self.stats.solver_rebuilds += 1
         return lifted

@@ -28,7 +28,6 @@ from repro.core.kinduction import KInduction
 from repro.core.options import IC3Options
 from repro.core.result import CheckOutcome
 from repro.engines.registry import register_engine
-from repro.obs.metrics import record_engine_outcome
 from repro.obs.tracer import get_tracer
 from repro.reduce import ReductionResult, reduce_aig
 
@@ -63,14 +62,12 @@ def finish_outcome(
 def traced_check(name, run, time_limit):
     """Run an engine's check under an ``engine.<name>`` span.
 
-    Also the single feed point into the metrics registry: every finished
-    check folds its verdict, runtime and solver counters into the
-    process-default registry exactly once (end-of-run, never hot-path).
+    The span records the verdict and frame count; the engine's own
+    counters travel on ``outcome.stats`` (:class:`~repro.core.stats.IC3Stats`).
     """
     with get_tracer().span("engine." + name, cat="engine") as span:
         outcome = run(time_limit)
         span.add(result=outcome.result.value, frames=outcome.frames)
-    record_engine_outcome(outcome)
     return outcome
 
 

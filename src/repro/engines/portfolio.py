@@ -36,7 +36,6 @@ from repro.core.stats import IC3Stats
 from repro.engines.adapters import finish_outcome, prepare_model
 from repro.engines.registry import canonical_name, create_engine, register_engine
 from repro.obs.heartbeat import HEARTBEAT_DIR_ENV, get_heartbeat
-from repro.obs.metrics import PORTFOLIO_WINS, record_engine_outcome
 from repro.obs.tracer import get_tracer
 from repro.supervise import Child, Supervisor
 
@@ -182,9 +181,6 @@ class PortfolioEngine:
         ) as span:
             outcome = self._check_inner(time_limit)
             span.add(winner=outcome.winner, result=outcome.result.value)
-        record_engine_outcome(outcome)
-        if outcome.winner:
-            PORTFOLIO_WINS.inc(member=outcome.winner)
         return outcome
 
     def _check_inner(self, time_limit: Optional[float] = None) -> CheckOutcome:

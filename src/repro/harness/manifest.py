@@ -98,15 +98,9 @@ Schema v8 (``repro-check/manifest/v8``) additions over v7:
 
 Schema v9 (``repro-check/manifest/v9``) additions over v8:
 
-* optional top-level ``telemetry`` — when the run was executed with the
-  live telemetry layer active (``repro-check evaluate --live`` or any
-  producer that opts in), the condensed per-family totals of the
-  process-wide metrics registry at manifest build time
-  (:func:`repro.obs.metrics.snapshot_totals`: counter totals such as
-  ``repro_engine_runs_total`` / ``repro_sat_calls_total`` /
-  ``repro_harness_tasks_total`` / ``repro_stalls_total``, and
-  ``sum``/``count`` pairs for the latency histograms).  ``None`` —
-  and therefore byte-identical output for identical runs — otherwise.
+* optional top-level ``telemetry`` — with ``repro-check evaluate
+  --live``, the condensed totals of the parent process's metrics
+  registry (``None`` otherwise).  Removed in v15.
 
 Schema v10 (``repro-check/manifest/v10``) changes over v9:
 
@@ -144,6 +138,16 @@ Schema v14 (``repro-check/manifest/v14``) changes over v13:
 
 * the verification daemon was removed, so the top-level ``service`` key
   of v6 is gone (``repro-check evaluate`` always wrote it as ``None``).
+
+Schema v15 (``repro-check/manifest/v15``) changes over v14:
+
+* the metrics registry was removed, so the top-level ``telemetry`` key
+  of v9 is gone.  The engines run in pool workers and only the parent's
+  registry was read, so its totals (``repro_engine_runs_total``,
+  ``repro_sat_calls_total``, ...) were 0 for every pooled run.  The
+  numbers they meant to total are on every result: ``stats.sat_calls``,
+  ``stats.sat_time``, ``stats.solver_conflicts`` / ``_decisions`` /
+  ``_propagations``, ``result``, ``engine``, ``winner`` and ``error``.
 """
 
 from __future__ import annotations
@@ -155,7 +159,7 @@ from typing import Dict, Optional, Sequence
 from repro.harness.configs import EngineConfig
 from repro.harness.runner import CaseResult, SuiteResult
 
-MANIFEST_SCHEMA = "repro-check/manifest/v14"
+MANIFEST_SCHEMA = "repro-check/manifest/v15"
 
 
 def _phase_times(results: Sequence[CaseResult]) -> Dict[str, float]:
@@ -218,7 +222,6 @@ def build_manifest(
     reduce: bool = True,
     configs: Optional[Sequence[EngineConfig]] = None,
     wall_clock: Optional[float] = None,
-    telemetry: Optional[Dict[str, object]] = None,
 ) -> Dict[str, object]:
     """Assemble the JSON-serializable manifest of one harness run."""
     config_meta = {
@@ -287,7 +290,6 @@ def build_manifest(
         "totals": totals,
         "results": results,
         "wall_clock": round(wall_clock, 6) if wall_clock is not None else None,
-        "telemetry": telemetry,
     }
 
 

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Sequence
 
 from repro.obs.heartbeat import HEARTBEAT_DIR_ENV
-from repro.obs.metrics import HARNESS_TASKS, STALLS
 from repro.obs.tracer import get_tracer
 from repro.supervise import Child, Supervisor
 
@@ -93,8 +92,8 @@ def map_with_hard_timeout(
 
     # When a heartbeat session is active the parent also *watches* the
     # records: a worker whose publisher goes silent well before its hard
-    # deadline is counted as a stall (the deadline still does the
-    # killing — the harness has one, unlike a hung interactive run).
+    # deadline gets a ``harness.stall`` trace instant (the deadline still
+    # does the killing — the harness has one, unlike a hung interactive run).
     supervisor = Supervisor(leader=True, heartbeat_dir=os.environ.get(HEARTBEAT_DIR_ENV))
     stall_limit = max(1.0, 0.5 * timeout)
     results: List[Optional[PoolResult]] = [None] * len(payloads)
@@ -105,12 +104,6 @@ def map_with_hard_timeout(
         running.remove(child)
         supervisor.reap(child, kill=kill)
         results[child.task] = result
-        if result.timed_out:
-            HARNESS_TASKS.inc(status="timeout")
-        elif result.error is not None:
-            HARNESS_TASKS.inc(status="error")
-        else:
-            HARNESS_TASKS.inc(status="ok")
         if on_result is not None:
             on_result(child.task, result)
 
@@ -135,7 +128,6 @@ def map_with_hard_timeout(
                 _finish(child, result, kill=False)
 
             for child, age in supervisor.stalled(running, stall_limit):
-                STALLS.inc(pool="harness")
                 get_tracer().instant(
                     "harness.stall", cat="harness", task=child.task, age=round(age, 2)
                 )

@@ -1,21 +1,21 @@
 """Full-stack observability (``repro.obs``).
 
-Three layers:
+Two layers:
 
 * **Tracing** (:mod:`repro.obs.tracer`) — process/thread-aware spans and
   instants that compile to no-ops when disabled, JSONL sinks and a
   bounded flight-recorder ring for post-mortems of hard-killed workers,
   Chrome trace-event export with cross-process stitching, hotspot
   reports.  Surfaces: ``--trace-out`` and ``repro-check trace-report``.
-* **Metrics** (:mod:`repro.obs.metrics`) — a unified registry of
-  counters and log-bucketed histograms with label families and
-  per-thread accumulation.  Surface: the ``telemetry`` block of an
-  ``evaluate --live --output`` run manifest.
 * **Heartbeats** (:mod:`repro.obs.heartbeat`) — live structured
   progress (IC3 frame, BMC bound, k-induction k, portfolio member
   states, RSS/CPU from ``/proc``) published by worker processes and
   read by the parent.  Surfaces: the ``--live`` status line and the
-  harness pool's stall counter.
+  harness pool's ``harness.stall`` trace instant.
+
+Engine counts are not a layer of their own: every engine run carries
+them in :class:`repro.core.stats.IC3Stats`, which the run manifest
+serialises per result.
 """
 
 from repro.obs.export import (
@@ -43,13 +43,6 @@ from repro.obs.heartbeat import (
     shutdown_worker_heartbeat,
     uninstall_heartbeat,
 )
-from repro.obs.metrics import (
-    REGISTRY,
-    MetricsRegistry,
-    get_registry,
-    record_engine_outcome,
-    snapshot_totals,
-)
 from repro.obs.report import format_report, hotspots, phase_totals
 from repro.obs.tracer import (
     NULL_TRACER,
@@ -69,13 +62,11 @@ __all__ = [
     "HEARTBEAT_DIR_ENV",
     "NULL_HEARTBEAT",
     "NULL_TRACER",
-    "REGISTRY",
     "TRACE_DIR_ENV",
     "Heartbeat",
     "HeartbeatMonitor",
     "JsonlSink",
     "LiveStatus",
-    "MetricsRegistry",
     "NullHeartbeat",
     "NullTracer",
     "Tracer",
@@ -83,7 +74,6 @@ __all__ = [
     "format_progress",
     "format_report",
     "get_heartbeat",
-    "get_registry",
     "get_tracer",
     "heartbeat_session",
     "hotspots",
@@ -94,8 +84,6 @@ __all__ = [
     "phase_totals",
     "read_jsonl_events",
     "read_trace",
-    "record_engine_outcome",
-    "snapshot_totals",
     "shutdown_worker_heartbeat",
     "shutdown_worker_tracer",
     "stitch",

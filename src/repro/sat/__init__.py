@@ -10,14 +10,17 @@ and accelerate generalization.
 
 Every engine runs :class:`ArenaSolver`, a thin wrapper around the
 flat-arena kernel in C (``kernel.c``, compiled on first import by
-:mod:`repro.sat.build`).  The object-based :class:`Solver`, pure Python,
-is the reference oracle of the differential tests and the kernel of the
-independent witness checker.
+:mod:`repro.sat.build`), and calls it directly: its activation literals
+are the removable clause scopes IC3's frame managers need
+(``new_activation`` / ``add_guarded`` / ``remove_guarded`` /
+``release``), and the callers count and time their solves in
+:class:`repro.core.stats.IC3Stats`.  The object-based :class:`Solver`,
+pure Python, is the reference oracle of the differential tests and the
+kernel of the independent witness checker.
 """
 
 from repro.sat.solver import Solver, SolverStats
 from repro.sat.arena import ArenaClauseRef, ArenaSolver
-from repro.sat.context import ContextStats, SatContext
 from repro.sat.exceptions import SolverError, ResourceBudgetExceeded
 from repro.sat.luby import luby
 from repro.sat.dimacs import parse_dimacs, write_dimacs
@@ -27,8 +30,6 @@ __all__ = [
     "SolverStats",
     "ArenaSolver",
     "ArenaClauseRef",
-    "SatContext",
-    "ContextStats",
     "SolverError",
     "ResourceBudgetExceeded",
     "luby",

@@ -64,6 +64,11 @@ class TestParser:
 
 
 SEED_COMMANDS = [["check", "model.aag"], ["evaluate"]]
+TIMEOUT_FLAGS = [
+    ["check", "model.aag", "--timeout"],
+    ["check", "model.aag", "--property-timeout"],
+    ["evaluate", "--timeout"],
+]
 
 
 class TestNumericFlagTypes:
@@ -98,6 +103,45 @@ class TestNumericFlagTypes:
             build_parser().parse_args(["check", "model.aag", "--max-k", text])
         assert exit_info.value.code == 2
         assert "--max-k" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["0.5", "1", "30"])
+    @pytest.mark.parametrize("flag", TIMEOUT_FLAGS, ids=" ".join)
+    def test_timeouts_accept_positive_seconds(self, flag, text):
+        args = build_parser().parse_args(flag + [text])
+        assert getattr(args, flag[-1][2:].replace("-", "_")) == float(text)
+
+    @pytest.mark.parametrize("text", ["0", "-5", "-1", "nan", "inf", "-inf", "soon"])
+    @pytest.mark.parametrize("flag", TIMEOUT_FLAGS, ids=" ".join)
+    def test_timeouts_reject_everything_else(self, flag, text, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(flag + [text])
+        assert exit_info.value.code == 2
+        assert flag[-1] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["0", "1", "50"])
+    def test_max_depth_accepts_non_negative_integers(self, text):
+        args = build_parser().parse_args(["check", "model.aag", "--max-depth", text])
+        assert args.max_depth == int(text)
+
+    @pytest.mark.parametrize("text", ["-3", "-1", "deep", "1.5"])
+    def test_max_depth_rejects_everything_else(self, text, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["check", "model.aag", "--max-depth", text])
+        assert exit_info.value.code == 2
+        assert "--max-depth" in capsys.readouterr().err
+
+
+class TestReduceCommand:
+    @pytest.mark.parametrize("index", ["-1", "1", "5"])
+    def test_out_of_range_property_is_an_error(self, safe_model, index, capsys):
+        assert main(["reduce", safe_model, "--property", index]) == 2
+        out = capsys.readouterr().out
+        assert out.startswith(f"error: property index {index} out of range")
+        assert "valid: 0..0" in out
+
+    def test_in_range_property_reduces(self, safe_model, capsys):
+        assert main(["reduce", safe_model, "--property", "0"]) == 0
+        assert "total" in capsys.readouterr().out
 
 
 class TestVersionCommand:
@@ -179,7 +223,8 @@ class TestEvaluateCommand:
         assert "Table 1" in output
         assert "RIC3-pl" in output
 
-    def test_parallel_evaluation_with_manifest(self, capsys, monkeypatch, tmp_path):
+    @pytest.mark.parametrize("live", [False, True], ids=["plain", "live"])
+    def test_parallel_evaluation_with_manifest(self, live, capsys, monkeypatch, tmp_path):
         import json
 
         from repro import cli
@@ -198,6 +243,7 @@ class TestEvaluateCommand:
                 "--output",
                 str(manifest_path),
             ]
+            + (["--live"] if live else [])
         )
         output = capsys.readouterr().out
         assert exit_code == 0
@@ -209,6 +255,11 @@ class TestEvaluateCommand:
         assert {r["config"] for r in manifest["results"]} == {
             "RIC3", "RIC3-pl", "IC3ref", "IC3ref-pl", "IC3ref-CAV23", "ABC-PDR"
         }
+        # The engines' counts travel per result, never in a telemetry block.
+        assert manifest["schema"] == "repro-check/manifest/v15"
+        assert "telemetry" not in manifest
+        assert all(r["error"] is None for r in manifest["results"])
+        assert all(r["stats"]["sat_calls"] > 0 for r in manifest["results"])
 
     def test_evaluate_jobs_default(self):
         args = build_parser().parse_args(["evaluate"])

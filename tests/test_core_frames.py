@@ -21,6 +21,7 @@ from repro.core.frames import (
 from repro.core.options import IC3Options
 from repro.core.stats import IC3Stats
 from repro.logic import Cube
+from repro.sat.arena import ArenaSolver
 from repro.sat.solver import Solver
 from repro.ts import TransitionSystem
 
@@ -31,13 +32,12 @@ def backend(request):
 
 
 # "default" runs every manager on the reference Solver (both substrates
-# build their solvers from these two module names), "arena" on the
+# build their solvers through this one module name), "arena" on the
 # production kernel.
 @pytest.fixture(params=["default", "arena"], autouse=True)
 def sat_kernel(request, monkeypatch):
     if request.param == "default":
         monkeypatch.setattr("repro.core.frames.ArenaSolver", Solver)
-        monkeypatch.setattr("repro.sat.context.ArenaSolver", Solver)
     return request.param
 
 
@@ -51,6 +51,15 @@ def _manager(case=None, backend="monolithic", **option_kwargs):
 
 
 class TestFrameBookkeeping:
+    def test_sat_kernel_patch_reaches_every_solver(self, backend, sat_kernel):
+        manager, _, _ = _manager(backend=backend)
+        manager.add_frame()
+        kernel = Solver if sat_kernel == "default" else ArenaSolver
+        solvers = manager.solvers()
+        # Monolithic: main, lift and init; per-frame: frames 0-1 and lift.
+        assert len(solvers) == 3
+        assert all(type(solver) is kernel for solver in solvers)
+
     def test_initial_state(self, backend):
         manager, _, _ = _manager(backend=backend)
         assert manager.top_level == 0

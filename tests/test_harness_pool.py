@@ -7,6 +7,7 @@ guarantees the evaluation harness builds on.
 
 import multiprocessing
 import os
+import signal
 import time
 
 import pytest
@@ -17,6 +18,8 @@ from repro.harness.pool import (
     map_with_hard_timeout,
     resolve_jobs,
 )
+from repro.obs.heartbeat import heartbeat_session
+from repro.obs.tracer import Tracer, install, uninstall
 
 pytestmark = pytest.mark.skipif(
     multiprocessing.get_start_method() != "fork",
@@ -47,6 +50,12 @@ def _return_but_linger(payload):
     import threading
 
     threading.Thread(target=time.sleep, args=(120,), daemon=False).start()
+    return payload
+
+
+def _freeze(payload):
+    # Stops the whole worker, heartbeat publisher thread included.
+    os.kill(os.getpid(), signal.SIGSTOP)
     return payload
 
 
@@ -135,6 +144,24 @@ class TestFailurePaths:
         deadline = time.monotonic() + 5
         while multiprocessing.active_children() and time.monotonic() < deadline:
             time.sleep(0.05)
+        assert not multiprocessing.active_children()
+
+    def test_frozen_worker_is_one_stall_then_a_timeout(self):
+        # A SIGSTOPped worker falls silent long before its hard deadline
+        # (stall limit 1.5 s, kill at 3 s + 1.5 s grace): the pool records
+        # one ``harness.stall`` instant, then the deadline kills it.
+        tracer = install(Tracer())
+        try:
+            with heartbeat_session():
+                (result,) = map_with_hard_timeout(_freeze, ["x"], timeout=3.0, jobs=1)
+        finally:
+            uninstall()
+        stalls = [e for e in tracer.events() if e["name"] == "harness.stall"]
+        assert len(stalls) == 1
+        assert stalls[0]["args"]["task"] == 0
+        assert stalls[0]["args"]["age"] > 1.5
+        assert result.timed_out
+        assert result.error is None
         assert not multiprocessing.active_children()
 
 

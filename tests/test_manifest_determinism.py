@@ -75,12 +75,11 @@ class TestManifestDeterminism:
 
     def test_substrate_stats_present_and_deterministic(self):
         manifest = _manifest(jobs=4)
-        assert manifest["schema"] == MANIFEST_SCHEMA == "repro-check/manifest/v14"
-        # v9: the telemetry block defaults to None so identical runs keep
-        # producing byte-identical manifests.
-        assert manifest["telemetry"] is None
-        # v14: the daemon's service block is gone.
+        assert manifest["schema"] == MANIFEST_SCHEMA == "repro-check/manifest/v15"
+        # v14: the daemon's service block is gone; v15: so is the
+        # metrics registry's telemetry block.
         assert "service" not in manifest
+        assert "telemetry" not in manifest
         for result in manifest["results"]:
             stats = result["stats"]
             for field in (

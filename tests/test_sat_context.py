@@ -1,4 +1,4 @@
-"""Tests for the SAT-context layer and the incremental solver.
+"""Tests for the incremental solving protocol of the SAT solver.
 
 Covers activation-literal scopes (removable
 clauses, recycling and retirement), physical clause removal, the
@@ -6,17 +6,11 @@ assumption-trail reuse machinery, and a randomized differential check of
 the whole incremental protocol against fresh from-scratch solvers.
 """
 
-import dataclasses
 import random
 
 import pytest
 
-from repro.sat import (
-    ContextStats,
-    SatContext,
-    Solver,
-    SolverError,
-)
+from repro.sat import Solver, SolverError
 
 
 class TestActivationScopes:
@@ -152,39 +146,6 @@ class TestTrailReuse:
         solver.add_clause([-1, -2])  # must invalidate the kept trail
         assert not solver.solve([1, 2])
         assert solver.solve([1, -2])
-
-
-class TestSatContext:
-    def test_context_counts_solves_and_clauses(self):
-        ctx = SatContext()
-        assert isinstance(ctx.stats, ContextStats)
-        ctx.load([[1, 2], [-1, 2]])
-        assert ctx.stats.clauses_loaded == 2
-        assert ctx.solve([])
-        assert not ctx.solve([-2])
-        assert ctx.stats.solve_calls == 2
-        assert ctx.stats.sat_answers == 1
-        assert ctx.stats.unsat_answers == 1
-        assert ctx.stats.solve_time >= 0.0
-
-    def test_scope_round_trip(self):
-        ctx = SatContext()
-        ctx.solver.ensure_var(2)
-        scope = ctx.new_scope()
-        handle = ctx.add_to_scope(scope, [1, 2])
-        assert handle is not None
-        assert not ctx.solve([scope, -1, -2])
-        ctx.release_scope(scope)
-        assert ctx.solve([-1, -2])
-
-    def test_stats_as_dict_round_trips(self):
-        ctx = SatContext()
-        ctx.load([[1]])
-        ctx.solve([])
-        data = ctx.stats.as_dict()
-        assert data["clauses_loaded"] == 1
-        assert data["solve_calls"] == 1
-        assert list(data) == [f.name for f in dataclasses.fields(ContextStats)]
 
 
 class TestDifferentialSoundness:
