@@ -161,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     check.add_argument(
         "--jobs",
-        type=int,
+        type=_non_negative_int,
         default=None,
         help="portfolio worker processes (default: one per member engine)",
     )
@@ -197,6 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     reduce_cmd.add_argument("model", help="path to an .aag or .aig file")
     reduce_cmd.add_argument(
         "--passes",
+        type=_pass_list,
         metavar="LIST",
         default=None,
         help="comma-separated pass list (default pipeline otherwise); "
@@ -225,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     evaluate.add_argument(
         "--jobs",
-        type=int,
+        type=_non_negative_int,
         default=1,
         help="parallel worker processes (0 = one per CPU; default: 1)",
     )
@@ -421,6 +422,7 @@ def _add_reduction_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--passes",
+        type=_pass_list,
         metavar="LIST",
         default=None,
         help="comma-separated reduction pass list; "
@@ -428,17 +430,14 @@ def _add_reduction_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _parse_passes(value: Optional[str]) -> Optional[List[str]]:
-    """Validate a ``--passes`` value against the pass registry."""
-    if value is None:
-        return None
-    names = [name.strip() for name in value.split(",") if name.strip()]
+def _pass_list(text: str) -> List[str]:
+    """A ``--passes`` value: comma-separated names from the pass registry."""
+    names = [name.strip() for name in text.split(",") if name.strip()]
     known = set(available_passes())
     for name in names:
         if name not in known:
-            raise SystemExit(
-                f"error: unknown reduction pass {name!r} "
-                f"(available: {', '.join(sorted(known))})"
+            raise argparse.ArgumentTypeError(
+                f"unknown reduction pass {name!r} (available: {', '.join(sorted(known))})"
             )
     return names
 
@@ -447,7 +446,7 @@ def _engine_kwargs(args: argparse.Namespace) -> dict:
     """Per-kind construction keywords for the ``check`` subcommand."""
     kwargs: dict = {
         "reduce": not args.no_reduce,
-        "passes": _parse_passes(args.passes),
+        "passes": args.passes,
     }
     if getattr(args, "frame_backend", None):
         kwargs["frame_backend"] = args.frame_backend
@@ -522,7 +521,7 @@ def _check_scheduled(args: argparse.Namespace, aig, options) -> int:
             engine=safety_engine,
             options=options,
             reduce=not args.no_reduce,
-            passes=_parse_passes(args.passes),
+            passes=args.passes,
             property_timeout=args.property_timeout,
             properties=None if args.all_properties else [args.property],
             max_k=args.max_k,
@@ -558,7 +557,7 @@ def _command_reduce(args: argparse.Namespace) -> int:
         print(f"error: {problem}")
         return 2
     result = reduce_aig(
-        aig, property_index=args.property, passes=_parse_passes(args.passes)
+        aig, property_index=args.property, passes=args.passes
     )
     header = f"{'pass':<10s} {'inputs':>14s} {'latches':>14s} {'ands':>14s}"
     print(header)

@@ -36,15 +36,15 @@ def check_certificate(
     3. ``I ∧ Bad`` is UNSAT (the initial states are safe);
     4. ``clauses ∧ Bad`` is UNSAT, so ``clauses ⇒ ¬Bad``;
     5. consecution of every clause, ``clauses ∧ ¬Bad ∧ T ∧ ¬clause'`` is
-       UNSAT, asked as one query: each ``¬clause'`` is guarded by an
-       activation variable and one clause requires some guard to hold.
+       UNSAT, asked as one query: each ``¬clause'`` is guarded by a fresh
+       variable and one clause requires some guard to hold.
 
     These suffice: by 2 and 5 the clauses hold on every reachable state,
     and by 4 no such state is bad.  Because 4 makes ``¬Bad`` implied by
     the clauses, ``INV`` is inductive without a separate ``¬Bad'`` check,
     and 3 is implied by 2 and 4 (it is kept to name the simpler failure).
 
-    Queries 3–5 run on one fresh object :class:`Solver` loaded with
+    Queries 3–5 run on one fresh reference :class:`Solver` loaded with
     :meth:`TransitionSystem.cone_trans` of the latches the clauses
     mention, renumbered densely.  Every clause the cone drops defines a
     gate or a primed latch that no query mentions, from variables the

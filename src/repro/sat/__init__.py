@@ -1,4 +1,4 @@
-"""A from-scratch CDCL SAT solver.
+"""From-scratch CDCL SAT solvers.
 
 The paper's IC3 implementations sit on MiniSat-class incremental solvers;
 this package provides its own: two-watched-literal unit
@@ -14,9 +14,10 @@ flat-arena kernel in C (``kernel.c``, compiled on first import by
 are the removable clause scopes IC3's frame managers need
 (``new_activation`` / ``add_guarded`` / ``remove_guarded`` /
 ``release``), and the callers count and time their solves in
-:class:`repro.core.stats.IC3Stats`.  The object-based :class:`Solver`,
-pure Python, is the reference oracle of the differential tests and the
-kernel of the independent witness checker.
+:class:`repro.core.stats.IC3Stats`.  :class:`Solver` is a plain
+pure-Python CDCL without removable clauses: the kernel of the
+independent witness checker, and the from-scratch oracle whose solves
+of the live clause set the arena kernel's answers are tested against.
 """
 
 from repro.sat.solver import Solver, SolverStats

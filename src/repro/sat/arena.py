@@ -1,11 +1,11 @@
 """Flat-arena CDCL solver: the production SAT kernel of every engine.
 
-:class:`ArenaSolver` implements the same external interface as
-:class:`repro.sat.solver.Solver` — DIMACS-literal clauses, assumptions,
-models, assumption cores, and the full activation-literal layer
-(``new_activation`` / ``add_guarded`` / ``remove_guarded`` / ``release``
-with learnt purging and assumption-trail reuse).  The search runs in C
-(``kernel.c``, compiled and cached on first import by
+:class:`ArenaSolver` takes DIMACS-literal clauses and answers with
+models and assumption cores under assumptions.  It has an
+activation-literal layer of removable clause groups (``new_activation``
+/ ``add_guarded`` / ``remove_guarded`` / ``release``, with learnt
+purging), and it reuses the assumption trail between solves.  The
+search runs in C (``kernel.c``, compiled and cached on first import by
 :mod:`repro.sat.build`); this class is a thin wrapper around it.  Each
 :meth:`solve` crosses into C once: the assumptions go in as one int32
 array, and the model comes back as one byte array of values indexed by
@@ -16,8 +16,9 @@ Every literal and variable index is checked before it reaches C: it must
 be non-zero and fit the kernel's encoded int32 range, ``|l| <=``
 :data:`MAX_VAR`.
 
-The object-based :class:`repro.sat.solver.Solver` is the reference
-oracle the randomized differential tests compare this kernel against.
+The tests compare every answer with its definition: a fresh solve of
+the permanent clauses plus the live clauses of the assumed groups, by
+the plain reference :class:`repro.sat.solver.Solver`.
 """
 
 from __future__ import annotations
@@ -168,9 +169,14 @@ class ArenaSolver:
     def new_activation(self) -> int:
         """Allocate an activation variable guarding a group of clauses.
 
-        Same contract as :meth:`Solver.new_activation`: recycling is
-        sound because activation literals are never dropped by clause
-        minimisation and dependent learnts are purged on release.
+        Clauses added with :meth:`add_guarded` constrain a solve only
+        while the variable is assumed true, and :meth:`release` removes
+        the whole group and recycles the variable.  Recycling is sound
+        because activation variables occur only negatively, clause
+        minimisation never drops an activation literal, so every learnt
+        clause that depends on a group contains its negation, and those
+        learnt clauses are purged on release.  Activation variables are
+        never branched on.
         """
         act = _check_ok(_lib.k_new_activation(self._k))
         self._act_groups[act] = {}
@@ -202,10 +208,11 @@ class ArenaSolver:
     def remove_guarded(self, act: int, clause: ArenaClauseRef) -> None:
         """Remove one clause from an activation group.
 
-        Same contract as :meth:`Solver.remove_guarded`: the caller must
-        guarantee the clause is implied by the remaining database.  The
-        removal is a lazy-deletion mark; propagation drops the stale
-        watchers on its next visit.  Removing a clause twice is a no-op.
+        The caller must guarantee that the clause is implied by the
+        remaining clauses: learnt clauses derived from it stay attached
+        and must remain sound.  The removal is a lazy-deletion mark;
+        propagation drops the stale watchers on its next visit.  Removing
+        a clause twice is a no-op.
         """
         group = self._act_groups.get(act)
         if group is None:
@@ -363,8 +370,8 @@ class ArenaSolver:
         """Enable seeded random branching (MiniSat-style diversification).
 
         A ~2% fraction of decisions picks a uniformly random unassigned
-        variable, drawn from a C PRNG seeded with ``seed``: reproducible
-        per seed, but not the draws of :meth:`Solver.set_seed`.  Seed 0
+        variable, drawn from a C PRNG seeded with ``seed`` and
+        reproducible per seed.  Seed 0
         (the default) disables the randomization, keeping the kernel
         identical to its unseeded behaviour.
         """

@@ -62,13 +62,6 @@ class VarOrderHeap:
         if pos is not None:
             self._sift_up(pos)
 
-    def rebuild(self, variables: List[int]) -> None:
-        """Rebuild the heap from scratch over the given variables."""
-        self._heap = list(variables)
-        self._index = {v: i for i, v in enumerate(self._heap)}
-        for pos in range(len(self._heap) // 2 - 1, -1, -1):
-            self._sift_down(pos)
-
     # -- internal sifting -----------------------------------------------------
     def _sift_up(self, pos: int) -> None:
         heap = self._heap

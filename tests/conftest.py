@@ -12,10 +12,12 @@ def assert_witness_answers(solver, frames, level, cube, result):
     """Re-solve a consecution answered from the witness store.
 
     ``solver`` is a reference solver loaded with T.  With the lemmas of
-    the logical frame ``F_level`` in one temporary scope and ``¬cube`` in
-    another, the exact query ``F_level ∧ ¬cube ∧ T ∧ cube'`` must be SAT,
-    and so must ``F_level ∧ s ∧ i ∧ T ∧ t'`` for the returned pre-state
-    ``s``, inputs ``i`` and successor ``t``.
+    the logical frame ``F_level`` behind one fresh guard variable and
+    ``¬cube`` behind another, the exact query ``F_level ∧ ¬cube ∧ T ∧
+    cube'`` must be SAT, and so must ``F_level ∧ s ∧ i ∧ T ∧ t'`` for the
+    returned pre-state ``s``, inputs ``i`` and successor ``t``.  Both
+    guards are then fixed false, so their clauses never constrain a later
+    query.
     """
     ts = frames.ts
     assert level >= 1, "the witness store answered a frame-0 query"
@@ -25,10 +27,8 @@ def assert_witness_answers(solver, frames, level, cube, result):
     assert cube.literal_set <= successor.literal_set
     assert not cube.literal_set <= state.literal_set
 
-    frame, negation = solver.new_activation(), solver.new_activation()
-    for clause in frames.frame_clauses(level):
-        solver.add_guarded(frame, clause.literals)
-    solver.add_guarded(negation, [-lit for lit in cube])
+    frame = _guard(solver, [clause.literals for clause in frames.frame_clauses(level)])
+    negation = _guard(solver, [[-lit for lit in cube]])
     try:
         assert solver.solve([frame, negation] + [ts.prime_lit(lit) for lit in cube]), (
             f"reused a witness for {cube} at level {level} whose query is UNSAT"
@@ -40,8 +40,16 @@ def assert_witness_answers(solver, frames, level, cube, result):
             f"stored transition for {cube} at level {level} left F_{level} ∧ T"
         )
     finally:
-        solver.release(frame)
-        solver.release(negation)
+        solver.add_clause([-frame])
+        solver.add_clause([-negation])
+
+
+def _guard(solver, clauses):
+    """A fresh variable that, assumed true, enables ``clauses``."""
+    guard = solver.new_var()
+    for literals in clauses:
+        solver.add_clause([-guard, *literals])
+    return guard
 
 
 def _trans_solver(ts):

@@ -131,6 +131,42 @@ class TestNumericFlagTypes:
         assert "--max-depth" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("text", ["0", "2"])
+    @pytest.mark.parametrize("command", SEED_COMMANDS, ids=lambda argv: argv[0])
+    def test_jobs_accepts_non_negative_integers(self, command, text):
+        args = build_parser().parse_args(command + ["--jobs", text])
+        assert args.jobs == int(text)
+
+    @pytest.mark.parametrize("text", ["-1", "-3"])
+    @pytest.mark.parametrize("command", SEED_COMMANDS, ids=lambda argv: argv[0])
+    def test_negative_jobs_are_usage_errors(self, command, text, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(command + ["--jobs", text])
+        assert exit_info.value.code == 2
+        assert f"must be at least 0, got {text}" in capsys.readouterr().err
+
+
+class TestPassesFlag:
+    @pytest.mark.parametrize("command", ["check", "reduce"])
+    def test_unknown_pass_is_a_usage_error(self, safe_model, command, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, safe_model, "--passes", "coi,bogus"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert "unknown reduction pass 'bogus'" in err
+
+    @pytest.mark.parametrize("command", ["check", "reduce"])
+    def test_known_passes_parse_to_a_list(self, command):
+        args = build_parser().parse_args([command, "m.aag", "--passes", "coi, strash,"])
+        assert args.passes == ["coi", "strash"]
+
+    def test_known_passes_run(self, safe_model, capsys):
+        assert main(["check", safe_model, "--engine", "ic3", "--passes", "coi"]) == 0
+        assert main(["reduce", safe_model, "--passes", "coi"]) == 0
+        assert "error" not in capsys.readouterr().out
+
+
 class TestReduceCommand:
     @pytest.mark.parametrize("index", ["-1", "1", "5"])
     def test_out_of_range_property_is_an_error(self, safe_model, index, capsys):

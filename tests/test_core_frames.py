@@ -3,9 +3,7 @@
 Every test in this module runs against both frame-management substrates
 (the monolithic single-solver manager and the per-frame baseline) via the
 ``backend`` fixture; backend-specific behaviour has its own classes at
-the bottom — and under both SAT kernels via the autouse ``sat_kernel``
-fixture, which swaps the reference :class:`~repro.sat.solver.Solver` in
-for the production arena kernel.
+the bottom.  Both substrates run on the production arena kernel.
 """
 
 import pytest
@@ -22,22 +20,11 @@ from repro.core.options import IC3Options
 from repro.core.stats import IC3Stats
 from repro.logic import Cube
 from repro.sat.arena import ArenaSolver
-from repro.sat.solver import Solver
 from repro.ts import TransitionSystem
 
 
 @pytest.fixture(params=["monolithic", "per-frame"])
 def backend(request):
-    return request.param
-
-
-# "default" runs every manager on the reference Solver (both substrates
-# build their solvers through this one module name), "arena" on the
-# production kernel.
-@pytest.fixture(params=["default", "arena"], autouse=True)
-def sat_kernel(request, monkeypatch):
-    if request.param == "default":
-        monkeypatch.setattr("repro.core.frames.ArenaSolver", Solver)
     return request.param
 
 
@@ -51,14 +38,13 @@ def _manager(case=None, backend="monolithic", **option_kwargs):
 
 
 class TestFrameBookkeeping:
-    def test_sat_kernel_patch_reaches_every_solver(self, backend, sat_kernel):
+    def test_every_solver_is_an_arena_kernel(self, backend):
         manager, _, _ = _manager(backend=backend)
         manager.add_frame()
-        kernel = Solver if sat_kernel == "default" else ArenaSolver
         solvers = manager.solvers()
         # Monolithic: main, lift and init; per-frame: frames 0-1 and lift.
         assert len(solvers) == 3
-        assert all(type(solver) is kernel for solver in solvers)
+        assert all(type(solver) is ArenaSolver for solver in solvers)
 
     def test_initial_state(self, backend):
         manager, _, _ = _manager(backend=backend)

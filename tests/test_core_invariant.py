@@ -9,6 +9,7 @@ import pytest
 
 from repro.aiger import AIG
 from repro.benchgen import (
+    bench_suite,
     fifo_controller,
     modular_counter,
     monitored_counter,
@@ -29,7 +30,7 @@ from repro.core.result import CheckOutcome, CounterexampleTrace, TraceStep
 from repro.engines import create_engine
 from repro.harness.runner import _validate
 from repro.logic import Clause, Cube
-from repro.sat import Solver
+from repro.sat import ArenaSolver, Solver
 from repro.ts import TransitionSystem
 
 
@@ -113,29 +114,29 @@ class TestCertificateValidation:
 # ----------------------------------------------------------------------
 # Differential check against the full-width reference algorithm
 # ----------------------------------------------------------------------
-def _full_solver(ts):
-    solver = Solver()
+def _full_solver(ts, kernel=Solver):
+    solver = kernel()
     solver.ensure_var(ts.num_vars)
     for clause in ts.trans:
         solver.add_clause(clause.literals)
     return solver
 
 
-def _reference_failures(ts, clauses):
+def _reference_failures(ts, clauses, kernel=Solver):
     """The former checker: the full T and one consecution query per clause.
 
     Returns None when the clauses are accepted, ``"consecution"`` plus the
     list of clauses that fail consecution on their own, or the name of the
-    first other check that fails.
+    first other check that fails.  ``kernel`` is the SAT solver class.
     """
     if any(not ts.clause_holds_on_init(clause) for clause in clauses):
         return "initiation", []
-    solver = _full_solver(ts)
+    solver = _full_solver(ts, kernel)
     for lit in ts.init_cube:
         solver.add_clause([lit])
     if solver.solve([ts.bad_lit]):
         return "init-bad", []
-    solver = _full_solver(ts)
+    solver = _full_solver(ts, kernel)
     for clause in clauses:
         solver.add_clause(clause.literals)
     if solver.solve([ts.bad_lit]):
@@ -246,6 +247,56 @@ def test_cone_checker_agrees_with_full_reference(model):
                 f"consecution fails for clause {clause!r}" for clause in failing
             }
     assert rejected and consecution_rejections
+
+
+@pytest.fixture(scope="module")
+def wide_certificate():
+    """IC3's certificate of a 1,065-latch SoC case, lifted to the original AIG."""
+    case = monitored_counter(4, noise=1000, copies=16, safe=True)
+    outcome = create_engine("ic3", case.aig).check(time_limit=60)
+    assert outcome.result == CheckResult.SAFE
+    return case.aig, list(outcome.certificate.clauses)
+
+
+class TestLargeCone:
+    """The checker on the largest certificate of the soc-wide benchmark."""
+
+    def test_certificate_accepted(self, wide_certificate):
+        aig, clauses = wide_certificate
+        ts = TransitionSystem(aig, warn_on_ambiguity=False)
+        mentioned = {abs(lit) for clause in clauses for lit in clause}
+        cone = {abs(lit) for clause in ts.cone_trans(mentioned) for lit in clause}
+        assert len(clauses) > 100 and len(cone) > 1000
+        assert check_certificate(aig, Certificate(clauses=clauses))
+
+    def test_rejected_with_any_one_clause_dropped(self, wide_certificate):
+        aig, clauses = wide_certificate
+        for index in range(len(clauses)):
+            with pytest.raises(CertificateError):
+                check_certificate(aig, Certificate(clauses=clauses[:index] + clauses[index + 1:]))
+
+
+SAFE_BENCH_CASES = [case for case in bench_suite() if case.expected == CheckResult.SAFE]
+
+
+@pytest.mark.parametrize("case", SAFE_BENCH_CASES, ids=lambda case: case.name)
+def test_checker_agrees_with_the_arena_kernel(case):
+    """The cone checker on the reference kernel against the full-width
+    checker on the engines' arena kernel, for IC3's certificate and for it
+    with each clause dropped in turn."""
+    outcome = create_engine("ic3", case.aig).check(time_limit=60)
+    assert outcome.result == CheckResult.SAFE
+    clauses = list(outcome.certificate.clauses)
+    ts = TransitionSystem(case.aig, warn_on_ambiguity=False)
+    assert _new_verdict(case.aig, clauses) is None
+    assert _reference_failures(ts, clauses, ArenaSolver) is None
+    for index in range(len(clauses)):
+        dropped = clauses[:index] + clauses[index + 1:]
+        reference = _reference_failures(ts, dropped, ArenaSolver)
+        message = _new_verdict(case.aig, dropped)
+        assert (reference is None) == (message is None), (dropped, reference, message)
+        if reference is not None and reference[0] == "consecution":
+            assert message in {f"consecution fails for clause {c!r}" for c in reference[1]}
 
 
 def test_constrained_counter_needs_the_constraint():

@@ -33,7 +33,6 @@ from repro.harness.configs import EngineConfig, apply_seed
 from repro.harness.manifest import build_manifest
 from repro.harness.runner import BenchmarkRunner
 from repro.sat.arena import ArenaSolver
-from repro.sat.solver import Solver
 
 
 def _live_children():
@@ -149,10 +148,9 @@ class TestSeedDeterminism:
         unseeded = json.dumps(_normalize(_seeded_manifest(None)), sort_keys=True)
         assert zero == unseeded
 
-    @pytest.mark.parametrize("solver_cls", [Solver, ArenaSolver])
-    def test_seeded_kernel_is_reproducible(self, solver_cls):
+    def test_seeded_kernel_is_reproducible(self):
         def run(seed):
-            solver = solver_cls()
+            solver = ArenaSolver()
             solver.set_seed(seed)
             # A loose pigeonhole-ish instance with many solutions, so the
             # model found depends on the branching order.

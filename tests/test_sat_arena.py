@@ -1,11 +1,13 @@
 """Tests for the flat-arena CDCL kernel.
 
-The arena solver must be behaviourally indistinguishable from the
-reference :class:`repro.sat.solver.Solver` — same verdicts, sound
-models, usable cores, identical activation-literal semantics — while
-storing the clause database in flat integer arenas.  The differential
-tests here drive both kernels through the same randomized incremental
-workload (the harness of ``test_sat_context.py``, pointed at the arena).
+The arena solver must answer every query as its definition says: a
+solve under assumptions is a solve of the permanent clauses plus the
+live clauses of every activation group it assumes.  The differential
+tests drive it through randomized incremental workloads (clause groups,
+removals, releases, mixed assumptions) and compare each answer with a
+fresh reference :class:`repro.sat.solver.Solver` loaded with exactly
+that clause set: same verdicts, models of every live clause, and cores
+that re-solve to UNSAT.
 """
 
 import itertools
@@ -32,6 +34,14 @@ def brute_force_satisfiable(num_vars, clauses):
         if all(any((lit > 0) == bits[abs(lit) - 1] for lit in cl) for cl in clauses):
             return True
     return False
+
+
+def _fresh_solve(clauses, assumptions):
+    """The verdict of a fresh reference solver on ``clauses`` under ``assumptions``."""
+    solver = Solver()
+    for clause in clauses:
+        solver.add_clause(clause)
+    return solver.solve(assumptions)
 
 
 def _pigeonhole(solver, pigeons=5, holes=4):
@@ -137,6 +147,7 @@ class TestActivationLayer:
         solver.add_guarded(act, [2])
         assert solver.solve([act, -1]) is False
         assert solver.solve([-1]) is True  # group not selected
+        assert solver.solve([act]) is True and solver.model_value(1) is True
 
     def test_remove_guarded_disables_one_clause(self):
         solver = ArenaSolver()
@@ -162,16 +173,15 @@ class TestActivationLayer:
         assert solver.solve([act, -1]) is False
         assert solver.solve([-1, -2]) is True  # weak clause really gone
 
-    def test_remove_guarded_rejects_foreign_handle(self):
+    @pytest.mark.parametrize("foreign", [[1, 2], None, 0], ids=["literals", "none", "index"])
+    def test_remove_guarded_rejects_non_handle(self, foreign):
         solver = ArenaSolver()
         solver.ensure_var(2)
         act = solver.new_activation()
-        other = Solver()
-        other.ensure_var(2)
-        other_act = other.new_activation()
-        _, foreign = other.add_guarded(other_act, [1, 2])
+        solver.add_guarded(act, [1, 2])
         with pytest.raises(SolverError, match="does not belong"):
             solver.remove_guarded(act, foreign)
+        assert solver.stats.guarded_clauses_freed == 0
 
     def test_remove_guarded_rejects_handle_of_another_arena_solver(self):
         solver = ArenaSolver()
@@ -225,57 +235,63 @@ class TestActivationLayer:
 class TestCompaction:
     def test_churn_triggers_compaction_and_preserves_answers(self):
         solver = ArenaSolver()
-        oracle = Solver()
         num_vars = 12
         solver.ensure_var(num_vars)
-        oracle.ensure_var(num_vars)
         rng = random.Random(77)
-        # Permanent skeleton both solvers share.
+        # Permanent skeleton under every query.
+        permanent = []
         for _ in range(10):
             clause = [
                 rng.choice([-1, 1]) * rng.randint(1, num_vars) for _ in range(3)
             ]
             solver.add_clause(clause)
-            oracle.add_clause(clause)
+            permanent.append(clause)
         # Churn: large short-lived guarded groups leave dead words behind.
         for round_no in range(60):
-            act_a = solver.new_activation()
-            act_o = oracle.new_activation()
+            act = solver.new_activation()
+            group = []
             for _ in range(40):
                 clause = [
                     rng.choice([-1, 1]) * rng.randint(1, num_vars)
                     for _ in range(rng.randint(2, 5))
                 ]
-                solver.add_guarded(act_a, clause)
-                oracle.add_guarded(act_o, clause)
+                solver.add_guarded(act, clause)
+                group.append(clause)
             assumption = rng.choice([-1, 1]) * rng.randint(1, num_vars)
-            assert solver.solve([act_a, assumption]) == oracle.solve(
-                [act_o, assumption]
+            assert solver.solve([act, assumption]) == _fresh_solve(
+                permanent + group, [assumption]
             )
-            solver.release(act_a)
-            oracle.release(act_o)
+            solver.release(act)
         assert solver.stats.arena_compactions >= 1
-        # Post-compaction the solvers still agree on fresh queries.
+        # After compaction only the permanent clauses remain.
         for _ in range(20):
             assumptions = [
                 rng.choice([-1, 1]) * v
                 for v in rng.sample(range(1, num_vars + 1), 3)
             ]
-            assert solver.solve(assumptions) == oracle.solve(assumptions)
+            assert solver.solve(assumptions) == _fresh_solve(permanent, assumptions)
 
 
 def _differential_walk(seed):
-    """The randomized incremental harness, arena vs reference solver.
+    """The randomized incremental harness, arena vs its definition.
 
-    Drives both kernels through the same 400 steps, asserts agreement at
-    every solve and returns the arena solver.
+    Drives the arena kernel through 400 steps and compares every solve
+    with fresh reference solves of the permanent clauses plus the clauses
+    of the assumed groups.  The walk removes arbitrary guarded clauses,
+    where ``remove_guarded``'s contract asks for implied ones, so learnt
+    clauses derived from a removed clause may survive.  The verdict must
+    therefore lie between the two definitions: SAT if the groups' clauses
+    ever added are satisfiable, UNSAT if their live clauses are not.  A
+    model must satisfy the live clauses; a core must re-solve to UNSAT,
+    in the arena and on the clauses ever added to the core's groups.
+    Returns the arena solver.
     """
     rng = random.Random(seed)
-    ref, arena = Solver(), ArenaSolver()
+    arena = ArenaSolver()
     num_vars = 10
-    ref.ensure_var(num_vars)
     arena.ensure_var(num_vars)
-    groups = []  # [act_ref, act_arena, [(handle_ref, handle_arena, lits)]]
+    permanent = []
+    groups = []  # [act, live [(handle, lits)], every lits ever added]
 
     def random_clause():
         return [
@@ -283,51 +299,62 @@ def _differential_walk(seed):
             for _ in range(rng.randint(1, 4))
         ]
 
+    def clauses(groups, which):
+        return permanent + [lits for group in groups for lits in which(group)]
+
+    def live(group):
+        return [lits for _, lits in group[1]]
+
+    def ever(group):
+        return group[2]
+
     for step in range(400):
         roll = rng.random()
         if roll < 0.25 or not groups:
-            groups.append([ref.new_activation(), arena.new_activation(), []])
+            groups.append([arena.new_activation(), [], []])
         elif roll < 0.45:
             group = rng.choice(groups)
             lits = random_clause()
-            _, h_ref = ref.add_guarded(group[0], lits)
-            _, h_arena = arena.add_guarded(group[1], lits)
-            group[2].append((h_ref, h_arena, lits))
-        elif roll < 0.55 and any(g[2] for g in groups):
-            group = rng.choice([g for g in groups if g[2]])
-            h_ref, h_arena, _ = group[2].pop(rng.randrange(len(group[2])))
-            if h_ref is not None:
-                ref.remove_guarded(group[0], h_ref)
-            if h_arena is not None:
-                arena.remove_guarded(group[1], h_arena)
+            _, handle = arena.add_guarded(group[0], lits)
+            group[1].append((handle, lits))
+            group[2].append(lits)
+        elif roll < 0.55 and any(g[1] for g in groups):
+            group = rng.choice([g for g in groups if g[1]])
+            handle, _ = group[1].pop(rng.randrange(len(group[1])))
+            if handle is not None:
+                arena.remove_guarded(group[0], handle)
         elif roll < 0.6:
             group = groups.pop(rng.randrange(len(groups)))
-            ref.release(group[0])
-            arena.release(group[1])
+            arena.release(group[0])
         else:
             if rng.random() < 0.3:
                 lits = random_clause()
-                assert ref.add_clause(lits) == arena.add_clause(lits)
+                permanent.append(lits)
+                # False means the permanent clauses are unsatisfiable.
+                assert arena.add_clause(lits) or not _fresh_solve(permanent, []), (seed, step)
             active = rng.sample(groups, rng.randint(0, len(groups)))
             extra = [
                 rng.choice([-1, 1]) * rng.randint(1, num_vars)
                 for _ in range(rng.randint(0, 2))
             ]
-            verdict_ref = ref.solve([g[0] for g in active] + extra)
-            verdict_arena = arena.solve([g[1] for g in active] + extra)
-            assert verdict_ref == verdict_arena, (seed, step)
-            if verdict_arena:
+            verdict = arena.solve([g[0] for g in active] + extra)
+            lower = _fresh_solve(clauses(active, ever), extra)
+            upper = _fresh_solve(clauses(active, live), extra)
+            assert lower <= verdict <= upper, (seed, step)
+            if verdict:
                 model = arena.get_model()
-                for group in active:
-                    for _, _, lits in group[2]:
-                        assert any(
-                            model.get(abs(l), False) == (l > 0) for l in lits
-                        ), (seed, step, lits)
+                for lits in clauses(active, live):
+                    assert any(
+                        model.get(abs(l), False) == (l > 0) for l in lits
+                    ), (seed, step, lits)
                 for lit in extra:
                     assert model.get(abs(lit), False) == (lit > 0)
             else:
                 core = arena.unsat_core()
                 assert arena.solve(core) is False, (seed, step)
+                blamed = [group for group in active if group[0] in core]
+                core_extra = [lit for lit in core if abs(lit) <= num_vars]
+                assert not _fresh_solve(clauses(blamed, ever), core_extra), (seed, step)
     return arena
 
 
@@ -458,14 +485,21 @@ def _random_cnf(rng, num_vars):
 
 
 class TestModelLiterals:
-    """``model_literals`` against the object solver and against ``get_model``."""
+    """``model_literals`` against the reference solver and against ``get_model``."""
 
     @staticmethod
     def _load(solver, num_vars, clauses):
-        """Load the CNF plus one released activation, which stays unassigned."""
+        """Load the CNF and return one more variable, which no clause mentions.
+
+        In the arena kernel it is a released activation, which stays
+        unassigned; the reference solver decides it, with its initial
+        phase, false.
+        """
         solver.ensure_var(num_vars)
         for clause in clauses:
             solver.add_clause(clause)
+        if not isinstance(solver, ArenaSolver):
+            return solver.new_var()
         act = solver.new_activation()
         solver.release(act)
         return act
@@ -486,13 +520,14 @@ class TestModelLiterals:
         rng.shuffle(variables)
         variables += variables[: rng.randint(0, len(variables))]  # repeats too
         projections = []
+        assert unassigned not in arena.get_model()
         for solver in (arena, oracle):
             model = solver.get_model()
-            assert unassigned not in model
+            assert not model.get(unassigned, False)
             projected = solver.model_literals(variables)
             assert projected == tuple(v if model.get(v, False) else -v for v in variables)
-            assert solver.model_cube(variables) == Cube(projected)
             projections.append(projected)
+        assert arena.model_cube(variables) == Cube(projections[0])
         # Each kernel's projection is a model of the CNF for the other.
         assert oracle.solve(list(projections[0]))
         assert arena.solve(list(projections[1]))

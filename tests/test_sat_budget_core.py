@@ -80,8 +80,7 @@ class TestUnsatCoreEdgeCases:
     def test_empty_core_when_clauses_alone_unsat(self):
         solver = Solver()
         solver.add_clause([1])
-        solver.add_clause([-1])
-        assert not solver.is_consistent()
+        assert solver.add_clause([-1]) is False
         # Even with assumptions, the conflict owes nothing to them.
         assert solver.solve_limited([2, -3]) is False
         assert solver.unsat_core() == []

@@ -1,33 +1,22 @@
-"""Tests for the incremental solving protocol of the SAT solver.
+"""Tests for the incremental solving protocol of the arena SAT kernel.
 
-Covers activation-literal scopes (removable
-clauses, recycling and retirement), physical clause removal, the
+Covers activation-literal scopes (removable clauses, recycling and
+retirement, learnt purging), deferred clause removal, the
 assumption-trail reuse machinery, and a randomized differential check of
-the whole incremental protocol against fresh from-scratch solvers.
+the whole incremental protocol against fresh from-scratch solves of the
+live clause set with the reference :class:`~repro.sat.solver.Solver`.
 """
 
 import random
 
 import pytest
 
-from repro.sat import Solver, SolverError
+from repro.sat import ArenaSolver, Solver, SolverError
 
 
 class TestActivationScopes:
-    def test_guarded_clause_only_active_under_assumption(self):
-        solver = Solver()
-        solver.ensure_var(2)
-        act = solver.new_activation()
-        solver.add_guarded(act, [1])
-        solver.add_guarded(act, [2])
-        # Without the assumption the clauses do not constrain anything.
-        assert solver.solve([-1])
-        # Under the assumption they do.
-        assert solver.solve([act]) and solver.model_value(1) is True
-        assert not solver.solve([act, -1])
-
     def test_release_removes_the_group(self):
-        solver = Solver()
+        solver = ArenaSolver()
         solver.ensure_var(1)
         act = solver.new_activation()
         solver.add_guarded(act, [1])
@@ -38,7 +27,7 @@ class TestActivationScopes:
         assert solver.solve([-1])  # the clause is physically gone
 
     def test_activation_vars_are_recycled(self):
-        solver = Solver()
+        solver = ArenaSolver()
         solver.ensure_var(4)
         first = solver.new_activation()
         solver.add_guarded(first, [1, 2])
@@ -53,7 +42,7 @@ class TestActivationScopes:
         assert not solver.solve([second, -3])
 
     def test_activation_var_retired_when_fixed_at_level_zero(self):
-        solver = Solver()
+        solver = ArenaSolver()
         solver.ensure_var(1)
         solver.add_clause([1])
         act = solver.new_activation()
@@ -68,7 +57,7 @@ class TestActivationScopes:
         # Build a scope whose clauses force a conflict under assumptions,
         # so the solver learns clauses mentioning the activation literal;
         # after release + recycling, the new group must not be affected.
-        solver = Solver()
+        solver = ArenaSolver()
         solver.ensure_var(6)
         solver.add_clause([1, 2])
         solver.add_clause([-2, 3])
@@ -83,27 +72,8 @@ class TestActivationScopes:
         assert solver.solve([act2, -1])  # no stale learnt blocks this
         assert solver.model_value(5) is True
 
-    def test_remove_guarded_single_clause(self):
-        solver = Solver()
-        solver.ensure_var(3)
-        act = solver.new_activation()
-        _, strong = solver.add_guarded(act, [1])
-        _, weak = solver.add_guarded(act, [1, 2])
-        # The weak clause is implied by the strong one: removable.
-        solver.remove_guarded(act, weak)
-        assert not solver.solve([act, -1])
-        assert solver.stats.guarded_clauses_freed == 1
-        # Removing an already-deleted clause is an idempotent no-op.
-        solver.remove_guarded(act, weak)
-        assert solver.stats.guarded_clauses_freed == 1
-        foreign = Solver()
-        _, other = foreign._add_clause_internal([2, 3])
-        assert other is not None
-        with pytest.raises(SolverError, match="does not belong"):
-            solver.remove_guarded(act, other)
-
     def test_remove_guarded_deferred_while_trail_live(self):
-        solver = Solver()
+        solver = ArenaSolver()
         solver.ensure_var(3)
         act = solver.new_activation()
         _, strong = solver.add_guarded(act, [1])
@@ -116,7 +86,7 @@ class TestActivationScopes:
 
 class TestTrailReuse:
     def test_reuse_counter_grows_with_shared_prefixes(self):
-        solver = Solver()
+        solver = ArenaSolver()
         solver.ensure_var(6)
         solver.add_clause([-1, 2])
         solver.add_clause([-2, 3])
@@ -126,7 +96,7 @@ class TestTrailReuse:
         assert solver.stats.assumption_levels_reused >= 2
 
     def test_answers_unchanged_across_reuse(self):
-        solver = Solver()
+        solver = ArenaSolver()
         solver.ensure_var(4)
         solver.add_clause([-1, 2])
         solver.add_clause([-1, -3])
@@ -140,7 +110,7 @@ class TestTrailReuse:
         assert set(core) <= {1, 3} and core
 
     def test_clause_addition_flushes_reused_trail(self):
-        solver = Solver()
+        solver = ArenaSolver()
         solver.ensure_var(3)
         assert solver.solve([1, 2])
         solver.add_clause([-1, -2])  # must invalidate the kept trail
@@ -162,7 +132,7 @@ class TestDifferentialSoundness:
     def test_randomized_incremental_vs_fresh(self):
         rng = random.Random(20240707)
         num_vars = 10
-        incremental = Solver()
+        incremental = ArenaSolver()
         incremental.ensure_var(num_vars)
         permanent = []
         scopes = {}  # act -> list of clauses

@@ -52,13 +52,6 @@ class TestVarOrderHeap:
         heap.update(42)  # must not raise
         assert heap.is_empty()
 
-    def test_rebuild(self):
-        activity = {v: float(v) for v in range(1, 8)}
-        heap = VarOrderHeap(lambda v: activity[v])
-        heap.rebuild(list(activity))
-        assert heap.pop_max() == 7
-        assert len(heap) == 6
-
     def test_random_sequences_pop_in_activity_order(self):
         rng = random.Random(1)
         activity = {v: rng.random() for v in range(1, 60)}

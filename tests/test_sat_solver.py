@@ -1,4 +1,4 @@
-"""Unit and property tests for the CDCL SAT solver.
+"""Unit and property tests for the reference CDCL SAT solver.
 
 The solver is validated three ways: hand-written scenarios for every API
 feature, randomized cross-checks against brute-force enumeration
@@ -6,12 +6,13 @@ feature, randomized cross-checks against brute-force enumeration
 """
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.logic import Cube
-from repro.sat import Solver, SolverError, ResourceBudgetExceeded
+from repro.sat import ArenaSolver, Solver, SolverError, ResourceBudgetExceeded
 
 
 def brute_force_satisfiable(num_vars, clauses):
@@ -87,22 +88,26 @@ class TestBasicSolving:
         assert solver.solve() is True
         assert solver.model_value(3) is True
 
-    def test_is_consistent_flag(self):
+    def test_inconsistency_at_level_zero_is_permanent(self):
         solver = Solver()
-        assert solver.is_consistent()
-        solver.add_clause([1])
-        solver.add_clause([-1])
-        assert not solver.is_consistent()
+        assert solver.add_clause([1]) is True
+        assert solver.add_clause([-1]) is False
+        assert solver.add_clause([2, 3]) is False
+        assert solver.solve([2]) is False
+        assert solver.unsat_core() == []
 
     def test_invalid_literal_rejected(self):
         with pytest.raises(SolverError):
             Solver().add_clause([0])
 
-    def test_invalid_options_rejected(self):
-        with pytest.raises(SolverError):
-            Solver(var_decay=0.0)
-        with pytest.raises(SolverError):
-            Solver(clause_decay=1.5)
+    def test_invalid_variable_index_rejected(self):
+        with pytest.raises(SolverError, match="must be positive"):
+            Solver().ensure_var(0)
+
+    def test_no_removable_clauses_or_seeding(self):
+        # The witness checker's kernel is plain: clauses are only ever added.
+        for name in ("new_activation", "add_guarded", "remove_guarded", "release", "set_seed"):
+            assert not hasattr(Solver, name), name
 
 
 class TestModels:
@@ -131,15 +136,14 @@ class TestModels:
         assert solver.model_value(-4) is True
         assert solver.model_value(4) is False
 
-    def test_model_cube_projection(self):
+    def test_model_literals_projection(self):
         solver = Solver()
         solver.add_clause([1])
         solver.add_clause([-2])
         solver.ensure_var(3)
         solver.solve()
-        cube = solver.model_cube([1, 2])
-        assert isinstance(cube, Cube)
-        assert cube == Cube([1, -2])
+        assert solver.model_literals([2, 1]) == (-2, 1)
+        assert Cube(solver.model_literals([1, 2])) == Cube([1, -2])
 
 
 class TestAssumptions:
@@ -246,7 +250,7 @@ class TestIncremental:
 
 class TestBudget:
     def test_budget_exhaustion_raises(self):
-        solver = Solver(restart_base=1)
+        solver = Solver()
         # A moderately hard pigeonhole instance: 5 pigeons into 4 holes.
         def var(i, j):
             return 4 * (i - 1) + j
@@ -260,7 +264,7 @@ class TestBudget:
             solver.solve(conflict_budget=3)
 
     def test_solve_limited_returns_none(self):
-        solver = Solver(restart_base=1)
+        solver = Solver()
         def var(i, j):
             return 4 * (i - 1) + j
 
@@ -329,3 +333,91 @@ class TestAgainstBruteForce:
             # The core alone (as units) must already be inconsistent with the formula.
             augmented = clauses + [[a] for a in core]
             assert not brute_force_satisfiable(5, augmented)
+
+
+def _random_cnf(rng, num_vars, num_clauses, max_len=4):
+    return [
+        [rng.choice([-1, 1]) * rng.randint(1, num_vars) for _ in range(rng.randint(1, max_len))]
+        for _ in range(num_clauses)
+    ]
+
+
+def _random_3sat(rng, num_vars, ratio=4.26):
+    return [
+        [rng.choice([-1, 1]) * var for var in rng.sample(range(1, num_vars + 1), 3)]
+        for _ in range(int(ratio * num_vars))
+    ]
+
+
+def _satisfies(model, clauses):
+    return all(any(model.get(abs(l), False) == (l > 0) for l in clause) for clause in clauses)
+
+
+class TestAgainstArenaKernel:
+    """The reference solver and the engines' arena kernel on the same queries."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_incremental_queries(self, seed):
+        rng = random.Random(seed)
+        num_vars = rng.randint(3, 40)
+        reference, arena = Solver(), ArenaSolver()
+        reference.ensure_var(num_vars)
+        arena.ensure_var(num_vars)
+        clauses = []
+        for _ in range(12):
+            # Clauses arrive between solves, up to about 4.5 per variable.
+            for clause in _random_cnf(rng, num_vars, rng.randint(0, num_vars * 3 // 8 + 1)):
+                clauses.append(clause)
+                reference.add_clause(clause)
+                arena.add_clause(clause)
+            assumptions = [
+                rng.choice([-1, 1]) * var
+                for var in rng.sample(range(1, num_vars + 1), rng.randint(0, min(5, num_vars)))
+            ]
+            verdict = reference.solve(assumptions)
+            assert arena.solve(assumptions) == verdict
+            if verdict:
+                model = reference.get_model()
+                assert _satisfies(model, clauses + [[lit] for lit in assumptions])
+                continue
+            # Each kernel's core is an unsatisfiable core for the other.
+            core, arena_core = reference.unsat_core(), arena.unsat_core()
+            assert set(core) <= set(assumptions)
+            assert arena.solve(core) is False
+            assert reference.solve(arena_core) is False
+
+
+class TestLearntClauses:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_learnt_clauses_are_implied(self, seed):
+        rng = random.Random(seed)
+        clauses = _random_3sat(rng, 50)
+        solver = Solver()
+        for clause in clauses:
+            solver.add_clause(clause)
+        solver.solve([rng.choice([-1, 1]) * var for var in rng.sample(range(1, 51), 3)])
+        learnts = solver._learnts
+        assert learnts and solver.stats.learnt_clauses == len(learnts)
+        # A learnt clause follows from the clauses alone, not from the
+        # assumptions: the clauses and its negation are unsatisfiable.
+        checker = ArenaSolver()
+        for clause in clauses:
+            checker.add_clause(clause)
+        for learnt in learnts:
+            assert checker.solve([-lit for lit in learnt]) is False, learnt
+
+    def test_reduction_keeps_answers(self):
+        rng = random.Random(3)
+        clauses = _random_3sat(rng, 170)
+        solver, arena = Solver(), ArenaSolver()
+        for clause in clauses:
+            solver.add_clause(clause)
+            arena.add_clause(clause)
+        for _ in range(3):
+            assumptions = [rng.choice([-1, 1]) * var for var in rng.sample(range(1, 171), 4)]
+            verdict = solver.solve(assumptions)
+            assert verdict == arena.solve(assumptions)
+            if verdict:
+                assert _satisfies(solver.get_model(), clauses + [[l] for l in assumptions])
+        assert solver.stats.removed_clauses > 0
+        assert len(solver._learnts) == solver.stats.learnt_clauses - solver.stats.removed_clauses

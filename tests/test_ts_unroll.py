@@ -1,24 +1,13 @@
 """Tests for the time-frame unroller (the substrate of BMC / k-induction).
 
-Every test runs under both SAT kernels: the autouse fixture below swaps
-the reference :class:`~repro.sat.solver.Solver` in for the arena kernel,
-so default-constructed unrollers alternate between the two.
+The unroller runs on the production arena kernel, its own or one passed
+in.
 """
-
-import pytest
 
 from repro.aiger import AIG
 from repro.benchgen import modular_counter, combination_lock
-from repro.sat import Solver
+from repro.sat import ArenaSolver
 from repro.ts import Unroller
-import repro.ts.unroll as _unroll_mod
-
-
-@pytest.fixture(params=["default", "arena"], autouse=True)
-def sat_kernel(request, monkeypatch):
-    if request.param == "default":
-        monkeypatch.setattr(_unroll_mod, "ArenaSolver", Solver)
-    return request.param
 
 
 def _counter_aig(width=3):
@@ -128,7 +117,7 @@ class TestModelExtraction:
         assert value1 == 3
 
     def test_shared_solver_can_be_supplied(self):
-        solver = Solver()
+        solver = ArenaSolver()
         unroller = Unroller(_counter_aig(), solver=solver)
         assert unroller.solver is solver
         assert solver.solve() is True
