@@ -44,12 +44,13 @@ def check_certificate(
     the clauses, ``INV`` is inductive without a separate ``¬Bad'`` check,
     and 3 is implied by 2 and 4 (it is kept to name the simpler failure).
 
-    Queries 3–5 run on one fresh reference :class:`Solver` loaded with
-    :meth:`TransitionSystem.cone_trans` of the latches the clauses
-    mention, renumbered densely.  Every clause the cone drops defines a
-    gate or a primed latch that no query mentions, from variables the
-    cone leaves free, so each query is equisatisfiable with the same
-    query over the full T.
+    Queries 3–5 run on one fresh reference :class:`Solver`, loaded
+    from :meth:`TransitionSystem.cone_trans` of the latches the clauses
+    mention, renumbered densely: 3 and 4 see only the cone's property
+    part, and the step part is added for 5.  Every clause a query does
+    not see defines a gate or a primed latch that the query does not
+    mention, from variables the loaded clauses leave free, so each
+    query is equisatisfiable with the same query over the full T.
 
     Raises :class:`CertificateError` on failure, returns True on success.
     """
@@ -67,32 +68,33 @@ def check_certificate(
             raise CertificateError(f"initiation fails for clause {clause!r}")
 
     solver = Solver()
-    dense: Dict[int, int] = {}
+    dense: Dict[int, int] = {}  # both literals of a variable -> solver literals
 
     def lit_of(lit: int) -> int:
-        var = dense.get(abs(lit))
-        if var is None:
-            var = dense[abs(lit)] = solver.new_var()
-        return var if lit > 0 else -var
+        if lit not in dense:
+            var = solver.new_var()
+            dense[abs(lit)], dense[-abs(lit)] = var, -var
+        return dense[lit]
 
-    def add(literals) -> None:
-        solver.add_clause([lit_of(lit) for lit in literals])
+    def add(new_clauses) -> None:
+        for clause in new_clauses:
+            solver.add_clause([dense[lit] if lit in dense else lit_of(lit) for lit in clause])
 
-    for clause in ts.cone_trans(mentioned):
-        add(clause)
+    cone = ts.cone_trans(mentioned)
+    add(cone.property)
     bad = lit_of(ts.bad_lit)
 
-    # Reset values of latches outside the cone constrain nothing.
+    # Reset values of latches the property part leaves out constrain nothing.
     init = [lit_of(lit) for lit in ts.init_cube if abs(lit) in dense]
     if solver.solve(init + [bad]):
         raise CertificateError("an initial state satisfies Bad")
 
-    for clause in clauses:
-        add(clause)
+    add(clauses)
     if solver.solve([bad]):
         raise CertificateError("the invariant does not imply the property")
     solver.add_clause([-bad])
 
+    add(cone.step)
     guards = []
     for clause in clauses:
         guard = solver.new_var()

@@ -128,11 +128,6 @@ class ArenaSolver:
         """Number of live problem (non-learnt) clauses."""
         return self._k.num_problem
 
-    @property
-    def num_learnts(self) -> int:
-        """Number of learnt clauses currently kept."""
-        return self._k.learnts.size
-
     def new_var(self) -> int:
         """Create a fresh variable and return its index."""
         if self._k.num_vars >= MAX_VAR:
@@ -155,13 +150,6 @@ class ArenaSolver:
         """
         lits = _literals(literals, "literal")
         return bool(_check_ok(_lib.k_add_clause(self._k, lits, len(lits))))
-
-    def add_cube_as_units(self, cube: Cube) -> bool:
-        """Add each literal of a cube as a unit clause."""
-        for lit in cube:
-            if not self.add_clause([lit]):
-                return False
-        return True
 
     # ------------------------------------------------------------------
     # Removable clauses guarded by activation literals
@@ -240,20 +228,6 @@ class ArenaSolver:
         for handle in group:
             handle.index = -1
         _check_ok(_lib.k_release(self._k, act, indexes, len(indexes)))
-
-    def is_activation(self, var: int) -> bool:
-        """True if ``var`` currently guards a removable clause group."""
-        return var in self._act_groups
-
-    @property
-    def num_active_activations(self) -> int:
-        """Number of live activation groups."""
-        return len(self._act_groups)
-
-    @property
-    def num_retired_activations(self) -> int:
-        """Activation variables permanently lost to level-0 assignments."""
-        return self.stats.activation_vars_retired
 
     # ------------------------------------------------------------------
     # Solving
@@ -361,10 +335,6 @@ class ArenaSolver:
             raise SolverError("no unsat core available (last call was not UNSAT)")
         core = self._k.core
         return _ffi.unpack(core.data, core.size) if core.size else []
-
-    def is_consistent(self) -> bool:
-        """False once the clause set is unsatisfiable at level 0."""
-        return bool(self._k.ok)
 
     def set_seed(self, seed: int) -> None:
         """Enable seeded random branching (MiniSat-style diversification).

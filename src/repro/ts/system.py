@@ -15,7 +15,7 @@ construction; the clauses of T are encoded on the first read of
 :attr:`TransitionSystem.trans`, so callers that only need the variable
 numbering (witness lift-back, trace replay) never pay for them.
 :meth:`TransitionSystem.cone_trans` encodes only the one-step cone of a
-set of latches, which is what the certificate checker loads.
+set of latches, in the two parts the certificate checker loads.
 
 IC3, BMC and k-induction all consume this object; it is also the oracle
 used to validate invariant certificates and counterexample traces.
@@ -24,8 +24,10 @@ used to validate invariant certificates and counterexample traces.
 from __future__ import annotations
 
 import functools
+import itertools
 import warnings
-from typing import Dict, Iterable, List, Sequence
+from dataclasses import dataclass
+from typing import Dict, Iterable, Iterator, List, Sequence, Set
 
 from repro.aiger.aig import AIG, FALSE_LIT, TRUE_LIT, AndGate, Latch, liveness_hint
 from repro.logic.cnf import CNF
@@ -73,6 +75,21 @@ def select_bads(
     if use_outputs_as_bad:
         return list(aig.outputs)
     return []
+
+
+@dataclass(frozen=True)
+class Cone:
+    """The clauses of T that :meth:`TransitionSystem.cone_trans` keeps.
+
+    Both parts are lists of plain literal lists.  Iterating a cone yields
+    every clause, the property part first.
+    """
+
+    property: List[List[int]]
+    step: List[List[int]]
+
+    def __iter__(self) -> Iterator[List[int]]:
+        return itertools.chain(self.property, self.step)
 
 
 class TransitionSystem:
@@ -222,71 +239,75 @@ class TransitionSystem:
     @functools.cached_property
     def trans(self) -> CNF:
         """The transition relation T, encoded on first read."""
-        return self._encode(self.aig.ands, self.aig.latches)
+        return CNF([
+            [self._const_true],
+            *self._gate_clauses(self.aig.ands),
+            *self._next_state_clauses(self.aig.latches),
+            *self._constraint_units(),
+        ])
 
-    def cone_trans(self, state_vars: Iterable[int]) -> CNF:
+    def cone_trans(self, state_vars: Iterable[int]) -> Cone:
         """T restricted to the one-step cone of the latches ``state_vars``.
 
-        Keeps the definitions of the AND gates in the combinational fan-in
-        of Bad, of every invariant constraint and of the next-state
-        functions of those latches, plus the next-state equivalences of
-        those latches only.  Every dropped clause defines a gate or a
-        primed latch that no kept clause mentions, from variables the kept
-        clauses leave free, so any model of the cone extends to a model of
-        the full T: a query over the cone, Bad, the constraints and the
-        given latches (current or primed) is equisatisfiable with the same
-        query over :attr:`trans`.
+        The property part defines the AND gates in the fan-in of Bad and
+        of the invariant constraints, plus the constraint units; the step
+        part defines the other gates in the fan-in of those latches'
+        next-state functions, plus their next-state equivalences.  Every
+        clause of T left out of the property part (or of both parts)
+        defines a gate or a primed latch that it does not mention, from
+        variables it leaves free, so its models extend to models of T: a
+        query over it, Bad, the constraints and current-state latches
+        (with both parts, also the given latches' primed copies) is
+        equisatisfiable with the same query over :attr:`trans`.
         """
         wanted = set(state_vars)
-        latches = [
-            latch
-            for latch, var in zip(self.aig.latches, self.latch_vars)
-            if var in wanted
-        ]
-        roots = [self._bad_aig_lit, *self.aig.constraints]
-        roots.extend(latch.next for latch in latches)
+        latches = [l for l, var in zip(self.aig.latches, self.latch_vars) if var in wanted]
         gate_of = {gate.lhs >> 1: gate for gate in self.aig.ands}
-        cone = set()
-        stack = [lit >> 1 for lit in roots]
-        while stack:
-            var = stack.pop()
-            gate = gate_of.get(var)
-            if gate is None or var in cone:
-                continue
-            cone.add(var)
-            stack.append(gate.rhs0 >> 1)
-            stack.append(gate.rhs1 >> 1)
-        gates = [gate for gate in self.aig.ands if gate.lhs >> 1 in cone]
-        return self._encode(gates, latches)
+        seen: Set[int] = set()
 
-    def _encode(self, gates: Sequence[AndGate], latches: Sequence[Latch]) -> CNF:
-        cnf = CNF()
-        cnf.add_unit(self._const_true)
-        self._encode_gates(cnf, gates)
-        self._encode_next_state(cnf, latches)
-        self._encode_constraints(cnf)
-        return cnf
+        def fan_in(roots: Iterable[int]) -> List[AndGate]:
+            gates = []
+            stack = [lit >> 1 for lit in roots]
+            while stack:
+                var = stack.pop()
+                gate = gate_of.get(var)
+                if gate is None or var in seen:
+                    continue
+                seen.add(var)
+                gates.append(gate)
+                stack += (gate.rhs0 >> 1, gate.rhs1 >> 1)
+            return gates
 
-    def _encode_gates(self, cnf: CNF, gates: Sequence[AndGate]) -> None:
+        property_gates = fan_in([self._bad_aig_lit, *self.aig.constraints])
+        step_gates = fan_in(latch.next for latch in latches)
+        return Cone(
+            property=[
+                [self._const_true],
+                *self._gate_clauses(property_gates),
+                *self._constraint_units(),
+            ],
+            step=[*self._gate_clauses(step_gates), *self._next_state_clauses(latches)],
+        )
+
+    def _gate_clauses(self, gates: Sequence[AndGate]) -> List[List[int]]:
+        clauses = []
         for gate in gates:
             out = self.to_solver_lit(gate.lhs)
             a = self.to_solver_lit(gate.rhs0)
             b = self.to_solver_lit(gate.rhs1)
-            cnf.add([-out, a])
-            cnf.add([-out, b])
-            cnf.add([out, -a, -b])
+            clauses += ([-out, a], [-out, b], [out, -a, -b])
+        return clauses
 
-    def _encode_next_state(self, cnf: CNF, latches: Sequence[Latch]) -> None:
+    def _next_state_clauses(self, latches: Sequence[Latch]) -> List[List[int]]:
+        clauses = []
         for latch in latches:
-            current = self.to_solver_lit(latch.lit)
-            primed = self.prime_lit(current)
+            primed = self.prime_lit(self.to_solver_lit(latch.lit))
             next_lit = self.to_solver_lit(latch.next)
-            cnf.add([-primed, next_lit])
-            cnf.add([primed, -next_lit])
+            clauses += ([-primed, next_lit], [primed, -next_lit])
+        return clauses
 
-    def _encode_constraints(self, cnf: CNF) -> None:
-        for constraint in self.aig.constraints:
-            cnf.add_unit(self.to_solver_lit(constraint))
+    def _constraint_units(self) -> List[List[int]]:
+        return [[self.to_solver_lit(constraint)] for constraint in self.aig.constraints]
 
     def _build_init_cube(self) -> Cube:
         literals = []

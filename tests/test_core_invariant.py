@@ -31,7 +31,7 @@ from repro.engines import create_engine
 from repro.harness.runner import _validate
 from repro.logic import Clause, Cube
 from repro.sat import ArenaSolver, Solver
-from repro.ts import TransitionSystem
+from repro.ts import TransitionSystem, select_bads
 
 
 @pytest.fixture(scope="module")
@@ -297,6 +297,126 @@ def test_checker_agrees_with_the_arena_kernel(case):
         assert (reference is None) == (message is None), (dropped, reference, message)
         if reference is not None and reference[0] == "consecution":
             assert message in {f"consecution fails for clause {c!r}" for c in reference[1]}
+
+
+# ----------------------------------------------------------------------
+# The cone split: property queries see the property part only
+# ----------------------------------------------------------------------
+def _single_cone(ts, mentioned):
+    """The one-step cone as one clause set, sliced out of T by its layout:
+    the constant unit, the gates in the fan-in of Bad, of the constraints
+    and of the mentioned latches' next-state functions, those latches'
+    next-state equivalences and the constraint units."""
+    aig = ts.aig
+    index_of = {gate.lhs >> 1: index for index, gate in enumerate(aig.ands)}
+    latches = [index for index, var in enumerate(ts.latch_vars) if var in mentioned]
+    roots = [select_bads(aig, warn_on_ambiguity=False)[0], *aig.constraints]
+    roots += [aig.latches[index].next for index in latches]
+    gates, stack = set(), [lit >> 1 for lit in roots]
+    while stack:
+        index = index_of.get(stack.pop())
+        if index is not None and index not in gates:
+            gates.add(index)
+            stack += [aig.ands[index].rhs0 >> 1, aig.ands[index].rhs1 >> 1]
+    trans, base = list(ts.trans), 1 + 3 * len(aig.ands)
+    kept = [trans[0], *trans[base + 2 * len(aig.latches):]]
+    for index in gates:
+        kept += trans[1 + 3 * index: 4 + 3 * index]
+    for index in latches:
+        kept += trans[base + 2 * index: base + 2 * index + 2]
+    return set(kept)
+
+
+def _split(aig, clauses):
+    """The cone parts of a certificate, as sets of canonical clauses,
+    after checking that they partition the single cone."""
+    ts = TransitionSystem(aig, warn_on_ambiguity=False)
+    mentioned = {abs(lit) for clause in clauses for lit in clause}
+    cone = ts.cone_trans(mentioned)
+    property_part = {Clause(clause) for clause in cone.property}
+    step_part = {Clause(clause) for clause in cone.step}
+    assert property_part.isdisjoint(step_part)
+    assert property_part | step_part == _single_cone(ts, mentioned)
+    return property_part, step_part
+
+
+@pytest.mark.parametrize("case", SAFE_BENCH_CASES, ids=lambda case: case.name)
+def test_cone_parts_partition_the_cone(case):
+    outcome = create_engine("ic3", case.aig).check(time_limit=60)
+    assert outcome.result == CheckResult.SAFE
+    _split(case.aig, list(outcome.certificate.clauses))
+
+
+def test_wide_property_part_is_small(wide_certificate):
+    aig, clauses = wide_certificate
+    property_part, step_part = _split(aig, clauses)
+    property_vars = {abs(lit) for clause in property_part for lit in clause}
+    cone_vars = {abs(lit) for clause in property_part | step_part for lit in clause}
+    assert 3 * len(property_vars) < len(cone_vars)
+
+
+def _latch(aig, name, init, next_lit=None):
+    """A latch that keeps its value unless ``next_lit`` is given."""
+    lit = aig.add_latch(init=init, name=name)
+    aig.set_latch_next(lit, lit if next_lit is None else next_lit)
+    return lit
+
+
+class TestSplitQueries:
+    """Hand-built circuits whose verdict depends on which part a query sees."""
+
+    def test_clauses_outside_the_bad_cone_do_not_imply_the_property(self):
+        aig = AIG()
+        stuck = _latch(aig, "stuck", init=0)
+        watched = _latch(aig, "watched", init=0, next_lit=aig.add_input("i"))
+        aig.add_bad(watched)
+        ts = TransitionSystem(aig)
+        certificate = Certificate(clauses=[Clause([-ts.to_solver_lit(stuck)])])
+        with pytest.raises(CertificateError, match="^the invariant does not imply the property$"):
+            check_certificate(aig, certificate)
+
+    def test_consecution_fails_through_next_state_gates_only(self):
+        aig = AIG()
+        i, j = aig.add_input("i"), aig.add_input("j")
+        stuck = _latch(aig, "stuck", init=0)
+        fed = _latch(aig, "fed", init=0, next_lit=aig.add_and(i, j))
+        aig.add_bad(aig.add_and(stuck, i))
+        ts = TransitionSystem(aig)
+        failing = Clause([-ts.to_solver_lit(fed)])
+        certificate = Certificate(clauses=[Clause([-ts.to_solver_lit(stuck)]), failing])
+        with pytest.raises(CertificateError, match="consecution fails") as error:
+            check_certificate(aig, certificate)
+        assert str(error.value) == f"consecution fails for clause {failing!r}"
+
+    @staticmethod
+    def _guarded_bad(constrained):
+        """Bad is ``x ∧ y`` with ``x`` stuck at 1 and ``y`` free; the
+        constraint ``¬(y ∧ z)``, with ``z`` stuck at 1, keeps ``y`` low."""
+        aig = AIG()
+        x = _latch(aig, "x", init=1)
+        y = _latch(aig, "y", init=0, next_lit=aig.add_input("i"))
+        z = _latch(aig, "z", init=1)
+        if constrained:
+            aig.add_constraint(aig.negate(aig.add_and(y, z)))
+        aig.add_bad(aig.add_and(x, y))
+        ts = TransitionSystem(aig)
+        clauses = [Clause([ts.to_solver_lit(x)]), Clause([ts.to_solver_lit(z)])]
+        return aig, Certificate(clauses=clauses)
+
+    def test_constraint_makes_the_clauses_imply_the_property(self):
+        assert check_certificate(*self._guarded_bad(constrained=True))
+        with pytest.raises(CertificateError, match="^the invariant does not imply the property$"):
+            check_certificate(*self._guarded_bad(constrained=False))
+
+    def test_reset_state_hits_bad_through_an_unmentioned_latch(self):
+        aig = AIG()
+        r, s = _latch(aig, "r", init=1), _latch(aig, "s", init=1)
+        unrelated = _latch(aig, "unrelated", init=0)
+        aig.add_bad(aig.add_and(r, s))
+        ts = TransitionSystem(aig)
+        certificate = Certificate(clauses=[Clause([-ts.to_solver_lit(unrelated)])])
+        with pytest.raises(CertificateError, match="^an initial state satisfies Bad$"):
+            check_certificate(aig, certificate)
 
 
 def test_constrained_counter_needs_the_constraint():
