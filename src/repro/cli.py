@@ -29,6 +29,7 @@ from __future__ import annotations
 import argparse
 import logging
 import math
+import os
 import sys
 import time
 from contextlib import contextmanager, nullcontext
@@ -55,6 +56,14 @@ from repro.harness.configs import (
 )
 from repro.harness.manifest import build_manifest, write_manifest
 from repro.harness.report import run_paper_evaluation
+from repro.obs import format_report, read_trace, session, validate_trace_file
+from repro.obs.heartbeat import (
+    Heartbeat,
+    LiveStatus,
+    format_progress,
+    install_heartbeat,
+    uninstall_heartbeat,
+)
 from repro.reduce import available_passes, reduce_aig
 from repro.reduce.base import no_properties_message, selected_bads
 
@@ -107,6 +116,20 @@ def _positive_seconds(text: str) -> float:
     if not (math.isfinite(value) and value > 0):
         raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text}")
     return value
+
+
+def _output_path(text: str) -> str:
+    """An output file path that can be written: checked before the run."""
+    directory = os.path.dirname(os.path.abspath(text))
+    if os.path.isdir(text):
+        raise argparse.ArgumentTypeError(f"{text!r} is a directory")
+    if not os.path.isdir(directory):
+        raise argparse.ArgumentTypeError(f"directory {directory!r} does not exist")
+    if not os.access(directory, os.W_OK) or (
+        os.path.exists(text) and not os.access(text, os.W_OK)
+    ):
+        raise argparse.ArgumentTypeError(f"cannot write to {text!r}")
+    return text
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -186,6 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument(
         "--trace-out",
         metavar="PATH",
+        type=_output_path,
         default=None,
         help="record a full-stack trace of the run and write it as a "
         "Chrome trace-event (Perfetto-loadable) JSON file to PATH",
@@ -209,6 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     reduce_cmd.add_argument(
         "--output",
         metavar="PATH",
+        type=_output_path,
         default=None,
         help="write the reduced model as ASCII AIGER to PATH",
     )
@@ -233,6 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument(
         "--output",
         metavar="PATH",
+        type=_output_path,
         default=None,
         help="write a machine-readable JSON run manifest to PATH",
     )
@@ -268,6 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument(
         "--trace-out",
         metavar="PATH",
+        type=_output_path,
         default=None,
         help="record a pid/tid-tagged timeline of the whole evaluation "
         "(parent + every worker process) to PATH as Chrome trace JSON",
@@ -321,15 +348,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     return 2  # pragma: no cover - argparse enforces the choices
 
 
-def _maybe_trace(path: Optional[str], label: str):
-    """A ``trace_session`` writing to ``path``, or a no-op without one."""
-    if not path:
-        return nullcontext()
-    from repro.obs.tracer import trace_session
-
-    return trace_session(path, label=label)
-
-
 @contextmanager
 def _live_check_session(active: bool):
     """``check --live``: an in-process heartbeat feeding a status line.
@@ -341,14 +359,6 @@ def _live_check_session(active: bool):
     if not active:
         yield
         return
-    from repro.obs.heartbeat import (
-        Heartbeat,
-        LiveStatus,
-        format_progress,
-        install_heartbeat,
-        uninstall_heartbeat,
-    )
-
     heartbeat = install_heartbeat(Heartbeat(role="check"))
     try:
         with LiveStatus(lambda: format_progress(heartbeat.snapshot())):
@@ -358,33 +368,26 @@ def _live_check_session(active: bool):
         heartbeat.close()
 
 
-@contextmanager
-def _live_evaluate_session(active: bool):
+def _live_workers_line(monitor):
     """``evaluate --live``: aggregate the worker heartbeats on one line.
 
-    Opens a heartbeat session (the harness pool workers pick the
-    directory up from the environment and publish into it) and paints
-    the freshest worker's progress, prefixed with the live worker count.
+    Paints the freshest worker's progress, prefixed with the live worker
+    count; a no-op outside a live session (``monitor`` is None).
     """
-    if not active:
-        yield
-        return
-    from repro.obs.heartbeat import LiveStatus, format_progress, heartbeat_session
+    if monitor is None:
+        return nullcontext()
 
-    with heartbeat_session() as monitor:
+    def _line() -> Optional[str]:
+        records = [r for r in monitor.read_all() if monitor.age(r) < 5.0]
+        if not records:
+            return None
+        records.sort(key=lambda r: r.get("time_mono", 0.0), reverse=True)
+        head = format_progress(records[0])
+        if len(records) > 1:
+            return f"[{len(records)} workers] {head}"
+        return head
 
-        def _line() -> Optional[str]:
-            records = [r for r in monitor.read_all() if monitor.age(r) < 5.0]
-            if not records:
-                return None
-            records.sort(key=lambda r: r.get("time_mono", 0.0), reverse=True)
-            head = format_progress(records[0])
-            if len(records) > 1:
-                return f"[{len(records)} workers] {head}"
-            return head
-
-        with LiveStatus(_line):
-            yield
+    return LiveStatus(_line)
 
 
 def _configure_verbose_logging(args: argparse.Namespace) -> None:
@@ -474,7 +477,7 @@ def _engine_kwargs(args: argparse.Namespace) -> dict:
 
 def _command_check(args: argparse.Namespace) -> int:
     _configure_verbose_logging(args)
-    with _maybe_trace(args.trace_out, "check"):
+    with session(trace_out=args.trace_out, label="check"):
         with _live_check_session(args.live):
             exit_code = _check_body(args)
     if args.trace_out:
@@ -584,8 +587,8 @@ def _command_reduce(args: argparse.Namespace) -> int:
 
 def _command_evaluate(args: argparse.Namespace) -> int:
     _configure_verbose_logging(args)
-    with _maybe_trace(args.trace_out, "evaluate"):
-        with _live_evaluate_session(args.live):
+    with session(trace_out=args.trace_out, live=args.live, label="evaluate") as monitor:
+        with _live_workers_line(monitor):
             exit_code = _evaluate_body(args)
     if args.trace_out:
         print(f"Trace written to {args.trace_out}")
@@ -718,8 +721,6 @@ def _evaluate_liveness(args: argparse.Namespace, cases, suite_name: str) -> int:
 
 def _command_trace_report(args: argparse.Namespace) -> int:
     """Print the per-phase hotspot table of a recorded trace."""
-    from repro.obs import format_report, read_trace, validate_trace_file
-
     try:
         events = read_trace(args.trace)
     except (OSError, ValueError) as error:

@@ -23,7 +23,6 @@ RNG seeds and configuration jitter so that they search differently.
 
 from __future__ import annotations
 
-import os
 import time
 from collections import Counter
 from dataclasses import dataclass, field, replace
@@ -35,7 +34,7 @@ from repro.core.result import CheckOutcome, CheckResult
 from repro.core.stats import IC3Stats
 from repro.engines.adapters import finish_outcome, prepare_model
 from repro.engines.registry import canonical_name, create_engine, register_engine
-from repro.obs.heartbeat import HEARTBEAT_DIR_ENV, get_heartbeat
+from repro.obs.heartbeat import get_heartbeat
 from repro.obs.tracer import get_tracer
 from repro.supervise import Child, Supervisor
 
@@ -192,7 +191,7 @@ class PortfolioEngine:
 
         # Members stay in this process's group: the group kill of a
         # harness task running this race ends them too.
-        supervisor = Supervisor(leader=False, heartbeat_dir=os.environ.get(HEARTBEAT_DIR_ENV))
+        supervisor = Supervisor(leader=False)
         pending: List[_MemberPlan] = list(self._plan)
         running: List[Child] = []
         unknown: List[Tuple[str, CheckOutcome]] = []

@@ -22,7 +22,6 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Sequence
 
-from repro.obs.heartbeat import HEARTBEAT_DIR_ENV
 from repro.obs.tracer import get_tracer
 from repro.supervise import Child, Supervisor
 
@@ -90,11 +89,11 @@ def map_with_hard_timeout(
     if grace is None:
         grace = default_grace(timeout)
 
-    # When a heartbeat session is active the parent also *watches* the
-    # records: a worker whose publisher goes silent well before its hard
-    # deadline gets a ``harness.stall`` trace instant (the deadline still
-    # does the killing — the harness has one, unlike a hung interactive run).
-    supervisor = Supervisor(leader=True, heartbeat_dir=os.environ.get(HEARTBEAT_DIR_ENV))
+    # In a live session the parent also *watches* the heartbeat records:
+    # a worker whose publisher goes silent well before its hard deadline
+    # gets a ``harness.stall`` trace instant (the deadline still does the
+    # killing — the harness has one, unlike a hung interactive run).
+    supervisor = Supervisor(leader=True)
     stall_limit = max(1.0, 0.5 * timeout)
     results: List[Optional[PoolResult]] = [None] * len(payloads)
     pending = list(enumerate(payloads))

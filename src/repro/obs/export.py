@@ -1,18 +1,17 @@
-"""Trace export, ingestion and stitching.
+"""Trace export, ingestion and validation.
 
 The on-disk formats:
 
-* **JSONL** — one Chrome trace event per line; what sinks and flight
-  recorders write incrementally.  Readers tolerate a truncated final
-  line (the signature of a SIGKILLed writer).
+* **JSONL** — one Chrome trace event per line; what worker sinks write
+  incrementally.  Readers tolerate a truncated final line (the
+  signature of a SIGKILLed writer).
 * **Chrome trace-event JSON** — ``{"traceEvents": [...]}``, loadable in
   Perfetto / ``chrome://tracing``; what ``--trace-out`` produces and
   ``repro-check trace-report`` consumes (it reads JSONL too).
 
-:func:`stitch` merges event lists from many processes into one timeline:
-events already carry ``pid``/``tid`` and share the CLOCK_MONOTONIC time
-base, so merging is a sort, and per-process metadata events name the
-tracks.
+Events from many processes already carry ``pid``/``tid`` and share the
+CLOCK_MONOTONIC time base, so stitching them into one timeline is the
+sort :func:`to_chrome_document` does.
 """
 
 from __future__ import annotations
@@ -20,8 +19,6 @@ from __future__ import annotations
 import json
 import os
 from typing import Any, Dict, Iterable, List, Optional
-
-from repro.obs.tracer import FLIGHT_PREFIX
 
 _EVENT_PHASES = {"X", "i", "B", "E", "C", "M"}
 _REQUIRED_KEYS = ("name", "ph", "ts", "pid", "tid")
@@ -83,36 +80,16 @@ def read_trace(path: str) -> List[Dict[str, Any]]:
 
 
 def collect_worker_events(directory: str) -> List[Dict[str, Any]]:
-    """Gather every worker-written event file under ``directory``.
-
-    Flight-recorder dumps are only read when the worker's full sink file
-    is absent (the two would otherwise duplicate the ring's events).
-    """
+    """Gather the events of every worker sink file under ``directory``."""
     try:
         names = sorted(os.listdir(directory))
     except OSError:
         return []
-    sinks = [n for n in names if n.endswith(".jsonl") and not n.startswith(FLIGHT_PREFIX)]
-    sink_pids = {name.rsplit("-", 1)[-1] for name in sinks}
     events: List[Dict[str, Any]] = []
-    for name in sinks:
-        events.extend(read_jsonl_events(os.path.join(directory, name)))
     for name in names:
-        if not name.startswith(FLIGHT_PREFIX) or not name.endswith(".jsonl"):
-            continue
-        if name[len(FLIGHT_PREFIX):].rsplit("-", 1)[-1] in sink_pids:
-            continue
-        events.extend(read_jsonl_events(os.path.join(directory, name)))
+        if name.endswith(".jsonl"):
+            events.extend(read_jsonl_events(os.path.join(directory, name)))
     return events
-
-
-def stitch(event_groups: Iterable[List[Dict[str, Any]]]) -> List[Dict[str, Any]]:
-    """Merge per-process event lists into one timestamp-ordered timeline."""
-    merged: List[Dict[str, Any]] = []
-    for group in event_groups:
-        merged.extend(group)
-    merged.sort(key=lambda e: (e.get("ts", 0), e.get("pid", 0), e.get("tid", 0)))
-    return merged
 
 
 def validate_chrome_trace(document: Any) -> List[str]:

@@ -33,16 +33,10 @@ from __future__ import annotations
 import io
 import json
 import os
-import shutil
 import tempfile
 import threading
 import time
-from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterator, List, Optional
-
-HEARTBEAT_DIR_ENV = "REPRO_HEARTBEAT_DIR"
-"""Environment variable through which a parent points worker processes
-at the shared heartbeat directory."""
+from typing import Any, Callable, Dict, List, Optional
 
 HEARTBEAT_PREFIX = "hb-"
 """File-name prefix of per-worker heartbeat records."""
@@ -216,7 +210,7 @@ def uninstall_heartbeat() -> Any:
 
 
 # ----------------------------------------------------------------------
-# Worker-process activation
+# Record files and the parent's monitor
 # ----------------------------------------------------------------------
 def heartbeat_path(directory: str, role: str, pid: Optional[int] = None) -> str:
     """The canonical record path for one worker."""
@@ -225,39 +219,6 @@ def heartbeat_path(directory: str, role: str, pid: Optional[int] = None) -> str:
     )
 
 
-def maybe_install_worker_heartbeat(
-    role: str, *, interval: float = DEFAULT_INTERVAL
-) -> Optional[Heartbeat]:
-    """Install a publishing heartbeat when the parent requested one.
-
-    Returns None (and installs nothing) when :data:`HEARTBEAT_DIR_ENV`
-    is unset — mirrors :func:`repro.obs.tracer.maybe_install_worker_tracer`,
-    and is deliberately independent of it: a worker heartbeats fine
-    without ever installing a tracer.
-    """
-    directory = os.environ.get(HEARTBEAT_DIR_ENV)
-    if not directory:
-        return None
-    try:
-        os.makedirs(directory, exist_ok=True)
-        heartbeat = Heartbeat(
-            role=role, path=heartbeat_path(directory, role), interval=interval
-        )
-    except OSError:  # pragma: no cover - unwritable heartbeat dir
-        return None
-    return install_heartbeat(heartbeat)
-
-
-def shutdown_worker_heartbeat() -> None:
-    """Close and uninstall the heartbeat installed by this process."""
-    heartbeat = uninstall_heartbeat()
-    if isinstance(heartbeat, Heartbeat):
-        heartbeat.close()
-
-
-# ----------------------------------------------------------------------
-# Parent side: monitor + session
-# ----------------------------------------------------------------------
 class HeartbeatMonitor:
     """Reads the heartbeat records of a shared directory.
 
@@ -283,13 +244,6 @@ class HeartbeatMonitor:
                 records.append(record)
         return records
 
-    def latest_for(self, pid: int) -> Optional[Dict[str, Any]]:
-        """The record of one worker process, or None."""
-        for record in self.read_all():
-            if record.get("pid") == pid:
-                return record
-        return None
-
     @staticmethod
     def _read(path: str) -> Optional[Dict[str, Any]]:
         try:
@@ -306,31 +260,6 @@ class HeartbeatMonitor:
         if not isinstance(stamp, (int, float)):
             return float("inf")
         return max(0.0, time.monotonic() - stamp)
-
-    def stalled(self, record: Dict[str, Any], limit: float) -> bool:
-        return self.age(record) > limit
-
-
-@contextmanager
-def heartbeat_session(directory: Optional[str] = None) -> Iterator[HeartbeatMonitor]:
-    """Point child workers at a heartbeat directory for one command.
-
-    Exports :data:`HEARTBEAT_DIR_ENV` (creating a temp directory when
-    none is given), yields a monitor over it, then restores the
-    environment and removes the temp directory.
-    """
-    own_dir = directory is None
-    workdir = directory or tempfile.mkdtemp(prefix="repro-hb-")
-    previous = os.environ.get(HEARTBEAT_DIR_ENV)
-    os.environ[HEARTBEAT_DIR_ENV] = workdir
-    try:
-        yield HeartbeatMonitor(workdir)
-    finally:
-        os.environ.pop(HEARTBEAT_DIR_ENV, None)
-        if previous is not None:
-            os.environ[HEARTBEAT_DIR_ENV] = previous
-        if own_dir:
-            shutil.rmtree(workdir, ignore_errors=True)
 
 
 # ----------------------------------------------------------------------

@@ -14,19 +14,15 @@ Design constraints, in order:
    manager.  Instrumentation sites guard any argument construction with
    ``tracer.enabled`` so a disabled run pays one attribute check per
    site.
-2. **A hard-killed worker must leave a post-mortem.**  Two mechanisms:
-   a :class:`JsonlSink` appends events incrementally (flushing every
-   ``flush_every`` events, so at most that many are lost to SIGKILL),
-   and an optional bounded *flight recorder* ring keeps the last
-   ``ring_capacity`` events and rewrites them to ``flight_path``
-   (atomically, via rename) every ``flight_every`` events — after a
-   kill the last snapshot survives.
-3. **Worker processes activate themselves.**  When the environment
-   variable :data:`TRACE_DIR_ENV` names a directory, worker entry
-   points call :func:`maybe_install_worker_tracer` and write
-   ``<role>-<pid>.jsonl`` (plus ``flight-<role>-<pid>.jsonl``) into it;
-   the parent's :func:`trace_session` sets the variable, runs the
-   workload, then stitches every per-worker file into one Chrome trace.
+2. **A hard-killed worker must leave a post-mortem.**  A worker's
+   tracer writes every event to a :class:`JsonlSink` instead of memory,
+   flushing every ``flush_every`` events, so SIGKILL loses at most that
+   many.  The sink file exists from the moment the worker starts.
+3. **Worker processes activate themselves.**  The one observability
+   bootstrap (:mod:`repro.obs.bootstrap`) installs a sink tracer in
+   every supervised worker of a session that asked for a trace; the
+   session then stitches the parent's in-memory events and every
+   worker's ``<role>-<pid>.jsonl`` into one Chrome trace.
 
 Events use the Chrome trace-event dictionary shape directly (``ph: X``
 complete events with microsecond ``ts``/``dur``, ``ph: i`` instants), so
@@ -37,20 +33,9 @@ from __future__ import annotations
 
 import json
 import os
-import shutil
-import tempfile
 import threading
 import time
-from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional
-
-TRACE_DIR_ENV = "REPRO_TRACE_DIR"
-"""Environment variable through which a tracing parent points worker
-processes at the shared per-run trace directory."""
-
-FLIGHT_PREFIX = "flight-"
-"""File-name prefix of flight-recorder dumps (excluded from stitching
-when the worker's full JSONL sink is present)."""
+from typing import Any, Dict, List, Optional
 
 DEFAULT_SAMPLE_EVERY = 4096
 """Default sampling period for high-frequency counter events (SAT
@@ -167,8 +152,8 @@ class Tracer:
 
     Thread-safe: spans may open and close concurrently on any thread;
     each event carries the native thread id of its recording thread.
-    ``ring_capacity`` bounds the in-memory buffer (oldest events are
-    evicted first); without it every event is retained.
+    Events go to ``sink`` when one is given (a worker process) and to an
+    in-memory list otherwise (the session's parent).
     """
 
     enabled = True
@@ -176,21 +161,14 @@ class Tracer:
     def __init__(
         self,
         *,
-        ring_capacity: Optional[int] = None,
         sink: Optional[JsonlSink] = None,
-        flight_path: Optional[str] = None,
-        flight_every: int = 128,
         sample_every: int = DEFAULT_SAMPLE_EVERY,
     ):
         self.pid = os.getpid()
         self.sample_every = max(1, sample_every)
         self._lock = threading.Lock()
-        self._ring_capacity = ring_capacity
         self._events: List[Dict[str, Any]] = []
         self._sink = sink
-        self._flight_path = flight_path
-        self._flight_every = max(1, flight_every)
-        self._since_flight = 0
         self._sample_marks: Dict[Any, int] = {}
 
     # -- recording ------------------------------------------------------
@@ -229,46 +207,19 @@ class Tracer:
 
     def _emit(self, event: Dict[str, Any]) -> None:
         with self._lock:
-            self._events.append(event)
-            if self._ring_capacity is not None and len(self._events) > self._ring_capacity:
-                del self._events[: len(self._events) - self._ring_capacity]
             if self._sink is not None:
                 self._sink.write(event)
-            if self._flight_path is not None:
-                self._since_flight += 1
-                if self._since_flight >= self._flight_every:
-                    self._dump_flight_locked()
-
-    # -- flight recorder ------------------------------------------------
-    def _dump_flight_locked(self) -> None:
-        self._since_flight = 0
-        directory = os.path.dirname(self._flight_path) or "."
-        try:
-            fd, tmp = tempfile.mkstemp(prefix=".flight-", dir=directory)
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                for event in self._events:
-                    handle.write(json.dumps(event, separators=(",", ":")) + "\n")
-            os.replace(tmp, self._flight_path)
-        except OSError:  # pragma: no cover - tracing must never kill the host
-            pass
-
-    def dump_flight(self) -> None:
-        """Force a flight-recorder snapshot (no-op without a flight path)."""
-        if self._flight_path is None:
-            return
-        with self._lock:
-            self._dump_flight_locked()
+            else:
+                self._events.append(event)
 
     # -- access / lifecycle ---------------------------------------------
     def events(self) -> List[Dict[str, Any]]:
-        """A snapshot of the buffered events (oldest first)."""
+        """A snapshot of the in-memory events (empty with a sink)."""
         with self._lock:
             return list(self._events)
 
     def close(self) -> None:
-        """Flush the sink and take a final flight snapshot."""
-        if self._flight_path is not None:
-            self.dump_flight()
+        """Flush and close the sink, if any."""
         if self._sink is not None:
             self._sink.close()
 
@@ -297,80 +248,3 @@ def uninstall() -> Any:
     previous = _current
     _current = NULL_TRACER
     return previous
-
-
-# ----------------------------------------------------------------------
-# Worker-process activation
-# ----------------------------------------------------------------------
-def maybe_install_worker_tracer(
-    role: str,
-    *,
-    ring_capacity: int = 512,
-    flush_every: int = 32,
-    flight_every: int = 32,
-) -> Optional[Tracer]:
-    """Install a tracer when the parent requested tracing via the env.
-
-    Returns None (and installs nothing) when :data:`TRACE_DIR_ENV` is
-    unset.  Otherwise the tracer appends every event to
-    ``<dir>/<role>-<pid>.jsonl`` and keeps a flight ring of the last
-    ``ring_capacity`` events in ``<dir>/flight-<role>-<pid>.jsonl`` so a
-    SIGKILLed worker leaves both a (possibly truncated) event log and a
-    recent-history snapshot.
-    """
-    directory = os.environ.get(TRACE_DIR_ENV)
-    if not directory:
-        return None
-    try:
-        os.makedirs(directory, exist_ok=True)
-        pid = os.getpid()
-        sink = JsonlSink(
-            os.path.join(directory, f"{role}-{pid}.jsonl"), flush_every=flush_every
-        )
-        tracer = Tracer(
-            sink=sink,
-            ring_capacity=ring_capacity,
-            flight_path=os.path.join(directory, f"{FLIGHT_PREFIX}{role}-{pid}.jsonl"),
-            flight_every=flight_every,
-        )
-    except OSError:  # pragma: no cover - unwritable trace dir
-        return None
-    return install(tracer)
-
-
-def shutdown_worker_tracer() -> None:
-    """Close and uninstall the worker tracer installed by this process."""
-    tracer = uninstall()
-    if isinstance(tracer, Tracer):
-        tracer.close()
-
-
-# ----------------------------------------------------------------------
-# Parent-side session
-# ----------------------------------------------------------------------
-@contextmanager
-def trace_session(path: str, *, label: str = "session") -> Iterator[Tracer]:
-    """Trace a whole command into a Perfetto-loadable file at ``path``.
-
-    Installs a parent tracer, exports :data:`TRACE_DIR_ENV` so every
-    worker process spawned underneath traces itself, and on exit stitches
-    the parent events and all per-worker JSONL files into one Chrome
-    trace-event document written to ``path``.
-    """
-    from repro.obs.export import collect_worker_events, write_chrome_trace
-
-    workers_dir = tempfile.mkdtemp(prefix="repro-trace-")
-    previous_env = os.environ.get(TRACE_DIR_ENV)
-    os.environ[TRACE_DIR_ENV] = workers_dir
-    tracer = install(Tracer())
-    try:
-        with tracer.span(label, cat="session"):
-            yield tracer
-    finally:
-        uninstall()
-        os.environ.pop(TRACE_DIR_ENV, None)
-        if previous_env is not None:
-            os.environ[TRACE_DIR_ENV] = previous_env
-        events = tracer.events() + collect_worker_events(workers_dir)
-        write_chrome_trace(path, events)
-        shutil.rmtree(workers_dir, ignore_errors=True)

@@ -18,11 +18,10 @@ Two process decisions live here:
   children (the portfolio members).  Members are daemonic, so the
   interpreter's exit also ends a member that was never reaped.
 
-A child runs its body under one observability bootstrap: the tracer the
-parent requested through :data:`~repro.obs.tracer.TRACE_DIR_ENV` and a
-heartbeat publishing into the supervisor's heartbeat directory.  It runs
-``body(*args)`` once and ships the answer as ``("ok", value)`` or
-``("error", "Type: msg")``.
+A child runs its body under the one observability bootstrap
+(:mod:`repro.obs.bootstrap`), which turns on the layers the enclosing
+session asked for.  It runs ``body(*args)`` once and ships the answer as
+``("ok", value)`` or ``("error", "Type: msg")``.
 """
 
 from __future__ import annotations
@@ -34,15 +33,8 @@ import signal
 import time
 from typing import Any, Callable, Iterable, List, Optional, Tuple
 
-from repro.obs.heartbeat import (
-    DEFAULT_INTERVAL,
-    Heartbeat,
-    HeartbeatMonitor,
-    heartbeat_path,
-    install_heartbeat,
-    shutdown_worker_heartbeat,
-)
-from repro.obs.tracer import maybe_install_worker_tracer, shutdown_worker_tracer
+from repro.obs.bootstrap import heartbeat_dir, install_worker, shutdown_worker
+from repro.obs.heartbeat import HeartbeatMonitor, heartbeat_path
 
 JOIN_TIMEOUT = 1.0
 """Seconds a reaped child gets to exit by itself before SIGKILL: enough
@@ -74,25 +66,18 @@ def _ship(conn, reply: Tuple[str, Any]) -> None:
         pass
 
 
-def _child_main(conn, role, leader, heartbeat_dir, heartbeat_interval, body, args):
+def _child_main(conn, role, leader, body, args):
     """Child-process body: bootstrap observability, then answer."""
     if leader:
         try:
             os.setpgid(0, 0)
         except OSError:  # pragma: no cover - already a group leader
             pass
-    maybe_install_worker_tracer(role)
-    if heartbeat_dir:
-        try:
-            path = heartbeat_path(heartbeat_dir, role)
-            install_heartbeat(Heartbeat(role=role, path=path, interval=heartbeat_interval))
-        except OSError:  # pragma: no cover - unwritable heartbeat dir
-            pass
+    install_worker(role)
     try:
         _answer(conn, body, args)
     finally:
-        shutdown_worker_heartbeat()
-        shutdown_worker_tracer()
+        shutdown_worker()
         conn.close()
 
 
@@ -129,22 +114,16 @@ class Supervisor:
     """Spawns, watches and reaps the children of one caller.
 
     ``leader`` places every child in its own process group (and keeps it
-    non-daemonic); otherwise children stay in this process's group.  With
-    a ``heartbeat_dir`` the children publish heartbeats there, which
-    :meth:`stalled` reads and :meth:`reap` deletes.
+    non-daemonic); otherwise children stay in this process's group.  In
+    an observability session that asked for live progress, the children
+    publish heartbeats into its directory, which :meth:`stalled` reads
+    and :meth:`reap` cleans up.
     """
 
-    def __init__(
-        self,
-        *,
-        leader: bool,
-        heartbeat_dir: Optional[str] = None,
-        heartbeat_interval: float = DEFAULT_INTERVAL,
-    ):
+    def __init__(self, *, leader: bool):
         self.leader = leader
-        self.heartbeat_dir = heartbeat_dir
-        self.heartbeat_interval = heartbeat_interval
-        self.monitor = HeartbeatMonitor(heartbeat_dir) if heartbeat_dir else None
+        live_dir = heartbeat_dir()
+        self.monitor = HeartbeatMonitor(live_dir) if live_dir else None
         self._ctx = multiprocessing.get_context()
         self._next_stall_check = 0.0
 
@@ -161,10 +140,9 @@ class Supervisor:
         The child is overdue ``budget`` seconds later.
         """
         parent_conn, child_conn = self._ctx.Pipe(duplex=False)
-        bootstrap = (role, self.leader, self.heartbeat_dir, self.heartbeat_interval)
         proc = self._ctx.Process(
             target=_child_main,
-            args=(child_conn, *bootstrap, body, args),
+            args=(child_conn, role, self.leader, body, args),
             name=role,
             daemon=not self.leader,
         )
@@ -210,9 +188,9 @@ class Supervisor:
             proc.kill()
         proc.join(JOIN_TIMEOUT)
         child.conn.close()
-        if self.heartbeat_dir:
+        if self.monitor is not None:
             try:
-                os.remove(heartbeat_path(self.heartbeat_dir, child.role, proc.pid))
+                os.remove(heartbeat_path(self.monitor.directory, child.role, proc.pid))
             except OSError:
                 pass
 
@@ -226,7 +204,7 @@ class Supervisor:
         into the publisher thread even mid-SAT-call), so silence means it
         is frozen (SIGSTOP), wedged outside the interpreter, or dead.
         Each child is reported once; the directory is read at most every
-        0.5 s, and never without a heartbeat dir.
+        0.5 s, and never outside a live session.
         """
         now = time.perf_counter()
         if self.monitor is None or now < self._next_stall_check:

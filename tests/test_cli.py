@@ -146,6 +146,47 @@ class TestNumericFlagTypes:
         assert f"must be at least 0, got {text}" in capsys.readouterr().err
 
 
+OUTPUT_FLAGS = [
+    ["check", "MODEL", "--trace-out"],
+    ["evaluate", "--quick", "--trace-out"],
+    ["evaluate", "--quick", "--output"],
+    ["reduce", "MODEL", "--output"],
+]
+
+
+class TestOutputPaths:
+    """An unwritable output path is rejected before any work runs."""
+
+    @staticmethod
+    def _argv(flag, model, path):
+        return [model if word == "MODEL" else word for word in flag] + [str(path)]
+
+    @pytest.mark.parametrize("where", ["missing directory", "a directory", "under a file"])
+    @pytest.mark.parametrize("flag", OUTPUT_FLAGS, ids=" ".join)
+    def test_unwritable_path_is_a_usage_error(self, flag, where, safe_model, tmp_path, capsys):
+        blocker = tmp_path / "plain-file"
+        blocker.write_text("")
+        path = {
+            "missing directory": tmp_path / "nonexistent" / "out.json",
+            "a directory": tmp_path,
+            "under a file": blocker / "out.json",
+        }[where]
+        with pytest.raises(SystemExit) as exit_info:
+            main(self._argv(flag, safe_model, path))
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert f"error: argument {flag[-1]}: " in captured.err
+        assert captured.out == ""  # nothing ran
+
+    @pytest.mark.parametrize("flag", OUTPUT_FLAGS, ids=" ".join)
+    def test_writable_paths_are_accepted(self, flag, safe_model, tmp_path):
+        existing = tmp_path / "existing.json"
+        existing.write_text("old")
+        for path in (tmp_path / "new.json", existing):
+            args = build_parser().parse_args(self._argv(flag, safe_model, path))
+            assert getattr(args, flag[-1][2:].replace("-", "_")) == str(path)
+
+
 class TestPassesFlag:
     @pytest.mark.parametrize("command", ["check", "reduce"])
     def test_unknown_pass_is_a_usage_error(self, safe_model, command, capsys):

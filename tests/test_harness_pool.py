@@ -18,7 +18,7 @@ from repro.harness.pool import (
     map_with_hard_timeout,
     resolve_jobs,
 )
-from repro.obs.heartbeat import heartbeat_session
+from repro.obs import session
 from repro.obs.tracer import Tracer, install, uninstall
 
 pytestmark = pytest.mark.skipif(
@@ -103,7 +103,7 @@ class TestFailurePaths:
         assert results[4].value == "ok-3"
         assert not multiprocessing.active_children()
 
-    def test_result_in_flight_survives_worker_lingering(self):
+    def test_result_sent_before_lingering_survives(self):
         start = time.monotonic()
         (result,) = map_with_hard_timeout(
             _return_but_linger, ["kept"], timeout=5.0, jobs=1
@@ -152,7 +152,7 @@ class TestFailurePaths:
         # one ``harness.stall`` instant, then the deadline kills it.
         tracer = install(Tracer())
         try:
-            with heartbeat_session():
+            with session(live=True):
                 (result,) = map_with_hard_timeout(_freeze, ["x"], timeout=3.0, jobs=1)
         finally:
             uninstall()

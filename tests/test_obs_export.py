@@ -1,4 +1,4 @@
-"""Tests of trace export, validation, stitching and hotspot reports."""
+"""Tests of trace export, validation, worker collection and hotspot reports."""
 
 import json
 
@@ -6,7 +6,6 @@ from repro.obs.export import (
     collect_worker_events,
     read_jsonl_events,
     read_trace,
-    stitch,
     to_chrome_document,
     validate_chrome_trace,
     validate_trace_file,
@@ -92,25 +91,19 @@ class TestJsonlIngestion:
 
 
 class TestWorkerCollection:
-    def test_flight_dump_used_only_without_sink(self, tmp_path):
-        # Worker 111: clean exit, sink present, flight must be skipped.
-        (tmp_path / "role-111.jsonl").write_text(json.dumps(_i("clean", 1)) + "\n")
-        (tmp_path / "flight-role-111.jsonl").write_text(
-            json.dumps(_i("dup", 1)) + "\n"
-        )
-        # Worker 222: SIGKILLed before its sink appeared; flight survives.
-        (tmp_path / "flight-role-222.jsonl").write_text(
-            json.dumps(_i("postmortem", 2)) + "\n"
-        )
+    def test_reads_every_worker_sink_and_nothing_else(self, tmp_path):
+        (tmp_path / "harness-111.jsonl").write_text(json.dumps(_i("one", 1)) + "\n")
+        (tmp_path / "portfolio-bmc-222.jsonl").write_text(json.dumps(_i("two", 2)) + "\n")
+        (tmp_path / "hb-harness-111.json").write_text(json.dumps(_i("record", 3)))
         names = sorted(e["name"] for e in collect_worker_events(str(tmp_path)))
-        assert names == ["clean", "postmortem"]
+        assert names == ["one", "two"]
 
     def test_missing_directory_is_empty(self, tmp_path):
         assert collect_worker_events(str(tmp_path / "nope")) == []
 
-    def test_stitch_orders_across_processes(self):
-        timeline = stitch([[_x("b", 20, 1, pid=2)], [_x("a", 10, 1, pid=1)]])
-        assert [e["name"] for e in timeline] == ["a", "b"]
+    def test_chrome_document_orders_events_across_processes(self):
+        document = to_chrome_document([_x("b", 20, 1, pid=2), _x("a", 10, 1, pid=1)])
+        assert [e["name"] for e in document["traceEvents"]] == ["a", "b"]
 
 
 class TestHotspots:

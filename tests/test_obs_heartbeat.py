@@ -8,7 +8,6 @@ import time
 import pytest
 
 from repro.obs.heartbeat import (
-    HEARTBEAT_DIR_ENV,
     NULL_HEARTBEAT,
     Heartbeat,
     HeartbeatMonitor,
@@ -17,18 +16,14 @@ from repro.obs.heartbeat import (
     format_progress,
     get_heartbeat,
     heartbeat_path,
-    heartbeat_session,
     install_heartbeat,
-    maybe_install_worker_heartbeat,
-    shutdown_worker_heartbeat,
     uninstall_heartbeat,
 )
 
 
 @pytest.fixture(autouse=True)
-def _clean_heartbeat_state(monkeypatch):
+def _clean_heartbeat_state():
     """Every test starts and ends with heartbeats disabled."""
-    monkeypatch.delenv(HEARTBEAT_DIR_ENV, raising=False)
     uninstall_heartbeat()
     yield
     uninstall_heartbeat()
@@ -109,31 +104,6 @@ class TestHeartbeatRecord:
             heartbeat.close()
 
 
-class TestWorkerActivation:
-    def test_no_env_installs_nothing(self):
-        assert maybe_install_worker_heartbeat("worker") is None
-        assert get_heartbeat() is NULL_HEARTBEAT
-
-    def test_env_installs_publishing_heartbeat(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(HEARTBEAT_DIR_ENV, str(tmp_path))
-        heartbeat = maybe_install_worker_heartbeat("worker", interval=0.05)
-        assert heartbeat is not None and get_heartbeat() is heartbeat
-        heartbeat.update(frame=7)
-        shutdown_worker_heartbeat()
-        assert get_heartbeat() is NULL_HEARTBEAT
-        record = HeartbeatMonitor(str(tmp_path)).latest_for(os.getpid())
-        assert record is not None and record["progress"] == {"frame": 7}
-
-    def test_heartbeat_session_exports_and_restores_env(self):
-        assert HEARTBEAT_DIR_ENV not in os.environ
-        with heartbeat_session() as monitor:
-            assert os.environ[HEARTBEAT_DIR_ENV] == monitor.directory
-            assert os.path.isdir(monitor.directory)
-            workdir = monitor.directory
-        assert HEARTBEAT_DIR_ENV not in os.environ
-        assert not os.path.exists(workdir)
-
-
 class TestMonitor:
     def test_missing_directory_reads_empty(self, tmp_path):
         assert HeartbeatMonitor(str(tmp_path / "nope")).read_all() == []
@@ -148,14 +118,11 @@ class TestMonitor:
         records = HeartbeatMonitor(str(tmp_path)).read_all()
         assert [record["role"] for record in records] == ["a"]
 
-    def test_age_and_stalled(self, tmp_path):
+    def test_age(self, tmp_path):
         monitor = HeartbeatMonitor(str(tmp_path))
-        fresh = {"time_mono": time.monotonic()}
-        assert monitor.age(fresh) < 1.0
-        assert not monitor.stalled(fresh, limit=1.0)
+        assert monitor.age({"time_mono": time.monotonic()}) < 1.0
         old = {"time_mono": time.monotonic() - 10.0}
         assert monitor.age(old) == pytest.approx(10.0, abs=1.0)
-        assert monitor.stalled(old, limit=3.0)
         assert monitor.age({}) == float("inf")
 
 

@@ -8,23 +8,18 @@ import pytest
 
 from repro.obs.tracer import (
     NULL_TRACER,
-    TRACE_DIR_ENV,
     JsonlSink,
     NullTracer,
     Tracer,
     get_tracer,
     install,
-    maybe_install_worker_tracer,
-    shutdown_worker_tracer,
-    trace_session,
     uninstall,
 )
 
 
 @pytest.fixture(autouse=True)
-def _clean_tracer_state(monkeypatch):
+def _clean_tracer_state():
     """Every test starts and ends with tracing disabled."""
-    monkeypatch.delenv(TRACE_DIR_ENV, raising=False)
     uninstall()
     yield
     uninstall()
@@ -145,22 +140,13 @@ class TestSampling:
         assert len(tracer.events()) == 2
 
 
-class TestRingBuffer:
-    def test_eviction_drops_oldest_first(self):
-        tracer = Tracer(ring_capacity=5)
-        for i in range(12):
-            tracer.instant(f"e{i}")
-        names = [event["name"] for event in tracer.events()]
-        assert names == ["e7", "e8", "e9", "e10", "e11"]
-
-    def test_unbounded_without_capacity(self):
+class TestSinkAndMemory:
+    def test_parent_keeps_every_event_in_memory(self):
         tracer = Tracer()
         for i in range(100):
             tracer.instant(f"e{i}")
-        assert len(tracer.events()) == 100
+        assert [e["name"] for e in tracer.events()] == [f"e{i}" for i in range(100)]
 
-
-class TestSinkAndFlight:
     def test_jsonl_sink_appends_events(self, tmp_path):
         path = str(tmp_path / "events.jsonl")
         tracer = Tracer(sink=JsonlSink(path, flush_every=1))
@@ -170,73 +156,22 @@ class TestSinkAndFlight:
         lines = [json.loads(line) for line in open(path)]
         assert [line["name"] for line in lines] == ["one", "two"]
 
-    def test_flight_snapshot_written_periodically(self, tmp_path):
-        path = str(tmp_path / "flight.jsonl")
-        tracer = Tracer(ring_capacity=4, flight_path=path, flight_every=3)
-        for i in range(7):
-            tracer.instant(f"e{i}")
-        # Two snapshots happened (after 3 and 6 events); the file holds
-        # the ring contents of the most recent one.
-        names = [json.loads(line)["name"] for line in open(path)]
-        assert names == ["e2", "e3", "e4", "e5"]
-        tracer.close()  # final dump has the full tail
-        names = [json.loads(line)["name"] for line in open(path)]
-        assert names == ["e3", "e4", "e5", "e6"]
-
-    def test_no_partial_flight_files_left(self, tmp_path):
-        tracer = Tracer(
-            ring_capacity=4, flight_path=str(tmp_path / "f.jsonl"), flight_every=1
-        )
-        for i in range(5):
-            tracer.instant(f"e{i}")
+    def test_sink_tracer_writes_to_the_sink_only(self, tmp_path):
+        path = str(tmp_path / "events.jsonl")
+        tracer = Tracer(sink=JsonlSink(path))
+        with tracer.span("work"):
+            tracer.instant("tick")
         tracer.close()
-        leftovers = [p for p in os.listdir(tmp_path) if p.startswith(".flight-")]
-        assert leftovers == []
+        assert tracer.events() == []
+        lines = (tmp_path / "events.jsonl").read_text().splitlines()
+        assert [json.loads(line)["name"] for line in lines] == ["tick", "work"]
 
-
-class TestWorkerActivation:
-    def test_noop_without_environment(self):
-        assert maybe_install_worker_tracer("test") is None
-        assert get_tracer() is NULL_TRACER
-
-    def test_installs_and_writes_role_pid_files(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(TRACE_DIR_ENV, str(tmp_path))
-        tracer = maybe_install_worker_tracer("role", flush_every=1)
-        assert tracer is not None and get_tracer() is tracer
-        tracer.instant("hello")
-        shutdown_worker_tracer()
-        assert get_tracer() is NULL_TRACER
-        pid = os.getpid()
-        sink = tmp_path / f"role-{pid}.jsonl"
-        flight = tmp_path / f"flight-role-{pid}.jsonl"
-        assert sink.exists() and flight.exists()
-        assert json.loads(sink.read_text().splitlines()[0])["name"] == "hello"
-
-
-class TestTraceSession:
-    def test_writes_chrome_trace_and_restores_state(self, tmp_path):
-        out = str(tmp_path / "trace.json")
-        with trace_session(out, label="unit") as tracer:
-            workers_dir = os.environ[TRACE_DIR_ENV]
-            with tracer.span("inner", cat="test"):
-                pass
-        assert TRACE_DIR_ENV not in os.environ
-        assert get_tracer() is NULL_TRACER
-        assert not os.path.exists(workers_dir)  # tmp dir cleaned up
-        document = json.load(open(out))
-        names = {event["name"] for event in document["traceEvents"]}
-        assert {"unit", "inner"} <= names
-
-    def test_collects_worker_files(self, tmp_path):
-        out = str(tmp_path / "trace.json")
-        with trace_session(out):
-            workers_dir = os.environ[TRACE_DIR_ENV]
-            # Simulate a worker process writing its own sink.
-            sink = JsonlSink(os.path.join(workers_dir, "fake-12345.jsonl"))
-            sink.write(
-                {"name": "w", "cat": "x", "ph": "i", "ts": 1, "s": "t",
-                 "pid": 12345, "tid": 1, "args": {}}
-            )
-            sink.close()
-        document = json.load(open(out))
-        assert any(e["name"] == "w" for e in document["traceEvents"])
+    def test_sink_flushes_every_flush_every_events(self, tmp_path):
+        path = str(tmp_path / "events.jsonl")
+        tracer = Tracer(sink=JsonlSink(path, flush_every=4))
+        for i in range(10):
+            tracer.instant(f"e{i}")
+        # Eight events reached the file; two wait for the next flush.
+        assert len((tmp_path / "events.jsonl").read_text().splitlines()) == 8
+        tracer.close()
+        assert len((tmp_path / "events.jsonl").read_text().splitlines()) == 10

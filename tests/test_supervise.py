@@ -19,7 +19,7 @@ from repro.core.result import CheckOutcome, CheckResult
 from repro.engines import register_engine
 from repro.engines.portfolio import PortfolioEngine
 from repro.harness.pool import map_with_hard_timeout
-from repro.obs.heartbeat import heartbeat_session
+from repro.obs import session
 from repro.supervise import Supervisor
 
 pytestmark = pytest.mark.skipif(
@@ -61,6 +61,21 @@ def _start(supervisor, body, payload, budget=30.0):
     return supervisor.spawn("harness", body, payload, task="t", budget=budget)
 
 
+@pytest.fixture()
+def live_session():
+    """Run the test inside a session that asked for live heartbeats."""
+    with session(live=True) as monitor:
+        yield monitor
+
+
+def _record(supervisor, child):
+    """The child's heartbeat record, or None before its first beat."""
+    for record in supervisor.monitor.read_all():
+        if record["pid"] == child.pid:
+            return record
+    return None
+
+
 def _await_answer(supervisor, child, timeout=10.0):
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
@@ -98,7 +113,7 @@ class TestFailurePaths:
         assert time.monotonic() - start < 10
         assert not multiprocessing.active_children()
 
-    def test_answer_in_flight_survives_lingering(self):
+    def test_answer_sent_before_lingering_survives(self):
         supervisor = Supervisor(leader=True)
         start = time.monotonic()
         child = _start(supervisor, _linger, "kept")
@@ -108,14 +123,12 @@ class TestFailurePaths:
         assert time.monotonic() - start < 10
         assert not multiprocessing.active_children()
 
-    def test_sigstop_is_a_stall_before_the_deadline(self, tmp_path):
-        supervisor = Supervisor(
-            leader=True, heartbeat_dir=str(tmp_path), heartbeat_interval=0.05
-        )
+    def test_sigstop_is_a_stall_before_the_deadline(self, live_session):
+        supervisor = Supervisor(leader=True)
         child = _start(supervisor, _sleep, 120, budget=60.0)
         try:
             deadline = time.monotonic() + 10
-            while supervisor.monitor.latest_for(child.pid) is None:
+            while _record(supervisor, child) is None:
                 assert time.monotonic() < deadline, "no heartbeat published"
                 time.sleep(0.05)
             # A sleeping child keeps beating: busy past the limit is not
@@ -199,6 +212,7 @@ class TestChildLifecycle:
 
     def test_no_stall_reports_without_a_heartbeat_dir(self):
         supervisor = Supervisor(leader=True)
+        assert supervisor.monitor is None
         child = _start(supervisor, _sleep, 120)
         try:
             time.sleep(0.2)
@@ -206,17 +220,15 @@ class TestChildLifecycle:
         finally:
             supervisor.reap(child, kill=True)
 
-    def test_heartbeat_names_role_and_pid_until_reaped(self, tmp_path):
-        supervisor = Supervisor(
-            leader=True, heartbeat_dir=str(tmp_path), heartbeat_interval=0.05
-        )
+    def test_heartbeat_names_role_and_pid_until_reaped(self, live_session):
+        supervisor = Supervisor(leader=True)
         child = _start(supervisor, _sleep, 120)
         try:
             deadline = time.monotonic() + 10
             record = None
             while record is None:
                 assert time.monotonic() < deadline, "no heartbeat published"
-                record = supervisor.monitor.latest_for(child.pid)
+                record = _record(supervisor, child)
                 time.sleep(0.05)
             assert record["role"] == "harness"
             assert record["pid"] == child.pid
@@ -287,10 +299,9 @@ def _quick_or_hang(payload):
 
 
 class TestHeartbeatRecords:
-    def test_reaped_workers_leave_no_records(self):
-        with heartbeat_session() as monitor:
-            results = map_with_hard_timeout(
-                _quick_or_hang, ["ok-1", "hang", "ok-2"], timeout=0.5, jobs=2, grace=0.2
-            )
-            assert [r.ok for r in results] == [True, False, True]
-            assert monitor.read_all() == []
+    def test_reaped_workers_leave_no_records(self, live_session):
+        results = map_with_hard_timeout(
+            _quick_or_hang, ["ok-1", "hang", "ok-2"], timeout=0.5, jobs=2, grace=0.2
+        )
+        assert [r.ok for r in results] == [True, False, True]
+        assert live_session.read_all() == []
