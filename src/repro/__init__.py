@@ -4,17 +4,16 @@ The package provides, from the bottom up:
 
 * :mod:`repro.logic` — literals, cubes, clauses, CNF;
 * :mod:`repro.sat` — a CDCL SAT solver with assumptions and cores;
-* :mod:`repro.aiger` — AIG construction, simulation and AIGER file I/O;
+* :mod:`repro.aiger` — AIG construction, simulation and AIGER file I/O
+  (the AIGER 1.9 ``J``/``F`` sections are read and written, not checked);
 * :mod:`repro.ts` — transition-system encoding and time-frame unrolling;
-* :mod:`repro.reduce` — pass-managed circuit reduction (COI, structural
-  hashing, ternary constant sweeping, latch merging) with witness
-  lift-back;
+* :mod:`repro.reduce` — pass-managed circuit reduction (COI, ternary
+  constant sweeping, latch merging, each rebuilt through structural
+  hashing) with witness lift-back;
 * :mod:`repro.core` — IC3/PDR with CTP-based lemma prediction, plus BMC,
-  k-induction and certificate/trace validation;
-* :mod:`repro.props` — multi-property & liveness verification: AIGER 1.9
-  justice/fairness obligations, liveness-to-safety and k-liveness
-  compilers with lasso lift-back, and the shared-substrate
-  PropertyScheduler;
+  k-induction and certificate/trace validation, one safety property per
+  run;
+* :mod:`repro.engines` — the engine registry and the process portfolio;
 * :mod:`repro.benchgen` — the synthetic hardware benchmark suite;
 * :mod:`repro.harness` — the evaluation harness reproducing the paper's
   tables and figures.

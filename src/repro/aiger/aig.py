@@ -28,20 +28,6 @@ class AigerParseError(AigerError):
     """Malformed AIGER document (bad header, truncated or invalid section)."""
 
 
-def liveness_hint(aig: "AIG") -> str:
-    """Error-message suffix pointing justice-only models at the liveness
-    engines; empty when the AIG declares no justice properties.  Shared by
-    every layer that rejects a model for lacking safety properties."""
-    if not aig.justice:
-        return ""
-    count = len(aig.justice)
-    return (
-        f" (the AIG also declares {count} justice "
-        f"propert{'y' if count == 1 else 'ies'}; use the l2s/klive liveness "
-        f"engines or the property scheduler for those)"
-    )
-
-
 @dataclass
 class Latch:
     """A state-holding element: ``lit`` is its output literal."""

@@ -29,17 +29,10 @@ from repro.benchgen.traffic import traffic_light
 from repro.benchgen.lock import combination_lock
 from repro.benchgen.datapath import gray_counter, lockstep_counters
 from repro.benchgen.soc import monitored_counter, shadowed_ring
-from repro.benchgen.liveness import (
-    arbiter_live,
-    handshake_live,
-    mixed_properties,
-    token_ring_live,
-)
 from repro.benchgen.suite import (
     bench_suite,
     default_suite,
     extended_suite,
-    liveness_suite,
     quick_suite,
     reduction_suite,
     build_suite,
@@ -64,14 +57,9 @@ __all__ = [
     "lockstep_counters",
     "monitored_counter",
     "shadowed_ring",
-    "token_ring_live",
-    "arbiter_live",
-    "handshake_live",
-    "mixed_properties",
     "bench_suite",
     "default_suite",
     "extended_suite",
-    "liveness_suite",
     "quick_suite",
     "reduction_suite",
     "build_suite",

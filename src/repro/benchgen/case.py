@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.aiger.aig import AIG
 from repro.core.result import CheckResult
@@ -26,12 +26,6 @@ class BenchmarkCase:
 
     expected_depth: Optional[int] = None
     """For UNSAFE cases: length (in transitions) of a shortest counterexample."""
-
-    expected_properties: Optional[List[CheckResult]] = None
-    """For multi-property cases: per-obligation ground truth, in the
-    canonical obligation order (bads first, then justice properties; see
-    :func:`repro.props.obligations.enumerate_obligations`).  ``expected``
-    then carries the aggregate verdict.  None for single-property cases."""
 
     def __post_init__(self) -> None:
         if not self.family:

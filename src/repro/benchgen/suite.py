@@ -155,40 +155,6 @@ def reduction_suite() -> List[BenchmarkCase]:
     return cases
 
 
-def liveness_suite() -> List[BenchmarkCase]:
-    """Justice/fairness obligations for the liveness engines and scheduler.
-
-    Every family comes in a safe and a buggy (livelock-able) variant:
-    k-liveness proves the safe ones with a small bound, liveness-to-safety
-    refutes the buggy ones with a short lasso, and the ``livemix`` cases
-    mix SAFE and UNSAFE bads with a justice property in one model so a
-    single scheduler run returns one verdict per property.
-    """
-    from repro.benchgen.liveness import (
-        arbiter_live,
-        handshake_live,
-        mixed_properties,
-        token_ring_live,
-    )
-
-    cases = [
-        token_ring_live(3, safe=True),
-        token_ring_live(3, safe=False),
-        token_ring_live(4, safe=True),
-        token_ring_live(4, safe=False),
-        arbiter_live(2, safe=True),
-        arbiter_live(2, safe=False),
-        arbiter_live(3, safe=True),
-        arbiter_live(3, safe=False),
-        handshake_live(safe=True),
-        handshake_live(safe=False),
-        mixed_properties(3),
-        mixed_properties(4),
-    ]
-    _check_unique_names(cases)
-    return cases
-
-
 def quick_suite() -> List[BenchmarkCase]:
     """A small, fast subset used by smoke tests and examples."""
     spec = SuiteSpec(

@@ -4,13 +4,16 @@
 line:
 
 * ``repro-check check model.aag`` — model-check one AIGER file with any
-  registered engine (``--engine ic3|ic3-pl|bmc|kind|portfolio|l2s|klive``;
-  the portfolio races engines across ``--jobs`` worker processes and
-  reports which member won).  ``--all-properties`` verifies every bad
-  and justice property of an AIGER 1.9 file in one scheduled run and
-  prints one verdict per property; ``--property N`` picks a single one.
-  Models are shrunk through the default reduction pipeline first;
-  ``--no-reduce`` disables that and ``--passes`` picks the passes;
+  registered engine (``--engine ic3|ic3-pl|bmc|kind|portfolio``; the
+  portfolio races engines across ``--jobs`` worker processes and
+  reports which member won).  ``--all-properties`` checks every safety
+  property of the model (its bads, or its outputs when it declares no
+  bads) with one engine run each, re-checks every witness against the
+  model and prints one verdict per property plus an aggregate;
+  ``--property N`` does the same for property N alone.  Justice and
+  fairness sections are parsed but not checked.  Models are shrunk
+  through the default reduction pipeline first; ``--no-reduce``
+  disables that and ``--passes`` picks the passes;
 * ``repro-check reduce model.aag`` — run only the reduction pipeline and
   report per-pass shrinkage (optionally writing the reduced model with
   ``--output``);
@@ -22,6 +25,10 @@ line:
 * ``repro-check suite --list`` — show the benchmark suite;
 * ``repro-check trace-report trace.json`` — summarize a recorded trace
   into a per-phase hotspot table.
+
+Exit codes: 0 SAFE, 1 UNSAFE, 2 UNKNOWN or a usage error (printed as
+``error: ...``, with no traceback), 141 when the reader of stdout closed
+the pipe early.
 """
 
 from __future__ import annotations
@@ -35,13 +42,13 @@ import time
 from contextlib import contextmanager, nullcontext
 from typing import List, Optional
 
+from repro.aiger.aig import AigerError
 from repro.aiger.parser import read_aiger
 from repro.aiger.writer import write_aag
 from repro.benchgen.suite import (
     bench_suite,
     default_suite,
     extended_suite,
-    liveness_suite,
     quick_suite,
     reduction_suite,
 )
@@ -56,6 +63,7 @@ from repro.harness.configs import (
 )
 from repro.harness.manifest import build_manifest, write_manifest
 from repro.harness.report import run_paper_evaluation
+from repro.harness.runner import validate_witness
 from repro.obs import format_report, read_trace, session, validate_trace_file
 from repro.obs.heartbeat import (
     Heartbeat,
@@ -76,7 +84,6 @@ _SUITES = {
     "quick": "quick_suite",
     "bench": "bench_suite",
     "reduction": "reduction_suite",
-    "liveness": "liveness_suite",
 }
 
 
@@ -153,28 +160,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     check.add_argument("--max-depth", type=_non_negative_int, default=50, help="BMC depth bound")
     check.add_argument(
-        "--max-k", type=_positive_int, default=20, help="k-induction / k-liveness bound"
+        "--max-k", type=_positive_int, default=20, help="k-induction bound"
     )
-    check.add_argument(
+    properties = check.add_mutually_exclusive_group()
+    properties.add_argument(
         "--all-properties",
         action="store_true",
-        help="verify every property of the model (bads and justice) in one "
-        "scheduled run and print one verdict per property",
+        help="check every safety property of the model (bads, or outputs when "
+        "it declares no bads) with one engine run each, re-check every "
+        "witness and print one verdict per property",
     )
-    check.add_argument(
+    properties.add_argument(
         "--property",
         type=int,
         default=None,
         metavar="N",
-        help="verify only property number N of the model (bads first, then "
-        "justice properties; see the scheduler's numbering)",
-    )
-    check.add_argument(
-        "--property-timeout",
-        type=_positive_seconds,
-        default=None,
-        metavar="SECONDS",
-        help="per-property time budget for scheduled multi-property runs",
+        help="check only safety property N (same numbering as "
+        "'reduce --property'), re-checking its witness",
     )
     check.add_argument(
         "--frame-backend",
@@ -330,9 +332,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class UsageError(Exception):
+    """A problem with the user's input: printed as ``error: ...``, exit 2."""
+
+
+# 128 + SIGPIPE: the shell's code for a writer whose reader went away.
+EXIT_BROKEN_PIPE = 141
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     """Entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
+    try:
+        exit_code = _run_command(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
+    except UsageError as error:
+        print(f"error: {error}")
+        return 2
+    except BrokenPipeError:
+        # The reader of stdout closed early (``| head``).  Point stdout at
+        # /dev/null so the interpreter's final flush cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
+    return exit_code
+
+
+def _run_command(args: argparse.Namespace) -> int:
     if args.command == "check":
         return _command_check(args)
     if args.command == "reduce":
@@ -457,10 +484,6 @@ def _engine_kwargs(args: argparse.Namespace) -> dict:
         kwargs["max_depth"] = args.max_depth
     elif args.engine in ("kind", "k-induction"):
         kwargs["max_k"] = args.max_k
-    elif args.engine in ("klive", "k-liveness"):
-        kwargs["max_k"] = args.max_k
-    elif args.engine in ("l2s", "liveness-to-safety"):
-        kwargs["max_depth"] = args.max_depth
     elif args.engine == "portfolio":
         from repro.engines.portfolio import PortfolioOptions
 
@@ -485,11 +508,38 @@ def _command_check(args: argparse.Namespace) -> int:
     return exit_code
 
 
+def _read_model(path: str):
+    """Read an AIGER model; an unreadable or malformed file is a usage error."""
+    try:
+        return read_aiger(path)
+    except (OSError, AigerError, UnicodeDecodeError) as error:
+        raise UsageError(f"cannot read model {path!r}: {error}") from None
+
+
+def _property_indices(aig, index: Optional[int] = None) -> List[int]:
+    """The safety properties to check: every one, or only ``index``.
+
+    ``check`` and ``reduce`` share this, so a property number means the
+    same thing (and is rejected with the same text) on both.
+    """
+    count = len(selected_bads(aig))
+    if not count:
+        raise UsageError(no_properties_message(aig))
+    if index is None:
+        return list(range(count))
+    if not 0 <= index < count:
+        raise UsageError(f"property index {index} out of range (valid: 0..{count - 1})")
+    return [index]
+
+
 def _check_body(args: argparse.Namespace) -> int:
-    aig = read_aiger(args.model)
+    aig = _read_model(args.model)
     options = IC3Options(verbose=1 if args.verbose else 0, seed=args.seed)
-    if args.all_properties or args.property is not None:
-        return _check_scheduled(args, aig, options)
+    if args.all_properties:
+        return _check_properties(args, aig, options, _property_indices(aig))
+    if args.property is not None:
+        return _check_properties(args, aig, options, _property_indices(aig, args.property))
+    _property_indices(aig, 0)  # a model with nothing to check is a usage error
     engine = create_engine(args.engine, aig, options=options, **_engine_kwargs(args))
     outcome = engine.check(time_limit=args.timeout)
     if args.verbose and outcome.reduction:
@@ -501,64 +551,53 @@ def _check_body(args: argparse.Namespace) -> int:
             f"(passes: {', '.join(outcome.reduction['passes'])})"
         )
     print(outcome.summary())
-    if outcome.result == CheckResult.UNSAFE:
-        return 1
-    if outcome.result == CheckResult.SAFE:
-        return 0
-    return 2
+    return _exit_code(outcome.result)
 
 
-def _check_scheduled(args: argparse.Namespace, aig, options) -> int:
-    """``check --all-properties`` / ``--property N``: the scheduler path."""
-    from repro.props import PropertyScheduler, SchedulerError
+def _exit_code(result: CheckResult) -> int:
+    return {CheckResult.SAFE: 0, CheckResult.UNSAFE: 1}.get(result, 2)
 
-    # Liveness/scheduler kinds have their own strategies; the --engine
-    # flag then only picks the safety-property engine.
-    safety_engine = args.engine
-    if safety_engine in ("l2s", "liveness-to-safety", "klive", "k-liveness",
-                         "scheduler", "sched", "multi"):
-        safety_engine = "ic3-pl"
-    try:
-        scheduler = PropertyScheduler(
-            aig,
-            engine=safety_engine,
-            options=options,
-            reduce=not args.no_reduce,
-            passes=args.passes,
-            property_timeout=args.property_timeout,
-            properties=None if args.all_properties else [args.property],
-            max_k=args.max_k,
-            max_depth=args.max_depth,
-            frame_backend=getattr(args, "frame_backend", None),
+
+def _check_properties(args: argparse.Namespace, aig, options, indices: List[int]) -> int:
+    """``check --all-properties`` / ``--property N``: a checked loop.
+
+    Each property gets its own engine run (``--timeout`` each) and its
+    witness is re-checked against the original model before the verdict
+    counts.  Exit 2 if a witness is rejected, or if a verdict is UNKNOWN
+    and none is UNSAFE; else 1 if any is UNSAFE; else 0.
+    """
+    prefix = "b" if aig.bads else "o"
+    start = time.perf_counter()
+    results = []
+    rejected = []
+    for index in indices:
+        engine = create_engine(
+            args.engine, aig, options=options, property_index=index, **_engine_kwargs(args)
         )
-    except SchedulerError as error:
-        print(f"error: {error}")
+        outcome = engine.check(time_limit=args.timeout)
+        label = f"{prefix}{index}"
+        line = f"{label}: {outcome.summary()}"
+        if validate_witness(aig, outcome, property_index=index) is False:
+            rejected.append(label)
+            line += " [witness rejected]"
+        print(line)
+        results.append(outcome.result)
+    if CheckResult.UNSAFE in results:
+        aggregate = CheckResult.UNSAFE
+    elif CheckResult.UNKNOWN in results:
+        aggregate = CheckResult.UNKNOWN
+    else:
+        aggregate = CheckResult.SAFE
+    print(f"aggregate: {aggregate.value} ({time.perf_counter() - start:.2f}s)")
+    if rejected:
+        print(f"WARNING: witness validation failed for: {', '.join(rejected)}")
         return 2
-    result = scheduler.run(time_limit=args.timeout)
-    print(result.format_table())
-    if not result.all_validated:
-        failed = [v.obligation.label for v in result.verdicts if v.validated is False]
-        print(f"WARNING: witness validation failed for: {', '.join(failed)}")
-        return 2
-    if result.aggregate == CheckResult.UNSAFE:
-        return 1
-    if result.aggregate == CheckResult.SAFE:
-        return 0
-    return 2
+    return _exit_code(aggregate)
 
 
 def _command_reduce(args: argparse.Namespace) -> int:
-    aig = read_aiger(args.model)
-    properties = len(selected_bads(aig))
-    if not 0 <= args.property < properties:
-        problem = (
-            f"property index {args.property} out of range "
-            f"(valid: 0..{properties - 1})"
-            if properties
-            else no_properties_message(aig)
-        )
-        print(f"error: {problem}")
-        return 2
+    aig = _read_model(args.model)
+    _property_indices(aig, args.property)
     result = reduce_aig(
         aig, property_index=args.property, passes=args.passes
     )
@@ -597,11 +636,6 @@ def _command_evaluate(args: argparse.Namespace) -> int:
 
 def _evaluate_body(args: argparse.Namespace) -> int:
     cases, suite_name = _select_suite(args)
-    if suite_name == "liveness":
-        # The liveness suite carries justice properties the paper's IC3
-        # configurations cannot express — it runs through the
-        # multi-property scheduler instead of the Table 1/2 harness.
-        return _evaluate_liveness(args, cases, suite_name)
     start = time.perf_counter()
     report = run_paper_evaluation(
         cases=cases,
@@ -645,87 +679,12 @@ def _evaluate_body(args: argparse.Namespace) -> int:
     return exit_code
 
 
-def _evaluate_liveness(args: argparse.Namespace, cases, suite_name: str) -> int:
-    """Scheduler-based evaluation of the liveness suite (manifest v4)."""
-    from repro.harness.configs import EngineConfig
-    from repro.harness.runner import BenchmarkRunner
-
-    config = EngineConfig(
-        name="scheduler",
-        engine="scheduler",
-        plays_role_of="multi-property scheduler (l2s + k-liveness + shared BMC)",
-        engine_kwargs={"max_k": 12},
-    )
-    start = time.perf_counter()
-    # Witness validation happens per property inside the scheduler (the
-    # per-property records carry the results); harness-level validation
-    # of the aggregate outcome is a no-op but kept on so the manifest's
-    # recorded configuration matches the runner's.
-    runner = BenchmarkRunner(
-        cases,
-        [config],
-        timeout=args.timeout,
-        validate=True,
-        verbose=args.verbose,
-        jobs=args.jobs,
-        reduce=not args.no_reduce,
-    )
-    suite_result = runner.run()
-    wall_clock = time.perf_counter() - start
-
-    exit_code = 0
-    case_by_name = {case.name: case for case in cases}
-    header = f"{'case':<24s} {'prop':<6s} {'verdict':<8s} {'engine':<12s} {'expected':<8s}"
-    print(header)
-    print("-" * len(header))
-    for result in suite_result.results:
-        case = case_by_name[result.case_name]
-        if result.error:
-            print(f"{result.case_name:<24s} ERROR: {result.error}")
-            exit_code = 1
-            continue
-        if not result.properties:
-            print(f"{result.case_name:<24s} {result.result.value} (no property records)")
-            continue
-        expected = case.expected_properties or []
-        for position, record in enumerate(result.properties):
-            want = expected[position].value if position < len(expected) else "?"
-            got = record["result"]
-            flag = "" if got in (want, "unknown") else "  << WRONG"
-            if record.get("validated") is False:
-                flag += "  << INVALID WITNESS"
-            if flag:
-                exit_code = 1
-            print(
-                f"{result.case_name:<24s} {record['label']:<6s} {got:<8s} "
-                f"{record['engine']:<12s} {want:<8s}{flag}"
-            )
-    print("-" * len(header))
-    solved = sum(1 for r in suite_result.results if r.solved)
-    print(f"{solved}/{len(suite_result.results)} cases solved in {wall_clock:.1f}s")
-
-    if args.output:
-        manifest = build_manifest(
-            suite_result,
-            suite=suite_name,
-            jobs=args.jobs,
-            validate=True,
-            reduce=not args.no_reduce,
-            configs=[config],
-            wall_clock=wall_clock,
-        )
-        write_manifest(args.output, manifest)
-        print(f"\nRun manifest written to {args.output}")
-    return exit_code
-
-
 def _command_trace_report(args: argparse.Namespace) -> int:
     """Print the per-phase hotspot table of a recorded trace."""
     try:
         events = read_trace(args.trace)
     except (OSError, ValueError) as error:
-        print(f"error: cannot read trace {args.trace!r}: {error}")
-        return 2
+        raise UsageError(f"cannot read trace {args.trace!r}: {error}") from None
     if args.validate:
         problems = validate_trace_file(args.trace)
         if problems:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import logging
 import time
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 from repro.aiger.aig import AIG
 from repro.core.frames import BadState, make_frame_manager
@@ -39,7 +39,7 @@ from repro.core.result import (
     TraceStep,
 )
 from repro.core.stats import IC3Stats
-from repro.logic.cube import Clause, Cube
+from repro.logic.cube import Cube
 from repro.obs.heartbeat import get_heartbeat
 from repro.obs.tracer import get_tracer
 from repro.ts.system import TransitionSystem
@@ -64,21 +64,11 @@ class IC3:
         system: Union[AIG, TransitionSystem],
         options: Optional[IC3Options] = None,
         property_index: int = 0,
-        seed_clauses: Optional[Sequence[Sequence[int]]] = None,
     ):
-        """``seed_clauses`` are invariant clauses proved for sibling
-        properties of the same model, given over *latch indices*: literal
-        ``±(index + 1)`` refers to latch ``index`` of the model.  Every
-        clause must hold on all reachable states (the caller's contract —
-        certificates validated by :func:`repro.core.invariant.
-        check_certificate` satisfy it); clauses are then sound to inject
-        into every frame and act as free lemmas.
-        """
         if isinstance(system, TransitionSystem):
             self.ts = system
         else:
             self.ts = TransitionSystem(system, property_index=property_index)
-        self._seed_clauses = [list(clause) for clause in (seed_clauses or [])]
         self.options = options if options is not None else IC3Options()
         self.options.validate()
 
@@ -133,7 +123,6 @@ class IC3:
             )
 
         self.frames.add_frame()  # open F_1 = ⊤
-        self._apply_seed_clauses()
         while True:
             self._check_limits()
             top = self.frames.top_level
@@ -172,33 +161,6 @@ class IC3:
                     certificate=certificate,
                     engine=self._engine_name(),
                 )
-
-    def _apply_seed_clauses(self) -> None:
-        """Install shared invariant lemmas into frame 1.
-
-        Each latch-index clause is translated to this system's latch
-        variables and added as a blocked cube.  Clauses that do not hold
-        on the initial states are skipped (they would be unsound as
-        lemmas here — e.g. after an initial-value-changing reduction).
-        """
-        for index_clause in self._seed_clauses:
-            self.stats.shared_lemmas_offered += 1
-            literals = []
-            valid = True
-            for lit in index_clause:
-                index = abs(lit) - 1
-                if not 0 <= index < len(self.ts.latch_vars):
-                    valid = False
-                    break
-                var = self.ts.latch_vars[index]
-                literals.append(var if lit > 0 else -var)
-            if not valid or not literals:
-                continue
-            clause = Clause(literals)
-            if not self.ts.clause_holds_on_init(clause):
-                continue
-            self.frames.add_blocked_cube(clause.negate(), 1)
-            self.stats.shared_lemmas_applied += 1
 
     # ------------------------------------------------------------------
     # Blocking phase

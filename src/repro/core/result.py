@@ -85,42 +85,6 @@ class CounterexampleTrace:
 
 
 @dataclass
-class LassoTrace:
-    """An infinite counterexample to a liveness (justice) property.
-
-    The witnessed run is ``steps[0 .. loop_start-1]`` (the stem) followed
-    by ``steps[loop_start ..]`` repeated forever: applying the last step's
-    inputs returns the system to ``steps[loop_start].state``.  Every
-    literal of the violated justice property (and every fairness
-    constraint) holds at some step inside the loop;
-    :func:`repro.props.witness.check_lasso` validates all of this against
-    the original AIG by simulation.
-    """
-
-    steps: List[TraceStep] = field(default_factory=list)
-    loop_start: int = 0
-    justice_index: int = 0
-    """Index of the violated justice property in the AIG's justice list."""
-
-    def __len__(self) -> int:
-        return len(self.steps)
-
-    @property
-    def stem_length(self) -> int:
-        """Number of steps before the loop is entered."""
-        return self.loop_start
-
-    @property
-    def loop_length(self) -> int:
-        """Number of steps in the repeating loop."""
-        return len(self.steps) - self.loop_start
-
-    def input_sequence(self) -> List[Dict[int, bool]]:
-        """Per-step AIG input assignments, ready for :meth:`AIG.simulate`."""
-        return [step.inputs for step in self.steps]
-
-
-@dataclass
 class CheckOutcome:
     """Everything a model-checking run produced."""
 
@@ -141,18 +105,6 @@ class CheckOutcome:
     """Preprocessing shrinkage summary (see ``ReductionResult.summary``),
     None when the engine ran without reduction."""
 
-    lasso: Optional[LassoTrace] = None
-    """For liveness engines: the lasso counterexample on the original AIG
-    (UNSAFE justice verdicts carry this instead of ``trace``)."""
-
-    transformation: Optional[Dict[str, object]] = None
-    """Liveness-transformation statistics (l2s/k-liveness compiler summary),
-    None for plain safety runs."""
-
-    properties: Optional[List[Dict[str, object]]] = None
-    """For multi-property scheduler runs: one per-property verdict record
-    (see ``ScheduleResult.as_dict``), None for single-property runs."""
-
     @property
     def solved(self) -> bool:
         """True if the verdict is SAFE or UNSAFE."""
@@ -163,11 +115,7 @@ class CheckOutcome:
         parts = [f"{self.engine}: {self.result.value}", f"{self.runtime:.2f}s"]
         if self.result == CheckResult.SAFE and self.certificate is not None:
             parts.append(f"invariant with {len(self.certificate)} clauses")
-        if self.result == CheckResult.UNSAFE and self.lasso is not None:
-            parts.append(
-                f"lasso with stem {self.lasso.stem_length} + loop {self.lasso.loop_length}"
-            )
-        elif self.result == CheckResult.UNSAFE and self.trace is not None:
+        if self.result == CheckResult.UNSAFE and self.trace is not None:
             parts.append(f"counterexample of depth {self.trace.depth}")
         if self.result == CheckResult.UNKNOWN and self.reason:
             parts.append(self.reason)

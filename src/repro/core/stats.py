@@ -51,11 +51,6 @@ class IC3Stats:
     activation_vars_recycled: int = 0
     activation_vars_retired: int = 0
 
-    # Multi-property scheduling activity (manifest schema v4)
-    shared_lemmas_offered: int = 0    # pool clauses offered to a sibling run
-    shared_lemmas_applied: int = 0    # pool clauses actually seeded into frames
-    shared_unrolling_queries: int = 0  # BMC queries answered by a shared unrolling
-
     # SAT-kernel memory-system activity (manifest schema v5); aggregated
     # over every solver the run created, same semantics in both backends.
     watch_traversals: int = 0         # watch-list entries inspected in propagate

@@ -14,11 +14,11 @@ Registered kinds (see :func:`available_engines`):
 ``bmc``        bounded model checking (finds counterexamples only)
 ``kind``       k-induction (alias ``k-induction``)
 ``portfolio``  process-parallel race of the above, first verdict wins
-``l2s``        liveness-to-safety for justice properties (proof + lasso)
-``klive``      k-liveness sweep for justice properties (proof only)
-``scheduler``  multi-property scheduler: every bad/justice property of
-               the model in one run on a shared substrate
 ============= ==========================================================
+
+Every engine checks one safety property per run (``property_index``);
+``repro-check check --all-properties`` loops over a model's properties
+and runs one engine per property.
 
 Typical use::
 
@@ -39,7 +39,6 @@ from repro.engines.registry import (
 )
 from repro.engines.adapters import BMCEngine, IC3Engine, KInductionEngine
 from repro.engines.portfolio import DEFAULT_PORTFOLIO, PortfolioEngine
-from repro.engines.liveness import KLivenessEngine, L2SEngine
 
 __all__ = [
     "Engine",
@@ -54,6 +53,4 @@ __all__ = [
     "KInductionEngine",
     "PortfolioEngine",
     "DEFAULT_PORTFOLIO",
-    "L2SEngine",
-    "KLivenessEngine",
 ]

@@ -83,7 +83,6 @@ class IC3Engine:
         reduce: bool = True,
         passes: Optional[Sequence[str]] = None,
         frame_backend: Optional[str] = None,
-        shared_lemmas: Optional[Sequence[Sequence[int]]] = None,
         seed: Optional[int] = None,
         **_ignored,
     ):
@@ -96,15 +95,7 @@ class IC3Engine:
         model, model_property, self.reduction = prepare_model(
             aig, property_index, reduce, passes
         )
-        # Shared lemmas arrive in the *original* model's latch-index
-        # space (see IC3.seed_clauses); when the model was reduced they
-        # must follow it through the pass chain.
-        seeds = list(shared_lemmas or [])
-        if seeds and self.reduction is not None:
-            seeds = self.reduction.recon.map_latch_index_clauses(seeds)
-        self._engine = IC3(
-            model, self.options, property_index=model_property, seed_clauses=seeds
-        )
+        self._engine = IC3(model, self.options, property_index=model_property)
 
     def check(self, time_limit: Optional[float] = None) -> CheckOutcome:
         outcome = traced_check(

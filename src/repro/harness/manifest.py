@@ -36,18 +36,10 @@ Schema v3 (``repro-check/manifest/v3``) additions over v2:
 
 Schema v4 (``repro-check/manifest/v4``) additions over v3:
 
-* per-result ``properties`` — for multi-property scheduler runs, one
-  record per property of the model (number/label/kind, verdict, engine,
-  runtime, validation status, ``shared_lemmas_applied`` hits and the
-  liveness-transformation summary); None for single-property runs;
-* per-result ``transformation`` — the l2s/k-liveness compiler summary
-  (kind, tracked literals, auxiliary latches, proved bound ``k``) when
-  the configuration ran a liveness engine directly; None otherwise;
-* per-result ``stats`` now includes the multi-property sharing counters
-  ``shared_lemmas_offered`` / ``shared_lemmas_applied`` (invariant
-  clauses seeded across sibling properties) and
-  ``shared_unrolling_queries`` (BMC queries answered by the scheduler's
-  shared unrolling).
+* per-result ``properties`` (one verdict record per property of a
+  multi-property run) and ``transformation`` (the liveness compiler
+  summary of a direct liveness run), plus three multi-property sharing
+  counters in per-result ``stats``.  All removed in v16.
 
 Schema v5 (``repro-check/manifest/v5``) additions over v4:
 
@@ -148,6 +140,14 @@ Schema v15 (``repro-check/manifest/v15``) changes over v14:
   numbers they meant to total are on every result: ``stats.sat_calls``,
   ``stats.sat_time``, ``stats.solver_conflicts`` / ``_decisions`` /
   ``_propagations``, ``result``, ``engine``, ``winner`` and ``error``.
+
+Schema v16 (``repro-check/manifest/v16``) changes over v15:
+
+* the liveness engines and the multi-property scheduler were removed,
+  so the per-result ``properties`` and ``transformation`` keys of v4
+  are gone and per-result ``stats`` drops the three v4 sharing
+  counters.  Every result is one safety property checked by one engine
+  run.
 """
 
 from __future__ import annotations
@@ -159,7 +159,7 @@ from typing import Dict, Optional, Sequence
 from repro.harness.configs import EngineConfig
 from repro.harness.runner import CaseResult, SuiteResult
 
-MANIFEST_SCHEMA = "repro-check/manifest/v15"
+MANIFEST_SCHEMA = "repro-check/manifest/v16"
 
 
 def _phase_times(results: Sequence[CaseResult]) -> Dict[str, float]:
@@ -253,8 +253,6 @@ def build_manifest(
             "validated": r.validated,
             "stats": r.stats.as_dict(),
             "reduction": _reduction_sizes(r),
-            "properties": r.properties,
-            "transformation": r.transformation,
             "error": r.error,
         }
         for r in suite_result.results

@@ -15,6 +15,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.aiger.aig import AIG
 from repro.benchgen.case import BenchmarkCase
 from repro.core.invariant import CertificateError, check_certificate, check_counterexample
 from repro.core.result import CheckOutcome, CheckResult
@@ -50,14 +51,6 @@ class CaseResult:
     reduction: Optional[Dict[str, object]] = None
     """Original-vs-reduced model sizes (``ReductionResult.summary()``),
     None when the engine ran without reduction preprocessing."""
-
-    properties: Optional[List[Dict[str, object]]] = None
-    """For multi-property scheduler configurations: one verdict record per
-    property of the case's model (manifest schema v4), None otherwise."""
-
-    transformation: Optional[Dict[str, object]] = None
-    """Liveness-transformation summary (l2s/k-liveness compiler stats),
-    None for plain safety runs."""
 
     error: Optional[str] = None
     """Worker failure description (crash or hard kill), None on clean runs."""
@@ -204,7 +197,7 @@ def _execute_case(spec: _TaskSpec) -> CaseResult:
         outcome = engine.check(time_limit=remaining)
         span.add(result=outcome.result.value)
     runtime = time.perf_counter() - start
-    validated = _validate(spec.case, outcome) if spec.validate else None
+    validated = validate_witness(spec.case.aig, outcome) if spec.validate else None
     return CaseResult(
         case_name=spec.case.name,
         config_name=spec.config.name,
@@ -218,37 +211,22 @@ def _execute_case(spec: _TaskSpec) -> CaseResult:
         engine=outcome.winner or outcome.engine,
         winner=outcome.winner,
         reduction=outcome.reduction,
-        properties=outcome.properties,
-        transformation=outcome.transformation,
     )
 
 
-def _validate(case: BenchmarkCase, outcome: CheckOutcome) -> Optional[bool]:
+def validate_witness(
+    aig: AIG, outcome: CheckOutcome, property_index: int = 0
+) -> Optional[bool]:
+    """Re-check an outcome's witness against the original ``aig``.
+
+    True/False for a checked certificate or trace, None when the outcome
+    carries no witness (UNKNOWN, or a verdict without one).
+    """
     try:
-        if outcome.result == CheckResult.UNSAFE and outcome.lasso is not None:
-            from repro.props.witness import check_lasso
-
-            return check_lasso(case.aig, outcome.lasso)
-        if (
-            outcome.result == CheckResult.SAFE
-            and outcome.certificate is not None
-            and outcome.transformation is not None
-        ):
-            from repro.props.witness import check_liveness_certificate
-
-            transformation = outcome.transformation
-            return check_liveness_certificate(
-                case.aig,
-                outcome.certificate,
-                justice_index=int(transformation.get("justice_index", 0)),
-                method=str(transformation.get("kind", "l2s")),
-                max_k=int(transformation.get("max_k", 16)),
-                k=int(transformation.get("k", 0)),
-            )
         if outcome.result == CheckResult.SAFE and outcome.certificate is not None:
-            return check_certificate(case.aig, outcome.certificate)
+            return check_certificate(aig, outcome.certificate, property_index=property_index)
         if outcome.result == CheckResult.UNSAFE and outcome.trace is not None:
-            return check_counterexample(case.aig, outcome.trace)
+            return check_counterexample(aig, outcome.trace, property_index=property_index)
     except CertificateError:
         return False
     return None

@@ -7,8 +7,6 @@ or pick passes with ``passes=[...]``).  The registered passes:
 
 =========== ==========================================================
 ``coi``       cone of influence: drop logic the property can't observe
-``strash``    structural hashing, constant folding, dead-gate removal
-              (implied by every pass's rebuild; explicit-use only)
 ``ternary``   sweep latches proven constant by ternary simulation
 ``merge``     merge sequentially equivalent (or anti-equivalent) latches
 =========== ==========================================================
@@ -40,7 +38,6 @@ from repro.reduce.base import (
 from repro.reduce.coi import ConeOfInfluencePass, coi_variables
 from repro.reduce.latchmerge import EquivalentLatchPass, equivalent_latch_classes
 from repro.reduce.recon import ReconstructionMap
-from repro.reduce.strash import StructuralHashPass
 from repro.reduce.ternary import TernaryConstantPass, ternary_constants
 from repro.reduce.pipeline import (
     DEFAULT_PASSES,
@@ -61,7 +58,6 @@ __all__ = [
     "rebuild_aig",
     "ConeOfInfluencePass",
     "coi_variables",
-    "StructuralHashPass",
     "TernaryConstantPass",
     "ternary_constants",
     "EquivalentLatchPass",

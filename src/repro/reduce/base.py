@@ -25,7 +25,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set
 
-from repro.aiger.aig import AIG, FALSE_LIT, TRUE_LIT, liveness_hint
+from repro.aiger.aig import AIG, FALSE_LIT, TRUE_LIT
 
 
 class ReductionError(Exception):
@@ -126,8 +126,19 @@ def selected_bads(aig: AIG) -> List[int]:
 
 
 def no_properties_message(aig: AIG) -> str:
-    """Error text for models without safety properties (justice-aware)."""
-    return "the AIG declares neither bad states nor outputs" + liveness_hint(aig)
+    """Error text for models without safety properties.
+
+    AIGER 1.9 justice properties are parsed but never checked, so a model
+    that declares only those has nothing to verify; the text says so.
+    """
+    message = "the AIG declares neither bad states nor outputs"
+    if aig.justice:
+        count = len(aig.justice)
+        message += (
+            f" (its {count} justice propert{'y is' if count == 1 else 'ies are'} "
+            "parsed but not checked: only safety properties are verified)"
+        )
+    return message
 
 
 @dataclass

@@ -32,7 +32,6 @@ from repro.reduce.base import PassResult, ReductionError, ReductionInfo, Reducti
 from repro.reduce.coi import ConeOfInfluencePass
 from repro.reduce.latchmerge import EquivalentLatchPass
 from repro.reduce.recon import ReconstructionMap
-from repro.reduce.strash import StructuralHashPass
 from repro.reduce.ternary import TernaryConstantPass
 
 _PASS_REGISTRY: Dict[str, Type[ReductionPass]] = {}
@@ -43,11 +42,10 @@ DEFAULT_PASSES = ("coi", "ternary", "merge", "coi")
 COI first cuts the model down before the more expensive analyses run;
 ternary sweeping and latch merging then substitute constants and
 representatives; the final COI collects the logic those substitutions
-orphaned.  A separate ``strash`` entry would be a no-op here: every
-pass rebuilds through the hashing builder (structural sharing, constant
-folding, dead-gate removal included), so the model is fully hashed from
-the first COI on.  The pass stays registered for explicit pipelines
-over hand-built or freshly parsed circuits.
+orphaned.  Every pass rebuilds through the hashing builder
+(:func:`~repro.reduce.base.rebuild_aig`: structural sharing, constant
+folding and dead-gate removal included), so the model is fully hashed
+from the first COI on.
 """
 
 
@@ -80,7 +78,6 @@ def resolve_pass(name: str) -> ReductionPass:
 
 
 register_pass("coi", ConeOfInfluencePass)
-register_pass("strash", StructuralHashPass)
 register_pass("ternary", TernaryConstantPass)
 register_pass("merge", EquivalentLatchPass)
 

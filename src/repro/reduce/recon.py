@@ -303,52 +303,6 @@ class ReconstructionMap:
             clauses.append(Clause(lifted))
         return Certificate(clauses=clauses, level=certificate.level)
 
-    # ------------------------------------------------------------------
-    # Forward mapping (original -> reduced), used for shared lemmas
-    # ------------------------------------------------------------------
-    def map_latch_index_clauses(self, clauses) -> List[List[int]]:
-        """Translate invariant clauses from original to reduced latch space.
-
-        Clauses are in latch-index literal form (``±(index + 1)``).  A
-        literal over a constant-swept latch evaluates against the proven
-        constant: a satisfied literal makes the whole clause redundant on
-        the reduced model (dropped), a falsified one is removed.  Merged
-        latches are rewritten to their surviving representative.  Clauses
-        mentioning a latch outside the reduced model (``free``, or a
-        representative that did not survive) cannot be translated and are
-        dropped — always sound, since dropping only loses a hint.
-        """
-        mapped: List[List[int]] = []
-        for clause in clauses:
-            result: List[int] = []
-            keep = True
-            satisfied = False
-            for lit in clause:
-                index = abs(lit) - 1
-                positive = lit > 0
-                if not 0 <= index < len(self.latch_fates):
-                    keep = False
-                    break
-                fate = self.latch_fates[index]
-                if fate.kind == MERGED:
-                    positive = positive != fate.negated
-                    index = fate.rep_original_index
-                    fate = self.latch_fates[index]
-                if fate.kind == KEPT:
-                    reduced = fate.reduced_index + 1
-                    result.append(reduced if positive else -reduced)
-                elif fate.kind == CONST:
-                    if positive == fate.value:
-                        satisfied = True
-                        break
-                    # falsified literal: drop it from the clause
-                else:
-                    keep = False
-                    break
-            if keep and not satisfied and result:
-                mapped.append(result)
-        return mapped
-
     def lift_outcome(self, outcome: CheckOutcome) -> CheckOutcome:
         """Lift whatever witness an outcome carries; verdict is unchanged."""
         lifted = copy.copy(outcome)

@@ -29,7 +29,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Sequence, Set
 
-from repro.aiger.aig import AIG, FALSE_LIT, TRUE_LIT, AndGate, Latch, liveness_hint
+from repro.aiger.aig import AIG, FALSE_LIT, TRUE_LIT, AndGate, Latch
 from repro.logic.cnf import CNF
 from repro.logic.cube import Clause, Cube
 
@@ -106,15 +106,12 @@ class TransitionSystem:
         self.aig = aig
         bads = select_bads(aig, use_outputs_as_bad, warn_on_ambiguity)
         if not bads:
-            raise EncodingError(
-                "the AIG declares neither bad states nor outputs" + liveness_hint(aig)
-            )
+            raise EncodingError("the AIG declares neither bad states nor outputs")
         if not 0 <= property_index < len(bads):
             source = "bad properties" if aig.bads else "outputs (read as bads)"
             raise EncodingError(
                 f"property index {property_index} out of range: the AIG declares "
                 f"{len(bads)} {source}, valid indices are 0..{len(bads) - 1}"
-                + liveness_hint(aig)
             )
         self._bad_aig_lit = bads[property_index]
 

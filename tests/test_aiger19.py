@@ -6,11 +6,9 @@ from repro.aiger.aig import AIG, AigerError, AigerParseError
 from repro.aiger.parser import parse_aiger
 from repro.aiger.writer import to_aag_string, to_aig_bytes
 
-pytestmark = pytest.mark.liveness
 
-
-def _model_with_liveness() -> AIG:
-    aig = AIG(comment="liveness fixture")
+def _model_with_justice() -> AIG:
+    aig = AIG(comment="justice fixture")
     go = aig.add_input("go")
     x = aig.add_latch(init=0, name="x")
     y = aig.add_latch(init=1, name="y")
@@ -48,7 +46,7 @@ class TestJusticeConstruction:
             aig.add_fairness(42)
 
     def test_simulate_records_justice_and_fairness(self):
-        aig = _model_with_liveness()
+        aig = _model_with_justice()
         records = aig.simulate([{aig.inputs[0]: True}] * 3)
         for record in records:
             assert len(record["justice"]) == 2
@@ -58,7 +56,7 @@ class TestJusticeConstruction:
 
 class TestAsciiRoundTrip:
     def test_justice_and_fairness_survive(self):
-        aig = _model_with_liveness()
+        aig = _model_with_justice()
         again = parse_aiger(to_aag_string(aig))
         assert again.justice == aig.justice
         assert again.fairness == aig.fairness
@@ -75,7 +73,7 @@ class TestAsciiRoundTrip:
         assert header == ["aag", "1", "0", "1", "0", "0", "0", "0", "1"]
 
     def test_double_roundtrip_is_stable(self):
-        aig = _model_with_liveness()
+        aig = _model_with_justice()
         once = to_aag_string(parse_aiger(to_aag_string(aig)))
         twice = to_aag_string(parse_aiger(once))
         assert once == twice
@@ -83,14 +81,14 @@ class TestAsciiRoundTrip:
 
 class TestBinaryRoundTrip:
     def test_justice_and_fairness_survive(self):
-        aig = _model_with_liveness()
+        aig = _model_with_justice()
         again = parse_aiger(to_aig_bytes(aig))
         assert len(again.justice) == 2
         assert [len(group) for group in again.justice] == [2, 1]
         assert len(again.fairness) == 1
 
     def test_ascii_and_binary_agree_behaviourally(self):
-        aig = _model_with_liveness()
+        aig = _model_with_justice()
         from_ascii = parse_aiger(to_aag_string(aig))
         from_binary = parse_aiger(to_aig_bytes(aig))
         inputs = [{from_ascii.inputs[0]: step % 2 == 0} for step in range(6)]
@@ -145,7 +143,7 @@ class TestStrictParsing:
             parse_aiger(b"aig 5 1 1 0 1\n")
 
     def test_truncated_binary_justice_rejected(self):
-        aig = _model_with_liveness()
+        aig = _model_with_justice()
         data = to_aig_bytes(aig)
         # Cut inside the textual sections before the AND bytes.
         with pytest.raises(AigerParseError):

@@ -1,5 +1,10 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
 from repro.aiger import write_aag
@@ -43,6 +48,10 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(argv + ["--sat-backend", "arena"])
 
+    def test_retired_property_timeout_flag_rejected(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["check", "model.aag", "--property-timeout", "5"])
+
     @pytest.mark.parametrize("command", ["serve", "submit", "metrics"])
     def test_removed_daemon_subcommands_rejected(self, command):
         with pytest.raises(SystemExit):
@@ -66,7 +75,6 @@ class TestParser:
 SEED_COMMANDS = [["check", "model.aag"], ["evaluate"]]
 TIMEOUT_FLAGS = [
     ["check", "model.aag", "--timeout"],
-    ["check", "model.aag", "--property-timeout"],
     ["evaluate", "--timeout"],
 ]
 
@@ -199,8 +207,8 @@ class TestPassesFlag:
 
     @pytest.mark.parametrize("command", ["check", "reduce"])
     def test_known_passes_parse_to_a_list(self, command):
-        args = build_parser().parse_args([command, "m.aag", "--passes", "coi, strash,"])
-        assert args.passes == ["coi", "strash"]
+        args = build_parser().parse_args([command, "m.aag", "--passes", "coi, merge,"])
+        assert args.passes == ["coi", "merge"]
 
     def test_known_passes_run(self, safe_model, capsys):
         assert main(["check", safe_model, "--engine", "ic3", "--passes", "coi"]) == 0
@@ -219,6 +227,58 @@ class TestReduceCommand:
     def test_in_range_property_reduces(self, safe_model, capsys):
         assert main(["reduce", safe_model, "--property", "0"]) == 0
         assert "total" in capsys.readouterr().out
+
+
+class TestModelReadErrors:
+    """A model that cannot be read is a usage error, not a traceback."""
+
+    @pytest.mark.parametrize("command", ["check", "reduce"])
+    @pytest.mark.parametrize("problem", ["missing", "directory", "malformed", "not aiger"])
+    def test_unreadable_model_is_a_usage_error(self, command, problem, tmp_path, capsys):
+        path = {
+            "missing": tmp_path / "missing.aag",
+            "directory": tmp_path,
+            "malformed": tmp_path / "malformed.aag",
+            "not aiger": tmp_path / "text.aag",
+        }[problem]
+        (tmp_path / "malformed.aag").write_text("aag 3 1 1\n")
+        (tmp_path / "text.aag").write_bytes(b"\xff\xfe not a model")
+        assert main([command, str(path)]) == 2
+        out = capsys.readouterr().out
+        assert out.startswith(f"error: cannot read model {str(path)!r}: ")
+        assert out.count("\n") == 1
+
+
+class TestBrokenPipe:
+    def test_closed_stdout_ends_without_traceback(self, tmp_path):
+        # Enough output to overfill the pipe, so the writer is still
+        # writing when the reader goes away after the first line.
+        script = textwrap.dedent(
+            """
+            import sys
+            from repro import cli
+            from repro.benchgen import token_ring
+
+            case = token_ring(3)
+            cli.default_suite = lambda: [case] * 20000
+            sys.exit(cli.main(["suite", "--list"]))
+            """
+        )
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        process = subprocess.Popen(
+            [sys.executable, "-c", script],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        assert process.stdout.readline().startswith(b"20000 cases")
+        process.stdout.close()
+        _, stderr = process.communicate(timeout=120)
+        assert process.returncode not in (0, 1)
+        assert b"Traceback" not in stderr
+        assert b"BrokenPipeError" not in stderr
 
 
 class TestVersionCommand:
@@ -333,7 +393,7 @@ class TestEvaluateCommand:
             "RIC3", "RIC3-pl", "IC3ref", "IC3ref-pl", "IC3ref-CAV23", "ABC-PDR"
         }
         # The engines' counts travel per result, never in a telemetry block.
-        assert manifest["schema"] == "repro-check/manifest/v15"
+        assert manifest["schema"] == "repro-check/manifest/v16"
         assert "telemetry" not in manifest
         assert all(r["error"] is None for r in manifest["results"])
         assert all(r["stats"]["sat_calls"] > 0 for r in manifest["results"])

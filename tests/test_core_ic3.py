@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.aiger import AIG
+from repro.aiger import AIG, parse_aiger
 from repro.benchgen import (
     combination_lock,
     counter_overflow,
@@ -29,6 +29,21 @@ from repro.core.options import GeneralizationStrategy
 
 BASE = IC3Options.profile_ic3_a()
 PRED = IC3Options.profile_ic3_a().with_prediction()
+
+# A constrained safety model: the liveness-to-safety monitor of a 3-stage
+# token ring that never starves (2 inputs, 10 latches, 1 bad, 1 invariant
+# constraint).  With ternary lifting on, IC3 once shrank predecessors to
+# partial cubes whose replay left the constrained state space and reported
+# this SAFE model UNSAFE; IC3 now skips lifting on constrained models.
+CONSTRAINED_SAFE_AAG = """aag 47 2 10 0 35 1 1
+    2 | 16 | 4 8 1 | 6 4 | 8 6 | 10 13 | 18 21 | 24 31 |
+    32 39 | 40 47 | 48 55 | 56 60 | 94 | 15 | 12 11 3 | 14 10 4 |
+    20 19 17 | 22 19 16 | 26 22 4 | 28 24 23 | 30 29 27 | 34 22 6 | 36 32 23 | 38 37 35 |
+    42 22 8 | 44 40 23 | 46 45 43 | 50 22 10 | 52 48 23 | 54 53 51 | 58 57 11 | 60 59 21 |
+    62 25 4 | 64 24 5 | 66 65 63 | 68 33 6 | 70 32 7 | 72 71 69 | 74 41 8 | 76 40 9 |
+    78 77 75 | 80 49 10 | 82 48 11 | 84 83 81 | 86 72 66 | 88 86 78 | 90 88 84 | 92 90 18 |
+    94 92 56
+""".replace(" | ", "\n").replace(" |\n", "\n")
 
 
 def _check(case, options, time_limit=60):
@@ -141,6 +156,14 @@ class TestSpecialCases:
         aig.add_bad(aig.add_and(latch, aig.negate(latch)))  # never
         assert IC3(aig, property_index=0).check().result == CheckResult.UNSAFE
         assert IC3(aig, property_index=1).check().result == CheckResult.SAFE
+
+    @pytest.mark.parametrize("options", [BASE, PRED], ids=["ic3", "ic3-pl"])
+    def test_constrained_model_is_not_refuted_by_lifted_cubes(self, options):
+        aig = parse_aiger(CONSTRAINED_SAFE_AAG)
+        assert (aig.num_latches, len(aig.constraints)) == (10, 1)
+        outcome = IC3(aig, options).check(time_limit=60)
+        assert outcome.result == CheckResult.SAFE
+        assert check_certificate(aig, outcome.certificate)
 
     def test_timeout_returns_unknown(self):
         case = parity_counter(8)

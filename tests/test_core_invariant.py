@@ -28,7 +28,7 @@ from repro.core import (
 )
 from repro.core.result import CheckOutcome, CounterexampleTrace, TraceStep
 from repro.engines import create_engine
-from repro.harness.runner import _validate
+from repro.harness.runner import validate_witness
 from repro.logic import Clause, Cube
 from repro.sat import ArenaSolver, Solver
 from repro.ts import TransitionSystem, select_bads
@@ -108,7 +108,7 @@ class TestCertificateValidation:
             result=CheckResult.SAFE,
             certificate=Certificate(clauses=[Clause([6, 2])]),
         )
-        assert _validate(case, outcome) is False
+        assert validate_witness(case.aig, outcome) is False
 
 
 # ----------------------------------------------------------------------

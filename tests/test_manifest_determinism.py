@@ -75,7 +75,7 @@ class TestManifestDeterminism:
 
     def test_substrate_stats_present_and_deterministic(self):
         manifest = _manifest(jobs=4)
-        assert manifest["schema"] == MANIFEST_SCHEMA == "repro-check/manifest/v15"
+        assert manifest["schema"] == MANIFEST_SCHEMA == "repro-check/manifest/v16"
         # v14: the daemon's service block is gone; v15: so is the
         # metrics registry's telemetry block.
         assert "service" not in manifest
@@ -116,6 +116,10 @@ class TestManifestDeterminism:
             assert "bus_overflows" not in stats
             assert "time_import_validation" not in stats
             assert "sharing" not in result
+            # v16: the multi-property and liveness records are gone.
+            assert "properties" not in result
+            assert "transformation" not in result
+            assert not [key for key in stats if key.startswith("shared_")]
             assert result["validated"] is True
         # Every configuration records its solving substrate and seed.
         for meta in manifest["configs"].values():

@@ -45,8 +45,8 @@ def _constrained_johnson(width: int) -> AIG:
     return aig
 
 
-def _check(aig, options, seed_clauses=None):
-    return IC3(aig, options, seed_clauses=seed_clauses).check(time_limit=60)
+def _check(aig, options):
+    return IC3(aig, options).check(time_limit=60)
 
 
 def _assert_verdict(aig, outcome, expected):
@@ -72,23 +72,6 @@ class TestReusedAnswersAreModels:
         options = dataclasses.replace(config.options, frame_backend=backend)
         _assert_verdict(aig, _check(aig, options), CheckResult.SAFE)
         assert checked_reuses
-
-    def test_seed_clauses(self, checked_reuses, config, backend):
-        case = johnson_counter(7, safe=True)
-        options = dataclasses.replace(config.options, frame_backend=backend)
-        first = IC3(case.aig, options)
-        proof = first.check(time_limit=60)
-        index_of = {var: index + 1 for index, var in enumerate(first.ts.latch_vars)}
-        # Half of a proof: the seeded run still has lemmas to find and push.
-        seeds = [
-            [index_of[lit] if lit > 0 else -index_of[-lit] for lit in clause]
-            for clause in proof.certificate.clauses[::2]
-        ]
-        del checked_reuses[:]
-        outcome = _check(case.aig, options, seed_clauses=seeds)
-        assert outcome.stats.shared_lemmas_applied > 0
-        _assert_verdict(case.aig, outcome, CheckResult.SAFE)
-        assert outcome.stats.consecution_reuses == len(checked_reuses)
 
 
 @pytest.mark.parametrize("config", CONFIGS, ids=lambda config: config.name)

@@ -7,7 +7,6 @@ from repro.benchgen import fifo_controller, monitored_counter, token_ring
 from repro.reduce import (
     ConeOfInfluencePass,
     EquivalentLatchPass,
-    StructuralHashPass,
     TernaryConstantPass,
     equivalent_latch_classes,
     ternary_constants,
@@ -52,6 +51,26 @@ class TestRebuild:
         assert rebuilt.aig.num_latches == 0
         assert rebuilt.aig.num_ands == 0
         assert rebuilt.latch_map == [None]
+
+
+    def test_never_grows_and_keeps_state(self):
+        aig = fifo_controller(3).aig
+        rebuilt = rebuild_aig(aig)
+        assert rebuilt.aig.num_ands <= aig.num_ands
+        assert rebuilt.aig.num_latches == aig.num_latches
+
+    def test_folds_after_manual_duplication(self):
+        aig = AIG()
+        a = aig.add_input()
+        latch = aig.add_latch(init=0)
+        aig.set_latch_next(latch, a)
+        # Build the same gate twice through different literal spellings.
+        gate = aig.add_and(a, latch)
+        aig.add_bad(gate)
+        other = aig.add_and(latch, a)
+        aig.add_bad(other)
+        rebuilt = rebuild_aig(aig)
+        assert rebuilt.aig.num_ands == 1
 
 
 class TestConeOfInfluencePass:
@@ -193,33 +212,6 @@ class TestEquivalentLatchPass:
         full = case.aig.simulate(stimulus_full)
         reduced = result.aig.simulate(stimulus_reduced)
         assert [r["bads"][0] for r in full] == [r["bads"][0] for r in reduced]
-
-
-class TestStructuralHashPass:
-    def test_noop_on_fresh_circuit(self):
-        aig = token_ring(5).aig
-        result = StructuralHashPass().run(aig)
-        assert result.aig.num_ands == aig.num_ands
-        assert all(fate.kind == KEPT for fate in result.latch_fates)
-
-    def test_never_grows_and_keeps_state(self):
-        aig = fifo_controller(3).aig
-        result = StructuralHashPass().run(aig)
-        assert result.aig.num_ands <= aig.num_ands
-        assert result.aig.num_latches == aig.num_latches
-
-    def test_folds_after_manual_duplication(self):
-        aig = AIG()
-        a = aig.add_input()
-        latch = aig.add_latch(init=0)
-        aig.set_latch_next(latch, a)
-        # Build the same gate twice through different literal spellings.
-        gate = aig.add_and(a, latch)
-        aig.add_bad(gate)
-        other = aig.add_and(latch, a)
-        aig.add_bad(other)
-        result = StructuralHashPass().run(aig)
-        assert result.aig.num_ands == 1
 
 
 class TestPassErrors:

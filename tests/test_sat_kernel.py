@@ -11,13 +11,10 @@ from collections import Counter
 
 import pytest
 
-from repro.aiger.aig import AIG, FALSE_LIT
 from repro.benchgen import modular_counter, token_ring
 from repro.core.invariant import check_certificate
 from repro.core.result import CheckResult
 from repro.engines import create_engine
-from repro.props import PropertyScheduler
-from repro.props import scheduler as scheduler_module
 from repro.sat.arena import ArenaSolver
 from repro.sat.solver import Solver
 
@@ -38,22 +35,6 @@ def solve_calls(monkeypatch):
     return calls
 
 
-def _two_property_ring(size=4):
-    """A one-hot ring with two SAFE bads (exercises the shared unrolling)."""
-    aig = AIG()
-    stages = [aig.add_latch(init=1 if i == 0 else 0) for i in range(size)]
-    for index, stage in enumerate(stages):
-        aig.set_latch_next(stage, stages[(index - 1) % size])
-    collision = FALSE_LIT
-    for i in range(size):
-        for j in range(i + 1, size):
-            collision = aig.or_gate(collision, aig.add_and(stages[i], stages[j]))
-    aig.add_bad(collision)
-    aig.add_bad(aig.add_and(stages[0], stages[2]))
-    aig.validate()
-    return aig
-
-
 @pytest.mark.parametrize(
     "engine, case, expected",
     [
@@ -70,26 +51,6 @@ def test_engines_run_only_the_arena_kernel(solve_calls, engine, case, expected):
     assert outcome.result == expected
     assert solve_calls["ArenaSolver"] > 0
     assert solve_calls["Solver"] == 0
-
-
-def test_scheduler_runs_only_the_arena_kernel(solve_calls, monkeypatch):
-    # The scheduler re-checks every SAFE certificate before pooling its
-    # clauses; those checker queries are the only ones ``Solver`` may see.
-    checker_calls = Counter()
-
-    def counted_check(*args, **kwargs):
-        before = solve_calls["Solver"]
-        try:
-            return check_certificate(*args, **kwargs)
-        finally:
-            checker_calls["Solver"] += solve_calls["Solver"] - before
-
-    monkeypatch.setattr(scheduler_module, "check_certificate", counted_check)
-    result = PropertyScheduler(_two_property_ring()).run(time_limit=60)
-    assert result.shared_bmc_queries > 0
-    assert result.aggregate == CheckResult.SAFE
-    assert solve_calls["ArenaSolver"] > 0
-    assert solve_calls["Solver"] == checker_calls["Solver"]
 
 
 def test_checker_runs_only_the_reference_kernel(solve_calls):

@@ -9,6 +9,7 @@ import warnings
 import pytest
 
 from repro.aiger.aig import AIG
+from repro.reduce.base import no_properties_message
 from repro.ts.system import (
     EncodingError,
     PropertySelectionWarning,
@@ -73,16 +74,15 @@ class TestPropertyIndexErrors:
             TransitionSystem(_model(outputs=1), property_index=3)
         assert "outputs (read as bads)" in str(excinfo.value)
 
-    def test_justice_hint_on_no_safety_properties(self):
-        with pytest.raises(EncodingError) as excinfo:
+    def test_justice_only_model_has_no_safety_property(self):
+        with pytest.raises(EncodingError, match="neither bad states nor outputs"):
             TransitionSystem(_model(justice=1))
-        message = str(excinfo.value)
-        assert "justice" in message
-        assert "l2s" in message
 
-    def test_justice_hint_on_out_of_range_index(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", PropertySelectionWarning)
-            with pytest.raises(EncodingError) as excinfo:
-                TransitionSystem(_model(bads=1, justice=2), property_index=4)
-        assert "2 justice properties" in str(excinfo.value)
+    @pytest.mark.parametrize(
+        "justice, text",
+        [(1, "its 1 justice property is parsed"), (2, "its 2 justice properties are parsed")],
+    )
+    def test_usage_error_says_justice_is_not_checked(self, justice, text):
+        message = no_properties_message(_model(justice=justice))
+        assert text in message and "not checked" in message
+        assert "justice" not in no_properties_message(_model())
