@@ -79,6 +79,53 @@ class TestAsciiRoundTrip:
         assert once == twice
 
 
+def _model_with_shape(justice_sizes, fairness):
+    """A free-running 3-latch model with the given 1.9 sections."""
+    aig = AIG(comment="shape fixture")
+    go = aig.add_input("go")
+    latches = [aig.add_latch(init=i % 2) for i in range(3)]
+    for index, latch in enumerate(latches):
+        aig.set_latch_next(latch, aig.xor_gate(latches[index - 1], go))
+    literals = latches + [aig.negate(latch) for latch in latches] + [go]
+    for group, size in enumerate(justice_sizes):
+        aig.add_justice([literals[(group + k) % len(literals)] for k in range(size)])
+    for k in range(fairness):
+        aig.add_fairness(literals[-1 - k])
+    aig.validate()
+    return aig
+
+
+SHAPES = pytest.mark.parametrize(
+    "justice_sizes, fairness",
+    [((1,), 0), ((3,), 1), ((2, 1), 2), ((1, 4, 2), 0), ((), 2)],
+    ids=["one", "wide-fair", "two-fair", "three", "fairness-only"],
+)
+
+
+class TestSectionShapes:
+    @SHAPES
+    def test_ascii_round_trip_is_exact(self, justice_sizes, fairness):
+        aig = _model_with_shape(justice_sizes, fairness)
+        again = parse_aiger(to_aag_string(aig))
+        assert again.justice == aig.justice
+        assert again.fairness == aig.fairness
+        header = to_aag_string(aig).splitlines()[0].split()
+        counts = [int(field) for field in header[6:]]
+        assert counts[2:] == [len(justice_sizes), fairness][: len(counts) - 2]
+
+    @SHAPES
+    def test_binary_round_trip_keeps_the_behaviour(self, justice_sizes, fairness):
+        aig = _model_with_shape(justice_sizes, fairness)
+        again = parse_aiger(to_aig_bytes(aig))
+        assert [len(group) for group in again.justice] == list(justice_sizes)
+        assert len(again.fairness) == fairness
+        inputs = [{aig.inputs[0]: step % 3 == 0} for step in range(5)]
+        inputs_again = [{again.inputs[0]: step % 3 == 0} for step in range(5)]
+        for a, b in zip(aig.simulate(inputs), again.simulate(inputs_again)):
+            assert a["justice"] == b["justice"]
+            assert a["fairness"] == b["fairness"]
+
+
 class TestBinaryRoundTrip:
     def test_justice_and_fairness_survive(self):
         aig = _model_with_justice()

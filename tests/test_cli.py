@@ -229,24 +229,55 @@ class TestReduceCommand:
         assert "total" in capsys.readouterr().out
 
 
-class TestModelReadErrors:
-    """A model that cannot be read is a usage error, not a traceback."""
+UNREADABLE_MODELS = ["missing", "directory", "malformed", "not aiger", "truncated binary", "empty"]
 
-    @pytest.mark.parametrize("command", ["check", "reduce"])
-    @pytest.mark.parametrize("problem", ["missing", "directory", "malformed", "not aiger"])
-    def test_unreadable_model_is_a_usage_error(self, command, problem, tmp_path, capsys):
-        path = {
+
+def _unreadable_model(problem, tmp_path):
+    (tmp_path / "malformed.aag").write_text("aag 3 1 1\n")
+    (tmp_path / "text.aag").write_bytes(b"\xff\xfe not a model")
+    (tmp_path / "truncated.aig").write_bytes(b"aig 5 1 1 0 1\n")
+    (tmp_path / "empty.aag").write_bytes(b"")
+    return str(
+        {
             "missing": tmp_path / "missing.aag",
             "directory": tmp_path,
             "malformed": tmp_path / "malformed.aag",
             "not aiger": tmp_path / "text.aag",
+            "truncated binary": tmp_path / "truncated.aig",
+            "empty": tmp_path / "empty.aag",
         }[problem]
-        (tmp_path / "malformed.aag").write_text("aag 3 1 1\n")
-        (tmp_path / "text.aag").write_bytes(b"\xff\xfe not a model")
-        assert main([command, str(path)]) == 2
+    )
+
+
+class TestModelReadErrors:
+    """A model that cannot be read is a usage error, not a traceback."""
+
+    @pytest.mark.parametrize("command", ["check", "reduce"])
+    @pytest.mark.parametrize("problem", UNREADABLE_MODELS)
+    def test_unreadable_model_is_a_usage_error(self, command, problem, tmp_path, capsys):
+        path = _unreadable_model(problem, tmp_path)
+        assert main([command, path]) == 2
         out = capsys.readouterr().out
-        assert out.startswith(f"error: cannot read model {str(path)!r}: ")
+        assert out.startswith(f"error: cannot read model {path!r}: ")
         assert out.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "flags", [["--all-properties"], ["--property", "0"]], ids=" ".join
+    )
+    @pytest.mark.parametrize("problem", UNREADABLE_MODELS)
+    def test_property_loop_reports_the_same_error(self, flags, problem, tmp_path, capsys):
+        path = _unreadable_model(problem, tmp_path)
+        assert main(["check", path]) == 2
+        single = capsys.readouterr().out
+        assert main(["check", path] + flags) == 2
+        assert capsys.readouterr().out == single
+
+
+def _child_env():
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 class TestBrokenPipe:
@@ -264,14 +295,11 @@ class TestBrokenPipe:
             sys.exit(cli.main(["suite", "--list"]))
             """
         )
-        env = dict(os.environ)
-        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         process = subprocess.Popen(
             [sys.executable, "-c", script],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
-            env=env,
+            env=_child_env(),
         )
         assert process.stdout.readline().startswith(b"20000 cases")
         process.stdout.close()
@@ -279,6 +307,36 @@ class TestBrokenPipe:
         assert process.returncode not in (0, 1)
         assert b"Traceback" not in stderr
         assert b"BrokenPipeError" not in stderr
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["version"],
+            ["suite", "--quick"],
+            ["reduce", "MODEL"],
+            ["check", "MODEL"],
+            ["check", "MODEL", "--all-properties"],
+        ],
+        ids=" ".join,
+    )
+    def test_reader_gone_before_the_first_line(self, argv, unsafe_model):
+        # The read end is closed before the command starts, so its very
+        # first (buffered) output fails when main flushes stdout.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            completed = subprocess.run(
+                [sys.executable, "-m", "repro.cli"]
+                + [unsafe_model if arg == "MODEL" else arg for arg in argv],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=_child_env(),
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert completed.returncode == 141
+        assert completed.stderr == b""
 
 
 class TestVersionCommand:

@@ -9,7 +9,7 @@ import warnings
 import pytest
 
 from repro.aiger.aig import AIG
-from repro.reduce.base import no_properties_message
+from repro.reduce.base import no_properties_message, selected_bads
 from repro.ts.system import (
     EncodingError,
     PropertySelectionWarning,
@@ -86,3 +86,22 @@ class TestPropertyIndexErrors:
         message = no_properties_message(_model(justice=justice))
         assert text in message and "not checked" in message
         assert "justice" not in no_properties_message(_model())
+
+
+class TestCliNumbering:
+    """``selected_bads`` numbers the properties for ``check``/``reduce``.
+
+    It must agree with the transition system's own selection, so that
+    property N on the command line is property N of the engine.
+    """
+
+    @pytest.mark.parametrize(
+        "bads, outputs, justice",
+        [(1, 0, 0), (0, 2, 0), (2, 3, 0), (0, 0, 1), (1, 1, 2), (0, 0, 0)],
+    )
+    def test_agrees_with_the_transition_system(self, bads, outputs, justice):
+        aig = _model(bads=bads, outputs=outputs, justice=justice)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", PropertySelectionWarning)
+            assert selected_bads(aig) == select_bads(aig)
+        assert len(selected_bads(aig)) == (bads or outputs)
