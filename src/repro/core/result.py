@@ -36,7 +36,10 @@ class Certificate:
     ``clauses`` are over the transition system's current-state (latch)
     variables.  The invariant is their conjunction together with the
     property itself; :func:`repro.core.invariant.check_certificate`
-    validates the three defining conditions.
+    validates its defining conditions: initiation, ``clauses ⇒ ¬Bad``,
+    and consecution, the last in two parts (units and latch
+    equivalences by structural hashing, every other clause by SAT
+    relative to all of them).
     """
 
     clauses: List[Clause] = field(default_factory=list)

@@ -25,9 +25,13 @@ _REQUIRED_KEYS = ("name", "ph", "ts", "pid", "tid")
 
 
 def to_chrome_document(events: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
-    """Wrap events in the Chrome trace-event JSON object form."""
+    """Wrap events in the Chrome trace-event JSON object form.
+
+    Events are ordered by start time; of two spans that start in the same
+    microsecond the longer, enclosing one comes first.
+    """
     return {
-        "traceEvents": sorted(events, key=lambda e: (e.get("ts", 0), e.get("dur", 0))),
+        "traceEvents": sorted(events, key=lambda e: (e.get("ts", 0), -e.get("dur", 0))),
         "displayTimeUnit": "ms",
     }
 

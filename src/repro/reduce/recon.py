@@ -19,7 +19,10 @@ kinds back so they validate against the *original* AIG with the stock
   constant-swept latch and two binary clauses (an equality) per merged
   latch.  The extended clause set is inductive on the original system
   because every substitution a pass performed is justified by exactly one
-  of the added clauses.
+  of the added clauses.  The checker proves these added clauses
+  inductive by structural hashing and leaves only the engine's own
+  clauses for SAT; it finds them by their shape, not by trusting this
+  map.
 """
 
 from __future__ import annotations

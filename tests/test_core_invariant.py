@@ -26,6 +26,7 @@ from repro.core import (
     check_counterexample,
     CertificateError,
 )
+from repro.core.invariant import split_certificate
 from repro.core.result import CheckOutcome, CounterexampleTrace, TraceStep
 from repro.engines import create_engine
 from repro.harness.runner import validate_witness
@@ -275,6 +276,37 @@ class TestLargeCone:
             with pytest.raises(CertificateError):
                 check_certificate(aig, Certificate(clauses=clauses[:index] + clauses[index + 1:]))
 
+    def test_few_clauses_left_for_sat(self, wide_certificate):
+        aig, clauses = wide_certificate
+        proven, rest = split_certificate(TransitionSystem(aig, warn_on_ambiguity=False), clauses)
+        assert sorted(proven + rest) == sorted(clauses)
+        assert len(rest) <= 3
+
+    def test_flipped_literal_mutants_agree_with_reference(self, wide_certificate):
+        """Flip each literal of the clauses left for SAT, of the units and
+        of the first equivalences, in place and as an extra clause."""
+        aig, clauses = wide_certificate
+        ts = TransitionSystem(aig, warn_on_ambiguity=False)
+        proven, rest = split_certificate(ts, clauses)
+        units = [clause for clause in proven if len(clause) == 1]
+        equivalences = [clause for clause in proven if len(clause) == 2][:4]
+        consecution_rejections = 0
+        for clause in rest + units + equivalences:
+            index = clauses.index(clause)
+            lits = list(clause)
+            for position in range(len(lits)):
+                flipped = Clause(lits[:position] + [-lits[position]] + lits[position + 1:])
+                replaced = clauses[:index] + [flipped] + clauses[index + 1:]
+                for mutant in (replaced, clauses + [flipped]):
+                    reference = _reference_failures(ts, mutant)
+                    message = _new_verdict(aig, mutant)
+                    assert (reference is None) == (message is None), (flipped, reference, message)
+                    if reference is not None and reference[0] == "consecution":
+                        consecution_rejections += 1
+                        failing = reference[1]
+                        assert message in {f"consecution fails for clause {c!r}" for c in failing}
+        assert consecution_rejections
+
 
 SAFE_BENCH_CASES = [case for case in bench_suite() if case.expected == CheckResult.SAFE]
 
@@ -417,6 +449,143 @@ class TestSplitQueries:
         certificate = Certificate(clauses=[Clause([-ts.to_solver_lit(unrelated)])])
         with pytest.raises(CertificateError, match="^an initial state satisfies Bad$"):
             check_certificate(aig, certificate)
+
+
+def _equivalence(a, b):
+    """The two clauses of ``a ≡ b`` over solver literals."""
+    return [Clause([-a, b]), Clause([a, -b])]
+
+
+class TestTwoPartCheck:
+    """Units and equivalences proven by hashing, the rest by SAT."""
+
+    def test_equivalence_true_at_reset_only_is_rejected(self):
+        aig = AIG()
+        x = _latch(aig, "x", init=0, next_lit=aig.add_input("i"))
+        y = _latch(aig, "y", init=0)
+        aig.add_bad(y)
+        ts = TransitionSystem(aig)
+        x, y = ts.to_solver_lit(x), ts.to_solver_lit(y)
+        stuck = Clause([-y])
+        clauses = [stuck, *_equivalence(x, y)]
+        assert split_certificate(ts, clauses) == ([stuck], clauses[1:])
+        assert _reference_failures(ts, clauses) == ("consecution", [clauses[1]])
+        with pytest.raises(CertificateError) as error:
+            check_certificate(aig, Certificate(clauses=clauses))
+        assert str(error.value) == f"consecution fails for clause {clauses[1]!r}"
+
+    def test_dropped_equivalence_takes_down_those_resting_on_it(self):
+        # u ≡ v holds only while x ≡ y does, which fails (x copies an input).
+        aig = AIG()
+        x = _latch(aig, "x", init=0, next_lit=aig.add_input("i"))
+        y = _latch(aig, "y", init=0)
+        u = _latch(aig, "u", init=0, next_lit=x)
+        v = _latch(aig, "v", init=0, next_lit=y)
+        aig.add_bad(aig.add_and(u, aig.negate(v)))
+        ts = TransitionSystem(aig)
+        x, y, u, v = (ts.to_solver_lit(lit) for lit in (x, y, u, v))
+        clauses = [*_equivalence(u, v), *_equivalence(x, y)]
+        assert split_certificate(ts, clauses) == ([], clauses)
+        assert _reference_failures(ts, clauses) == ("consecution", clauses[2:])
+        assert _new_verdict(aig, clauses) in {
+            f"consecution fails for clause {clause!r}" for clause in clauses[2:]
+        }
+
+    def test_non_inductive_lemma_next_to_proven_equivalence_is_rejected(self):
+        aig = AIG()
+        i, j = aig.add_input("i"), aig.add_input("j")
+        x, y = aig.add_latch(init=0, name="x"), aig.add_latch(init=0, name="y")
+        aig.set_latch_next(x, aig.add_and(i, x))
+        aig.set_latch_next(y, aig.add_and(i, y))
+        z1 = _latch(aig, "z1", init=0, next_lit=i)
+        z2 = _latch(aig, "z2", init=0, next_lit=j)
+        aig.add_bad(aig.add_and(z1, z2))
+        ts = TransitionSystem(aig)
+        equivalence = _equivalence(ts.to_solver_lit(x), ts.to_solver_lit(y))
+        lemma = Clause([-ts.to_solver_lit(z1), -ts.to_solver_lit(z2)])
+        clauses = [*equivalence, lemma]
+        assert split_certificate(ts, clauses) == (equivalence, [lemma])
+        with pytest.raises(CertificateError) as error:
+            check_certificate(aig, Certificate(clauses=clauses))
+        assert str(error.value) == f"consecution fails for clause {lemma!r}"
+
+    def test_equivalence_needing_a_lemma_is_accepted_by_sat(self):
+        # z1, z2 swap a token each step, so z1 ∨ z2 is inductive; x copies
+        # i ∧ (z1 ∨ z2) and y copies i, so x ≡ y only given that lemma.
+        aig = AIG()
+        i = aig.add_input("i")
+        z1, z2 = aig.add_latch(init=1, name="z1"), aig.add_latch(init=0, name="z2")
+        aig.set_latch_next(z1, z2)
+        aig.set_latch_next(z2, z1)
+        x = _latch(aig, "x", init=0, next_lit=aig.add_and(i, aig.or_gate(z1, z2)))
+        y = _latch(aig, "y", init=0, next_lit=i)
+        aig.add_bad(aig.add_and(x, aig.negate(y)))
+        ts = TransitionSystem(aig)
+        lemma = Clause([ts.to_solver_lit(z1), ts.to_solver_lit(z2)])
+        clauses = [*_equivalence(ts.to_solver_lit(x), ts.to_solver_lit(y)), lemma]
+        assert split_certificate(ts, clauses) == ([], clauses)
+        assert _reference_failures(ts, clauses) is None
+        assert check_certificate(aig, Certificate(clauses=clauses))
+        with pytest.raises(CertificateError, match="consecution fails"):
+            check_certificate(aig, Certificate(clauses=clauses[:2]))
+
+    def test_chained_equivalences_of_both_phases_are_proven(self):
+        # x ≡ ¬y, y ≡ z, z ≡ e and the constants c, ¬d and ¬f, each
+        # proven only after the others are substituted into the next-state
+        # functions and folded (c ∧ y, y ∧ ¬z, y ∧ z, i ∧ f).
+        aig = AIG()
+        i = aig.add_input("i")
+        c = _latch(aig, "c", init=1)
+        f = aig.add_latch(init=0, name="f")
+        aig.set_latch_next(f, aig.add_and(i, f))
+        x, y, z, d, e = (
+            aig.add_latch(init=int(name == "x"), name=name) for name in ("x", "y", "z", "d", "e")
+        )
+        aig.set_latch_next(x, aig.negate(aig.add_and(i, aig.negate(x))))
+        aig.set_latch_next(y, aig.add_and(i, aig.add_and(c, y)))
+        aig.set_latch_next(z, aig.add_and(i, z))
+        aig.set_latch_next(d, aig.add_and(y, aig.negate(z)))
+        aig.set_latch_next(e, aig.add_and(i, aig.add_and(y, z)))
+        aig.add_bad(aig.add_and(y, aig.negate(z)))
+        ts = TransitionSystem(aig)
+        c, f, x, y, z, d, e = (ts.to_solver_lit(lit) for lit in (c, f, x, y, z, d, e))
+        clauses = [
+            Clause([c]), Clause([-d]), Clause([-f]),
+            *_equivalence(x, -y), *_equivalence(y, z), *_equivalence(z, e),
+        ]
+        assert split_certificate(ts, clauses) == (clauses, [])
+        assert check_certificate(aig, Certificate(clauses=clauses))
+
+    def test_contradictory_pair_is_rejected(self):
+        aig = AIG()
+        x, y = _latch(aig, "x", init=0), _latch(aig, "y", init=0)
+        aig.add_bad(aig.add_and(x, y))
+        ts = TransitionSystem(aig)
+        x, y = ts.to_solver_lit(x), ts.to_solver_lit(y)
+        same, opposite = _equivalence(x, y), _equivalence(x, -y)
+        proven, rest = split_certificate(ts, same + opposite)
+        assert {frozenset(proven), frozenset(rest)} == {frozenset(same), frozenset(opposite)}
+        with pytest.raises(CertificateError, match="initiation fails"):
+            check_certificate(aig, Certificate(clauses=same + opposite))
+
+    def test_long_gate_chain(self):
+        # x and y copy a chain of 20,000 AND gates; w copies the chain and
+        # i once more, equal to it only semantically, so it goes to SAT.
+        aig = AIG()
+        i, j = aig.add_input("i"), aig.add_input("j")
+        chain = i
+        for index in range(20_000):
+            chain = aig.add_and(chain, (j, i)[index % 2])
+        assert aig.num_ands >= 20_000
+        x = _latch(aig, "x", init=0, next_lit=chain)
+        y = _latch(aig, "y", init=0, next_lit=chain)
+        w = _latch(aig, "w", init=0, next_lit=aig.add_and(chain, i))
+        aig.add_bad(aig.add_and(x, aig.negate(y)))
+        ts = TransitionSystem(aig)
+        x, y, w = (ts.to_solver_lit(lit) for lit in (x, y, w))
+        proven, rest = _equivalence(x, y), _equivalence(x, w)
+        assert split_certificate(ts, proven + rest) == (proven, rest)
+        assert check_certificate(aig, Certificate(clauses=proven + rest))
 
 
 def test_constrained_counter_needs_the_constraint():

@@ -45,6 +45,11 @@ class TestChromeExport:
         assert document["displayTimeUnit"] == "ms"
         assert [e["name"] for e in document["traceEvents"]][0] == "outer"
 
+    def test_enclosing_span_first_when_spans_start_together(self):
+        events = [_i("tick", 10), _x("inner", 10, 2), _x("outer", 10, 5), _x("early", 9, 1)]
+        names = [e["name"] for e in to_chrome_document(events)["traceEvents"]]
+        assert names == ["early", "outer", "inner", "tick"]
+
     def test_round_trip_through_file(self, tmp_path):
         path = str(tmp_path / "t.json")
         events = [_x("a", 10, 5), _i("b", 12)]
