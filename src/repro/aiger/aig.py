@@ -355,18 +355,21 @@ class AIG:
         values, the evaluated outputs/bad/constraint literals and the input
         values used.
         """
-        latch_values: Dict[int, bool] = {}
-        for latch in self.latches:
-            if initial_latches and latch.lit in initial_latches:
-                latch_values[latch.lit] = bool(initial_latches[latch.lit])
-            else:
-                latch_values[latch.lit] = bool(latch.init) if latch.init else False
+        latch_lits = [latch.lit for latch in self.latches]
+        next_lits = [latch.next for latch in self.latches]
+        latch_values = [
+            bool(initial_latches[latch.lit])
+            if initial_latches and latch.lit in initial_latches
+            else bool(latch.init)
+            for latch in self.latches
+        ]
+        gates = self.gate_columns()
 
         trace: List[Dict[str, object]] = []
         for step_inputs in input_sequence:
-            values = self._evaluate_combinational(step_inputs, latch_values)
-            record = {
-                "latches": {l.lit: latch_values[l.lit] for l in self.latches},
+            values = self._evaluate_flat(step_inputs, latch_values, gates)
+            trace.append({
+                "latches": dict(zip(latch_lits, latch_values)),
                 "inputs": {i: bool(step_inputs.get(i, False)) for i in self.inputs},
                 "outputs": [values[lit] for lit in self.outputs],
                 "bads": [values[lit] for lit in self.bads],
@@ -375,30 +378,60 @@ class AIG:
                     [values[lit] for lit in group] for group in self.justice
                 ],
                 "fairness": [values[lit] for lit in self.fairness],
-            }
-            trace.append(record)
-            latch_values = {
-                latch.lit: values[latch.next] for latch in self.latches
-            }
+            })
+            latch_values = [values[lit] for lit in next_lits]
         return trace
+
+    def gate_columns(self) -> Tuple[List[int], List[int], List[int]]:
+        """The AND gates' ``lhs``, ``rhs0`` and ``rhs1`` literals, in order.
+
+        Three lists of ints rather than one tuple per gate: zipping them
+        allocates no tracked objects, so a wide model's evaluation does
+        not drive the cyclic garbage collector.
+        """
+        ands = self.ands
+        return (
+            [gate.lhs for gate in ands],
+            [gate.rhs0 for gate in ands],
+            [gate.rhs1 for gate in ands],
+        )
+
+    def _evaluate_flat(
+        self,
+        step_inputs: Dict[int, bool],
+        latch_values: Sequence[bool],
+        gates: Tuple[List[int], List[int], List[int]],
+    ) -> List[bool]:
+        """Evaluate one step into a list indexed by literal.
+
+        Both polarities of every variable are stored; ``latch_values``
+        follows latch order.  A variable nothing defines reads as False.
+        """
+        values = [False, True] * (self._max_var + 1)
+        for lit in self.inputs:
+            if step_inputs.get(lit, False):
+                values[lit] = True
+                values[lit ^ 1] = False
+        for latch, value in zip(self.latches, latch_values):
+            if value:
+                values[latch.lit] = True
+                values[latch.lit ^ 1] = False
+        for lhs, rhs0, rhs1 in zip(*gates):
+            if values[rhs0] and values[rhs1]:
+                values[lhs] = True
+                values[lhs ^ 1] = False
+        return values
 
     def _evaluate_combinational(
         self, step_inputs: Dict[int, bool], latch_values: Dict[int, bool]
     ) -> Dict[int, bool]:
         """Evaluate every literal for one step (inputs + current latches)."""
-        values: Dict[int, bool] = {FALSE_LIT: False, TRUE_LIT: True}
-
-        def set_both(lit: int, value: bool) -> None:
-            values[lit] = value
-            values[lit ^ 1] = not value
-
-        for lit in self.inputs:
-            set_both(lit, bool(step_inputs.get(lit, False)))
-        for latch in self.latches:
-            set_both(latch.lit, latch_values[latch.lit])
-        for gate in self.ands:
-            set_both(gate.lhs, values[gate.rhs0] and values[gate.rhs1])
-        return values
+        values = self._evaluate_flat(
+            step_inputs,
+            [latch_values[latch.lit] for latch in self.latches],
+            self.gate_columns(),
+        )
+        return dict(enumerate(values))
 
     def __repr__(self) -> str:
         liveness = ""

@@ -9,13 +9,14 @@ binary AND section, symbol tables and comments.
 Malformed documents raise :class:`~repro.aiger.aig.AigerParseError` (a
 subclass of :class:`~repro.aiger.aig.AigerError`) with a description of
 the offending section — a truncated or corrupted 1.9 extension section is
-always rejected, never silently dropped.
+always rejected, never silently dropped, and so is an ASCII document that
+defines one variable twice (as two of input, latch and AND output).
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.aiger.aig import AIG, AigerError, AigerParseError, Latch, AndGate
 
@@ -160,10 +161,24 @@ def _parse_ascii(text: str) -> AIG:
         cursor += 1
         return line
 
+    # Variable -> what defines it.  The binary format defines variables
+    # implicitly, one each; here every input, latch and AND names its own.
+    defined: Dict[int, str] = {0: "the constant"}
+
+    def define(lit: int, what: str) -> None:
+        var = lit >> 1
+        if var in defined:
+            raise AigerParseError(
+                f"{what} {lit} defines variable {var} a second time "
+                f"(already defined by {defined[var]})"
+            )
+        defined[var] = f"{what} {lit}"
+
     for _ in range(num_inputs):
         lit = _parse_lit(_first_field(next_line("input"), "input"), max_var, "input literal")
         if lit & 1 or lit == 0:
             raise AigerParseError(f"invalid input literal {lit}")
+        define(lit, "input literal")
         aig.inputs.append(lit)
 
     for _ in range(num_latches):
@@ -172,6 +187,7 @@ def _parse_ascii(text: str) -> AIG:
             raise AigerParseError(f"malformed latch line: {fields!r}")
         lit = _parse_lit(fields[0], max_var, "latch literal")
         nxt = _parse_lit(fields[1], max_var, "latch next-state literal")
+        define(lit, "latch literal")
         init: Optional[int] = 0
         if len(fields) >= 3:
             raw = _parse_int(fields[2], "latch reset value")
@@ -210,6 +226,7 @@ def _parse_ascii(text: str) -> AIG:
         lhs = _parse_lit(fields[0], max_var, "AND output literal")
         rhs0 = _parse_lit(fields[1], max_var, "AND operand literal")
         rhs1 = _parse_lit(fields[2], max_var, "AND operand literal")
+        define(lhs, "AND output literal")
         aig.ands.append(AndGate(lhs=lhs, rhs0=rhs0, rhs1=rhs1))
 
     _parse_symbols_and_comment(aig, lines[cursor:])

@@ -88,8 +88,6 @@ class ReconstructionMap:
         """Reduced input index -> original input index."""
         self.latch_origin = list(latch_origin)
         """Reduced latch index -> original latch index."""
-        self._original_ts = None
-        self._reduced_ts = None
 
     # ------------------------------------------------------------------
     # Construction from a pass chain
@@ -187,28 +185,16 @@ class ReconstructionMap:
         )
 
     # ------------------------------------------------------------------
-    # Transition-system views (lazy; witnesses are var-numbered by them)
+    # Variable numbering (witnesses speak TransitionSystem's)
     # ------------------------------------------------------------------
-    def _ts(self, original: bool):
+    def _latch_variables(self):
+        """The original and the reduced model's latch variables."""
         # Imported lazily: repro.ts re-exports the COI shim, which imports
-        # this package back.
-        from repro.ts.system import TransitionSystem
+        # this package back.  Only the numbering is needed, so no
+        # TransitionSystem is built.
+        from repro.ts.system import latch_variables
 
-        if original:
-            if self._original_ts is None:
-                self._original_ts = TransitionSystem(
-                    self.original,
-                    property_index=self.property_index,
-                    warn_on_ambiguity=False,
-                )
-            return self._original_ts
-        if self._reduced_ts is None:
-            self._reduced_ts = TransitionSystem(
-                self.reduced,
-                property_index=self.reduced_property_index,
-                warn_on_ambiguity=False,
-            )
-        return self._reduced_ts
+        return latch_variables(self.original), latch_variables(self.reduced)
 
     # ------------------------------------------------------------------
     # Lifting
@@ -223,10 +209,8 @@ class ReconstructionMap:
         # values (needed for latches without a defined reset); everything
         # else starts from its reset value (False when undefined — sound,
         # because such latches are outside the cone or derived).
-        reduced_ts = self._ts(original=False)
-        latch_index_of_var = {
-            var: index for index, var in enumerate(reduced_ts.latch_vars)
-        }
+        original_var, reduced_var = self._latch_variables()
+        latch_index_of_var = {var: index for index, var in enumerate(reduced_var)}
         first_cube_value: Dict[int, bool] = {}
         for lit in trace.steps[0].state:
             index = latch_index_of_var.get(abs(lit))
@@ -257,16 +241,18 @@ class ReconstructionMap:
             input_sequence.append(assignment)
 
         # 3. Re-simulate the original circuit; the records are full,
-        # consistent-by-construction states.
+        # consistent-by-construction states.  The latch variables ascend,
+        # so each cube is built in canonical order.
         records = original.simulate(input_sequence, initial_latches=initial)
-        original_ts = self._ts(original=True)
         steps = []
         for record, assignment in zip(records, input_sequence):
-            literals = []
-            for index, latch in enumerate(original.latches):
-                var = original_ts.latch_vars[index]
-                literals.append(var if record["latches"][latch.lit] else -var)
-            steps.append(TraceStep(state=Cube(literals), inputs=assignment))
+            literals = tuple([
+                var if value else -var
+                for var, value in zip(original_var, record["latches"].values())
+            ])
+            steps.append(
+                TraceStep(state=Cube._from_canonical(literals), inputs=assignment)
+            )
         return CounterexampleTrace(steps=steps)
 
     def lift_certificate(self, certificate: Certificate) -> Certificate:
@@ -275,12 +261,8 @@ class ReconstructionMap:
         Adds the constancy / equivalence facts the passes relied on, so
         the result is inductive on the original transition system.
         """
-        original_ts = self._ts(original=True)
-        reduced_ts = self._ts(original=False)
-        original_var = original_ts.latch_vars
-        latch_index_of_var = {
-            var: index for index, var in enumerate(reduced_ts.latch_vars)
-        }
+        original_var, reduced_var = self._latch_variables()
+        latch_index_of_var = {var: index for index, var in enumerate(reduced_var)}
 
         clauses: List[Clause] = []
         for index, fate in enumerate(self.latch_fates):

@@ -18,7 +18,7 @@ this by emitting one unit clause per swept latch (see
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, List, Sequence, Tuple
 
 from repro.aiger.aig import AIG, FALSE_LIT, TRUE_LIT
 from repro.reduce.base import (
@@ -31,8 +31,12 @@ from repro.reduce.base import (
     rebuild_aig,
 )
 
-# Ternary domain: True / False / None (= X, unknown).
-_X = None
+# Ternary values as 2-bit sets of the Boolean values a signal may take.
+_MAY_BE_0 = 1
+_MAY_BE_1 = 2
+_X = _MAY_BE_0 | _MAY_BE_1
+_NEGATED = (0, _MAY_BE_1, _MAY_BE_0, _X)
+"""Value set -> value set of the negated signal."""
 
 
 def ternary_constants(aig: AIG) -> Dict[int, bool]:
@@ -40,48 +44,48 @@ def ternary_constants(aig: AIG) -> Dict[int, bool]:
 
     Latches without a defined reset start at X and are never reported.
     """
-    state: Dict[int, Optional[bool]] = {
-        latch.lit: (bool(latch.init) if latch.init is not None else _X)
+    state = [
+        _X if latch.init is None else (_MAY_BE_1 if latch.init else _MAY_BE_0)
         for latch in aig.latches
-    }
+    ]
+    gates = aig.gate_columns()
     while True:
-        values = _evaluate_ternary(aig, state)
+        values = _evaluate_ternary(aig, state, gates)
         changed = False
-        for latch in aig.latches:
-            current = state[latch.lit]
-            if current is _X:
-                continue
-            if values[latch.next] != current:
-                state[latch.lit] = _X  # join toward X (monotone widening)
+        for index, latch in enumerate(aig.latches):
+            current = state[index]
+            if current != _X and values[latch.next] != current:
+                state[index] = _X  # join toward X (monotone widening)
                 changed = True
         if not changed:
             break
-    return {lit: value for lit, value in state.items() if value is not _X}
+    return {
+        latch.lit: value == _MAY_BE_1
+        for latch, value in zip(aig.latches, state)
+        if value != _X
+    }
 
 
 def _evaluate_ternary(
-    aig: AIG, latch_state: Dict[int, Optional[bool]]
-) -> Dict[int, Optional[bool]]:
-    """Three-valued evaluation of every literal for one time step."""
-    values: Dict[int, Optional[bool]] = {FALSE_LIT: False, TRUE_LIT: True}
+    aig: AIG, latch_state: Sequence[int], gates: Tuple[List[int], List[int], List[int]]
+) -> List[int]:
+    """Three-valued evaluation of one step into a list indexed by literal.
 
-    def set_both(lit: int, value: Optional[bool]) -> None:
-        values[lit] = value
-        values[lit ^ 1] = (not value) if value is not _X else _X
-
+    Inputs are X; ``latch_state`` follows latch order.  Both polarities of
+    every variable are stored.
+    """
+    values = [_MAY_BE_0, _MAY_BE_1] * (aig.max_var + 1)
     for lit in aig.inputs:
-        set_both(lit, _X)
-    for latch in aig.latches:
-        set_both(latch.lit, latch_state[latch.lit])
-    for gate in aig.ands:
-        a, b = values[gate.rhs0], values[gate.rhs1]
-        if a is False or b is False:
-            result: Optional[bool] = False
-        elif a is _X or b is _X:
-            result = _X
-        else:
-            result = True
-        set_both(gate.lhs, result)
+        values[lit] = values[lit ^ 1] = _X
+    for latch, value in zip(aig.latches, latch_state):
+        values[latch.lit] = value
+        values[latch.lit ^ 1] = _NEGATED[value]
+    for lhs, rhs0, rhs1 in zip(*gates):
+        a, b = values[rhs0], values[rhs1]
+        # 0 if either may be 0; 1 if both may be 1.
+        result = ((a | b) & _MAY_BE_0) | (a & b & _MAY_BE_1)
+        values[lhs] = result
+        values[lhs ^ 1] = _NEGATED[result]
     return values
 
 

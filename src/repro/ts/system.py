@@ -10,10 +10,13 @@ The encoding allocates one CNF variable per AIG input, latch and AND gate
 * unit clauses for invariant constraints (assumed every step);
 * a ``bad`` literal — the property is ``G !bad``.
 
-The variable maps, ``bad_lit`` and ``init_cube`` are built on
-construction; the clauses of T are encoded on the first read of
-:attr:`TransitionSystem.trans`, so callers that only need the variable
-numbering (witness lift-back, trace replay) never pay for them.
+Variables are numbered by list position (:func:`latch_variables`), so
+the variable maps, ``bad_lit`` and ``init_cube`` are built in one step
+on construction; the clauses of T are encoded on the first read of
+:attr:`TransitionSystem.trans`, so trace replay, which needs only the
+numbering, never pays for them.  Witness lift-back needs only the latch
+numbering and reads it from :func:`latch_variables` without building a
+:class:`TransitionSystem`.
 :meth:`TransitionSystem.cone_trans` encodes only the one-step cone of a
 set of latches, in the two parts the certificate checker loads.
 
@@ -92,6 +95,19 @@ class Cone:
         return itertools.chain(self.property, self.step)
 
 
+def latch_variables(aig: AIG) -> range:
+    """The solver variables of ``aig``'s latches, in latch order.
+
+    :class:`TransitionSystem` numbers variables by list position: 1 is the
+    constant TRUE, then come the inputs, the latches and the AND gates,
+    then the primed latches.  Witnesses speak this numbering, and callers
+    that only need it (witness lift-back) read it here without building
+    an encoding.
+    """
+    first = 2 + len(aig.inputs)
+    return range(first, first + len(aig.latches))
+
+
 class TransitionSystem:
     """Boolean transition system ⟨X, Y, I, T⟩ derived from an AIG."""
 
@@ -115,34 +131,39 @@ class TransitionSystem:
             )
         self._bad_aig_lit = bads[property_index]
 
-        self._next_solver_var = 0
-        self._current_of_aig_var: Dict[int, int] = {}
+        # The numbering of :func:`latch_variables`, built in one step: the
+        # lists are ascending, so model projections build cubes from them
+        # without sorting.
+        latch_vars = latch_variables(aig)
+        self._const_true = 1
+        self.input_vars: List[int] = list(range(2, latch_vars.start))
+        self.latch_vars: List[int] = list(latch_vars)
+        self._gate_vars: List[int] = list(
+            range(latch_vars.stop, latch_vars.stop + len(aig.ands))
+        )
+        aig_vars = [
+            *[lit >> 1 for lit in aig.inputs],
+            *[latch.lit >> 1 for latch in aig.latches],
+            *[gate.lhs >> 1 for gate in aig.ands],
+        ]
+        first_primed = 2 + len(aig_vars)
+        self._current_of_aig_var: Dict[int, int] = dict(zip(aig_vars, range(2, first_primed)))
+        if len(self._current_of_aig_var) != len(aig_vars):
+            raise EncodingError(
+                "the AIG's inputs, latches and AND gates do not define distinct variables"
+            )
 
-        # Constant TRUE variable (needed when the AIG uses literals 0/1).
-        self._const_true = self._fresh_var()
-
-        self.input_vars: List[int] = [self._map_aig_var(lit >> 1) for lit in aig.inputs]
-        self.latch_vars: List[int] = [self._map_aig_var(l.lit >> 1) for l in aig.latches]
-        self._gate_vars: List[int] = [self._map_aig_var(g.lhs >> 1) for g in aig.ands]
-
-        # Model projections build cubes straight from these lists, so
-        # their canonical (ascending) order is checked once, here.
-        for kind, variables in (("inputs", self.input_vars), ("latches", self.latch_vars)):
-            if any(a >= b for a, b in zip(variables, variables[1:])):
-                raise EncodingError(f"the AIG's {kind} do not define distinct variables")
-
-        self.primed_of: Dict[int, int] = {}
-        self.unprimed_of: Dict[int, int] = {}
-        for var in self.latch_vars:
-            primed = self._fresh_var()
-            self.primed_of[var] = primed
-            self.unprimed_of[primed] = var
-        self._primed_vars: List[int] = [self.primed_of[v] for v in self.latch_vars]
+        self._primed_vars: List[int] = list(
+            range(first_primed, first_primed + len(self.latch_vars))
+        )
+        self._num_vars = first_primed - 1 + len(self._primed_vars)
+        self.primed_of: Dict[int, int] = dict(zip(self.latch_vars, self._primed_vars))
+        self.unprimed_of: Dict[int, int] = dict(zip(self._primed_vars, self.latch_vars))
         # Signed latch literal -> signed primed literal (both polarities).
-        self._primed_lit: Dict[int, int] = {}
-        for var, primed in self.primed_of.items():
-            self._primed_lit[var] = primed
-            self._primed_lit[-var] = -primed
+        self._primed_lit: Dict[int, int] = {
+            **self.primed_of,
+            **{-var: -primed for var, primed in self.primed_of.items()},
+        }
 
         self.bad_lit = self.to_solver_lit(self._bad_aig_lit)
         self.init_cube = self._build_init_cube()
@@ -153,22 +174,10 @@ class TransitionSystem:
     # ------------------------------------------------------------------
     # Variable bookkeeping
     # ------------------------------------------------------------------
-    def _fresh_var(self) -> int:
-        self._next_solver_var += 1
-        return self._next_solver_var
-
-    def _map_aig_var(self, aig_var: int) -> int:
-        existing = self._current_of_aig_var.get(aig_var)
-        if existing is not None:
-            return existing
-        var = self._fresh_var()
-        self._current_of_aig_var[aig_var] = var
-        return var
-
     @property
     def num_vars(self) -> int:
         """Number of solver variables allocated by the encoding."""
-        return self._next_solver_var
+        return self._num_vars
 
     @property
     def state_variables(self) -> List[int]:

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.aiger import AIG, AigerError, FALSE_LIT, TRUE_LIT
+from repro.aiger import AIG, AigerError, FALSE_LIT, TRUE_LIT, parse_aiger
 
 
 class TestConstruction:
@@ -253,3 +253,38 @@ class TestSimulation:
         inp = aig.add_input()
         aig.add_output(inp)
         assert aig.simulate([{}])[0]["outputs"][0] is False
+
+
+class TestDuplicateDefinitions:
+    """An ASCII model may not define one variable twice."""
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("aag 1 1 1 1 0\n2\n2 3\n2\n", "latch literal 2 defines variable 1 a second time"),
+            ("aag 2 2 0 1 0\n2\n2\n2\n", "input literal 2 defines variable 1 a second time"),
+            ("aag 1 0 2 1 0\n2 3\n2 2\n2\n", "latch literal 2 defines variable 1 a second time"),
+            ("aag 3 2 0 1 2\n2\n4\n6\n6 2 4\n6 3 5\n", "AND output literal 6 defines variable 3"),
+            ("aag 2 1 0 1 1\n2\n2\n2 0 1\n", "AND output literal 2 defines variable 1"),
+            ("aag 2 1 1 1 1\n2\n4 2\n4\n4 2 3\n", "AND output literal 4 defines variable 2"),
+            ("aag 1 0 1 1 0\n0 1\n0\n", "latch literal 0 defines variable 0"),
+        ],
+        ids=[
+            "input and latch",
+            "two inputs",
+            "two latches",
+            "two ANDs",
+            "input and AND",
+            "latch and AND",
+            "latch and the constant",
+        ],
+    )
+    def test_second_definition_rejected(self, text, message):
+        with pytest.raises(AigerError, match=message):
+            parse_aiger(text)
+
+    def test_interleaved_distinct_definitions_accepted(self):
+        aig = parse_aiger("aag 5 2 1 0 2 1\n4\n6\n2 8\n10\n8 6 4\n10 8 2\n")
+        assert aig.inputs == [4, 6]
+        assert [latch.lit for latch in aig.latches] == [2]
+        aig.validate()

@@ -229,7 +229,23 @@ class TestReduceCommand:
         assert "total" in capsys.readouterr().out
 
 
-UNREADABLE_MODELS = ["missing", "directory", "malformed", "not aiger", "truncated binary", "empty"]
+UNREADABLE_MODELS = [
+    "missing",
+    "directory",
+    "malformed",
+    "not aiger",
+    "truncated binary",
+    "empty",
+    "input and latch share a variable",
+    "two ANDs define one variable",
+]
+
+
+# Variable 1 is both an input and a latch; without the check, ic3-pl
+# reported a depth-1 counterexample for it.
+INPUT_AND_LATCH = "aag 1 1 1 1 0\n2\n2 3\n2\n"
+# Two AND gates define variable 3 (bad = 6 = x & y, and again ¬x & ¬y).
+TWO_ANDS = "aag 3 2 0 0 2 1\n2\n4\n6\n6 2 4\n6 3 5\n"
 
 
 def _unreadable_model(problem, tmp_path):
@@ -237,6 +253,8 @@ def _unreadable_model(problem, tmp_path):
     (tmp_path / "text.aag").write_bytes(b"\xff\xfe not a model")
     (tmp_path / "truncated.aig").write_bytes(b"aig 5 1 1 0 1\n")
     (tmp_path / "empty.aag").write_bytes(b"")
+    (tmp_path / "input-latch.aag").write_text(INPUT_AND_LATCH)
+    (tmp_path / "two-ands.aag").write_text(TWO_ANDS)
     return str(
         {
             "missing": tmp_path / "missing.aag",
@@ -245,6 +263,8 @@ def _unreadable_model(problem, tmp_path):
             "not aiger": tmp_path / "text.aag",
             "truncated binary": tmp_path / "truncated.aig",
             "empty": tmp_path / "empty.aag",
+            "input and latch share a variable": tmp_path / "input-latch.aag",
+            "two ANDs define one variable": tmp_path / "two-ands.aag",
         }[problem]
     )
 
@@ -271,6 +291,22 @@ class TestModelReadErrors:
         single = capsys.readouterr().out
         assert main(["check", path] + flags) == 2
         assert capsys.readouterr().out == single
+
+    @pytest.mark.parametrize(
+        "text, literal",
+        [(INPUT_AND_LATCH, "latch literal 2"), (TWO_ANDS, "AND output literal 6")],
+        ids=["input and latch", "two ANDs"],
+    )
+    @pytest.mark.parametrize("engine", ["ic3", "ic3-pl", "bmc"])
+    def test_variable_defined_twice_names_the_literal(
+        self, text, literal, engine, tmp_path, capsys
+    ):
+        path = tmp_path / "twice.aag"
+        path.write_text(text)
+        assert main(["check", str(path), "--engine", engine]) == 2
+        out = capsys.readouterr().out
+        assert out.startswith(f"error: cannot read model {str(path)!r}: {literal} ")
+        assert "a second time" in out
 
 
 def _child_env():

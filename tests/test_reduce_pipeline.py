@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.aiger import AIG
+from repro.aiger import AIG, parse_aiger
 from repro.benchgen import (
     default_suite,
     monitored_counter,
@@ -21,6 +21,7 @@ from repro.reduce import (
     register_pass,
     resolve_pass,
 )
+from repro.ts.system import TransitionSystem, latch_variables
 
 
 class TestRegistry:
@@ -154,6 +155,73 @@ class TestWitnessLiftBack:
         assert lifted.result == outcome.result
         assert lifted.stats is outcome.stats
         assert lifted.trace is not outcome.trace
+
+
+# Latch variable 1 sits below both input variables 2 and 3; bad is
+# latch ∧ x ∧ y, reached in one step.
+INTERLEAVED_AAG = "aag 5 2 1 0 2 1\n4\n6\n2 8\n10\n8 6 4\n10 8 2\n"
+
+
+def _latch_first_aig():
+    """A builder AIG that creates latches before and between inputs."""
+    aig = AIG()
+    first = aig.add_latch(init=0)
+    enable = aig.add_input()
+    second = aig.add_latch(init=None)
+    noise = aig.add_input()
+    aig.set_latch_next(first, aig.xor_gate(first, enable))
+    aig.set_latch_next(second, noise)
+    aig.add_bad(aig.add_and(first, enable))
+    return aig
+
+
+class TestLiftBackNumbering:
+    """Lift-back reads the variable numbering without encoding a model."""
+
+    @pytest.mark.parametrize("safe", [True, False], ids=["certificate", "trace"])
+    def test_lift_outcome_builds_no_transition_system(self, safe, monkeypatch):
+        case = monitored_counter(3, noise=6, copies=2, safe=safe)
+        result = reduce_aig(case.aig)
+        outcome = IC3(result.aig, property_index=result.property_index).check(
+            time_limit=60
+        )
+        assert outcome.result == (CheckResult.SAFE if safe else CheckResult.UNSAFE)
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("lift-back built a TransitionSystem")
+
+        monkeypatch.setattr(TransitionSystem, "__init__", refuse)
+        lifted = result.lift_outcome(outcome)
+        monkeypatch.undo()
+
+        if safe:
+            assert check_certificate(case.aig, lifted.certificate)
+        else:
+            assert check_counterexample(case.aig, lifted.trace)
+            assert lifted.trace.depth == outcome.trace.depth
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: parse_aiger(INTERLEAVED_AAG), _latch_first_aig],
+        ids=["aag latch below inputs", "builder latch before input"],
+    )
+    def test_numbering_matches_transition_system(self, build):
+        aig = build()
+        ts = TransitionSystem(aig)
+        assert list(latch_variables(aig)) == ts.latch_vars
+        assert ts.latch_vars == [ts.to_solver_lit(latch.lit) for latch in aig.latches]
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: parse_aiger(INTERLEAVED_AAG), _latch_first_aig],
+        ids=["aag latch below inputs", "builder latch before input"],
+    )
+    @pytest.mark.parametrize("engine", ["ic3", "bmc"])
+    def test_lifted_trace_checks_on_interleaved_numbering(self, build, engine):
+        aig = build()
+        outcome = create_engine(engine, aig).check()
+        assert outcome.result == CheckResult.UNSAFE
+        assert check_counterexample(aig, outcome.trace)
 
 
 class TestEngineIntegration:

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.aiger import AIG
+from repro.aiger.aig import AndGate
 from repro.benchgen import token_ring, fifo_controller, modular_counter, monitored_counter
 from repro.core import CheckResult, check_certificate, check_counterexample
 from repro.engines import create_engine
@@ -255,6 +256,14 @@ class TestModelProjection:
     def test_duplicate_latch_variable_rejected(self):
         aig = token_ring(3).aig
         aig.latches.append(aig.latches[0])
+        with pytest.raises(EncodingError, match="distinct variables"):
+            TransitionSystem(aig)
+
+    @pytest.mark.parametrize("kind", ["input", "latch", "and"])
+    def test_and_gate_redefining_a_variable_rejected(self, kind):
+        aig, enable, latch = _toggle_system()
+        lhs = {"input": enable, "latch": latch, "and": aig.ands[0].lhs}[kind]
+        aig.ands.append(AndGate(lhs=lhs, rhs0=0, rhs1=0))
         with pytest.raises(EncodingError, match="distinct variables"):
             TransitionSystem(aig)
 
