@@ -321,13 +321,21 @@ class AIG:
                 raise AigerError(f"latch literal {latch.lit} must be positive")
             seen_vars.add(latch.lit >> 1)
         for gate in self.ands:
-            if gate.lhs & 1:
-                raise AigerError(f"AND literal {gate.lhs} must be positive")
-            if gate.lhs <= gate.rhs0 or gate.lhs <= gate.rhs1:
+            lhs, rhs0, rhs1 = gate.lhs, gate.rhs0, gate.rhs1
+            if lhs & 1:
+                raise AigerError(f"AND literal {lhs} must be positive")
+            if lhs <= rhs0 or lhs <= rhs1:
                 raise AigerError(
-                    f"AND gate {gate.lhs} is not in topological order"
+                    f"AND gate {lhs} is not in topological order"
                 )
-            seen_vars.add(gate.lhs >> 1)
+            # Evaluators read the gates front to back, so an operand must
+            # be defined by an input, a latch or an earlier gate.
+            if (rhs0 >> 1) not in seen_vars or (rhs1 >> 1) not in seen_vars:
+                rhs = rhs0 if (rhs0 >> 1) not in seen_vars else rhs1
+                raise AigerError(
+                    f"AND gate {lhs} reads literal {rhs} before it is defined"
+                )
+            seen_vars.add(lhs >> 1)
         justice_lits = [lit for group in self.justice for lit in group]
         for lit in self.outputs + self.bads + self.constraints + justice_lits + self.fairness + [
             latch.next for latch in self.latches
@@ -405,7 +413,8 @@ class AIG:
         """Evaluate one step into a list indexed by literal.
 
         Both polarities of every variable are stored; ``latch_values``
-        follows latch order.  A variable nothing defines reads as False.
+        follows latch order.  The gates are read in list order, which
+        :meth:`validate` checks is topological.
         """
         values = [False, True] * (self._max_var + 1)
         for lit in self.inputs:

@@ -228,6 +228,10 @@ def _parse_ascii(text: str) -> AIG:
         rhs1 = _parse_lit(fields[2], max_var, "AND operand literal")
         define(lhs, "AND output literal")
         aig.ands.append(AndGate(lhs=lhs, rhs0=rhs0, rhs1=rhs1))
+    # The ASCII format lists AND gates in any order.  Every gate's output
+    # exceeds its operands (``AIG.validate``), so ascending outputs are a
+    # topological order: evaluators read the gates front to back.
+    aig.ands.sort(key=lambda gate: gate.lhs)
 
     _parse_symbols_and_comment(aig, lines[cursor:])
     return aig

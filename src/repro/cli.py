@@ -511,7 +511,9 @@ def _command_check(args: argparse.Namespace) -> int:
 def _read_model(path: str):
     """Read an AIGER model; an unreadable or malformed file is a usage error."""
     try:
-        return read_aiger(path)
+        aig = read_aiger(path)
+        aig.validate()
+        return aig
     except (OSError, AigerError, UnicodeDecodeError) as error:
         raise UsageError(f"cannot read model {path!r}: {error}") from None
 

@@ -242,13 +242,16 @@ class ReconstructionMap:
 
         # 3. Re-simulate the original circuit; the records are full,
         # consistent-by-construction states.  The latch variables ascend,
-        # so each cube is built in canonical order.
+        # so each cube is built in canonical order.  Values are looked up
+        # by latch literal, one per latch, so the cube covers every latch
+        # even where the record's dictionary does not.
         records = original.simulate(input_sequence, initial_latches=initial)
+        latch_lits = [latch.lit for latch in original.latches]
         steps = []
         for record, assignment in zip(records, input_sequence):
+            values = map(record["latches"].__getitem__, latch_lits)
             literals = tuple([
-                var if value else -var
-                for var, value in zip(original_var, record["latches"].values())
+                var if value else -var for var, value in zip(original_var, values)
             ])
             steps.append(
                 TraceStep(state=Cube._from_canonical(literals), inputs=assignment)

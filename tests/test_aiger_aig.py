@@ -288,3 +288,34 @@ class TestDuplicateDefinitions:
         assert aig.inputs == [4, 6]
         assert [latch.lit for latch in aig.latches] == [2]
         aig.validate()
+
+
+# bad = ¬x ∧ x (gate 6 reads gate 4, listed after it): constantly 0.
+AND_LINES_OUT_OF_ORDER = "aag 3 1 0 0 2 1\n2\n6\n6 5 2\n4 2 2\n"
+
+
+class TestAndGateOrder:
+    """Evaluators read the AND gates front to back, so the list must be
+    topologically ordered."""
+
+    def test_ascii_and_lines_in_any_order_are_sorted(self):
+        aig = parse_aiger(AND_LINES_OUT_OF_ORDER)
+        assert [gate.lhs for gate in aig.ands] == [4, 6]
+        aig.validate()
+        records = aig.simulate([{2: False}, {2: True}])
+        assert [record["bads"] for record in records] == [[False], [False]]
+
+    def test_gate_read_before_its_definition_rejected(self):
+        aig = AIG()
+        x, y, z = aig.add_input(), aig.add_input(), aig.add_input()
+        first = aig.add_and(x, y)
+        second = aig.add_and(aig.negate(first), z)
+        aig.add_bad(second)
+        aig.ands.reverse()
+        with pytest.raises(AigerError, match=f"AND gate {second} reads literal {first ^ 1} "):
+            aig.validate()
+
+    def test_gate_reading_an_undefined_variable_rejected(self):
+        aig = parse_aiger("aag 3 1 0 0 1 1\n2\n6\n6 5 2\n")
+        with pytest.raises(AigerError, match="AND gate 6 reads literal 5 before it is defined"):
+            aig.validate()

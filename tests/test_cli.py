@@ -238,6 +238,7 @@ UNREADABLE_MODELS = [
     "empty",
     "input and latch share a variable",
     "two ANDs define one variable",
+    "AND reads an undefined variable",
 ]
 
 
@@ -246,6 +247,10 @@ UNREADABLE_MODELS = [
 INPUT_AND_LATCH = "aag 1 1 1 1 0\n2\n2 3\n2\n"
 # Two AND gates define variable 3 (bad = 6 = x & y, and again ¬x & ¬y).
 TWO_ANDS = "aag 3 2 0 0 2 1\n2\n4\n6\n6 2 4\n6 3 5\n"
+# Gate 6 reads variable 2, which nothing defines.
+UNDEFINED_OPERAND = "aag 3 1 0 0 1 1\n2\n6\n6 5 2\n"
+# bad = ¬x ∧ x, with the gate that reads the other listed first: SAFE.
+AND_LINES_OUT_OF_ORDER = "aag 3 1 0 0 2 1\n2\n6\n6 5 2\n4 2 2\n"
 
 
 def _unreadable_model(problem, tmp_path):
@@ -255,6 +260,7 @@ def _unreadable_model(problem, tmp_path):
     (tmp_path / "empty.aag").write_bytes(b"")
     (tmp_path / "input-latch.aag").write_text(INPUT_AND_LATCH)
     (tmp_path / "two-ands.aag").write_text(TWO_ANDS)
+    (tmp_path / "undefined.aag").write_text(UNDEFINED_OPERAND)
     return str(
         {
             "missing": tmp_path / "missing.aag",
@@ -265,6 +271,7 @@ def _unreadable_model(problem, tmp_path):
             "empty": tmp_path / "empty.aag",
             "input and latch share a variable": tmp_path / "input-latch.aag",
             "two ANDs define one variable": tmp_path / "two-ands.aag",
+            "AND reads an undefined variable": tmp_path / "undefined.aag",
         }[problem]
     )
 
@@ -307,6 +314,24 @@ class TestModelReadErrors:
         out = capsys.readouterr().out
         assert out.startswith(f"error: cannot read model {str(path)!r}: {literal} ")
         assert "a second time" in out
+
+    @pytest.mark.parametrize(
+        "engine, exit_code, verdict",
+        [
+            ("ic3", 0, "safe"),
+            ("ic3-pl", 0, "safe"),
+            ("kind", 0, "safe"),
+            ("portfolio", 0, "safe"),
+            ("bmc", 2, "unknown"),
+        ],
+    )
+    def test_and_lines_out_of_order_are_read_in_order(
+        self, engine, exit_code, verdict, tmp_path, capsys
+    ):
+        path = tmp_path / "order.aag"
+        path.write_text(AND_LINES_OUT_OF_ORDER)
+        assert main(["check", str(path), "--engine", engine]) == exit_code
+        assert f": {verdict}, " in capsys.readouterr().out
 
 
 def _child_env():

@@ -114,8 +114,8 @@ def _reference_ternary(aig, latch_state):
 @st.composite
 def random_aigs(draw):
     """A valid AIG whose inputs, latches and ANDs take variables in any
-    order, with undefined resets, constraints, justice and fairness, and
-    sometimes an unused variable index."""
+    order, with AND lines in any order, undefined resets, constraints,
+    justice and fairness, and sometimes an unused variable index."""
     kinds = draw(
         st.lists(
             st.sampled_from(["input", "latch", "latch", "and", "and", "and", "unused"]),
@@ -161,7 +161,8 @@ def random_aigs(draw):
         *[str(len(group)) for group in justice],
         *[str(lit) for group in justice for lit in group],
         *map(str, fairness),
-        *[f"{lhs} {a} {b}" for lhs, a, b in gates],
+        # The ASCII format lists AND gates in any order.
+        *[f"{lhs} {a} {b}" for lhs, a, b in draw(st.permutations(gates))],
     ]
     aig = parse_aiger("\n".join(lines) + "\n")
     aig.validate()

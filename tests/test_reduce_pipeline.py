@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.aiger import AIG, parse_aiger
+from repro.aiger import AIG, AigerError, parse_aiger
 from repro.benchgen import (
     default_suite,
     monitored_counter,
@@ -10,7 +10,9 @@ from repro.benchgen import (
     shadowed_ring,
 )
 from repro.core import IC3, BMC, CheckResult, IC3Options
-from repro.core.invariant import check_certificate, check_counterexample
+from repro.logic import Cube
+from repro.core.invariant import CertificateError, check_certificate, check_counterexample
+from repro.core.result import CounterexampleTrace, TraceStep
 from repro.engines import create_engine
 from repro.reduce import (
     DEFAULT_PASSES,
@@ -222,6 +224,38 @@ class TestLiftBackNumbering:
         outcome = create_engine(engine, aig).check()
         assert outcome.result == CheckResult.UNSAFE
         assert check_counterexample(aig, outcome.trace)
+
+
+# bad = ¬x ∧ x, with the gate that reads the other listed first.
+AND_LINES_OUT_OF_ORDER = "aag 3 1 0 0 2 1\n2\n6\n6 5 2\n4 2 2\n"
+
+
+class TestAndLinesOutOfOrder:
+    """Reduction, IC3 and the checker read AND gates front to back; an
+    ASCII model may list them in any order."""
+
+    def test_reduced_model_is_safe(self):
+        result = reduce_aig(parse_aiger(AND_LINES_OUT_OF_ORDER))
+        outcome = IC3(result.aig, property_index=result.property_index).check(
+            time_limit=60
+        )
+        assert outcome.result == CheckResult.SAFE
+        aig = parse_aiger(AND_LINES_OUT_OF_ORDER)
+        assert check_certificate(aig, result.lift_outcome(outcome).certificate)
+
+    @pytest.mark.parametrize("x", [False, True])
+    def test_checker_rejects_a_depth_0_trace(self, x):
+        aig = parse_aiger(AND_LINES_OUT_OF_ORDER)
+        trace = CounterexampleTrace(steps=[TraceStep(state=Cube([]), inputs={2: x})])
+        with pytest.raises(CertificateError, match="bad"):
+            check_counterexample(aig, trace)
+
+    def test_checker_refuses_a_gate_list_out_of_order(self):
+        aig = parse_aiger(AND_LINES_OUT_OF_ORDER)
+        aig.ands.reverse()
+        trace = CounterexampleTrace(steps=[TraceStep(state=Cube([]), inputs={2: True})])
+        with pytest.raises(AigerError, match="before it is defined"):
+            check_counterexample(aig, trace)
 
 
 class TestEngineIntegration:
