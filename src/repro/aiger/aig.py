@@ -156,8 +156,10 @@ class AIG:
 
     def add_and(self, a: int, b: int) -> int:
         """Return a literal for ``a & b`` (folded / structurally hashed)."""
-        self._check_lit(a)
-        self._check_lit(b)
+        max_var = self._max_var
+        if a < 0 or b < 0 or (a >> 1) > max_var or (b >> 1) > max_var:
+            self._check_lit(a)
+            self._check_lit(b)
         # Constant folding.
         if a == FALSE_LIT or b == FALSE_LIT or a == (b ^ 1):
             return FALSE_LIT

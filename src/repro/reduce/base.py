@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 from repro.aiger.aig import AIG, FALSE_LIT, TRUE_LIT
 
@@ -142,6 +142,59 @@ def no_properties_message(aig: AIG) -> str:
 
 
 @dataclass
+class FaninCone:
+    """One walk of a model's fan-in from a set of root literals."""
+
+    variables: Set[int]
+    """Every variable reached, the constant excluded."""
+
+    gates: List[int]
+    """Positions in ``ands`` of the AND gates reached, in list order."""
+
+    latches: List[int]
+    """Positions in ``latches`` of the latches reached, in list order."""
+
+
+def fanin_cone(
+    source: AIG, roots: Iterable[int], *, through_latches: bool = False
+) -> FaninCone:
+    """Walk the fan-in of the ``roots`` literals of ``source``.
+
+    The walk follows AND gates to their operands.  With
+    ``through_latches`` it also follows every reached latch to its
+    next-state function, which closes the cone over time (the cone of
+    influence); otherwise latches are leaves.
+    """
+    ands = source.ands
+    gate_at = {gate.lhs >> 1: index for index, gate in enumerate(ands)}
+    latch_at = {latch.lit >> 1: index for index, latch in enumerate(source.latches)}
+    reached: Set[int] = set()
+    gates: List[int] = []
+    latches: List[int] = []
+    pending = [lit >> 1 for lit in roots]
+    while pending:
+        var = pending.pop()
+        if var in reached or var == 0:
+            continue
+        reached.add(var)
+        index = gate_at.get(var)
+        if index is not None:
+            gates.append(index)
+            gate = ands[index]
+            pending.append(gate.rhs0 >> 1)
+            pending.append(gate.rhs1 >> 1)
+            continue
+        index = latch_at.get(var)
+        if index is not None:
+            latches.append(index)
+            if through_latches:
+                pending.append(source.latches[index].next >> 1)
+    gates.sort()
+    latches.sort()
+    return FaninCone(variables=reached, gates=gates, latches=latches)
+
+
+@dataclass
 class RebuildResult:
     """Output of :func:`rebuild_aig`."""
 
@@ -159,6 +212,7 @@ def rebuild_aig(
     replace: Optional[Dict[int, int]] = None,
     property_index: int = 0,
     only_property: bool = False,
+    cone: Optional[FaninCone] = None,
 ) -> RebuildResult:
     """Rebuild ``source`` through the structural-hashing builder.
 
@@ -171,6 +225,10 @@ def rebuild_aig(
     literal, so dead logic disappears on every rebuild.  With
     ``only_property`` the output declares a single bad literal (the
     selected property, at index 0); otherwise all properties are kept.
+
+    ``cone`` hands over a walk the caller already made (the cone of
+    influence pass does): its gates must be exactly those the rebuild
+    emits feed on.  Without it, the rebuild walks from what it emits.
     """
     replace = dict(replace or {})
     bads = selected_bads(source)
@@ -184,18 +242,18 @@ def rebuild_aig(
     new = AIG(comment=source.comment)
     new_lit_of: Dict[int, int] = {FALSE_LIT: FALSE_LIT, TRUE_LIT: TRUE_LIT}
 
+    # Kept elements are visited by index, in list order, so a small keep
+    # set costs no scan of a wide model.
     input_map: List[Optional[int]] = [None] * source.num_inputs
-    for index, lit in enumerate(source.inputs):
-        if keep_inputs is not None and index not in keep_inputs:
-            continue
+    for index in _kept_indices(source.num_inputs, keep_inputs):
+        lit = source.inputs[index]
         input_map[index] = new.num_inputs
         new_lit_of[lit] = new.add_input(source.input_name(lit))
 
     latch_map: List[Optional[int]] = [None] * source.num_latches
     kept_latches = []
-    for index, latch in enumerate(source.latches):
-        if keep_latches is not None and index not in keep_latches:
-            continue
+    for index in _kept_indices(source.num_latches, keep_latches):
+        latch = source.latches[index]
         if latch.lit in replace:
             continue
         latch_map[index] = new.num_latches
@@ -203,23 +261,31 @@ def rebuild_aig(
         kept_latches.append(latch)
 
     # Only gates in the fan-in cone of something we emit are materialized.
-    needed = _needed_gates(source, kept_latches, emitted_bads, replace)
+    if cone is None:
+        roots = [latch.next for latch in kept_latches]
+        roots += source.constraints
+        roots += emitted_bads
+        roots += replace.values()
+        cone = fanin_cone(source, roots)
 
     def map_lit(lit: int) -> int:
+        # Replaced latches are never in ``new_lit_of``, so the common case,
+        # an element already rebuilt, needs one lookup.
         base = lit & ~1
+        mapped = new_lit_of.get(base)
+        if mapped is not None:
+            return mapped ^ (lit & 1)
         target = replace.get(base)
         if target is not None:
             return map_lit(target ^ (lit & 1))
-        mapped = new_lit_of.get(base)
-        if mapped is None:
-            # A dropped element can only be referenced from logic that
-            # cannot influence the property; any constant is sound.
-            return FALSE_LIT ^ (lit & 1)
-        return mapped ^ (lit & 1)
+        # A dropped element can only be referenced from logic that cannot
+        # influence the property; any constant is sound.
+        return FALSE_LIT ^ (lit & 1)
 
-    for gate in source.ands:
-        if gate.lhs in needed:
-            new_lit_of[gate.lhs] = new.add_and(map_lit(gate.rhs0), map_lit(gate.rhs1))
+    ands = source.ands
+    for index in cone.gates:
+        gate = ands[index]
+        new_lit_of[gate.lhs] = new.add_and(map_lit(gate.rhs0), map_lit(gate.rhs1))
 
     for latch in kept_latches:
         new.set_latch_next(new_lit_of[latch.lit], map_lit(latch.next))
@@ -236,30 +302,11 @@ def rebuild_aig(
     )
 
 
-def _needed_gates(
-    source: AIG,
-    kept_latches: Sequence,
-    emitted_bads: Sequence[int],
-    replace: Dict[int, int],
-) -> Set[int]:
-    """Positive literals of AND gates feeding anything the rebuild emits."""
-    gate_by_lhs = {gate.lhs: gate for gate in source.ands}
-    roots = [latch.next for latch in kept_latches]
-    roots += list(source.constraints) + list(emitted_bads)
-    roots += [target for target in replace.values()]
-    needed: Set[int] = set()
-    pending = [lit & ~1 for lit in roots]
-    while pending:
-        base = pending.pop()
-        if base in needed:
-            continue
-        gate = gate_by_lhs.get(base)
-        if gate is None:
-            continue
-        needed.add(base)
-        pending.append(gate.rhs0 & ~1)
-        pending.append(gate.rhs1 & ~1)
-    return needed
+def _kept_indices(count: int, keep: Optional[Set[int]]) -> Sequence[int]:
+    """The indices below ``count`` that ``keep`` names (all when None), ascending."""
+    if keep is None:
+        return range(count)
+    return sorted(index for index in keep if 0 <= index < count)
 
 
 def make_info(pass_name: str, before: AIG, after: AIG, **details: int) -> ReductionInfo:

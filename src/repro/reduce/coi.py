@@ -14,15 +14,17 @@ module now delegates here and only keeps its original one-shot API.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+from typing import Set
 
-from repro.aiger.aig import AIG, AndGate, Latch
+from repro.aiger.aig import AIG
 from repro.reduce.base import (
     FREE,
     KEPT,
+    FaninCone,
     LatchFate,
     PassResult,
     ReductionPass,
+    fanin_cone,
     make_info,
     no_properties_message,
     rebuild_aig,
@@ -37,33 +39,28 @@ def coi_variables(aig: AIG, property_index: int = 0) -> Set[int]:
     next-state functions; invariant constraints are always included because
     they restrict every behaviour of the circuit.
     """
+    return _property_cone(aig, property_index).variables
+
+
+def _property_cone(aig: AIG, property_index: int = 0) -> FaninCone:
+    """The property's cone of influence, from one walk of its fan-in.
+
+    Its gate positions are exactly the gates a rebuild that keeps the
+    cone's latches must materialize, so :class:`ConeOfInfluencePass`
+    hands the walk on to :func:`~repro.reduce.base.rebuild_aig`.
+    """
     aig.validate()
     bads = selected_bads(aig)
     if not bads:
         raise ValueError(no_properties_message(aig))
     if not 0 <= property_index < len(bads):
         raise ValueError(f"property index {property_index} out of range")
-
-    gate_by_var: Dict[int, AndGate] = {gate.lhs >> 1: gate for gate in aig.ands}
-    latch_by_var: Dict[int, Latch] = {latch.lit >> 1: latch for latch in aig.latches}
-
     roots = [bads[property_index]] + list(aig.constraints)
-    pending: List[int] = [lit >> 1 for lit in roots if lit > 1]
-    reached: Set[int] = set()
-    while pending:
-        var = pending.pop()
-        if var in reached or var == 0:
-            continue
-        reached.add(var)
-        gate = gate_by_var.get(var)
-        if gate is not None:
-            pending.append(gate.rhs0 >> 1)
-            pending.append(gate.rhs1 >> 1)
-            continue
-        latch = latch_by_var.get(var)
-        if latch is not None:
-            pending.append(latch.next >> 1)
-    return reached
+    return fanin_cone(aig, roots, through_latches=True)
+
+
+_OUTSIDE_CONE = LatchFate(kind=FREE)
+"""The fate of every latch outside the cone (fates are frozen, so one serves all)."""
 
 
 class ConeOfInfluencePass(ReductionPass):
@@ -77,33 +74,26 @@ class ConeOfInfluencePass(ReductionPass):
     name = "coi"
 
     def run(self, aig: AIG, property_index: int = 0) -> PassResult:
-        cone = coi_variables(aig, property_index)
+        cone = _property_cone(aig, property_index)
         keep_inputs = {
-            index for index, lit in enumerate(aig.inputs) if (lit >> 1) in cone
-        }
-        keep_latches = {
-            index
-            for index, latch in enumerate(aig.latches)
-            if (latch.lit >> 1) in cone
+            index for index, lit in enumerate(aig.inputs) if (lit >> 1) in cone.variables
         }
         rebuilt = rebuild_aig(
             aig,
             keep_inputs=keep_inputs,
-            keep_latches=keep_latches,
+            keep_latches=set(cone.latches),
             property_index=property_index,
             only_property=True,
+            cone=cone,
         )
-        fates = [
-            LatchFate(kind=KEPT, new_index=rebuilt.latch_map[index])
-            if rebuilt.latch_map[index] is not None
-            else LatchFate(kind=FREE)
-            for index in range(aig.num_latches)
-        ]
+        fates = [_OUTSIDE_CONE] * aig.num_latches
+        for index in cone.latches:
+            fates[index] = LatchFate(kind=KEPT, new_index=rebuilt.latch_map[index])
         info = make_info(
             self.name,
             aig,
             rebuilt.aig,
-            removed_latches=aig.num_latches - len(keep_latches),
+            removed_latches=aig.num_latches - len(cone.latches),
             removed_inputs=aig.num_inputs - len(keep_inputs),
         )
         return PassResult(

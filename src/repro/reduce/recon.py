@@ -66,6 +66,10 @@ class _FinalFate:
     negated: bool = False
 
 
+_FREE = _FinalFate(kind=FREE)
+"""The final fate of every latch some pass found outside the cone."""
+
+
 class ReconstructionMap:
     """Maps witnesses on the reduced model back to the original model."""
 
@@ -124,14 +128,14 @@ class ReconstructionMap:
             """Final fate of latch ``index`` of stage ``stage``'s input model."""
             if stage == len(results):
                 return _FinalFate(kind=KEPT, reduced_index=index)
+            fate: LatchFate = results[stage].latch_fates[index]
+            if fate.kind == FREE:
+                return _FREE
             key = (stage, index)
             cached = memo.get(key)
             if cached is not None:
                 return cached
-            fate: LatchFate = results[stage].latch_fates[index]
-            if fate.kind == FREE:
-                final = _FinalFate(kind=FREE)
-            elif fate.kind == CONST:
+            if fate.kind == CONST:
                 final = _FinalFate(kind=CONST, value=fate.value)
             elif fate.kind == KEPT:
                 final = resolve(stage + 1, fate.new_index)
@@ -167,12 +171,17 @@ class ReconstructionMap:
 
         resolved_fates = [resolve(0, index) for index in range(original.num_latches)]
 
-        input_origin = []
-        for reduced_input_index in range(reduced.num_inputs):
-            index = reduced_input_index
-            for result in reversed(results):
-                index = result.input_map.index(index)
-            input_origin.append(index)
+        # Compose the input maps front to back: each pass's map is read
+        # once, as a reverse map from its output inputs to its input inputs.
+        input_origin: List[Optional[int]] = list(range(original.num_inputs))
+        for result in results:
+            stage_origin: List[Optional[int]] = [None] * result.aig.num_inputs
+            for index, new_index in enumerate(result.input_map):
+                if new_index is not None and stage_origin[new_index] is None:
+                    stage_origin[new_index] = input_origin[index]
+            input_origin = stage_origin
+        if None in input_origin:
+            raise ReductionError("a reduced input has no original counterpart")
 
         return cls(
             original=original,

@@ -142,6 +142,34 @@ class TestTernaryConstantPass:
         assert result.latch_fates[1].kind == KEPT
         assert result.info.details["constant_latches"] == 1
 
+    @staticmethod
+    def _shift_chain(length):
+        """Latches reset to 0, each loading ``previous & enable``.
+
+        The X of the free input reaches one more latch per fixpoint round,
+        so the fixpoint takes ``length`` rounds over ``length`` gates.
+        """
+        aig = AIG()
+        data, enable = aig.add_input(), aig.add_input()
+        previous = data
+        for _ in range(length):
+            latch = aig.add_latch(init=0)
+            aig.set_latch_next(latch, aig.add_and(previous, enable))
+            previous = latch
+        aig.add_bad(previous)
+        return aig
+
+    def test_fixpoint_work_grows_linearly(self):
+        from repro.reduce.ternary import _ternary_fixpoint
+
+        work = {}
+        for length in (100, 200):
+            chain = self._shift_chain(length)
+            work[length] = _ternary_fixpoint(chain)[1]
+            assert ternary_constants(chain) == {}
+        # Re-evaluating every gate each round would give 4 (quadratic).
+        assert work[200] <= 3 * work[100]
+
 
 class TestEquivalentLatchPass:
     def test_merges_lockstep_copies(self):
