@@ -118,6 +118,23 @@ class FrameManagerBase:
     Lemmas live at levels ``<= top``, so every ``min_level`` is at most
     ``top + 1``, and a newly opened top frame starts with every witness
     usable.
+
+    **Skipped pushes.**  Every failed consecution of a cube ``c`` at a
+    level ``>= 1`` that the store may answer (``reuse``), SAT or store
+    answer, remembers the index of the witness ``w`` that answered it.
+    Drop attempts (``reuse=False``) do not: a failed drop's cube is
+    discarded, never a lemma, so its entry would only hold memory.  :meth:`refuted_push` lets the propagation sweep skip the push of
+    ``¬c`` from level ``L`` while ``w`` is still usable at ``L``: one bit
+    test of ``_usable[L]``.  That is sound and changes no answer, because
+    ``c ⊆ t_w`` and ``c ⊄ s_w`` are fixed properties of ``w`` and ``c``,
+    so the query ``consecution(L, c)`` would be answered from the store
+    too; the skip counts in ``consecution_reuses`` like that answer.  The
+    only thing the skip does not produce is the answer's successor, the
+    CTP of lemma prediction: the store would return the newest witness
+    among ``_usable[L]`` that refutes ``c``.  The skip therefore returns
+    ``_usable[L]`` itself, and :meth:`refuting_successor` resolves it
+    later to exactly that witness: the per-literal indexes only gain bits
+    for witnesses recorded afterwards, and those are not in the mask.
     """
 
     def __init__(self, ts: TransitionSystem, options: IC3Options, stats: IC3Stats):
@@ -136,6 +153,9 @@ class FrameManagerBase:
         self._successor_index: Dict[int, int] = {}
         self._state_index: Dict[int, int] = {}
         self._usable: List[int] = []
+        # ``_refuted[c]``: the witness that answered the last failed
+        # consecution of ``c``.
+        self._refuted: Dict[Cube, int] = {}
 
     # ------------------------------------------------------------------
     # Frame construction
@@ -225,8 +245,11 @@ class FrameManagerBase:
     # ------------------------------------------------------------------
     # Consecution witness store
     # ------------------------------------------------------------------
-    def _record_witness(self, level: int, result: ConsecutionResult) -> None:
-        """Keep the model of a failed ``consecution`` at ``level``."""
+    def _record_witness(
+        self, level: int, result: ConsecutionResult, refuted: Optional[Cube]
+    ) -> None:
+        """Keep the model of a failed ``consecution`` at ``level``, and
+        remember it as the witness that refutes the cube ``refuted``."""
         if level < 1:
             return
         state, successor = result.predecessor, result.successor
@@ -237,12 +260,14 @@ class FrameManagerBase:
             self._witness_keys[key] = index
             self._witnesses.append((state, result.inputs, result.input_values, successor))
             bit = 1 << index
-            for index_map, cube in (
-                (self._state_index, state),
-                (self._successor_index, successor),
+            for index_map, lits in (
+                (self._state_index, state.literals),
+                (self._successor_index, successor.literals),
             ):
-                for lit in cube.literals:
+                for lit in lits:
                     index_map[lit] = index_map.get(lit, 0) | bit
+        if refuted is not None:
+            self._refuted[refuted] = index
         # ``min_level := min(min_level, level)``.
         bit = 1 << index
         usable = self._usable
@@ -272,6 +297,25 @@ class FrameManagerBase:
             for usable_level in range(1, level + 1):
                 usable[usable_level] &= keep
 
+    def _refuting_witness(self, cube: Cube, usable: int) -> int:
+        """Index of the newest witness in the bitmask ``usable`` with
+        ``cube ⊆ t`` and ``cube ⊄ s``, or -1."""
+        mask = self._matching_witnesses(self._successor_index, cube) & usable
+        if mask:
+            mask &= ~self._matching_witnesses(self._state_index, cube)
+        return mask.bit_length() - 1
+
+    def _stored_answer(self, index: int) -> ConsecutionResult:
+        """Witness ``index`` as the answer of a failed consecution."""
+        state, inputs, input_values, successor = self._witnesses[index]
+        return ConsecutionResult(
+            holds=False,
+            predecessor=state,
+            inputs=inputs,
+            successor=successor,
+            input_values=input_values,
+        )
+
     def _reuse_witness(self, level: int, cube: Cube) -> Optional[ConsecutionResult]:
         """Answer ``consecution(level, cube)`` from a stored witness, or None.
 
@@ -281,21 +325,38 @@ class FrameManagerBase:
         """
         if level < 1:
             return None
-        mask = self._matching_witnesses(self._successor_index, cube) & self._usable[level]
-        if not mask:
-            return None
-        mask &= ~self._matching_witnesses(self._state_index, cube)
-        if not mask:
+        index = self._refuting_witness(cube, self._usable[level])
+        if index < 0:
             return None
         self.stats.consecution_reuses += 1
-        state, inputs, input_values, successor = self._witnesses[mask.bit_length() - 1]
-        return ConsecutionResult(
-            holds=False,
-            predecessor=state,
-            inputs=inputs,
-            successor=successor,
-            input_values=input_values,
-        )
+        self._refuted[cube] = index
+        return self._stored_answer(index)
+
+    def refuted_push(self, level: int, cube: Cube) -> int:
+        """The witnesses usable at ``level`` if the witness of the last
+        failed consecution of ``cube`` is among them, else 0.
+
+        A non-zero answer means that pushing ``¬cube`` from ``level``
+        fails, and the store would answer it (see the class docstring);
+        it counts as that answer.  Pass the mask to
+        :meth:`refuting_successor` for the answer's successor.
+        """
+        index = self._refuted.get(cube)
+        if index is None:
+            return 0
+        usable = self._usable[level]
+        if not usable >> index & 1:
+            return 0
+        self.stats.consecution_reuses += 1
+        return usable
+
+    def refuting_successor(self, cube: Cube, usable: int) -> Cube:
+        """The successor ``t`` a store answer for ``cube`` returns when the
+        usable witnesses are ``usable`` (a mask from :meth:`refuted_push`)."""
+        index = self._refuting_witness(cube, usable)
+        if index < 0:
+            raise ValueError(f"no witness in the mask refutes pushing {cube}")
+        return self._witnesses[index][3]
 
     # ------------------------------------------------------------------
     # Reading a query's answer
@@ -458,6 +519,16 @@ class MonolithicFrameManager(FrameManagerBase):
         for lit in ts.init_cube:
             self._init_solver.add_clause([lit])
 
+        # Deferred promotion moves: when a lemma moves from level f to
+        # level t its old clause (guarded by act_f) stays live, so the new
+        # act_t copy is only *required* by queries at levels f < L <= t.
+        # Batching the moves keeps the reusable assumption trail intact
+        # across a whole propagation sweep.  ``_pending_cover[L]`` counts
+        # the pending moves that a query at level L requires.
+        self._pending_moves: List[tuple] = []  # (from_level, to_level, cube)
+        self._pending_cover: List[int] = []
+        self._pending_removals: List[frozenset] = []
+
         self._push_new_frame()
 
         # Predecessor lifting runs against the bare transition relation
@@ -478,18 +549,11 @@ class MonolithicFrameManager(FrameManagerBase):
         self._lemma_handles: Dict[frozenset, tuple] = {}
         self._lemma_copies: Dict[frozenset, int] = {}
 
-        # Deferred promotion moves: when a lemma moves from level f to
-        # level t its old clause (guarded by act_f) stays live, so the new
-        # act_t copy is only *required* by queries at levels f < L <= t.
-        # Batching the moves keeps the reusable assumption trail intact
-        # across a whole propagation sweep.
-        self._pending_moves: List[tuple] = []  # (from_level, to_level, cube)
-        self._pending_removals: List[frozenset] = []
-
     # ------------------------------------------------------------------
     # Substrate hooks
     # ------------------------------------------------------------------
     def _open_frame(self, level: int) -> None:
+        self._pending_cover.append(0)
         # Frame 0 lives in ``_init_solver``; its slot in the act list is a
         # placeholder so that ``_acts[level]`` lines up with frame levels.
         if level == 0:
@@ -510,11 +574,16 @@ class MonolithicFrameManager(FrameManagerBase):
         """Physically delete the clauses of fully-subsumed lemmas."""
         if not self._pending_removals:
             return
+        if self._pending_moves:
+            removed = set(self._pending_removals)
+            kept = []
+            for move in self._pending_moves:
+                if move[2].literal_set in removed:
+                    self._cover(move[0], move[1], -1)
+                else:
+                    kept.append(move)
+            self._pending_moves = kept
         for key in self._pending_removals:
-            if self._pending_moves:
-                self._pending_moves = [
-                    m for m in self._pending_moves if m[2].literal_set != key
-                ]
             entry = self._lemma_handles.pop(key, None)
             if entry is not None and entry[1] is not None:
                 self._remove_clause_at(entry[0], entry[1])
@@ -552,7 +621,14 @@ class MonolithicFrameManager(FrameManagerBase):
 
     def _install_promotion(self, cube: Cube, from_level: int, to_level: int) -> None:
         self._pending_moves.append((from_level, to_level, cube))
+        self._cover(from_level, to_level, 1)
         self.stats.solver_clauses_shared += max(to_level - from_level - 1, 0)
+
+    def _cover(self, from_level: int, to_level: int, delta: int) -> None:
+        """Count a pending move in (or out of) the levels that require it."""
+        cover = self._pending_cover
+        for level in range(from_level + 1, to_level + 1):
+            cover[level] += delta
 
     def _flush_pending(self, level: int) -> None:
         """Apply deferred promotion moves once a query needs one of them.
@@ -564,9 +640,7 @@ class MonolithicFrameManager(FrameManagerBase):
         lemma's old clause is removed (it is implied by the new copy via
         the frame chain) and the new copy installed in its place.
         """
-        if not self._pending_moves:
-            return
-        if not any(f < level <= t for f, t, _ in self._pending_moves):
+        if not self._pending_cover[level]:
             return
         for _, to_level, cube in self._pending_moves:
             key = cube.literal_set
@@ -580,6 +654,7 @@ class MonolithicFrameManager(FrameManagerBase):
                 self._remove_clause_at(old[0], old[1])
             self._lemma_handles[key] = (to_level, new_handle)
         self._pending_moves.clear()
+        self._pending_cover = [0] * len(self._pending_cover)
 
     def _note_subsumed(self, cube: Cube, frame_level: int) -> None:
         # Queue the subsumed lemma's clause for physical removal once no
@@ -681,7 +756,7 @@ class MonolithicFrameManager(FrameManagerBase):
 
         if satisfiable:
             result = self._failed_consecution(solver, predecessor)
-            self._record_witness(level, result)
+            self._record_witness(level, result, cube if reuse else None)
         else:
             result = self._core_result(solver, cube, primed_cube)
 
@@ -845,7 +920,7 @@ class PerFrameFrameManager(FrameManagerBase):
 
         if satisfiable:
             result = self._failed_consecution(solver, self.ts.state_cube(solver))
-            self._record_witness(level, result)
+            self._record_witness(level, result, cube if reuse else None)
         else:
             result = self._core_result(solver, cube, primed_cube)
 

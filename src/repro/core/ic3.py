@@ -360,7 +360,9 @@ class IC3:
         """One propagation sweep over the levels 1..k-1.
 
         Pushes that a stored consecution witness proves will fail cost
-        no SAT call (see :class:`repro.core.frames.FrameManagerBase`).
+        no SAT call, and a push the witness of its last failure still
+        refutes is not asked at all; its CTP is recorded for lazy
+        resolution (see :class:`repro.core.frames.FrameManagerBase`).
         """
         start = time.perf_counter()
         predicting = self.options.enable_prediction
@@ -372,6 +374,11 @@ class IC3:
         for level in range(1, frames.top_level):
             for cube in frames.lemmas_exactly_at(level):
                 self._check_limits()
+                refuted = frames.refuted_push(level, cube)
+                if refuted:
+                    if predicting:
+                        self.predictor.record_refuted_push(cube, level, refuted)
+                    continue
                 result = self._consecution(level, cube)
                 if result.holds:
                     frames.promote_cube(cube, level, level + 1)

@@ -25,7 +25,7 @@ set before the next candidate is tried.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.core.frames import FrameManagerBase
 from repro.core.options import IC3Options
@@ -52,10 +52,19 @@ class Prediction:
 
 
 class CtpTable:
-    """The ``failure_push`` hash table of Algorithm 2."""
+    """The ``failure_push`` hash table of Algorithm 2.
 
-    def __init__(self) -> None:
-        self._entries: Dict[Tuple[Cube, int], Cube] = {}
+    An entry is a CTP state, or a *lazy* entry: the mask of witnesses
+    :meth:`FrameManagerBase.refuted_push` returned for a push the
+    propagation sweep skipped.  :meth:`lookup` resolves a lazy entry,
+    through the frame manager ``store``, to the successor a store answer
+    would have returned at that point (see :class:`FrameManagerBase`), so
+    callers only ever see cubes.
+    """
+
+    def __init__(self, store: Optional[FrameManagerBase] = None) -> None:
+        self._store = store
+        self._entries: Dict[Tuple[Cube, int], Union[Cube, int]] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -67,9 +76,18 @@ class CtpTable:
         """Store the CTP successor state for a failed push of ``¬lemma_cube``."""
         self._entries[(lemma_cube, level)] = successor
 
+    def record_refuted(self, lemma_cube: Cube, level: int, usable: int) -> None:
+        """Store a skipped push's witness mask, resolved on first lookup."""
+        self._entries[(lemma_cube, level)] = usable
+
     def lookup(self, lemma_cube: Cube, level: int) -> Optional[Cube]:
         """The recorded CTP state for ``(lemma, level)``, if any."""
-        return self._entries.get((lemma_cube, level))
+        key = (lemma_cube, level)
+        entry = self._entries.get(key)
+        if type(entry) is int:
+            entry = self._store.refuting_successor(lemma_cube, entry)
+            self._entries[key] = entry
+        return entry
 
     def clear(self) -> None:
         """Drop every entry (Algorithm 2 line 44)."""
@@ -77,7 +95,7 @@ class CtpTable:
 
     def entries(self) -> Dict[Tuple[Cube, int], Cube]:
         """A copy of the table content (for inspection and tests)."""
-        return dict(self._entries)
+        return {key: self.lookup(*key) for key in list(self._entries)}
 
 
 class LemmaPredictor:
@@ -87,7 +105,7 @@ class LemmaPredictor:
         self.frames = frames
         self.options = options
         self.stats = stats
-        self.table = CtpTable()
+        self.table = CtpTable(frames)
 
     # ------------------------------------------------------------------
     # Table maintenance (lines 36-38 and 43-50 of Algorithm 2)
@@ -97,6 +115,12 @@ class LemmaPredictor:
         if successor is None:
             return
         self.table.record(lemma_cube, level, successor)
+        self.stats.ctp_recorded += 1
+
+    def record_refuted_push(self, lemma_cube: Cube, level: int, usable: int) -> None:
+        """Record the CTP of a push the sweep skipped, given the witness
+        mask :meth:`FrameManagerBase.refuted_push` returned for it."""
+        self.table.record_refuted(lemma_cube, level, usable)
         self.stats.ctp_recorded += 1
 
     def clear_table(self) -> None:

@@ -12,9 +12,12 @@ array, and the model comes back as one byte array of values indexed by
 encoded literal (``(|l| << 1) | (l < 0)``; 1 true, 255 false, 0
 unassigned), or the core as one array of literals.
 
-Every literal and variable index is checked before it reaches C: it must
-be non-zero and fit the kernel's encoded int32 range, ``|l| <=``
-:data:`MAX_VAR`.
+Every literal and variable index must be non-zero and fit the kernel's
+encoded int32 range, ``|l| <=`` :data:`MAX_VAR`.  A list or tuple of
+ints goes to C as it is, and the kernel checks its literals before it
+changes anything; any other input, and one that cffi cannot convert to
+int32, is converted and checked here first.  Either way a bad literal
+raises the same :class:`SolverError`.
 
 The tests compare every answer with its definition: a fresh solve of
 the permanent clauses plus the live clauses of the assumed groups, by
@@ -38,6 +41,7 @@ _ffi, _lib = build.load()
 MAX_VAR = (1 << 30) - 1
 
 _SAT, _UNSAT = 1, 0  # k_solve's results; 2 is an exhausted budget
+_BAD_LITERAL = -2  # a literal was 0 or out of range; the kernel changed nothing
 
 
 def _literals(literals: Iterable[int], what: str) -> List[int]:
@@ -55,6 +59,13 @@ def _check_ok(status: int) -> int:
     if status < 0:
         raise MemoryError("the SAT kernel ran out of memory")
     return status
+
+
+def _checked_literals(status: int, literals, what: str) -> int:
+    """The status of a kernel call given ``literals``, which it checked."""
+    if status == _BAD_LITERAL:
+        _literals(literals, what)  # raises the SolverError naming the literal
+    return _check_ok(status)
 
 
 class _KernelStats(SolverStats):
@@ -148,8 +159,12 @@ class ArenaSolver:
         Returns False if the solver becomes (or already was) trivially
         unsatisfiable at decision level 0, True otherwise.
         """
-        lits = _literals(literals, "literal")
-        return bool(_check_ok(_lib.k_add_clause(self._k, lits, len(lits))))
+        try:
+            status = _lib.k_add_clause(self._k, literals, len(literals))
+        except (TypeError, OverflowError):
+            literals = _literals(literals, "literal")
+            status = _lib.k_add_clause(self._k, literals, len(literals))
+        return bool(_checked_literals(status, literals, "literal"))
 
     # ------------------------------------------------------------------
     # Removable clauses guarded by activation literals
@@ -184,8 +199,12 @@ class ArenaSolver:
         group = self._act_groups.get(act)
         if group is None:
             raise SolverError(f"{act} is not an active activation variable")
-        lits = _literals(literals, "literal")
-        packed = _check_ok(_lib.k_add_guarded(self._k, act, lits, len(lits)))
+        try:
+            packed = _lib.k_add_guarded(self._k, act, literals, len(literals))
+        except (TypeError, OverflowError):
+            literals = _literals(literals, "literal")
+            packed = _lib.k_add_guarded(self._k, act, literals, len(literals))
+        packed = _checked_literals(packed, literals, "literal")
         index = (packed >> 1) - 1
         handle = None
         if index >= 0:
@@ -276,10 +295,14 @@ class ArenaSolver:
     def _solve(
         self, assumptions: Sequence[int], conflict_budget: Optional[int]
     ) -> Optional[bool]:
-        lits = _literals(assumptions, "assumption literal")
         budget = -1 if conflict_budget is None else min(max(conflict_budget, 0), 1 << 62)
         kernel = self._k
-        status = _check_ok(_lib.k_solve(kernel, lits, len(lits), budget))
+        try:
+            status = _lib.k_solve(kernel, assumptions, len(assumptions), budget)
+        except (TypeError, OverflowError):
+            assumptions = _literals(assumptions, "assumption literal")
+            status = _lib.k_solve(kernel, assumptions, len(assumptions), budget)
+        status = _checked_literals(status, assumptions, "assumption literal")
         self._has_core = status == _UNSAT
         if status == _SAT:
             self._model = _ffi.buffer(kernel.values, (kernel.num_vars + 1) << 1)[:]
@@ -317,11 +340,17 @@ class ArenaSolver:
         true, ``-var`` otherwise, so an unassigned variable reads as
         false.  Raises :class:`SolverError` when there is no model, or
         when a variable is outside ``1..num_vars`` of the solve that
-        found it.
+        found it.  A ``range`` of step 1 is read as one slice of the
+        model, with one range check.
         """
         model = self._model
         if model is None:
             raise SolverError("no model available (last call was not SAT)")
+        if type(variables) is range and variables.step == 1:
+            if variables and (variables.start < 1 or variables.stop > len(model) >> 1):
+                check_model_variables(variables, (len(model) >> 1) - 1)
+            values = model[variables.start << 1:variables.stop << 1:2]
+            return tuple([var if value == 1 else -var for var, value in zip(variables, values)])
         check_model_variables(variables, (len(model) >> 1) - 1)
         return tuple([var if model[var << 1] == 1 else -var for var in variables])
 

@@ -34,7 +34,9 @@
  * build must not use -ffast-math or contract multiply-adds.
  *
  * Out of memory: every exported function returns -1 and the kernel
- * refuses all further calls.
+ * refuses all further calls.  A literal that is 0 or outside
+ * |l| <= MAX_VAR makes k_add_clause, k_add_guarded and k_solve return
+ * BAD_LITERAL before they change anything.
  */
 
 #include <setjmp.h>
@@ -46,6 +48,9 @@
 #define LEARNT 2
 #define SIZE_SHIFT 3
 #define NO_REASON (-1)
+
+#define MAX_VAR ((1 << 30) - 1) /* (var << 1) | 1 is an int32 */
+#define BAD_LITERAL (-2)
 
 #define L_TRUE 1
 #define L_FALSE 0
@@ -1103,6 +1108,15 @@ static void free_handle(kernel *k, int32_t handle)
     ipush(k, &k->handle_free, handle);
 }
 
+/* 1 unless some literal is 0 or out of the encoded int32 range. */
+static int valid_literals(const int32_t *lits, int32_t n)
+{
+    for (int32_t i = 0; i < n; i++)
+        if (lits[i] == 0 || lits[i] < -MAX_VAR || lits[i] > MAX_VAR)
+            return 0;
+    return 1;
+}
+
 /* ------------------------------------------------------------------ */
 /* Exported API                                                        */
 /* ------------------------------------------------------------------ */
@@ -1197,6 +1211,8 @@ int k_add_clause(kernel *k, const int32_t *lits, int32_t n)
 {
     int32_t cref;
     ENTER(k);
+    if (!valid_literals(lits, n))
+        return BAD_LITERAL;
     return add_clause(k, lits, n, &cref);
 }
 
@@ -1227,6 +1243,8 @@ int64_t k_add_guarded(kernel *k, int32_t act, const int32_t *lits, int32_t n)
     int32_t cref = -1;
     int ok = 1;
     ENTER(k);
+    if (!valid_literals(lits, n))
+        return BAD_LITERAL;
     /* Stage (-act, lits...) behind the scratch used by prepare(). */
     ivec_reserve(k, &k->sorted_buf, n + 1);
     int32_t *clause = k->sorted_buf.data;
@@ -1290,6 +1308,8 @@ int k_release(kernel *k, int32_t act, const int32_t *handles, int32_t n)
 int k_solve(kernel *k, const int32_t *assumptions, int32_t n, int64_t budget)
 {
     ENTER(k);
+    if (!valid_literals(assumptions, n))
+        return BAD_LITERAL;
     k->stats.solve_calls++;
     k->core.size = 0;
     if (!k->ok) {

@@ -133,10 +133,13 @@ class TransitionSystem:
 
         # The numbering of :func:`latch_variables`, built in one step: the
         # lists are ascending, so model projections build cubes from them
-        # without sorting.
+        # without sorting, and contiguous, so they read the model through
+        # the ranges.
         latch_vars = latch_variables(aig)
         self._const_true = 1
-        self.input_vars: List[int] = list(range(2, latch_vars.start))
+        self._input_range = range(2, latch_vars.start)
+        self._latch_range = latch_vars
+        self.input_vars: List[int] = list(self._input_range)
         self.latch_vars: List[int] = list(latch_vars)
         self._gate_vars: List[int] = list(
             range(latch_vars.stop, latch_vars.stop + len(aig.ands))
@@ -153,12 +156,10 @@ class TransitionSystem:
                 "the AIG's inputs, latches and AND gates do not define distinct variables"
             )
 
-        self._primed_vars: List[int] = list(
-            range(first_primed, first_primed + len(self.latch_vars))
-        )
-        self._num_vars = first_primed - 1 + len(self._primed_vars)
-        self.primed_of: Dict[int, int] = dict(zip(self.latch_vars, self._primed_vars))
-        self.unprimed_of: Dict[int, int] = dict(zip(self._primed_vars, self.latch_vars))
+        self._primed_range = range(first_primed, first_primed + len(self.latch_vars))
+        self._num_vars = self._primed_range.stop - 1
+        self.primed_of: Dict[int, int] = dict(zip(self.latch_vars, self._primed_range))
+        self.unprimed_of: Dict[int, int] = dict(zip(self._primed_range, self.latch_vars))
         # Signed latch literal -> signed primed literal (both polarities).
         self._primed_lit: Dict[int, int] = {
             **self.primed_of,
@@ -187,7 +188,7 @@ class TransitionSystem:
     @property
     def next_state_variables(self) -> List[int]:
         """The next-state (primed latch) variables X'."""
-        return list(self._primed_vars)
+        return list(self._primed_range)
 
     def to_solver_lit(self, aig_lit: int) -> int:
         """Translate an AIG literal to a solver literal over current vars."""
@@ -357,23 +358,23 @@ class TransitionSystem:
     # ------------------------------------------------------------------
     # ``solver`` is any SAT solver with ``model_literals`` (ArenaSolver,
     # Solver) whose last answer was SAT; unassigned variables read as
-    # false.  The cubes skip re-sorting: ``latch_vars`` and ``input_vars``
-    # are ascending (checked in ``__init__``).
+    # false.  The cubes skip re-sorting: the variable ranges are
+    # ascending, and ArenaSolver reads each as one slice of its model.
     def state_cube(self, solver) -> Cube:
         """The last model's latch values, as a cube over the latch variables."""
-        return Cube._from_canonical(solver.model_literals(self.latch_vars))
+        return Cube._from_canonical(solver.model_literals(self._latch_range))
 
     def successor_cube(self, solver) -> Cube:
         """The last model's primed latch values, as a cube over the
         current-state latch variables."""
-        primed = solver.model_literals(self._primed_vars)
+        primed = solver.model_literals(self._primed_range)
         return Cube._from_canonical(
-            tuple([var if lit > 0 else -var for var, lit in zip(self.latch_vars, primed)])
+            tuple([var if lit > 0 else -var for var, lit in zip(self._latch_range, primed)])
         )
 
     def input_cube(self, solver) -> Cube:
         """The last model's input values, as a cube over the input variables."""
-        return Cube._from_canonical(solver.model_literals(self.input_vars))
+        return Cube._from_canonical(solver.model_literals(self._input_range))
 
     def input_values(self, inputs: Cube) -> Dict[int, bool]:
         """AIG input literal -> value, from a cube of :meth:`input_cube`."""

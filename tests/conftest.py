@@ -62,22 +62,40 @@ def _trans_solver(ts):
 
 @pytest.fixture
 def checked_reuses(monkeypatch):
-    """Re-solve every consecution the witness store answers.
+    """Re-solve every consecution the witness store answers, and every
+    push the propagation sweep skips (``FrameManagerBase.refuted_push``).
 
-    Returns the answers as ``(level, cube, result)`` in the order given.
+    A skipped push is checked with the answer the store would have given
+    it: the newest refuting witness among the usable ones, which is also
+    what its lazy CTP resolves to.  Returns the answers as ``(level,
+    cube, result)`` in the order given.
     """
     reuses = []
     solvers = weakref.WeakKeyDictionary()
-    original = FrameManagerBase._reuse_witness
+    reuse_witness = FrameManagerBase._reuse_witness
+    refuted_push = FrameManagerBase.refuted_push
 
-    def checked(self, level, cube):
-        result = original(self, level, cube)
+    def check(frames, level, cube, result):
+        if frames not in solvers:
+            solvers[frames] = _trans_solver(frames.ts)
+        assert_witness_answers(solvers[frames], frames, level, cube, result)
+        reuses.append((level, cube, result))
+
+    def checked_reuse(self, level, cube):
+        result = reuse_witness(self, level, cube)
         if result is not None:
-            if self not in solvers:
-                solvers[self] = _trans_solver(self.ts)
-            assert_witness_answers(solvers[self], self, level, cube, result)
-            reuses.append((level, cube, result))
+            check(self, level, cube, result)
         return result
 
-    monkeypatch.setattr(FrameManagerBase, "_reuse_witness", checked)
+    def checked_skip(self, level, cube):
+        usable = refuted_push(self, level, cube)
+        if usable:
+            assert usable == self._usable[level]
+            index = self._refuting_witness(cube, usable)
+            assert index >= 0, f"skipped a push of {cube} at level {level} no witness refutes"
+            check(self, level, cube, self._stored_answer(index))
+        return usable
+
+    monkeypatch.setattr(FrameManagerBase, "_reuse_witness", checked_reuse)
+    monkeypatch.setattr(FrameManagerBase, "refuted_push", checked_skip)
     return reuses

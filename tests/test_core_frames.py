@@ -300,6 +300,52 @@ class TestWitnessStore:
         assert manager._reuse_witness(0, query) is None
 
 
+class TestRefutedPush:
+    """``refuted_push`` answers from the witness of a cube's last failed
+    consecution, SAT or store answer, while it is usable at the level."""
+
+    def test_skips_while_the_witness_is_usable(self, backend):
+        manager, ts, stats, witness = _witness_manager(backend, 1)
+        manager.add_frame()
+        query = Cube([-ts.latch_vars[0], ts.latch_vars[1], -ts.latch_vars[2]])
+        assert manager.refuted_push(1, query) == manager._usable[1] != 0
+        assert manager.refuted_push(2, query) == manager._usable[2]
+        assert stats.consecution_reuses == 2
+        manager.add_blocked_cube(witness.predecessor, 1)
+        assert manager.refuted_push(1, query) == 0
+        assert manager.refuted_push(2, query)
+        assert stats.consecution_reuses == 3
+
+    def test_store_answers_are_remembered_too(self, backend):
+        manager, ts, stats, _ = _witness_manager(backend, 1)
+        query = Cube([ts.latch_vars[1]])
+        assert manager.refuted_push(1, query) == 0
+        assert not manager.consecution(1, query).holds
+        assert stats.consecution_reuses == 1
+        assert manager.refuted_push(1, query)
+        assert stats.consecution_reuses == 2
+
+    def test_drop_attempts_are_not_remembered(self, backend):
+        manager, ts, stats = _manager(token_ring(3), backend=backend)
+        manager.add_frame()
+        query = Cube([ts.latch_vars[1]])
+        assert not manager.consecution(1, query, reuse=False).holds
+        assert manager.refuted_push(1, query) == 0
+        assert not manager.consecution(1, query).holds
+        assert manager.refuted_push(1, query)
+
+    def test_no_skip_at_frame_zero_or_for_held_queries(self, backend):
+        manager, ts, stats = _manager(token_ring(3), backend=backend)
+        manager.add_frame()
+        query = Cube([ts.latch_vars[1]])
+        assert not manager.consecution(0, query).holds
+        assert manager.refuted_push(0, query) == 0
+        assert manager.refuted_push(1, query) == 0
+        assert manager.consecution(1, Cube(ts.latch_vars)).holds
+        assert manager.refuted_push(1, Cube(ts.latch_vars)) == 0
+        assert stats.consecution_reuses == 0
+
+
 class TestBackendSelection:
     def test_available_backends(self):
         assert available_frame_backends() == ["monolithic", "per-frame"]
@@ -342,6 +388,33 @@ class TestMonolithicSubstrate:
         manager.consecution(2, Cube([ts.latch_vars[0]]))
         assert stats.lemma_clauses_added == 2
         assert stats.lemma_clauses_removed == 1
+
+    def test_pending_cover_counts_the_moves_each_level_needs(self):
+        manager, ts, stats = _manager(backend="monolithic")
+        for _ in range(3):
+            manager.add_frame()
+        a, b, c = ts.latch_vars
+
+        def scanned():
+            return [
+                sum(f < level <= t for f, t, _ in manager._pending_moves)
+                for level in range(len(manager.frames))
+            ]
+
+        manager.add_blocked_cube(Cube([a, b]), 1)
+        manager.add_blocked_cube(Cube([a, c]), 1)
+        manager.promote_cube(Cube([a, b]), 1, 2)
+        manager.promote_cube(Cube([a, c]), 1, 3)
+        assert manager._pending_cover == scanned() == [0, 0, 2, 1]
+        # Subsumed before its move was applied: the move is dropped.
+        manager.add_blocked_cube(Cube([b]), 2)
+        assert manager._pending_cover == scanned() == [0, 0, 1, 1]
+        added = stats.lemma_clauses_added
+        manager.get_bad_state(1)
+        assert stats.lemma_clauses_added == added
+        manager.get_bad_state(3)
+        assert stats.lemma_clauses_added == added + 1
+        assert manager._pending_cover == scanned() == [0, 0, 0, 0]
 
     def test_subsumed_lemma_clause_physically_removed(self):
         manager, ts, stats = _manager(backend="monolithic")

@@ -1,8 +1,9 @@
 """Tests for the CTP table and the lemma-prediction algorithm (Algorithm 2)."""
 
+import pytest
 
 from repro.benchgen import token_ring, modular_counter
-from repro.core.frames import FrameManager
+from repro.core.frames import ConsecutionResult, FrameManager
 from repro.core.options import IC3Options
 from repro.core.predict import CtpTable, LemmaPredictor
 from repro.core.stats import IC3Stats
@@ -46,6 +47,90 @@ class TestCtpTable:
         entries = table.entries()
         entries.clear()
         assert len(table) == 1
+
+
+class TestLazyCtpEntries:
+    """A push the propagation sweep skipped records the witness mask
+    ``refuted_push`` returned; the table resolves it to the successor the
+    store would have answered with at that point."""
+
+    @staticmethod
+    def _store():
+        ts = TransitionSystem(token_ring(3).aig)
+        stats = IC3Stats()
+        frames = FrameManager(ts, IC3Options(), stats)
+        frames.add_frame()
+        frames.add_frame()
+        return frames, ts.latch_vars, stats
+
+    @staticmethod
+    def _witness(frames, level, cube, state, successor):
+        """Store the failed consecution ``(state, successor)`` of ``cube``."""
+        frames._record_witness(
+            level,
+            ConsecutionResult(
+                holds=False,
+                predecessor=Cube(state),
+                inputs=Cube([]),
+                successor=Cube(successor),
+            ),
+            cube,
+        )
+
+    def test_resolves_to_the_store_answer_at_record_time(self):
+        frames, (a, b, c), stats = self._store()
+        query = Cube([b])
+        self._witness(frames, 1, query, [a, -b, -c], [-a, b, -c])
+        self._witness(frames, 1, Cube([b, c]), [-a, -b, c], [-a, b, c])
+        usable = frames.refuted_push(1, query)
+        assert usable and stats.consecution_reuses == 1
+        eager = frames._reuse_witness(1, query).successor
+        assert eager == Cube([-a, b, c])  # the newest refuting witness
+        table = CtpTable(frames)
+        table.record_refuted(query, 1, usable)
+        assert (query, 1) in table
+        assert table.lookup(query, 1) == eager
+
+    def test_resolved_after_newer_witnesses_were_recorded(self):
+        frames, (a, b, c), _ = self._store()
+        query = Cube([b])
+        self._witness(frames, 1, query, [a, -b, -c], [-a, b, -c])
+        table = CtpTable(frames)
+        table.record_refuted(query, 1, frames.refuted_push(1, query))
+        eager = frames._reuse_witness(1, query).successor
+        # A newer witness refutes the same push, and a lemma then blocks
+        # the recorded one's pre-state: the store would now answer with
+        # the newer witness, the lazy entry still with the old one.
+        self._witness(frames, 1, query, [-a, -b, c], [-a, b, c])
+        frames.add_blocked_cube(Cube([a, -b]), 2)
+        assert frames._reuse_witness(1, query).successor == Cube([-a, b, c])
+        assert table.entries() == {(query, 1): eager}
+        assert table.lookup(query, 1) == eager == Cube([-a, b, -c])
+        with pytest.raises(ValueError, match="no witness in the mask refutes"):
+            frames.refuting_successor(Cube([a]), frames._usable[1])
+
+    def test_entries_resolve_and_mix_with_eager_ones(self):
+        frames, (a, b, c), _ = self._store()
+        query = Cube([b])
+        self._witness(frames, 1, query, [a, -b, -c], [-a, b, -c])
+        table = CtpTable(frames)
+        table.record_refuted(query, 1, frames.refuted_push(1, query))
+        table.record(Cube([a]), 2, Cube([a, b, c]))
+        assert table.entries() == {
+            (query, 1): Cube([-a, b, -c]),
+            (Cube([a]), 2): Cube([a, b, c]),
+        }
+        assert len(table) == 2
+
+    def test_predictor_counts_lazy_records(self):
+        predictor, frames, ts, stats = _predictor_setup()
+        frames.add_frame()
+        frames.add_frame()
+        query = Cube([ts.latch_vars[1]])
+        assert not frames.consecution(1, query).holds
+        predictor.record_refuted_push(query, 1, frames.refuted_push(1, query))
+        assert stats.ctp_recorded == 1
+        assert predictor.table.lookup(query, 1) == frames._reuse_witness(1, query).successor
 
 
 def _predictor_setup(case=None, **option_kwargs):

@@ -3,9 +3,11 @@
 Every SAT answer of ``consecution(L, c)`` at ``L >= 1`` leaves a witness
 ``(s, i, t)`` in the frame manager.  A later query ``(L', c')`` with
 ``c' ⊆ t`` and ``c' ⊄ s`` is answered from it while no lemma entered at a
-level >= L' blocks ``s``.  The ``checked_reuses`` fixture (see
-``conftest.py``) re-solves every such answer on a fresh solver and
-requires both the exact query and the stored transition to be SAT.
+level >= L' blocks ``s``.  The propagation sweep does not even ask a push
+that the witness of its last failure still refutes.  The
+``checked_reuses`` fixture (see ``conftest.py``) re-solves every such
+answer and every skipped push on a fresh solver and requires both the
+exact query and the stored transition to be SAT.
 """
 
 import dataclasses
@@ -15,9 +17,11 @@ import pytest
 from repro.aiger import AIG
 from repro.benchgen import counter_overflow, gray_counter, johnson_counter, token_ring
 from repro.core import IC3, CheckResult, IC3Options
+from repro.core.frames import FrameManagerBase
 from repro.core.generalize import Generalizer
 from repro.core.invariant import check_certificate, check_counterexample
 from repro.core.options import GeneralizationStrategy
+from repro.core.predict import CtpTable
 from repro.harness.configs import paper_configurations
 from repro.obs.tracer import Tracer, install, uninstall
 
@@ -114,12 +118,58 @@ def test_drop_attempts_run_on_the_solver(checked_reuses, config, monkeypatch):
     assert outcome.stats.consecution_reuses > 0
 
 
+def _search(outcome):
+    """What the search produced: the verdict, the certificate clauses or
+    trace steps, and every counter of ``IC3Stats`` except the timers."""
+    stats = {
+        name: value
+        for name, value in dataclasses.asdict(outcome.stats).items()
+        if not name.startswith("time_") and name != "sat_time"
+    }
+    if outcome.certificate is not None:
+        witness = [clause.literals for clause in outcome.certificate.clauses]
+    else:
+        witness = [(step.state, sorted(step.inputs.items())) for step in outcome.trace.steps]
+    return outcome.result, witness, stats
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("config", CONFIGS, ids=lambda config: config.name)
+def test_skipped_pushes_leave_the_search_unchanged(config, backend, monkeypatch):
+    """Asking every push the sweep skips gives the same run."""
+    options = dataclasses.replace(config.options, frame_backend=backend)
+    aigs = [case.aig for case in CASES] + [_constrained_johnson(6)]
+    original = FrameManagerBase.refuted_push
+    skips = []
+
+    def counted(self, level, cube):
+        usable = original(self, level, cube)
+        skips.append(bool(usable))
+        return usable
+
+    monkeypatch.setattr(FrameManagerBase, "refuted_push", counted)
+    skipping = [_search(_check(aig, options)) for aig in aigs]
+    assert any(skips)
+    monkeypatch.setattr(FrameManagerBase, "refuted_push", lambda self, level, cube: 0)
+    asking = [_search(_check(aig, options)) for aig in aigs]
+    assert skipping == asking
+
+
 def test_reused_push_failures_keep_their_ctp_in_the_table(checked_reuses, monkeypatch):
-    """Algorithm 2 sees every failure: a reused push records its CTP."""
+    """Algorithm 2 sees every failure: a reused or skipped push records
+    its CTP, a skipped one lazily, and both resolve to the store's answer."""
     options = IC3Options.profile_ic3_a().with_prediction()
     assert options.clear_ctp_before_propagation
     original = IC3._propagate_inner
     sweeps = []
+    record_refuted = CtpTable.record_refuted
+    lazy = []
+
+    def recorded_lazily(self, lemma_cube, level, usable):
+        lazy.append((lemma_cube, level))
+        record_refuted(self, lemma_cube, level, usable)
+
+    monkeypatch.setattr(CtpTable, "record_refuted", recorded_lazily)
 
     def sweep(self):
         first_reuse = len(checked_reuses)
@@ -135,6 +185,7 @@ def test_reused_push_failures_keep_their_ctp_in_the_table(checked_reuses, monkey
     outcome = _check(johnson_counter(8, safe=True).aig, options)
     assert outcome.result == CheckResult.SAFE
     assert sum(reused for reused, _ in sweeps) > 0
+    assert lazy
     for reused, recorded in sweeps:
         assert recorded >= reused
 

@@ -571,6 +571,39 @@ class TestModelLiterals:
         assert solver.model_literals([]) == ()
 
 
+class TestModelRanges:
+    """A ``range`` of step 1 is read as one slice of the arena model,
+    with the same answers and errors as the list of its variables."""
+
+    @staticmethod
+    def _solved():
+        solver = ArenaSolver()
+        for clause in ([1], [-2], [3, 4], [-4]):
+            solver.add_clause(clause)
+        act = solver.new_activation()  # variable 5, unassigned
+        solver.release(act)
+        assert solver.solve()
+        return solver
+
+    @pytest.mark.parametrize(
+        "variables", [range(1, 6), range(2, 4), range(5, 6), range(3, 3), range(1, 6, 2)]
+    )
+    def test_same_literals_as_the_list(self, variables):
+        solver = self._solved()
+        assert solver.model_literals(variables) == solver.model_literals(list(variables))
+
+    @pytest.mark.parametrize(
+        "variables, bad", [(range(0, 3), 0), (range(4, 7), 6), (range(-1, 2), -1)]
+    )
+    def test_out_of_range(self, variables, bad):
+        solver = self._solved()
+        with pytest.raises(SolverError, match=f"variable {bad} is not in the last model"):
+            solver.model_literals(variables)
+
+    def test_values(self):
+        assert self._solved().model_literals(range(1, 6)) == (1, -2, 3, -4, -5)
+
+
 class TestInputRange:
     """Literals and variables outside the kernel's int32 range never reach C."""
 
@@ -610,3 +643,95 @@ class TestInputRange:
     def test_zero_assumption_rejected(self):
         with pytest.raises(SolverError, match="0 is not a valid assumption literal"):
             ArenaSolver().solve([1, 0])
+
+
+
+def _rejected_literals(what):
+    """Inputs with a bad literal, each with the exact SolverError text."""
+    cases = [([2, 0], f"0 is not a valid {what}"), ([0.5], f"0 is not a valid {what}")]
+    for lit in [MAX_VAR + 1, -(MAX_VAR + 1), 2**40, -(2**40)]:
+        text = f"{what} {lit} is out of the kernel's range (|l| <= {MAX_VAR})"
+        cases += [([2, lit], text), ((lit, 2), text), ((x for x in [2, lit]), text)]
+    return cases
+
+
+_REJECTED = range(len(_rejected_literals("literal")))
+
+# Each input reads as the clause, or the assumptions, [2, -3].
+_ACCEPTED = {
+    "list": lambda: [2, -3],
+    "floats": lambda: [2.0, -3.9],
+    "tuple": lambda: (2, -3),
+    "generator": lambda: (x for x in [2, -3]),
+    "bool": lambda: [True + 1, -3],
+}
+
+
+class TestLiteralChecks:
+    """The kernel checks a list of ints itself; every other input is
+    converted and checked in Python.  Both give the same errors, with
+    nothing changed, and accept the same clauses."""
+
+    @staticmethod
+    def _answers(solver, guard=()):
+        """Verdicts under the four assignments of variables 2 and 3."""
+        return [
+            solver.solve([*guard, 2 if a else -2, 3 if b else -3])
+            for a, b in itertools.product((False, True), repeat=2)
+        ]
+
+    @pytest.mark.parametrize("index", _REJECTED)
+    def test_add_clause_rejects(self, index):
+        given, text = _rejected_literals("literal")[index]
+        solver = ArenaSolver()
+        with pytest.raises(SolverError) as error:
+            solver.add_clause(given)
+        assert str(error.value) == text
+        assert (solver.num_vars, solver.num_clauses) == (0, 0)
+
+    @pytest.mark.parametrize("index", _REJECTED)
+    def test_add_guarded_rejects(self, index):
+        given, text = _rejected_literals("literal")[index]
+        solver = ArenaSolver()
+        act = solver.new_activation()
+        with pytest.raises(SolverError) as error:
+            solver.add_guarded(act, given)
+        assert str(error.value) == text
+        assert solver.num_vars == act
+        assert solver.stats.guarded_clauses_added == 0
+
+    @pytest.mark.parametrize("index", _REJECTED)
+    def test_solve_rejects(self, index):
+        given, text = _rejected_literals("assumption literal")[index]
+        solver = ArenaSolver()
+        with pytest.raises(SolverError) as error:
+            solver.solve(given)
+        assert str(error.value) == text
+        assert solver.num_vars == 0
+        assert solver.stats.solve_calls == 0
+
+    @pytest.mark.parametrize("make", _ACCEPTED.values(), ids=list(_ACCEPTED))
+    def test_add_clause_accepts(self, make):
+        solver = ArenaSolver()
+        assert solver.add_clause(make()) is True
+        assert (solver.num_vars, solver.num_clauses) == (3, 1)
+        assert self._answers(solver) == [True, False, True, True]
+
+    @pytest.mark.parametrize("make", _ACCEPTED.values(), ids=list(_ACCEPTED))
+    def test_add_guarded_accepts(self, make):
+        solver = ArenaSolver()
+        act = solver.new_activation()
+        ok, handle = solver.add_guarded(act, make())
+        assert ok and handle is not None
+        assert self._answers(solver, [act]) == [True, False, True, True]
+        assert self._answers(solver) == [True] * 4
+
+    @pytest.mark.parametrize("make", _ACCEPTED.values(), ids=list(_ACCEPTED))
+    def test_solve_accepts(self, make):
+        solver = ArenaSolver()
+        solver.add_clause([-2, 3])
+        assert solver.solve(make()) is False
+        assert sorted(solver.unsat_core()) == [-3, 2]
+        fresh = ArenaSolver()
+        assert fresh.solve(make()) is True
+        assert fresh.model_literals([2, 3]) == (2, -3)
