@@ -34,7 +34,7 @@ The three queries every IC3 variant needs are provided by both:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.core.options import IC3Options
@@ -44,34 +44,128 @@ from repro.sat.arena import ArenaSolver
 from repro.ts.system import TransitionSystem
 
 
-@dataclass
 class ConsecutionResult:
-    """Outcome of one relative-induction query."""
+    """Outcome of one relative-induction query.
 
-    holds: bool
-    core_cube: Optional[Cube] = None
-    """On UNSAT: the subset of the cube present in the assumption core."""
+    * ``holds``: True on UNSAT (``¬cube`` is inductive relative to the frame);
+    * ``core_cube``: on UNSAT, the subset of the cube present in the
+      assumption core;
+    * ``predecessor``: on SAT, the pre-state s of the counterexample (full
+      latch cube);
+    * ``inputs``: on SAT, the input assignment of the counterexample
+      transition;
+    * ``successor``: on SAT, the post-state t (the CTP state), over
+      current-state variables;
+    * ``input_values``: on SAT, AIG input literal -> value (for trace
+      reconstruction); empty otherwise.
 
-    predecessor: Optional[Cube] = None
-    """On SAT: the pre-state s of the counterexample (full latch cube)."""
+    Answers are read-only: the witness store hands one stored answer to
+    every query it answers.  Keyword construction sets the fields as
+    given.  The frame layer's own answers keep what the solver returned
+    and build ``core_cube``, ``inputs`` and ``input_values`` on first
+    read (:class:`_HeldAnswer`, :class:`_FailedAnswer`).
+    """
 
-    inputs: Optional[Cube] = None
-    """On SAT: the input assignment of the counterexample transition."""
+    __slots__ = ("holds", "core_cube", "predecessor", "inputs", "successor", "input_values")
 
-    successor: Optional[Cube] = None
-    """On SAT: the post-state t (the CTP state), over current-state vars."""
+    def __init__(
+        self,
+        holds: bool,
+        core_cube: Optional[Cube] = None,
+        predecessor: Optional[Cube] = None,
+        inputs: Optional[Cube] = None,
+        successor: Optional[Cube] = None,
+        input_values: Optional[Dict[int, bool]] = None,
+    ):
+        self.holds = holds
+        self.core_cube = core_cube
+        self.predecessor = predecessor
+        self.inputs = inputs
+        self.successor = successor
+        self.input_values = {} if input_values is None else input_values
 
-    input_values: Dict[int, bool] = field(default_factory=dict)
-    """On SAT: AIG input literal -> value (for trace reconstruction)."""
+    def __repr__(self) -> str:
+        fields = ("holds", "core_cube", "predecessor", "inputs", "successor", "input_values")
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in fields)
+        return f"ConsecutionResult({body})"
 
 
-@dataclass
-class BadState:
-    """A state of the top frame that can violate the property."""
+class _ModelInputs:
+    """``inputs`` and ``input_values`` of a SAT answer, decoded on first
+    read from the model's raw input values ``_bits``
+    (:meth:`TransitionSystem.input_bits`)."""
 
-    state: Cube
-    inputs: Cube
-    input_values: Dict[int, bool] = field(default_factory=dict)
+    __slots__ = ()
+
+    @property
+    def inputs(self) -> Cube:
+        inputs = self._inputs
+        if inputs is None:
+            inputs = self._inputs = self._ts.inputs_of(self._bits)
+        return inputs
+
+    @property
+    def input_values(self) -> Dict[int, bool]:
+        values = self._input_values
+        if values is None:
+            values = self._input_values = self._ts.input_values_of(self._bits)
+        return values
+
+
+class _HeldAnswer(ConsecutionResult):
+    """The UNSAT answer of a consecution query.  It keeps a snapshot of
+    the solver's assumption core, taken right after the solve, and builds
+    ``core_cube`` from it on first read: the literals of ``cube`` whose
+    primed copies (``primed``, in the same order) are in the core."""
+
+    __slots__ = ("_cube", "_primed", "_core")
+    holds = True
+    predecessor = inputs = successor = None
+    input_values = MappingProxyType({})
+
+    def __init__(self, cube: Cube, primed: List[int], core: List[int]):
+        self._cube = cube
+        self._primed = primed
+        self._core = core
+
+    @property
+    def core_cube(self) -> Cube:
+        if self._core is not None:
+            core = set(self._core)
+            self._cube = Cube._from_canonical(tuple(
+                [lit for lit, primed in zip(self._cube.literals, self._primed) if primed in core]
+            ))
+            self._primed = self._core = None
+        return self._cube
+
+
+class _FailedAnswer(_ModelInputs, ConsecutionResult):
+    """The SAT answer of a consecution query, with its inputs decoded on
+    first read."""
+
+    __slots__ = ("_ts", "_bits", "_inputs", "_input_values")
+    holds = False
+    core_cube = None
+
+    def __init__(self, predecessor: Cube, successor: Cube, ts: TransitionSystem, bits):
+        self.predecessor = predecessor
+        self.successor = successor
+        self._ts = ts
+        self._bits = bits
+        self._inputs = self._input_values = None
+
+
+class BadState(_ModelInputs):
+    """A state of the top frame that can violate the property, with the
+    inputs that make it do so (decoded on first read).  Read-only."""
+
+    __slots__ = ("state", "_ts", "_bits", "_inputs", "_input_values")
+
+    def __init__(self, state: Cube, ts: TransitionSystem, bits):
+        self.state = state
+        self._ts = ts
+        self._bits = bits
+        self._inputs = self._input_values = None
 
 
 class FrameManagerBase:
@@ -81,13 +175,25 @@ class FrameManagerBase:
     ``_open_frame``, ``_install_lemma``, ``_install_promotion`` and
     ``_note_subsumed`` plus the three SAT queries.
 
+    **Answers.**  Every query answers with a read-only object
+    (:class:`ConsecutionResult`, :class:`BadState`) that builds its
+    fields on first read: an UNSAT answer keeps a snapshot of the
+    assumption core and builds ``core_cube`` from it, and a SAT answer
+    keeps the model's input values as bytes and decodes ``inputs`` and
+    ``input_values`` from them.  Propagation reads only ``holds`` and the
+    successor, so most answers never build the rest.  Decoding runs in
+    the reader's layer: lifting, a new obligation, a trace, or
+    generalization's core.
+
     The base also keeps the **consecution witness store**.  Every SAT
     answer of ``consecution(L, c)`` at ``L >= 1`` is recorded as a
     witness ``(min_level, s, i, t)``: the model's pre-state ``s`` and
     successor ``t`` (full latch cubes) and its inputs ``i``, with
-    ``min_level = L``.  A later query ``(L', c')`` is answered from a
-    witness, without a SAT call, when ``min_level <= L'``, ``c' ⊆ t`` and
-    ``c' ⊄ s``.  When a lemma ``¬d`` enters level ``j``
+    ``min_level = L``.  The store keeps the answer object itself and
+    hands that same object to every query it answers, so a reuse builds
+    nothing, and inputs a reader once decoded stay decoded.  A later
+    query ``(L', c')`` is answered from a witness, without a SAT call,
+    when ``min_level <= L'``, ``c' ⊆ t`` and ``c' ⊄ s``.  When a lemma ``¬d`` enters level ``j``
     (:meth:`add_blocked_cube`, or :meth:`promote_cube` to ``j``), every
     witness with ``d ⊆ s`` gets ``min_level := max(min_level, j + 1)``;
     seed clauses, CTG and prediction all add lemmas through those two
@@ -123,7 +229,8 @@ class FrameManagerBase:
     level ``>= 1`` that the store may answer (``reuse``), SAT or store
     answer, remembers the index of the witness ``w`` that answered it.
     Drop attempts (``reuse=False``) do not: a failed drop's cube is
-    discarded, never a lemma, so its entry would only hold memory.  :meth:`refuted_push` lets the propagation sweep skip the push of
+    discarded, never a lemma, so its entry would only hold memory.
+    :meth:`refuted_push` lets the propagation sweep skip the push of
     ``¬c`` from level ``L`` while ``w`` is still usable at ``L``: one bit
     test of ``_usable[L]``.  That is sound and changes no answer, because
     ``c ⊆ t_w`` and ``c ⊄ s_w`` are fixed properties of ``w`` and ``c``,
@@ -142,13 +249,13 @@ class FrameManagerBase:
         self.options = options
         self.stats = stats
         self.frames: List[List[Cube]] = []
-        # Consecution witness store: ``_witnesses[k]`` is
-        # ``(s, inputs, input_values, t)``, one entry per distinct
-        # ``(s, t)`` (``_witness_keys`` maps it to ``k``).  Bit ``k`` of
-        # ``_successor_index[lit]`` / ``_state_index[lit]`` is set when
-        # ``t`` / ``s`` contains ``lit``, and of ``_usable[L]`` when the
-        # witness may answer queries at level ``L``.
-        self._witnesses: List[tuple] = []
+        # Consecution witness store: ``_witnesses[k]`` is the failed
+        # answer itself, one per distinct ``(s, t)`` (``_witness_keys``
+        # maps it to ``k``).  Bit ``k`` of ``_successor_index[lit]`` /
+        # ``_state_index[lit]`` is set when ``t`` / ``s`` contains
+        # ``lit``, and of ``_usable[L]`` when the witness may answer
+        # queries at level ``L``.
+        self._witnesses: List[ConsecutionResult] = []
         self._witness_keys: Dict[Tuple[FrozenSet[int], FrozenSet[int]], int] = {}
         self._successor_index: Dict[int, int] = {}
         self._state_index: Dict[int, int] = {}
@@ -258,7 +365,7 @@ class FrameManagerBase:
         if index is None:
             index = len(self._witnesses)
             self._witness_keys[key] = index
-            self._witnesses.append((state, result.inputs, result.input_values, successor))
+            self._witnesses.append(result)
             bit = 1 << index
             for index_map, lits in (
                 (self._state_index, state.literals),
@@ -306,15 +413,9 @@ class FrameManagerBase:
         return mask.bit_length() - 1
 
     def _stored_answer(self, index: int) -> ConsecutionResult:
-        """Witness ``index`` as the answer of a failed consecution."""
-        state, inputs, input_values, successor = self._witnesses[index]
-        return ConsecutionResult(
-            holds=False,
-            predecessor=state,
-            inputs=inputs,
-            successor=successor,
-            input_values=input_values,
-        )
+        """Witness ``index`` as the answer of a failed consecution: the
+        stored answer itself, shared with every query it answers."""
+        return self._witnesses[index]
 
     def _reuse_witness(self, level: int, cube: Cube) -> Optional[ConsecutionResult]:
         """Answer ``consecution(level, cube)`` from a stored witness, or None.
@@ -325,7 +426,10 @@ class FrameManagerBase:
         """
         if level < 1:
             return None
-        index = self._refuting_witness(cube, self._usable[level])
+        usable = self._usable[level]
+        if not usable:
+            return None
+        index = self._refuting_witness(cube, usable)
         if index < 0:
             return None
         self.stats.consecution_reuses += 1
@@ -356,45 +460,22 @@ class FrameManagerBase:
         index = self._refuting_witness(cube, usable)
         if index < 0:
             raise ValueError(f"no witness in the mask refutes pushing {cube}")
-        return self._witnesses[index][3]
+        return self._witnesses[index].successor
 
     # ------------------------------------------------------------------
     # Reading a query's answer
     # ------------------------------------------------------------------
     def _bad_state(self, solver: ArenaSolver) -> BadState:
         """The SAT answer of a bad-state query."""
-        inputs = self.ts.input_cube(solver)
-        return BadState(
-            state=self.ts.state_cube(solver),
-            inputs=inputs,
-            input_values=self.ts.input_values(inputs),
-        )
+        ts = self.ts
+        return BadState(ts.state_cube(solver), ts, ts.input_bits(solver))
 
     def _failed_consecution(
         self, solver: ArenaSolver, predecessor: Cube
     ) -> ConsecutionResult:
         """The SAT answer of a consecution query, with its pre-state."""
-        inputs = self.ts.input_cube(solver)
-        return ConsecutionResult(
-            holds=False,
-            predecessor=predecessor,
-            inputs=inputs,
-            successor=self.ts.successor_cube(solver),
-            input_values=self.ts.input_values(inputs),
-        )
-
-    @staticmethod
-    def _core_result(
-        solver: ArenaSolver, cube: Cube, primed_cube: List[int]
-    ) -> ConsecutionResult:
-        """The UNSAT answer of a consecution query: the literals of
-        ``cube`` whose primed copies (``primed_cube``, in the same order)
-        are in the assumption core."""
-        core = set(solver.unsat_core())
-        reduced = tuple(
-            [lit for lit, primed in zip(cube.literals, primed_cube) if primed in core]
-        )
-        return ConsecutionResult(holds=True, core_cube=Cube._from_canonical(reduced))
+        ts = self.ts
+        return _FailedAnswer(predecessor, ts.successor_cube(solver), ts, ts.input_bits(solver))
 
     @staticmethod
     def _lifted(solver: ArenaSolver, predecessor: Cube) -> Cube:
@@ -758,7 +839,7 @@ class MonolithicFrameManager(FrameManagerBase):
             result = self._failed_consecution(solver, predecessor)
             self._record_witness(level, result, cube if reuse else None)
         else:
-            result = self._core_result(solver, cube, primed_cube)
+            result = _HeldAnswer(cube, primed_cube, solver.unsat_core())
 
         if scope is not None:
             solver.release(scope)
@@ -922,7 +1003,7 @@ class PerFrameFrameManager(FrameManagerBase):
             result = self._failed_consecution(solver, self.ts.state_cube(solver))
             self._record_witness(level, result, cube if reuse else None)
         else:
-            result = self._core_result(solver, cube, primed_cube)
+            result = _HeldAnswer(cube, primed_cube, solver.unsat_core())
 
         solver.add_clause([-activation])
         self._note_garbage(level)

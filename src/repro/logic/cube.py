@@ -45,7 +45,6 @@ class _LiteralSet:
     def __init__(self, literals: Iterable[int] = ()):
         self._lits: Tuple[int, ...] = _canonical(literals)
         self._set: FrozenSet[int] = frozenset(self._lits)
-        self._hash = hash((type(self).__name__, self._lits))
 
     @classmethod
     def _from_canonical(cls: "type[_Self]", literals: Tuple[int, ...]) -> _Self:
@@ -58,8 +57,12 @@ class _LiteralSet:
         self = object.__new__(cls)
         self._lits = literals
         self._set = frozenset(literals)
-        self._hash = hash((cls.__name__, literals))
         return self
+
+    def __reduce__(self):
+        # The hash is left out: it is computed per process (string hashes
+        # are salted), on first use.
+        return type(self)._from_canonical, (self._lits,)
 
     # -- container protocol -------------------------------------------------
     def __iter__(self) -> Iterator[int]:
@@ -75,7 +78,12 @@ class _LiteralSet:
         return self._lits[index]
 
     def __hash__(self) -> int:
-        return self._hash
+        # Computed on first use: most cubes are never hashed.
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash((type(self).__name__, self._lits))
+            return self._hash
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, type(self)):

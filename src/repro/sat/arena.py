@@ -277,6 +277,9 @@ class ArenaSolver:
         tracer = get_tracer()
         if not tracer.enabled:
             return self._solve(assumptions, conflict_budget)
+        if not isinstance(assumptions, (list, tuple)):
+            # A generator has no length and can be read only once.
+            assumptions = _literals(assumptions, "assumption literal")
         with tracer.span(
             "sat.solve", cat="sat", backend="arena", assumptions=len(assumptions)
         ) as span:
@@ -340,19 +343,29 @@ class ArenaSolver:
         true, ``-var`` otherwise, so an unassigned variable reads as
         false.  Raises :class:`SolverError` when there is no model, or
         when a variable is outside ``1..num_vars`` of the solve that
-        found it.  A ``range`` of step 1 is read as one slice of the
-        model, with one range check.
+        found it.
         """
         model = self._model
         if model is None:
             raise SolverError("no model available (last call was not SAT)")
-        if type(variables) is range and variables.step == 1:
-            if variables and (variables.start < 1 or variables.stop > len(model) >> 1):
-                check_model_variables(variables, (len(model) >> 1) - 1)
-            values = model[variables.start << 1:variables.stop << 1:2]
-            return tuple([var if value == 1 else -var for var, value in zip(variables, values)])
         check_model_variables(variables, (len(model) >> 1) - 1)
         return tuple([var if model[var << 1] == 1 else -var for var in variables])
+
+    def model_values(self, variables: range) -> bytes:
+        """The last model's values on a ``range`` of step 1, one byte per
+        variable: 1 true, 255 false, 0 unassigned.
+
+        One slice of the model, with one range check; raises
+        :class:`SolverError` like :meth:`model_literals`.
+        """
+        model = self._model
+        if model is None:
+            raise SolverError("no model available (last call was not SAT)")
+        if variables.step != 1:
+            raise SolverError(f"model_values reads a range of step 1, got {variables!r}")
+        if variables and (variables.start < 1 or variables.stop > len(model) >> 1):
+            check_model_variables(variables, (len(model) >> 1) - 1)
+        return model[variables.start << 1:variables.stop << 1:2]
 
     def model_cube(self, variables: Iterable[int]) -> Cube:
         """The last model projected onto a cube; unassigned variables read as false."""

@@ -193,6 +193,13 @@ class Solver:
         check_model_variables(variables, len(model) - 1)
         return tuple([var if model[var] == _TRUE else -var for var in variables])
 
+    def model_values(self, variables: range) -> List[int]:
+        """The last model's values on ``variables``: 1 true, -1 false, 0
+        unassigned.  Raises like :meth:`model_literals`."""
+        model = self._last_model()
+        check_model_variables(variables, len(model) - 1)
+        return [model[var] for var in variables]
+
     def unsat_core(self) -> List[int]:
         """Subset of the assumptions responsible for the last UNSAT answer."""
         if self._core is None:

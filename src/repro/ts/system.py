@@ -356,29 +356,32 @@ class TransitionSystem:
     # ------------------------------------------------------------------
     # Model projection
     # ------------------------------------------------------------------
-    # ``solver`` is any SAT solver with ``model_literals`` (ArenaSolver,
-    # Solver) whose last answer was SAT; unassigned variables read as
-    # false.  The cubes skip re-sorting: the variable ranges are
-    # ascending, and ArenaSolver reads each as one slice of its model.
+    # ``solver`` is any SAT solver with ``model_values`` (ArenaSolver,
+    # Solver) whose last answer was SAT; a value of 1 is true, anything
+    # else (unassigned too) reads as false.  The cubes skip re-sorting:
+    # the variable ranges are ascending, and ArenaSolver reads each as one
+    # slice of its model.
     def state_cube(self, solver) -> Cube:
         """The last model's latch values, as a cube over the latch variables."""
-        return Cube._from_canonical(solver.model_literals(self._latch_range))
+        return _cube_of(self._latch_range, solver.model_values(self._latch_range))
 
     def successor_cube(self, solver) -> Cube:
         """The last model's primed latch values, as a cube over the
         current-state latch variables."""
-        primed = solver.model_literals(self._primed_range)
-        return Cube._from_canonical(
-            tuple([var if lit > 0 else -var for var, lit in zip(self._latch_range, primed)])
-        )
+        return _cube_of(self._latch_range, solver.model_values(self._primed_range))
 
-    def input_cube(self, solver) -> Cube:
-        """The last model's input values, as a cube over the input variables."""
-        return Cube._from_canonical(solver.model_literals(self._input_range))
+    def input_bits(self, solver):
+        """The last model's raw input values (``solver.model_values``), for
+        :meth:`inputs_of` and :meth:`input_values_of` to decode later."""
+        return solver.model_values(self._input_range)
 
-    def input_values(self, inputs: Cube) -> Dict[int, bool]:
-        """AIG input literal -> value, from a cube of :meth:`input_cube`."""
-        return dict(zip(self.aig.inputs, [lit > 0 for lit in inputs.literals]))
+    def inputs_of(self, bits) -> Cube:
+        """The cube over the input variables of :meth:`input_bits` values."""
+        return _cube_of(self._input_range, bits)
+
+    def input_values_of(self, bits) -> Dict[int, bool]:
+        """AIG input literal -> value, from :meth:`input_bits` values."""
+        return dict(zip(self.aig.inputs, [value == 1 for value in bits]))
 
     def describe(self) -> str:
         """One-line human-readable summary."""
@@ -387,3 +390,11 @@ class TransitionSystem:
             f"inputs={len(self.input_vars)}, gates={len(self._gate_vars)}, "
             f"trans_clauses={len(self.trans)})"
         )
+
+
+def _cube_of(variables: range, values) -> Cube:
+    """The cube over the ascending ``variables`` whose model values are
+    ``values`` (1 true, anything else false)."""
+    return Cube._from_canonical(
+        tuple([var if value == 1 else -var for var, value in zip(variables, values)])
+    )

@@ -17,7 +17,7 @@ import pytest
 from repro.aiger import AIG
 from repro.benchgen import counter_overflow, gray_counter, johnson_counter, token_ring
 from repro.core import IC3, CheckResult, IC3Options
-from repro.core.frames import FrameManagerBase
+from repro.core.frames import BadState, FrameManagerBase, _FailedAnswer, _HeldAnswer
 from repro.core.generalize import Generalizer
 from repro.core.invariant import check_certificate, check_counterexample
 from repro.core.options import GeneralizationStrategy
@@ -153,6 +153,30 @@ def test_skipped_pushes_leave_the_search_unchanged(config, backend, monkeypatch)
     monkeypatch.setattr(FrameManagerBase, "refuted_push", lambda self, level, cube: 0)
     asking = [_search(_check(aig, options)) for aig in aigs]
     assert skipping == asking
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("config", CONFIGS, ids=lambda config: config.name)
+def test_lazy_answers_leave_the_search_unchanged(config, backend, monkeypatch):
+    """Answers that decode every field when they are made give the same run."""
+    options = dataclasses.replace(config.options, frame_backend=backend)
+    aigs = [case.aig for case in CASES] + [_constrained_johnson(6)]
+    lazy = [_search(_check(aig, options)) for aig in aigs]
+    decoded = []
+    for kind, fields in (
+        (_HeldAnswer, ("core_cube",)),
+        (_FailedAnswer, ("inputs", "input_values")),
+        (BadState, ("inputs", "input_values")),
+    ):
+        def eager(self, *args, _init=kind.__init__, _fields=fields, _kind=kind):
+            _init(self, *args)
+            for name in _fields:
+                getattr(self, name)
+            decoded.append(_kind)
+
+        monkeypatch.setattr(kind, "__init__", eager)
+    assert [_search(_check(aig, options)) for aig in aigs] == lazy
+    assert {_HeldAnswer, _FailedAnswer, BadState} <= set(decoded)
 
 
 def test_reused_push_failures_keep_their_ctp_in_the_table(checked_reuses, monkeypatch):

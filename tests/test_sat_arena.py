@@ -19,6 +19,7 @@ from repro.benchgen import johnson_counter
 from repro.core.ic3 import IC3
 from repro.logic import Cube
 from repro.harness.configs import config_by_name
+from repro.obs.tracer import Tracer, install, uninstall
 from repro.sat import (
     ArenaClauseRef,
     ArenaSolver,
@@ -527,6 +528,11 @@ class TestModelLiterals:
             projected = solver.model_literals(variables)
             assert projected == tuple(v if model.get(v, False) else -v for v in variables)
             projections.append(projected)
+            every = range(1, unassigned + 1)
+            values = solver.model_values(every)
+            assert tuple(v if value == 1 else -v for v, value in zip(every, values)) == (
+                solver.model_literals(every)
+            )
         assert arena.model_cube(variables) == Cube(projections[0])
         # Each kernel's projection is a model of the CNF for the other.
         assert oracle.solve(list(projections[0]))
@@ -572,8 +578,9 @@ class TestModelLiterals:
 
 
 class TestModelRanges:
-    """A ``range`` of step 1 is read as one slice of the arena model,
-    with the same answers and errors as the list of its variables."""
+    """A ``range`` projects like the list of its variables, and
+    ``model_values`` reads a range of step 1 as one slice of the arena
+    model, with the same answers and errors."""
 
     @staticmethod
     def _solved():
@@ -602,6 +609,27 @@ class TestModelRanges:
 
     def test_values(self):
         assert self._solved().model_literals(range(1, 6)) == (1, -2, 3, -4, -5)
+
+    @pytest.mark.parametrize("variables", [range(1, 6), range(2, 4), range(5, 6), range(3, 3)])
+    def test_raw_values_read_as_the_literals(self, variables):
+        solver = self._solved()
+        values = solver.model_values(variables)
+        assert bytes(values) == values and len(values) == len(variables)
+        literals = tuple(var if value == 1 else -var for var, value in zip(variables, values))
+        assert literals == solver.model_literals(variables)
+
+    @pytest.mark.parametrize(
+        "variables, bad", [(range(0, 3), 0), (range(4, 7), 6), (range(-1, 2), -1)]
+    )
+    def test_raw_values_out_of_range(self, variables, bad):
+        with pytest.raises(SolverError, match=f"variable {bad} is not in the last model"):
+            self._solved().model_values(variables)
+
+    def test_raw_values_need_a_model_and_step_one(self):
+        with pytest.raises(SolverError, match="no model available"):
+            ArenaSolver().model_values(range(1, 2))
+        with pytest.raises(SolverError, match="step 1"):
+            self._solved().model_values(range(1, 6, 2))
 
 
 class TestInputRange:
@@ -735,3 +763,40 @@ class TestLiteralChecks:
         fresh = ArenaSolver()
         assert fresh.solve(make()) is True
         assert fresh.model_literals([2, 3]) == (2, -3)
+
+
+class TestTracedSolve:
+    """A tracer only observes: every input solves as it does untraced,
+    and the ``sat.solve`` span counts the converted assumptions."""
+
+    @staticmethod
+    def _solve(given, traced):
+        solver = ArenaSolver()
+        solver.add_clause([-2, 3])
+        tracer = install(Tracer()) if traced else None
+        try:
+            answer = solver.solve(given)
+        finally:
+            if traced:
+                uninstall()
+        core = sorted(solver.unsat_core()) if answer is False else None
+        return (answer, core), tracer
+
+    @pytest.mark.parametrize("make", _ACCEPTED.values(), ids=list(_ACCEPTED))
+    def test_same_answer_with_and_without_a_tracer(self, make):
+        untraced, _ = self._solve(make(), traced=False)
+        traced, tracer = self._solve(make(), traced=True)
+        assert traced == untraced == (False, [-3, 2])
+        (span,) = [event for event in tracer.events() if event["name"] == "sat.solve"]
+        assert span["args"]["assumptions"] == 2
+
+    @pytest.mark.parametrize("index", _REJECTED)
+    def test_same_error_with_a_tracer(self, index):
+        given, text = _rejected_literals("assumption literal")[index]
+        install(Tracer())
+        try:
+            with pytest.raises(SolverError) as error:
+                ArenaSolver().solve(given)
+        finally:
+            uninstall()
+        assert str(error.value) == text

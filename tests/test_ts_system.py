@@ -221,9 +221,10 @@ class TestModelProjection:
         assert succ == Cube(
             v if model.get(ts.primed_of[v], False) else -v for v in ts.latch_vars
         )  # over current vars
-        inputs = ts.input_cube(solver)
+        bits = ts.input_bits(solver)
+        inputs = ts.inputs_of(bits)
         assert inputs == Cube(v if model.get(v, False) else -v for v in ts.input_vars)
-        assert ts.input_values(inputs) == {
+        assert ts.input_values_of(bits) == {
             aig_lit: model.get(var, False)
             for aig_lit, var in zip(case.aig.inputs, ts.input_vars)
         }
@@ -234,7 +235,8 @@ class TestModelProjection:
         solver.ensure_var(ts.num_vars)
         solver.add_clause([ts.latch_vars[0]])
         assert solver.solve()
-        for cube in (ts.state_cube(solver), ts.successor_cube(solver), ts.input_cube(solver)):
+        inputs = ts.inputs_of(ts.input_bits(solver))
+        for cube in (ts.state_cube(solver), ts.successor_cube(solver), inputs):
             assert cube.literals == Cube(cube.literals).literals
             assert hash(cube) == hash(Cube(cube.literals))
 
