@@ -8,12 +8,13 @@ circuit simulation, certificates in two parts.  The unit clauses and the
 latch equivalences among a certificate's clauses (what a reduction's
 lift-back adds) are proven inductive by structural hashing in
 :func:`split_certificate`; only the remaining clauses (IC3's lemmas, and
-any equivalence hashing cannot prove) go to a fresh SAT solver.
+any equivalence hashing cannot prove) go to a fresh SAT solver, one
+consecution query per clause.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.aiger.aig import AIG, FALSE_LIT, TRUE_LIT
 from repro.core.result import Certificate, CounterexampleTrace
@@ -151,7 +152,7 @@ def split_certificate(
 def check_certificate(
     system: Union[AIG, TransitionSystem],
     certificate: Certificate,
-    property_index: int = 0,
+    property_index: Optional[int] = None,
 ) -> bool:
     """Validate an inductive invariant ``INV = ¬Bad ∧ ⋀ clauses``.
 
@@ -164,33 +165,47 @@ def check_certificate(
     4. ``clauses ∧ Bad`` is UNSAT, so ``clauses ⇒ ¬Bad``;
     5. consecution of every clause, in two parts.  :func:`split_certificate`
        proves a part R of the clauses (units and latch equivalences)
-       inductive on its own, ``R ∧ T ⇒ R'``, by structural hashing.  The
-       rest, E, is asked as one query, ``clauses ∧ ¬Bad ∧ T ∧ ⋁ ¬e'``
-       over ``e`` in E, UNSAT: each ``¬e'`` is guarded by a fresh
-       variable and one clause requires some guard to hold.
+       inductive on its own, ``R ∧ T ⇒ R'``, by structural hashing.  For
+       the rest, E, ``clauses ∧ ¬Bad ∧ T ∧ ¬e'`` must be UNSAT for each
+       ``e`` in E, asked in certificate order as one assumption query per
+       clause (the relative-induction query IC3 itself asks).
 
     These suffice: by 2 and 5 the clauses hold on every reachable state,
     and by 4 no such state is bad.  Because 4 makes ``¬Bad`` implied by
     the clauses, ``INV`` is inductive without a separate ``¬Bad'`` check,
     and 3 is implied by 2 and 4 (it is kept to name the simpler failure).
-    Since ``R ∧ T ⇒ R'``, the clauses are inductive exactly when E is
-    inductive relative to them, so the verdict is that of one query over
-    every clause; a clause named in a failure lies in E and fails
-    consecution relative to all the clauses on its own.
+    Since ``R ∧ T ⇒ R'``, the clauses are inductive exactly when every
+    clause of E is inductive relative to all of them.  A failure names
+    the first clause of the certificate that fails consecution relative
+    to all the clauses: it lies in E, since no clause of R can fail.
 
     Queries 3–5 run on one fresh reference :class:`Solver`, loaded
     from :meth:`TransitionSystem.cone_trans` of the latches E mentions,
     renumbered densely: 3 and 4 see only the cone's property part, and
-    the step part is added for 5.  Every clause a query does not see
-    defines a gate or a primed latch that the query does not mention,
-    from variables the loaded clauses leave free, so each query is
-    equisatisfiable with the same query over the full T.
+    the step part is added for 5.  The per-clause queries of 5 share
+    that solver, so what one learns carries over to the next.  Every
+    clause a query does not see defines a gate or a primed latch that
+    the query does not mention, from variables the loaded clauses leave
+    free, so each query is equisatisfiable with the same query over the
+    full T.
+
+    ``property_index`` selects the property of an AIG (default 0).  A
+    :class:`TransitionSystem` already encodes one; an explicit index
+    that differs from its ``property_index`` raises :class:`ValueError`.
 
     Raises :class:`CertificateError` on failure, returns True on success.
     """
-    ts = system if isinstance(system, TransitionSystem) else TransitionSystem(
-        system, property_index=property_index, warn_on_ambiguity=False
-    )
+    if isinstance(system, TransitionSystem):
+        ts = system
+        if property_index is not None and property_index != ts.property_index:
+            raise ValueError(
+                f"property index {property_index} disagrees with the transition "
+                f"system, which encodes property {ts.property_index}"
+            )
+    else:
+        ts = TransitionSystem(
+            system, property_index=property_index or 0, warn_on_ambiguity=False
+        )
     clauses = list(certificate.clauses)
     mentioned = {abs(lit) for clause in clauses for lit in clause}
     for var in sorted(mentioned):
@@ -230,21 +245,9 @@ def check_certificate(
     solver.add_clause([-bad])
 
     add(cone.step)
-    guards = []
     for clause in rest:
-        guard = solver.new_var()
-        guards.append(guard)
-        for lit in clause:
-            solver.add_clause([-guard, -lit_of(ts.prime_lit(lit))])
-    if guards:
-        solver.add_clause(guards)
-        if solver.solve():
-            failing = next(
-                clause
-                for clause, guard in zip(rest, guards)
-                if solver.model_value(guard)
-            )
-            raise CertificateError(f"consecution fails for clause {failing!r}")
+        if solver.solve([-lit_of(ts.prime_lit(lit)) for lit in clause]):
+            raise CertificateError(f"consecution fails for clause {clause!r}")
     return True
 
 

@@ -109,7 +109,11 @@ def latch_variables(aig: AIG) -> range:
 
 
 class TransitionSystem:
-    """Boolean transition system ⟨X, Y, I, T⟩ derived from an AIG."""
+    """Boolean transition system ⟨X, Y, I, T⟩ derived from an AIG.
+
+    ``property_index`` names the bad (or output read as bad) that
+    ``bad_lit`` encodes; the system keeps it as an attribute.
+    """
 
     def __init__(
         self,
@@ -129,6 +133,7 @@ class TransitionSystem:
                 f"property index {property_index} out of range: the AIG declares "
                 f"{len(bads)} {source}, valid indices are 0..{len(bads) - 1}"
             )
+        self.property_index = property_index
         self._bad_aig_lit = bads[property_index]
 
         # The numbering of :func:`latch_variables`, built in one step: the

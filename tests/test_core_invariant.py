@@ -86,6 +86,20 @@ class TestCertificateValidation:
         with pytest.raises(CertificateError):
             check_certificate(case.aig, Certificate(clauses=clauses))
 
+    def test_consecution_names_the_first_failing_clause(self):
+        # Counting modulo 6, "c2 is low" and "c0 is low" leave the values
+        # 0 and 2.  Their successors 1 and 3 break "c0 is low", and 3 also
+        # breaks ¬c0 ∨ ¬c1, so both fail: each order names its first.
+        case = modular_counter(3, modulus=6, bad_value=7)
+        ts = TransitionSystem(case.aig)
+        c0, c1, c2 = ts.latch_vars
+        even, not_three = Clause([-c0]), Clause([-c0, -c1])
+        for failing in ([even, not_three], [not_three, even]):
+            clauses = failing + [Clause([-c2])]
+            with pytest.raises(CertificateError) as error:
+                check_certificate(case.aig, Certificate(clauses=clauses))
+            assert str(error.value) == f"consecution fails for clause {failing[0]!r}"
+
     def test_accepts_hand_built_invariant(self):
         # For the 2-bit FIFO controller, "count <= 2" is inductive: the
         # clause ¬(count0 ∧ count1) excludes 3 and the counter saturates.
@@ -127,8 +141,9 @@ def _reference_failures(ts, clauses, kernel=Solver):
     """The former checker: the full T and one consecution query per clause.
 
     Returns None when the clauses are accepted, ``"consecution"`` plus the
-    list of clauses that fail consecution on their own, or the name of the
-    first other check that fails.  ``kernel`` is the SAT solver class.
+    list, in certificate order, of the clauses that fail consecution on
+    their own, or the name of the first other check that fails.
+    ``kernel`` is the SAT solver class.
     """
     if any(not ts.clause_holds_on_init(clause) for clause in clauses):
         return "initiation", []
@@ -244,9 +259,7 @@ def test_cone_checker_agrees_with_full_reference(model):
         kind, failing = reference
         if kind == "consecution":
             consecution_rejections += 1
-            assert message in {
-                f"consecution fails for clause {clause!r}" for clause in failing
-            }
+            assert message == f"consecution fails for clause {failing[0]!r}"
     assert rejected and consecution_rejections
 
 
@@ -449,6 +462,44 @@ class TestSplitQueries:
         certificate = Certificate(clauses=[Clause([-ts.to_solver_lit(unrelated)])])
         with pytest.raises(CertificateError, match="^an initial state satisfies Bad$"):
             check_certificate(aig, certificate)
+
+
+class TestPropertyIndex:
+    """``stuck`` stays low and ``free`` loads an input; the first bad,
+    ``stuck``, never holds, the second, ``free``, does."""
+
+    @staticmethod
+    def _two_bads():
+        aig = AIG()
+        stuck = _latch(aig, "stuck", init=0)
+        free = _latch(aig, "free", init=0, next_lit=aig.add_input("i"))
+        aig.add_bad(stuck)
+        aig.add_bad(free)
+        ts = TransitionSystem(aig)
+        return aig, Certificate(clauses=[Clause([-ts.to_solver_lit(stuck)])])
+
+    def test_index_selects_the_property_of_an_aig(self):
+        aig, certificate = self._two_bads()
+        assert check_certificate(aig, certificate, property_index=0)
+        with pytest.raises(CertificateError, match="does not imply the property"):
+            check_certificate(aig, certificate, property_index=1)
+
+    def test_transition_system_checks_its_own_property(self):
+        aig, certificate = self._two_bads()
+        first, second = TransitionSystem(aig), TransitionSystem(aig, property_index=1)
+        assert (first.property_index, second.property_index) == (0, 1)
+        assert check_certificate(first, certificate)
+        assert check_certificate(first, certificate, property_index=0)
+        for index in (None, 1):
+            with pytest.raises(CertificateError, match="does not imply the property"):
+                check_certificate(second, certificate, property_index=index)
+
+    def test_disagreeing_index_raises(self):
+        aig, certificate = self._two_bads()
+        with pytest.raises(ValueError, match="property index 0 disagrees"):
+            check_certificate(TransitionSystem(aig, property_index=1), certificate, 0)
+        with pytest.raises(ValueError, match="property index 1 disagrees"):
+            check_certificate(TransitionSystem(aig), certificate, property_index=1)
 
 
 def _equivalence(a, b):

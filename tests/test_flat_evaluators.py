@@ -112,15 +112,16 @@ def _reference_ternary(aig, latch_state):
 # Random AIGs, written as AAG text so the kinds interleave freely
 # ----------------------------------------------------------------------
 @st.composite
-def random_aigs(draw):
-    """A valid AIG whose inputs, latches and ANDs take variables in any
-    order, with AND lines in any order, undefined resets, constraints,
-    justice and fairness, and sometimes an unused variable index."""
+def random_aigs(draw, max_vars=16):
+    """A valid AIG of at most ``max_vars`` variables whose inputs, latches
+    and ANDs take variables in any order, with AND lines in any order,
+    undefined resets, constraints, justice and fairness, and sometimes an
+    unused variable index."""
     kinds = draw(
         st.lists(
             st.sampled_from(["input", "latch", "latch", "and", "and", "and", "unused"]),
             min_size=1,
-            max_size=16,
+            max_size=max_vars,
         )
     )
     inputs, latch_lits, gates = [], [], []
