@@ -1,23 +1,20 @@
 """Ablation benchmarks for the design choices behind the prediction scheme.
 
-These are not experiments from the paper; they probe the knobs Algorithm 2
-fixes implicitly:
+These are not experiments from the paper:
 
-* clearing the failure-push (CTP) table before every propagation phase
-  versus keeping it across phases;
-* refining the diff set with the new counterexample after a failed
-  candidate (line 27) versus keeping the original diff set;
 * the interaction between prediction and CTG-based generalization;
-* the prediction candidate budget.
+* the bounds the engine fixes in code: the prediction query budget per
+  generalization and the CTGs blocked per literal drop.
 """
-
-import dataclasses
 
 import pytest
 
 from repro.benchgen import johnson_counter, modular_counter, round_robin_arbiter
 from repro.core import IC3, CheckResult, IC3Options
+from repro.core.generalize import MAX_CTGS, CtgGeneralizer
 from repro.core.options import GeneralizationStrategy
+from repro.core.predict import MAX_PREDICTION_QUERIES, LemmaPredictor
+from repro.harness.configs import paper_configurations
 
 
 ABLATION_CASES = [
@@ -36,39 +33,6 @@ def _run_all(options):
     return outcomes
 
 
-class TestCtpTableClearingAblation:
-    @pytest.mark.parametrize("clear_table", [True, False], ids=["clear", "keep"])
-    def test_clearing_policy(self, benchmark, clear_table):
-        options = dataclasses.replace(
-            IC3Options.profile_ic3_a().with_prediction(),
-            clear_ctp_before_propagation=clear_table,
-        )
-        outcomes = benchmark.pedantic(_run_all, args=(options,), rounds=1, iterations=1)
-        total_success = sum(o.stats.prediction_successes for o in outcomes)
-        total_queries = sum(o.stats.prediction_queries for o in outcomes)
-        print(
-            f"\n[ablation ctp-table clear={clear_table}] "
-            f"predictions {total_success}/{total_queries}"
-        )
-        assert total_queries > 0
-
-
-class TestDiffSetRefinementAblation:
-    @pytest.mark.parametrize("refine", [True, False], ids=["refine", "no-refine"])
-    def test_refinement_policy(self, benchmark, refine):
-        options = dataclasses.replace(
-            IC3Options.profile_ic3_a().with_prediction(), refine_diff_set=refine
-        )
-        outcomes = benchmark.pedantic(_run_all, args=(options,), rounds=1, iterations=1)
-        total_queries = sum(o.stats.prediction_queries for o in outcomes)
-        total_success = sum(o.stats.prediction_successes for o in outcomes)
-        print(
-            f"\n[ablation diff-set refine={refine}] "
-            f"predictions {total_success}/{total_queries}"
-        )
-        assert total_success > 0
-
-
 class TestPredictionWithCtgAblation:
     @pytest.mark.parametrize("prediction", [False, True], ids=["ctg", "ctg+pl"])
     def test_ctg_interaction(self, benchmark, prediction):
@@ -83,18 +47,43 @@ class TestPredictionWithCtgAblation:
             assert sum(o.stats.prediction_successes for o in outcomes) > 0
 
 
-class TestPredictionBudgetAblation:
-    @pytest.mark.parametrize("budget", [1, 4, 16], ids=["budget1", "budget4", "budget16"])
-    def test_candidate_budget(self, benchmark, budget):
-        options = dataclasses.replace(
-            IC3Options.profile_ic3_a().with_prediction(),
-            max_prediction_candidates=budget,
-        )
+class TestFixedBounds:
+    """The bounds Algorithm 2 and ctgDown fix still bound the work."""
+
+    def test_prediction_query_budget(self, benchmark, monkeypatch):
+        per_call = []
+        predict = LemmaPredictor.predict
+
+        def counted(self, bad_cube, level):
+            before = self.stats.prediction_queries
+            prediction = predict(self, bad_cube, level)
+            per_call.append(self.stats.prediction_queries - before)
+            return prediction
+
+        monkeypatch.setattr(LemmaPredictor, "predict", counted)
+        options = IC3Options.profile_ic3_a().with_prediction()
         outcomes = benchmark.pedantic(_run_all, args=(options,), rounds=1, iterations=1)
         per_general = [
             o.stats.prediction_queries / max(1, o.stats.generalizations)
             for o in outcomes
         ]
-        print(f"\n[ablation budget={budget}] queries/generalization={per_general}")
-        # The budget bounds the number of prediction queries per generalization.
-        assert all(value <= budget + 1e-9 for value in per_general)
+        print(f"\n[budget] queries/generalization={per_general}, max per call={max(per_call)}")
+        assert MAX_PREDICTION_QUERIES == 8
+        assert all(value <= 8 for value in per_general)
+        assert 0 < max(per_call) <= 8
+
+    def test_abc_pdr_blocks_at_most_three_ctgs_per_drop(self, monkeypatch):
+        per_drop = []
+        attempt_drop = CtgGeneralizer._attempt_drop
+
+        def counted(self, candidate, level):
+            before = self.stats.ctg_blocked
+            dropped = attempt_drop(self, candidate, level)
+            per_drop.append(self.stats.ctg_blocked - before)
+            return dropped
+
+        monkeypatch.setattr(CtgGeneralizer, "_attempt_drop", counted)
+        (pdr,) = [c for c in paper_configurations() if c.name == "ABC-PDR"]
+        _run_all(pdr.options)
+        assert MAX_CTGS == 3
+        assert 0 < max(per_drop) <= 3

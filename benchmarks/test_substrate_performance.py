@@ -9,7 +9,7 @@ end-to-end IC3 numbers.
 
 from repro.benchgen import johnson_counter, modular_counter, token_ring
 from repro.core import BMC, CheckResult, IC3Options
-from repro.core.frames import FrameManager
+from repro.core.frames import make_frame_manager
 from repro.core.stats import IC3Stats
 from repro.logic import Cube
 from repro.sat import Solver
@@ -67,7 +67,7 @@ class TestEncodingMicrobenchmarks:
     def test_consecution_query_cost(self, benchmark):
         case = token_ring(10)
         ts = TransitionSystem(case.aig)
-        manager = FrameManager(ts, IC3Options(), IC3Stats())
+        manager = make_frame_manager(ts, IC3Options(), IC3Stats())
         manager.add_frame()
         cube = Cube([ts.latch_vars[0], ts.latch_vars[1]])
 
@@ -84,7 +84,7 @@ class TestFrameBackendMicrobenchmarks:
     def _consecution_burst(backend: str) -> int:
         case = token_ring(8)
         ts = TransitionSystem(case.aig)
-        manager = FrameManager(
+        manager = make_frame_manager(
             ts, IC3Options(frame_backend=backend), IC3Stats()
         )
         for _ in range(4):

@@ -418,8 +418,9 @@ def _live_workers_line(monitor):
 
 
 def _configure_verbose_logging(args: argparse.Namespace) -> None:
-    """Route the engines' ``logging`` progress output to stderr."""
-    if getattr(args, "verbose", False):
+    """Route the engines' INFO-level ``logging`` progress (IC3's
+    per-frame line) to stderr."""
+    if args.verbose:
         logging.basicConfig(
             level=logging.INFO, format="%(message)s", stream=sys.stderr
         )
@@ -536,7 +537,7 @@ def _property_indices(aig, index: Optional[int] = None) -> List[int]:
 
 def _check_body(args: argparse.Namespace) -> int:
     aig = _read_model(args.model)
-    options = IC3Options(verbose=1 if args.verbose else 0, seed=args.seed)
+    options = IC3Options(seed=args.seed)
     if args.all_properties:
         return _check_properties(args, aig, options, _property_indices(aig))
     if args.property is not None:
@@ -627,7 +628,6 @@ def _command_reduce(args: argparse.Namespace) -> int:
 
 
 def _command_evaluate(args: argparse.Namespace) -> int:
-    _configure_verbose_logging(args)
     with session(trace_out=args.trace_out, live=args.live, label="evaluate") as monitor:
         with _live_workers_line(monitor):
             exit_code = _evaluate_body(args)

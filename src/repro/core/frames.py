@@ -893,6 +893,10 @@ class PerFrameFrameManager(FrameManagerBase):
     the solvers are rebuilt periodically to shed accumulated garbage.
     """
 
+    REBUILD_INTERVAL = 400
+    """Rebuild a frame solver (or the lifting solver) after this many
+    garbage clauses: temporary activation tombstones and subsumed lemmas."""
+
     def __init__(self, ts: TransitionSystem, options: IC3Options, stats: IC3Stats):
         super().__init__(ts, options, stats)
         self._solvers: List[ArenaSolver] = []
@@ -957,7 +961,7 @@ class PerFrameFrameManager(FrameManagerBase):
 
     def _note_garbage(self, level: int) -> None:
         self._garbage[level] += 1
-        if self._garbage[level] >= self.options.solver_rebuild_interval:
+        if self._garbage[level] >= self.REBUILD_INTERVAL:
             self._rebuild_solver(level)
 
     # ------------------------------------------------------------------
@@ -1030,7 +1034,7 @@ class PerFrameFrameManager(FrameManagerBase):
         lifted = predecessor if satisfiable else self._lifted(solver, predecessor)
         solver.add_clause([-activation])
         self._lift_garbage += 1
-        if self._lift_garbage >= self.options.solver_rebuild_interval:
+        if self._lift_garbage >= self.REBUILD_INTERVAL:
             self._lift_solver = self._trans_solver()
             self._lift_garbage = 0
             self.stats.solver_rebuilds += 1
@@ -1061,9 +1065,3 @@ def make_frame_manager(
         ) from None
     return backend(ts, options, stats)
 
-
-def FrameManager(
-    ts: TransitionSystem, options: IC3Options, stats: IC3Stats
-) -> FrameManagerBase:
-    """Backward-compatible constructor: dispatches on ``options.frame_backend``."""
-    return make_frame_manager(ts, options, stats)

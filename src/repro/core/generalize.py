@@ -36,6 +36,11 @@ from repro.logic.cube import Cube
 from repro.ts.system import TransitionSystem
 
 
+MAX_CTGS = 3
+"""How many counterexamples to generalization the CTG strategy blocks per
+literal drop (IC3ref's ctgDown)."""
+
+
 class Generalizer:
     """Base class: owns the literal ordering and the shared drop loop."""
 
@@ -62,8 +67,6 @@ class Generalizer:
         ordering = self.options.literal_ordering
         if ordering == LiteralOrdering.INDEX:
             literals.sort(key=abs)
-        elif ordering == LiteralOrdering.REVERSE_INDEX:
-            literals.sort(key=abs, reverse=True)
         elif ordering == LiteralOrdering.ACTIVITY:
             # Drop the least active literals first so that literals appearing
             # in many lemmas are kept (they are likely load-bearing).
@@ -74,16 +77,8 @@ class Generalizer:
     # The drop loop
     # ------------------------------------------------------------------
     def generalize(self, cube: Cube, level: int) -> Cube:
-        """Return a sub-cube of ``cube`` still blockable at ``level``."""
-        current = cube
-        for _ in range(self.options.mic_max_rounds):
-            before = len(current)
-            current = self._one_pass(current, level)
-            if len(current) == before:
-                break
-        return current
-
-    def _one_pass(self, cube: Cube, level: int) -> Cube:
+        """Return a sub-cube of ``cube`` still blockable at ``level``
+        (one pass over the literals, as in IC3ref's MIC)."""
         current = cube
         for literal in self.order_literals(cube, level):
             if literal not in current or len(current) <= 1:
@@ -103,13 +98,13 @@ class Generalizer:
         if not result.holds:
             return None
         self.stats.mic_drop_successes += 1
-        return self._apply_core(candidate, result.core_cube)
+        return self.apply_core(candidate, result.core_cube)
 
-    def _apply_core(self, candidate: Cube, core_cube: Optional[Cube]) -> Cube:
-        """Shrink to the assumption core when it is usable."""
+    def apply_core(self, candidate: Cube, core_cube: Optional[Cube]) -> Cube:
+        """Shrink to the assumption core when it is usable (non-empty and
+        disjoint from the initial states)."""
         if (
-            not self.options.use_unsat_core_shrinking
-            or core_cube is None
+            core_cube is None
             or core_cube.is_empty()
             or self.ts.cube_intersects_init(core_cube)
         ):
@@ -125,9 +120,10 @@ class CtgGeneralizer(Generalizer):
     """MIC that blocks counterexamples to generalization (CTGs).
 
     When dropping a literal fails, the counterexample-to-induction state is
-    itself tried as a lemma (up to ``max_ctgs`` times per drop); blocking it
-    strengthens the frame and frequently lets the original drop succeed on
-    retry.  This is a faithful, depth-1 rendition of the ctgDown algorithm.
+    itself tried as a lemma (up to :data:`MAX_CTGS` times per drop); blocking
+    it strengthens the frame and frequently lets the original drop succeed
+    on retry.  This is IC3ref's ctgDown at depth 1: a CTG is blocked with
+    its consecution core, not generalized recursively.
     """
 
     def _attempt_drop(self, candidate: Cube, level: int) -> Optional[Cube]:
@@ -137,12 +133,8 @@ class CtgGeneralizer(Generalizer):
             result = self.frames.consecution(level - 1, candidate, reuse=False)
             if result.holds:
                 self.stats.mic_drop_successes += 1
-                return self._apply_core(candidate, result.core_cube)
-            if (
-                ctgs_blocked >= self.options.max_ctgs
-                or self.options.ctg_depth < 1
-                or result.predecessor is None
-            ):
+                return self.apply_core(candidate, result.core_cube)
+            if ctgs_blocked >= MAX_CTGS or result.predecessor is None:
                 return None
             ctg = result.predecessor
             if self.ts.cube_intersects_init(ctg):
@@ -150,7 +142,7 @@ class CtgGeneralizer(Generalizer):
             ctg_result = self.frames.consecution(level - 1, ctg)
             if not ctg_result.holds:
                 return None
-            blocked = self._apply_core(ctg, ctg_result.core_cube)
+            blocked = self.apply_core(ctg, ctg_result.core_cube)
             if self.ts.cube_intersects_init(blocked):
                 blocked = ctg
             self.frames.add_blocked_cube(blocked, min(level, self.frames.top_level))

@@ -45,11 +45,17 @@ from repro.obs.tracer import get_tracer
 from repro.ts.system import TransitionSystem
 
 _LOG = logging.getLogger(__name__)
-"""Verbose progress goes through ``logging`` (namespace
-``repro.core.ic3``), not ``print``: parallel ``--jobs N`` runs no longer
-interleave garbage on stdout, and the same information lands in traces
-as instant events.  The CLI installs a handler when ``--verbose`` is
-given; library users configure logging themselves."""
+"""Progress goes through ``logging`` (namespace ``repro.core.ic3``), not
+``print``: per-frame progress (and the ``ic3.frame`` trace instant) at
+INFO, one line per blocked obligation at DEBUG.  The CLI enables INFO
+when ``--verbose`` is given; library users configure logging
+themselves."""
+
+_MAX_FRAMES = 10_000
+"""Give up (UNKNOWN) rather than open more frames than this."""
+
+_MAX_OBLIGATIONS = 1_000_000
+"""Give up (UNKNOWN) after this many proof obligations."""
 
 _HEARTBEAT_OBLIGATION_INTERVAL = 16
 """The blocking loop refreshes the heartbeat every this many proof
@@ -78,7 +84,7 @@ class IC3:
         self.generalizer = make_generalizer(
             self.frames, self.ts, self.options, self.stats, self._literal_activity
         )
-        self.predictor = LemmaPredictor(self.frames, self.options, self.stats)
+        self.predictor = LemmaPredictor(self.frames, self.stats)
 
         self._deadline: Optional[float] = None
         self._start_time = 0.0
@@ -144,12 +150,12 @@ class IC3:
                         engine=self._engine_name(),
                     )
 
-            if self.frames.top_level + 1 > self.options.max_frames:
+            if self.frames.top_level + 1 > _MAX_FRAMES:
                 return self._unknown("frame limit reached")
             with tracer.span("ic3.extend", cat="ic3", new_top=top + 1):
                 self.frames.add_frame()
             invariant_level = self._propagate()
-            if self.options.verbose >= 1:
+            if _LOG.isEnabledFor(logging.INFO):
                 self._log_frame_progress()
             if invariant_level is not None:
                 certificate = Certificate(
@@ -184,7 +190,7 @@ class IC3:
             self._check_limits()
             obligation = queue.pop()
             self.stats.obligations_processed += 1
-            if self.stats.obligations_processed > self.options.max_obligations:
+            if self.stats.obligations_processed > _MAX_OBLIGATIONS:
                 raise _BudgetSignal("obligation limit reached")
             if self.stats.obligations_processed % _HEARTBEAT_OBLIGATION_INTERVAL == 0:
                 hb = get_heartbeat()
@@ -210,17 +216,14 @@ class IC3:
 
             result = self._consecution(obligation.level - 1, obligation.cube)
             if result.holds:
-                base = self._usable_core(result.core_cube, obligation.cube)
+                base = self.generalizer.apply_core(obligation.cube, result.core_cube)
                 lemma_cube, push_start = self._generalize(base, obligation)
                 final_level = self._push_lemma(lemma_cube, max(push_start, obligation.level))
                 self.frames.add_blocked_cube(lemma_cube, final_level)
                 self._bump_activity(lemma_cube)
-                if self.options.verbose >= 2:
-                    _LOG.debug(
-                        "[ic3] blocked |cube|=%d at level %d",
-                        len(lemma_cube),
-                        final_level,
-                    )
+                _LOG.debug(
+                    "[ic3] blocked |cube|=%d at level %d", len(lemma_cube), final_level
+                )
                 self._requeue_above(queue, obligation, at_level=final_level + 1)
             else:
                 self.stats.ctis += 1
@@ -273,17 +276,6 @@ class IC3:
             result = self.frames.consecution(level, cube)
             span.add(holds=result.holds)
         return result
-
-    def _usable_core(self, core_cube: Optional[Cube], original: Cube) -> Cube:
-        """Use the consecution core as the generalization seed when sound."""
-        if (
-            not self.options.use_unsat_core_shrinking
-            or core_cube is None
-            or core_cube.is_empty()
-            or self.ts.cube_intersects_init(core_cube)
-        ):
-            return original
-        return core_cube
 
     # ------------------------------------------------------------------
     # Generalization (Algorithm 2, function generalize)
@@ -366,8 +358,8 @@ class IC3:
         """
         start = time.perf_counter()
         predicting = self.options.enable_prediction
-        if predicting and self.options.clear_ctp_before_propagation:
-            self.predictor.clear_table()
+        if predicting:
+            self.predictor.clear_table()  # Algorithm 2 line 44
 
         frames = self.frames
         invariant_level: Optional[int] = None

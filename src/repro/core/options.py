@@ -4,6 +4,10 @@ The options mirror the configurations evaluated in the paper: a base IC3
 (``IC3Options()``), the same engine with lemma prediction enabled
 (``IC3Options.with_prediction()``), the CAV'23-style parent-ordered
 generalization, a CTG-enabled variant, and an ABC-PDR-like profile.
+Only settings that some configuration varies are options; what every
+configuration shares (Algorithm 2's CTP-table policy, the prediction,
+MIC and CTG bounds, the frame and obligation limits) is written where it
+is used.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ class LiteralOrdering(str, Enum):
     """Order in which MIC tries to drop literals from a cube."""
 
     INDEX = "index"
-    REVERSE_INDEX = "reverse-index"
     ACTIVITY = "activity"
 
 
@@ -35,29 +38,9 @@ class IC3Options:
     enable_prediction: bool = False
     """Predict candidate lemmas from CTPs before dropping variables (Alg. 2)."""
 
-    clear_ctp_before_propagation: bool = True
-    """Clear the failure-push table before each propagation phase (Alg. 2 l.44)."""
-
-    refine_diff_set: bool = True
-    """On a failed prediction, intersect the diff set with the new CTP (Alg. 2 l.27)."""
-
-    max_prediction_candidates: int = 8
-    """Upper bound on SAT queries spent per generalization on predictions."""
-
     # --- generalization --------------------------------------------------
     generalization: GeneralizationStrategy = GeneralizationStrategy.BASIC
     literal_ordering: LiteralOrdering = LiteralOrdering.INDEX
-    use_unsat_core_shrinking: bool = True
-    """Shrink cubes with the assumption core of successful consecution calls."""
-
-    mic_max_rounds: int = 1
-    """How many full passes MIC makes over the cube literals."""
-
-    ctg_depth: int = 1
-    """Recursion depth for CTG handling (only with the CTG strategy)."""
-
-    max_ctgs: int = 3
-    """How many counterexamples-to-generalization to block per literal drop."""
 
     # --- engine behaviour -------------------------------------------------
     enable_lifting: bool = True
@@ -66,26 +49,10 @@ class IC3Options:
     aggressive_push: bool = True
     """After blocking, re-enqueue the obligation one level higher (IC3ref style)."""
 
-    max_frames: int = 10_000
-    """Give up (UNKNOWN) after this many frames."""
-
-    max_obligations: int = 1_000_000
-    """Give up (UNKNOWN) after this many proof obligations."""
-
     frame_backend: str = "monolithic"
     """Frame-management substrate: ``"monolithic"`` keeps one incremental
     solver with activation-literal frame selection; ``"per-frame"`` is the
     classic one-solver-per-frame baseline."""
-
-    solver_rebuild_interval: int = 400
-    """Per-frame backend only: rebuild a frame solver after this many
-    garbage clauses (temporary activation tombstones + subsumed lemmas)."""
-
-    check_predicted_lemmas: bool = False
-    """Assert the Section 3.2 invariants (t ⊭ c3, b ⊨ c3, c2 ⊆ c3) on every prediction."""
-
-    verbose: int = 0
-    """0 = silent, 1 = per-frame progress, 2 = per-obligation detail."""
 
     seed: int = 0
     """Deterministic RNG seed for the SAT kernel's randomized branching
@@ -139,16 +106,6 @@ class IC3Options:
 
     def validate(self) -> None:
         """Raise ``ValueError`` on inconsistent settings."""
-        if self.max_prediction_candidates < 1:
-            raise ValueError("max_prediction_candidates must be at least 1")
-        if self.mic_max_rounds < 1:
-            raise ValueError("mic_max_rounds must be at least 1")
-        if self.ctg_depth < 0 or self.max_ctgs < 0:
-            raise ValueError("CTG parameters must be non-negative")
-        if self.max_frames < 1:
-            raise ValueError("max_frames must be at least 1")
-        if self.solver_rebuild_interval < 1:
-            raise ValueError("solver_rebuild_interval must be at least 1")
         # Imported lazily: frames imports this module at load time.
         from repro.core.frames import available_frame_backends
 

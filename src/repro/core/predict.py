@@ -18,8 +18,8 @@ skip the literal-dropping generalization altogether:
   ``b`` and is only one literal larger than the parent — a single
   consecution query validates it.
 
-A failed candidate returns a fresh CTP which (optionally) refines the diff
-set before the next candidate is tried.
+A failed candidate returns a fresh CTP which refines the diff set before
+the next candidate is tried (line 27).
 """
 
 from __future__ import annotations
@@ -28,13 +28,12 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.core.frames import FrameManagerBase
-from repro.core.options import IC3Options
 from repro.core.stats import IC3Stats
 from repro.logic.cube import Cube, diff
 
 
-class PredictionInvariantError(AssertionError):
-    """Raised in checking mode when a predicted lemma violates Section 3.2."""
+MAX_PREDICTION_QUERIES = 8
+"""Upper bound on the SAT queries one generalization spends on predictions."""
 
 
 @dataclass
@@ -101,9 +100,8 @@ class CtpTable:
 class LemmaPredictor:
     """Implements the prediction part of Algorithm 2 (lines 10-27)."""
 
-    def __init__(self, frames: FrameManagerBase, options: IC3Options, stats: IC3Stats):
+    def __init__(self, frames: FrameManagerBase, stats: IC3Stats):
         self.frames = frames
-        self.options = options
         self.stats = stats
         self.table = CtpTable(frames)
 
@@ -155,7 +153,7 @@ class LemmaPredictor:
         if not parents:
             return None
 
-        queries_left = self.options.max_prediction_candidates
+        queries_left = MAX_PREDICTION_QUERIES
         found_ctp_parent = False
 
         for parent in parents:
@@ -201,9 +199,7 @@ class LemmaPredictor:
             queries_left -= 1
             if result.holds:
                 self.stats.predicted_push_parent += 1
-                prediction = Prediction(cube=parent, parent=parent, kind="push-parent")
-                self._check_prediction(prediction, bad_cube, ctp_state)
-                return prediction
+                return Prediction(cube=parent, parent=parent, kind="push-parent")
             self.record_push_failure(parent, level - 1, result.successor)
             return queries_left
 
@@ -217,25 +213,10 @@ class LemmaPredictor:
             queries_left -= 1
             if result.holds:
                 self.stats.predicted_extended += 1
-                prediction = Prediction(cube=candidate, parent=parent, kind="extended")
-                self._check_prediction(prediction, bad_cube, ctp_state)
-                return prediction
+                return Prediction(cube=candidate, parent=parent, kind="extended")
             # Line 27: the new counterexample successor is (very likely) another
             # CTP of the parent; eliminate candidates it also defeats.
-            if self.options.refine_diff_set and result.successor is not None:
+            if result.successor is not None:
                 refined = diff_set & diff(bad_cube, result.successor)
                 remaining = [l for l in remaining if l in refined]
         return queries_left
-
-    # ------------------------------------------------------------------
-    def _check_prediction(self, prediction: Prediction, bad_cube: Cube, ctp_state: Cube) -> None:
-        """Assert the Section 3.2 properties of a predicted cube (debug mode)."""
-        if not self.options.check_predicted_lemmas:
-            return
-        c3 = prediction.cube
-        if not prediction.parent.literal_set <= c3.literal_set:
-            raise PredictionInvariantError("predicted cube does not extend its parent (Eq. 4)")
-        if not c3.literal_set <= bad_cube.literal_set:
-            raise PredictionInvariantError("predicted cube is not contained in the bad cube (Eq. 3)")
-        if prediction.kind == "extended" and not diff(c3, ctp_state):
-            raise PredictionInvariantError("predicted cube does not exclude the CTP state (Eq. 2)")

@@ -17,19 +17,19 @@ portfolio ``check`` never overshoots the budget by more than a small
 grace period.  Members are children of :class:`repro.supervise.Supervisor`.
 
 Members may repeat an engine kind (``["ic3-pl", "ic3-pl", "bmc"]``):
-duplicates are auto-labelled ``name#k`` and diversified with distinct
-RNG seeds and configuration jitter so that they search differently.
+duplicates are auto-labelled ``name#k``, and every member gets its own
+SAT-kernel seed, so repeated members search differently.
 """
 
 from __future__ import annotations
 
 import time
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.aiger.aig import AIG
-from repro.core.options import IC3Options, LiteralOrdering
+from repro.core.options import IC3Options
 from repro.core.result import CheckOutcome, CheckResult
 from repro.core.stats import IC3Stats
 from repro.engines.adapters import finish_outcome, prepare_model
@@ -46,40 +46,21 @@ _POLL_INTERVAL = 0.05
 
 @dataclass
 class PortfolioOptions:
-    """Portfolio member seeding and diversification."""
+    """Portfolio member seeding."""
 
     base_seed: int = 1
     """Member ``i`` runs with SAT-kernel seed ``base_seed + i`` so the
     kernels branch differently.  0 disables seeding entirely (all
     members run the deterministic unseeded decision order)."""
 
-    diversify: bool = True
-    """Apply per-member configuration jitter to duplicated engine kinds."""
-
 
 @dataclass
 class _MemberPlan:
-    """One spawn slot: resolved label, engine name, options and kwargs."""
+    """One spawn slot: resolved label, engine name and kwargs."""
 
     label: str
     engine: str
-    options: Optional[IC3Options]
     kwargs: Dict[str, object] = field(default_factory=dict)
-
-
-_IC3_JITTER: Tuple[Dict[str, object], ...] = (
-    {"literal_ordering": LiteralOrdering.ACTIVITY},
-    {"literal_ordering": LiteralOrdering.REVERSE_INDEX},
-    {"use_unsat_core_shrinking": False},
-)
-"""Option overrides cycled across duplicated IC3-kind members."""
-
-_IC3_KWARG_JITTER: Tuple[Dict[str, object], ...] = (
-    {"frame_backend": "per-frame"},
-    {},
-)
-"""Substrate overrides cycled across duplicated IC3-kind members
-(explicit portfolio-level or per-member settings still win)."""
 
 
 def _run_member(label, engine_name, aig, options, property_index, time_limit, kwargs):
@@ -139,37 +120,26 @@ class PortfolioEngine:
 
     # ------------------------------------------------------------------
     def _build_plan(self, canonical: Sequence[str]) -> List[_MemberPlan]:
-        """Resolve labels, diversification jitter and seeds for every member.
+        """Resolve labels and seeds for every member.
 
-        Duplicated engine kinds get ``name#k`` labels plus cycled option
-        and substrate jitter; every member gets a distinct SAT-kernel
-        seed derived from ``PortfolioOptions.base_seed``.  Per-member
-        kwargs supplied by the caller (keyed by label, falling back to
-        the raw engine name) always win.
+        Duplicated engine kinds get ``name#k`` labels; every member gets a
+        distinct SAT-kernel seed derived from ``PortfolioOptions.base_seed``.
+        Per-member kwargs supplied by the caller (keyed by label, falling
+        back to the raw engine name) always win.
         """
-        pf = self.portfolio_options
+        base_seed = self.portfolio_options.base_seed
         totals = Counter(canonical)
         seen: Counter = Counter()
         plan: List[_MemberPlan] = []
         for index, (member, canon) in enumerate(zip(self.engines, canonical)):
-            dup = seen[canon]
             seen[canon] += 1
-            label = member if totals[canon] == 1 else f"{member}#{dup + 1}"
-            member_options = self.options
+            label = member if totals[canon] == 1 else f"{member}#{seen[canon]}"
             kwargs: Dict[str, object] = {"reduce": False}
-            if pf.diversify and dup and canon in ("ic3", "ic3-pl"):
-                base = member_options if member_options is not None else IC3Options()
-                member_options = replace(
-                    base, **_IC3_JITTER[(dup - 1) % len(_IC3_JITTER)]
-                )
-                kwargs.update(_IC3_KWARG_JITTER[(dup - 1) % len(_IC3_KWARG_JITTER)])
-            if pf.base_seed:
-                kwargs["seed"] = (
-                    pf.base_seed + index if pf.diversify else pf.base_seed
-                )
+            if base_seed:
+                kwargs["seed"] = base_seed + index
             kwargs.update(self._common_kwargs)
             kwargs.update(self.member_kwargs.get(label, self.member_kwargs.get(member, {})))
-            plan.append(_MemberPlan(label, member, member_options, kwargs))
+            plan.append(_MemberPlan(label, member, kwargs))
         return plan
 
     # ------------------------------------------------------------------
@@ -221,7 +191,7 @@ class PortfolioEngine:
                             plan.label,
                             plan.engine,
                             self._aig,
-                            plan.options,
+                            self.options,
                             self.property_index,
                             remaining,
                             plan.kwargs,

@@ -15,7 +15,6 @@ from repro.logic.literal import (
 )
 from repro.logic.cube import Cube, Clause, diff
 from repro.logic.cnf import CNF
-from repro.logic.assignment import Assignment
 
 __all__ = [
     "lit_var",
@@ -27,5 +26,4 @@ __all__ = [
     "Clause",
     "diff",
     "CNF",
-    "Assignment",
 ]

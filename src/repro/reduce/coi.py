@@ -7,9 +7,6 @@ depends on, where latch dependencies follow the next-state functions —
 is sound and complete (the reduced circuit is unsafe iff the original
 is) and can shrink the IC3 state space dramatically.  Invariant
 constraints are always kept because they restrict every behaviour.
-
-The cone computation lived in :mod:`repro.ts.coi` historically; that
-module now delegates here and only keeps its original one-shot API.
 """
 
 from __future__ import annotations

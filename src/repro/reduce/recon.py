@@ -48,6 +48,7 @@ from repro.reduce.base import (
     PassResult,
     ReductionError,
 )
+from repro.ts.system import latch_variables
 
 
 @dataclass(frozen=True)
@@ -197,12 +198,8 @@ class ReconstructionMap:
     # Variable numbering (witnesses speak TransitionSystem's)
     # ------------------------------------------------------------------
     def _latch_variables(self):
-        """The original and the reduced model's latch variables."""
-        # Imported lazily: repro.ts re-exports the COI shim, which imports
-        # this package back.  Only the numbering is needed, so no
-        # TransitionSystem is built.
-        from repro.ts.system import latch_variables
-
+        """The original and the reduced model's latch variables (only the
+        numbering: no TransitionSystem is built)."""
         return latch_variables(self.original), latch_variables(self.reduced)
 
     # ------------------------------------------------------------------

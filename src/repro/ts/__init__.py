@@ -15,7 +15,6 @@ from repro.ts.system import (
     select_bads,
 )
 from repro.ts.unroll import Unroller
-from repro.ts.coi import CoiInfo, coi_variables, reduce_to_coi
 
 __all__ = [
     "TransitionSystem",
@@ -23,7 +22,4 @@ __all__ = [
     "PropertySelectionWarning",
     "select_bads",
     "Unroller",
-    "CoiInfo",
-    "coi_variables",
-    "reduce_to_coi",
 ]

@@ -10,7 +10,6 @@ import pytest
 
 from repro.benchgen import token_ring, modular_counter
 from repro.core.frames import (
-    FrameManager,
     MonolithicFrameManager,
     PerFrameFrameManager,
     available_frame_backends,
@@ -33,7 +32,7 @@ def _manager(case=None, backend="monolithic", **option_kwargs):
     ts = TransitionSystem(case.aig)
     options = IC3Options(frame_backend=backend, **option_kwargs)
     stats = IC3Stats()
-    manager = FrameManager(ts, options, stats)
+    manager = make_frame_manager(ts, options, stats)
     return manager, ts, stats
 
 
@@ -204,9 +203,10 @@ class TestQueries:
         assert lifted.literal_set <= result.predecessor.literal_set
         assert len(lifted) >= 1
 
-    def test_solver_rebuild_preserves_answers(self, backend):
+    def test_solver_rebuild_preserves_answers(self, backend, monkeypatch):
+        monkeypatch.setattr(PerFrameFrameManager, "REBUILD_INTERVAL", 2)
         case = token_ring(3)
-        manager, ts, _ = _manager(case, backend=backend, solver_rebuild_interval=2)
+        manager, ts, _ = _manager(case, backend=backend)
         manager.add_frame()
         cube = Cube([ts.latch_vars[0], ts.latch_vars[1]])
         results = [manager.consecution(0, cube).holds for _ in range(8)]
@@ -470,8 +470,9 @@ class TestPerFrameSubstrate:
         assert stats.solver_garbage_lemmas == 2
         assert manager._garbage[1] == 1 and manager._garbage[2] == 1
 
-    def test_subsumption_garbage_triggers_rebuild(self):
-        manager, ts, stats = _manager(backend="per-frame", solver_rebuild_interval=2)
+    def test_subsumption_garbage_triggers_rebuild(self, monkeypatch):
+        monkeypatch.setattr(PerFrameFrameManager, "REBUILD_INTERVAL", 2)
+        manager, ts, stats = _manager(backend="per-frame")
         manager.add_frame()
         weak_a = Cube([ts.latch_vars[0], ts.latch_vars[1]])
         weak_b = Cube([ts.latch_vars[0], ts.latch_vars[2]])

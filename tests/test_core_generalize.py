@@ -2,8 +2,9 @@
 
 
 from repro.benchgen import token_ring, modular_counter, round_robin_arbiter
-from repro.core.frames import FrameManager
+from repro.core.frames import ConsecutionResult, make_frame_manager
 from repro.core.generalize import (
+    MAX_CTGS,
     BasicGeneralizer,
     CtgGeneralizer,
     ParentOrderedGeneralizer,
@@ -20,7 +21,7 @@ def _setup(case=None, **option_kwargs):
     ts = TransitionSystem(case.aig)
     options = IC3Options(**option_kwargs)
     stats = IC3Stats()
-    frames = FrameManager(ts, options, stats)
+    frames = make_frame_manager(ts, options, stats)
     frames.add_frame()
     generalizer = make_generalizer(frames, ts, options, stats, {})
     return generalizer, frames, ts, stats
@@ -47,11 +48,6 @@ class TestLiteralOrdering:
         generalizer, _, ts, _ = _setup(literal_ordering=LiteralOrdering.INDEX)
         cube = Cube([ts.latch_vars[2], ts.latch_vars[0]])
         assert generalizer.order_literals(cube, 1) == sorted(cube, key=abs)
-
-    def test_reverse_order(self):
-        generalizer, _, ts, _ = _setup(literal_ordering=LiteralOrdering.REVERSE_INDEX)
-        cube = Cube([ts.latch_vars[2], ts.latch_vars[0]])
-        assert generalizer.order_literals(cube, 1) == sorted(cube, key=abs, reverse=True)
 
     def test_activity_order_drops_least_active_first(self):
         generalizer, frames, ts, stats = _setup(
@@ -132,8 +128,7 @@ class TestGeneralizationCorrectness:
 
     def test_ctg_generalizer_blocks_ctgs(self):
         case = round_robin_arbiter(3, safe=True)
-        options_kwargs = dict(generalization=GeneralizationStrategy.CTG, ctg_depth=1, max_ctgs=3)
-        generalizer, frames, ts, stats = _setup(case, **options_kwargs)
+        generalizer, frames, ts, stats = _setup(case, generalization=GeneralizationStrategy.CTG)
         # Two grants at once is unreachable but needs the token invariant;
         # generalizing it gives the CTG machinery something to do.
         grant_vars = ts.latch_vars[3:]
@@ -145,31 +140,6 @@ class TestGeneralizationCorrectness:
             generalized = generalizer.generalize(original, 1)
             self._assert_valid_generalization(frames, ts, original, generalized, 1)
 
-    def test_mic_multiple_rounds_no_worse(self):
-        generalizer_one, frames_one, ts_one, _ = _setup(token_ring(5), mic_max_rounds=1)
-        generalizer_two, frames_two, ts_two, _ = _setup(token_ring(5), mic_max_rounds=3)
-        original_one = Cube(
-            [ts_one.latch_vars[0], ts_one.latch_vars[1]]
-            + [-v for v in ts_one.latch_vars[2:]]
-        )
-        original_two = Cube(
-            [ts_two.latch_vars[0], ts_two.latch_vars[1]]
-            + [-v for v in ts_two.latch_vars[2:]]
-        )
-        result_one = generalizer_one.generalize(original_one, 1)
-        result_two = generalizer_two.generalize(original_two, 1)
-        assert len(result_two) <= len(result_one)
-
-    def test_core_shrinking_disabled_still_correct(self):
-        generalizer, frames, ts, _ = _setup(
-            token_ring(4), use_unsat_core_shrinking=False
-        )
-        original = Cube(
-            [ts.latch_vars[0], ts.latch_vars[1]] + [-v for v in ts.latch_vars[2:]]
-        )
-        generalized = generalizer.generalize(original, 1)
-        self._assert_valid_generalization(frames, ts, original, generalized, 1)
-
     def test_drop_statistics_consistent(self):
         generalizer, frames, ts, stats = _setup(token_ring(4))
         original = Cube(
@@ -177,3 +147,72 @@ class TestGeneralizationCorrectness:
         )
         generalizer.generalize(original, 1)
         assert stats.mic_drop_successes <= stats.mic_drop_attempts
+
+
+class TestCoreShrinking:
+    """A successful drop shrinks to its consecution core whenever the core
+    is usable: non-empty and disjoint from the initial states."""
+
+    def test_usable_core_replaces_candidate(self):
+        generalizer, _, ts, _ = _setup(token_ring(4))
+        candidate = Cube([ts.latch_vars[1], ts.latch_vars[2], -ts.latch_vars[3]])
+        core = Cube([ts.latch_vars[1], ts.latch_vars[2]])
+        assert generalizer.apply_core(candidate, core) == core
+
+    def test_missing_core_keeps_candidate(self):
+        generalizer, _, ts, _ = _setup(token_ring(4))
+        candidate = Cube([ts.latch_vars[1], ts.latch_vars[2]])
+        assert generalizer.apply_core(candidate, None) == candidate
+
+    def test_empty_core_keeps_candidate(self):
+        generalizer, _, ts, _ = _setup(token_ring(4))
+        candidate = Cube([ts.latch_vars[1], ts.latch_vars[2]])
+        assert generalizer.apply_core(candidate, Cube([])) == candidate
+
+    def test_core_meeting_init_keeps_candidate(self):
+        generalizer, _, ts, _ = _setup(token_ring(4))
+        # The initial state holds the token at latch 0 and nowhere else.
+        candidate = Cube([ts.latch_vars[0], ts.latch_vars[1]])
+        core = Cube([ts.latch_vars[0]])
+        assert ts.cube_intersects_init(core)
+        assert generalizer.apply_core(candidate, core) == candidate
+
+
+class TestFixedBounds:
+    def test_mic_makes_one_pass(self):
+        generalizer, _, ts, stats = _setup(token_ring(5))
+        original = Cube(
+            [ts.latch_vars[0], ts.latch_vars[1]] + [-v for v in ts.latch_vars[2:]]
+        )
+        generalizer.generalize(original, 1)
+        # One pass tries each literal of the original cube at most once.
+        assert 0 < stats.mic_drop_attempts <= len(original)
+
+    def test_ctg_drop_blocks_at_most_max_ctgs(self):
+        ts = TransitionSystem(token_ring(4).aig)
+        ctg = Cube([ts.latch_vars[1], ts.latch_vars[2]])
+        candidate = Cube([ts.latch_vars[1], ts.latch_vars[3]])
+
+        class EndlessCtgs:
+            """Every drop fails with the same blockable CTG."""
+
+            top_level = 1
+
+            def __init__(self):
+                self.blocked = []
+
+            def consecution(self, level, cube, reuse=True):
+                if cube == ctg:
+                    return ConsecutionResult(holds=True, core_cube=ctg)
+                return ConsecutionResult(holds=False, predecessor=ctg)
+
+            def add_blocked_cube(self, cube, level):
+                self.blocked.append((cube, level))
+
+        frames = EndlessCtgs()
+        stats = IC3Stats()
+        generalizer = CtgGeneralizer(frames, ts, IC3Options(), stats, {})
+        assert generalizer._attempt_drop(candidate, 1) is None
+        assert MAX_CTGS == 3
+        assert stats.ctg_blocked == len(frames.blocked) == MAX_CTGS
+        assert stats.mic_drop_attempts == MAX_CTGS + 1

@@ -1,5 +1,7 @@
 """End-to-end tests of the IC3 engine (with and without lemma prediction)."""
 
+import logging
+
 import pytest
 
 from repro.aiger import AIG, parse_aiger
@@ -24,6 +26,8 @@ from repro.core import (
     check_certificate,
     check_counterexample,
 )
+import repro.core.ic3 as ic3_module
+from repro.core.predict import LemmaPredictor
 from repro.core.options import GeneralizationStrategy
 
 
@@ -171,14 +175,21 @@ class TestSpecialCases:
         assert outcome.result == CheckResult.UNKNOWN
         assert "time limit" in outcome.reason
 
-    def test_frame_limit_returns_unknown(self):
-        import dataclasses
-        options = dataclasses.replace(BASE, max_frames=2)
+    def test_frame_limit_returns_unknown(self, monkeypatch):
+        monkeypatch.setattr(ic3_module, "_MAX_FRAMES", 2)
         case = modular_counter(4, modulus=14, bad_value=15)
-        outcome = _check(case, options)
+        outcome = _check(case, BASE)
         assert outcome.result in (CheckResult.UNKNOWN, CheckResult.SAFE)
         if outcome.result == CheckResult.UNKNOWN:
             assert "frame limit" in outcome.reason
+
+    def test_obligation_limit_returns_unknown(self, monkeypatch):
+        monkeypatch.setattr(ic3_module, "_MAX_OBLIGATIONS", 1)
+        case = modular_counter(4, modulus=14, bad_value=15)
+        outcome = _check(case, BASE)
+        assert outcome.result == CheckResult.UNKNOWN
+        assert "obligation limit" in outcome.reason
+        assert outcome.stats.obligations_processed == 2
 
     def test_outcome_metadata(self):
         case = token_ring(3)
@@ -200,6 +211,7 @@ class TestPredictionBehaviour:
         assert stats.prediction_queries > 0
         assert stats.prediction_successes > 0
         assert stats.ctp_recorded > 0
+        assert stats.ctp_table_clears > 0  # Algorithm 2 line 44, every sweep
         assert stats.sr_adv is not None and stats.sr_adv > 0
         assert stats.sr_lp is not None and 0 < stats.sr_lp <= 1
 
@@ -239,21 +251,52 @@ class TestPredictionBehaviour:
                 outcome = _check(case, options)
                 assert outcome.result == CheckResult.SAFE, (strategy, prediction)
 
-    def test_ctp_table_clearing_toggle(self):
-        import dataclasses
-        case = modular_counter(4, modulus=14, bad_value=15)
-        keep = dataclasses.replace(PRED, clear_ctp_before_propagation=False)
-        outcome_clear = _check(case, PRED)
-        outcome_keep = _check(case, keep)
-        assert outcome_clear.result == outcome_keep.result == CheckResult.SAFE
-        assert outcome_keep.stats.ctp_table_clears == 0
+    @pytest.mark.parametrize("options", [BASE, PRED], ids=["ic3", "ic3-pl"])
+    def test_ctp_table_cleared_at_every_propagation(self, options, monkeypatch):
+        # Algorithm 2 line 44: with prediction on, each propagation phase
+        # starts from an empty failure-push table; without it no table is
+        # kept at all.
+        propagations, clears = [], []
+        propagate, clear_table = IC3._propagate, LemmaPredictor.clear_table
 
-    def test_diffset_refinement_toggle(self):
-        import dataclasses
-        case = modular_counter(4, modulus=14, bad_value=15)
-        no_refine = dataclasses.replace(PRED, refine_diff_set=False)
-        outcome = _check(case, no_refine)
+        def counted_propagate(self):
+            propagations.append(self.frames.top_level)
+            return propagate(self)
+
+        def counted_clear(self):
+            clears.append(self)
+            clear_table(self)
+            assert len(self.table) == 0
+
+        monkeypatch.setattr(IC3, "_propagate", counted_propagate)
+        monkeypatch.setattr(LemmaPredictor, "clear_table", counted_clear)
+        outcome = _check(modular_counter(4, modulus=14, bad_value=15), options)
         assert outcome.result == CheckResult.SAFE
+        assert propagations
+        if options.enable_prediction:
+            assert len(clears) == len(propagations)
+        else:
+            assert clears == [] and outcome.stats.ctp_recorded == 0
+
+
+class TestProgressLogging:
+    """Progress is plain ``logging``: a line per frame at INFO, a line per
+    blocked obligation at DEBUG, nothing at the default level."""
+
+    @staticmethod
+    def _messages(caplog, level):
+        caplog.clear()
+        caplog.set_level(level, logger="repro.core.ic3")
+        _check(token_ring(4), PRED)
+        return [r.getMessage() for r in caplog.records if r.name == "repro.core.ic3"]
+
+    def test_levels(self, caplog):
+        assert self._messages(caplog, logging.WARNING) == []
+        info = self._messages(caplog, logging.INFO)
+        assert info and all(m.startswith("[ic3] k=") for m in info)
+        debug = self._messages(caplog, logging.DEBUG)
+        assert any(m.startswith("[ic3] blocked") for m in debug)
+        assert [m for m in debug if m.startswith("[ic3] k=")] == info
 
 
 class TestAgainstBMC:

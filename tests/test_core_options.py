@@ -23,10 +23,25 @@ class TestDefaults:
         assert predicted is not base
 
     def test_with_prediction_preserves_other_fields(self):
-        base = IC3Options(literal_ordering=LiteralOrdering.ACTIVITY, ctg_depth=2)
+        base = IC3Options(literal_ordering=LiteralOrdering.ACTIVITY, seed=2)
         predicted = base.with_prediction()
         assert predicted.literal_ordering == LiteralOrdering.ACTIVITY
-        assert predicted.ctg_depth == 2
+        assert predicted.seed == 2
+
+    def test_only_the_varied_settings_are_options(self):
+        # Settings no configuration varies (the CTP-table policy, the
+        # prediction, MIC and CTG bounds, the limits, the retired SAT
+        # kernel choice) are code, not options.
+        assert [f.name for f in dataclasses.fields(IC3Options)] == [
+            "enable_prediction",
+            "generalization",
+            "literal_ordering",
+            "enable_lifting",
+            "aggressive_push",
+            "frame_backend",
+            "seed",
+        ]
+        assert list(LiteralOrdering) == [LiteralOrdering.INDEX, LiteralOrdering.ACTIVITY]
 
 
 class TestProfiles:
@@ -64,26 +79,55 @@ class TestProfiles:
 
 
 class TestValidation:
-    @pytest.mark.parametrize(
-        "field,value",
-        [
-            ("max_prediction_candidates", 0),
-            ("mic_max_rounds", 0),
-            ("ctg_depth", -1),
-            ("max_ctgs", -1),
-            ("max_frames", 0),
-            ("solver_rebuild_interval", 0),
-        ],
-    )
+    @pytest.mark.parametrize("field,value", [("frame_backend", "bogus"), ("seed", -1)])
     def test_invalid_values_rejected(self, field, value):
         options = dataclasses.replace(IC3Options(), **{field: value})
         with pytest.raises(ValueError):
             options.validate()
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("frame_backend", "monolithic"),
+            ("frame_backend", "per-frame"),
+            ("seed", 0),
+            ("seed", 7),
+        ],
+    )
+    def test_valid_values_accepted(self, field, value):
+        dataclasses.replace(IC3Options(), **{field: value}).validate()
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "clear_ctp_before_propagation",
+            "refine_diff_set",
+            "max_prediction_candidates",
+            "use_unsat_core_shrinking",
+            "mic_max_rounds",
+            "ctg_depth",
+            "max_ctgs",
+            "max_frames",
+            "max_obligations",
+            "solver_rebuild_interval",
+            "check_predicted_lemmas",
+            "verbose",
+        ],
+    )
+    def test_settings_written_as_code_are_rejected(self, field):
+        # A caller still passing one of these gets an error, not a
+        # setting that is silently ignored.
+        with pytest.raises(TypeError):
+            IC3Options(**{field: 1})
+
     def test_retired_sat_backend_option_rejected(self):
         # One production SAT kernel: the kernel is no longer an option.
         with pytest.raises(TypeError):
             IC3Options(sat_backend="arena")
+
+    def test_reverse_index_ordering_rejected(self):
+        with pytest.raises(ValueError):
+            LiteralOrdering("reverse-index")
 
     def test_enums_accept_string_values(self):
         assert GeneralizationStrategy("ctg") == GeneralizationStrategy.CTG

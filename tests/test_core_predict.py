@@ -2,13 +2,15 @@
 
 import pytest
 
-from repro.benchgen import token_ring, modular_counter
-from repro.core.frames import ConsecutionResult, FrameManager
+from collections import Counter
+
+from repro.benchgen import bench_suite, token_ring
+from repro.core.frames import ConsecutionResult, make_frame_manager
 from repro.core.options import IC3Options
-from repro.core.predict import CtpTable, LemmaPredictor
+from repro.core.predict import MAX_PREDICTION_QUERIES, CtpTable, LemmaPredictor
 from repro.core.stats import IC3Stats
 from repro.core.ic3 import IC3
-from repro.core.result import CheckResult
+from repro.harness.configs import paper_configurations
 from repro.logic import Cube, diff
 from repro.ts import TransitionSystem
 
@@ -58,7 +60,7 @@ class TestLazyCtpEntries:
     def _store():
         ts = TransitionSystem(token_ring(3).aig)
         stats = IC3Stats()
-        frames = FrameManager(ts, IC3Options(), stats)
+        frames = make_frame_manager(ts, IC3Options(), stats)
         frames.add_frame()
         frames.add_frame()
         return frames, ts.latch_vars, stats
@@ -133,13 +135,12 @@ class TestLazyCtpEntries:
         assert predictor.table.lookup(query, 1) == frames._reuse_witness(1, query).successor
 
 
-def _predictor_setup(case=None, **option_kwargs):
+def _predictor_setup(case=None):
     case = case if case is not None else token_ring(4)
     ts = TransitionSystem(case.aig)
-    options = IC3Options(enable_prediction=True, **option_kwargs)
     stats = IC3Stats()
-    frames = FrameManager(ts, options, stats)
-    predictor = LemmaPredictor(frames, options, stats)
+    frames = make_frame_manager(ts, IC3Options(enable_prediction=True), stats)
+    predictor = LemmaPredictor(frames, stats)
     return predictor, frames, ts, stats
 
 
@@ -270,27 +271,6 @@ class TestPrediction:
         assert prediction.cube == parent
         assert stats.predicted_push_parent == 1
 
-    def test_prediction_budget_limits_queries(self):
-        predictor, frames, ts, stats = _predictor_setup(
-            modular_counter(3, modulus=6, bad_value=7), max_prediction_candidates=1
-        )
-        frames.add_frame()
-        frames.add_frame()
-        parent = Cube([ts.latch_vars[0]])
-        frames.add_blocked_cube(parent, 1)
-        bad = Cube(list(ts.latch_vars))
-        ctp_state = Cube([-v for v in ts.latch_vars])
-        predictor.record_push_failure(parent, 1, ctp_state)
-        predictor.predict(bad, 2)
-        assert stats.prediction_queries <= 1
-
-    def test_invariant_checking_mode_passes_for_valid_predictions(self):
-        # Run a whole engine with assertion mode on; any violated invariant
-        # would raise PredictionInvariantError and fail the check() call.
-        options = IC3Options(enable_prediction=True, check_predicted_lemmas=True)
-        outcome = IC3(token_ring(5).aig, options).check(time_limit=30)
-        assert outcome.result == CheckResult.SAFE
-
     def test_predicted_lemma_is_relatively_inductive(self):
         """Whatever predict() returns must pass a consecution check."""
         predictor, frames, ts, stats = _predictor_setup(token_ring(4))
@@ -304,3 +284,86 @@ class TestPrediction:
         prediction = predictor.predict(bad, 2)
         assert prediction is not None
         assert frames.consecution(1, prediction.cube).holds
+
+
+class _ScriptedFrames:
+    """A frame layer with one parent lemma whose every consecution query
+    fails with a scripted successor state; it records what was asked."""
+
+    def __init__(self, parent, successors):
+        self.parent = parent
+        self.successors = successors
+        self.asked = []
+
+    def lemmas_exactly_at(self, level):
+        return [self.parent]
+
+    def consecution(self, level, cube, reuse=True):
+        self.asked.append(cube)
+        successor = self.successors.get(len(self.asked))
+        return ConsecutionResult(holds=False, successor=successor)
+
+
+class TestCandidateSearch:
+    """Lines 22-27 of Algorithm 2 on a scripted frame layer."""
+
+    def test_failed_candidate_refines_the_diff_set(self):
+        parent = Cube([1])
+        bad = Cube([1, 2, 3, 4])
+        # The first candidate's CTP agrees with bad on 2 and 3, so only 4
+        # is left to try (line 27).
+        frames = _ScriptedFrames(parent, {1: Cube([1, 2, 3, -4])})
+        predictor = LemmaPredictor(frames, IC3Stats())
+        predictor.record_push_failure(parent, 1, Cube([1, -2, -3, -4]))
+        assert predictor.predict(bad, 2) is None
+        assert frames.asked == [Cube([1, 2]), Cube([1, 4])]
+
+    def test_queries_stop_at_the_budget(self):
+        parent = Cube([1])
+        bad = Cube(range(1, 13))
+        frames = _ScriptedFrames(parent, {})  # failures without a successor
+        stats = IC3Stats()
+        predictor = LemmaPredictor(frames, stats)
+        predictor.record_push_failure(parent, 1, Cube([1] + [-v for v in range(2, 13)]))
+        assert predictor.predict(bad, 2) is None
+        assert stats.prediction_queries == len(frames.asked) == MAX_PREDICTION_QUERIES == 8
+
+
+SECTION_3_2_CASES = [
+    "parity_w5_safe",
+    "johnson_w12_safe",
+    "arb_n4_safe",
+    "ovf_w5_unsafe",
+    "arb_n4_unsafe",
+    "fifo_w3_unsafe",
+]
+
+
+def test_every_prediction_satisfies_section_3_2(monkeypatch):
+    """Eq. 3 (c3 ⊆ b) and Eq. 4 (c2 ⊆ c3) on every prediction RIC3-pl and
+    IC3ref-pl make, and Eq. 2 (c3 excludes the CTP) on every extended one."""
+    predict = LemmaPredictor.predict
+    kinds = Counter()
+
+    def checked_predict(self, bad_cube, level):
+        prediction = predict(self, bad_cube, level)
+        if prediction is not None:
+            c3 = prediction.cube
+            assert prediction.parent.literal_set <= c3.literal_set  # Eq. 4
+            assert c3.literal_set <= bad_cube.literal_set  # Eq. 3
+            if prediction.kind == "extended":
+                # The CTP this prediction was derived from: no query of
+                # the extension loop writes the table.
+                ctp_state = self.table.lookup(prediction.parent, level - 1)
+                assert diff(c3, ctp_state)  # Eq. 2
+            kinds[prediction.kind] += 1
+        return prediction
+
+    monkeypatch.setattr(LemmaPredictor, "predict", checked_predict)
+    configs = [c for c in paper_configurations() if c.name in ("RIC3-pl", "IC3ref-pl")]
+    cases = {case.name: case for case in bench_suite()}
+    for name in SECTION_3_2_CASES:
+        for config in configs:
+            outcome = IC3(cases[name].aig, config.options).check(time_limit=60)
+            assert outcome.result == cases[name].expected, (name, config.name)
+    assert kinds["extended"] > 0 and kinds["push-parent"] > 0

@@ -118,15 +118,19 @@ class TestPortfolio:
         with pytest.raises(ValueError):
             PortfolioEngine(token_ring(3).aig, engines=())
 
-    def test_duplicate_members_get_diversified_labels(self):
-        # Duplicated kinds are allowed and auto-labelled; diversification
-        # gives each a distinct seed (and jitters duplicated IC3 configs).
-        engine = PortfolioEngine(token_ring(3).aig, engines=("ic3", "ic3", "bmc"))
+    def test_duplicate_members_get_labels_and_seeds(self):
+        # Duplicated kinds are allowed and auto-labelled; member i runs
+        # with seed base_seed + i, and every member shares the options.
+        options = IC3Options().with_prediction()
+        engine = PortfolioEngine(
+            token_ring(3).aig, engines=("ic3", "ic3", "bmc"), options=options
+        )
         labels = [plan.label for plan in engine._plan]
         assert labels == ["ic3#1", "ic3#2", "bmc"]
         seeds = [plan.kwargs.get("seed") for plan in engine._plan]
-        assert len(set(seeds)) == len(seeds)
-        assert engine._plan[0].options != engine._plan[1].options
+        assert seeds == [1, 2, 3]
+        assert all(set(plan.kwargs) == {"reduce", "seed"} for plan in engine._plan)
+        assert engine.options is options
 
     def test_alias_duplicates_are_labelled_together(self):
         # "k-induction" is an alias of "kind" — duplicates by canonical name.

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.aiger import AIG
-from repro.core.frames import FrameManager
+from repro.core.frames import make_frame_manager
 from repro.core.options import IC3Options
 from repro.core.stats import IC3Stats
 from repro.logic import Clause, Cube
@@ -108,7 +108,7 @@ def _read(answer, fields):
 def test_lazy_fields_equal_their_definitions(backend, aig, data):
     ts = TransitionSystem(aig)
     stats = IC3Stats()
-    frames = FrameManager(ts, IC3Options(frame_backend=backend), stats)
+    frames = make_frame_manager(ts, IC3Options(frame_backend=backend), stats)
     for _ in range(data.draw(st.integers(1, 3))):
         frames.add_frame()
     latch_lits = [lit for var in ts.latch_vars for lit in (var, -var)]
@@ -166,7 +166,7 @@ def _fallback_manager(backend):
     aig.add_bad(aig.add_and(hold, flip))
     ts = TransitionSystem(aig)
     stats = IC3Stats()
-    frames = FrameManager(ts, IC3Options(frame_backend=backend), stats)
+    frames = make_frame_manager(ts, IC3Options(frame_backend=backend), stats)
     frames.add_frame()
     return frames, ts, stats
 

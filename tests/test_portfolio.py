@@ -189,12 +189,27 @@ class TestCLISwitches:
 
 
 class TestPortfolioOptions:
-    def test_only_seeding_and_diversification_remain(self):
-        options = PortfolioOptions(base_seed=3, diversify=False)
-        assert (options.base_seed, options.diversify) == (3, False)
+    def test_only_seeding_remains(self):
+        assert PortfolioOptions(base_seed=3).base_seed == 3
+
+    @pytest.mark.parametrize("base_seed", [0, 1, 7])
+    def test_member_seeds_follow_base_seed(self, base_seed):
+        # Member i runs with seed base_seed + i; 0 leaves every member
+        # on the unseeded decision order.
+        engine = PortfolioEngine(
+            token_ring(3).aig,
+            engines=("ic3-pl", "ic3-pl", "bmc"),
+            portfolio_options=PortfolioOptions(base_seed=base_seed),
+        )
+        seeds = [plan.kwargs.get("seed") for plan in engine._plan]
+        if base_seed:
+            assert seeds == [base_seed, base_seed + 1, base_seed + 2]
+        else:
+            assert seeds == [None, None, None]
+        assert [plan.label for plan in engine._plan] == ["ic3-pl#1", "ic3-pl#2", "bmc"]
 
     @pytest.mark.parametrize(
-        "field", ["share", "transport", "capacity", "max_lits", "min_level"]
+        "field", ["share", "transport", "capacity", "max_lits", "min_level", "diversify"]
     )
     def test_sharing_fields_are_rejected(self, field):
         with pytest.raises(TypeError):

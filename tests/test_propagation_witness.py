@@ -183,7 +183,6 @@ def test_reused_push_failures_keep_their_ctp_in_the_table(checked_reuses, monkey
     """Algorithm 2 sees every failure: a reused or skipped push records
     its CTP, a skipped one lazily, and both resolve to the store's answer."""
     options = IC3Options.profile_ic3_a().with_prediction()
-    assert options.clear_ctp_before_propagation
     original = IC3._propagate_inner
     sweeps = []
     record_refuted = CtpTable.record_refuted

@@ -1,4 +1,4 @@
-"""Tests for cone-of-influence reduction."""
+"""Tests for the cone-of-influence pass (:mod:`repro.reduce.coi`) on its own."""
 
 import pytest
 
@@ -10,7 +10,13 @@ from repro.benchgen import (
     token_ring,
 )
 from repro.core import IC3, CheckResult, IC3Options, check_certificate
-from repro.ts import coi_variables, reduce_to_coi
+from repro.reduce.coi import ConeOfInfluencePass, coi_variables
+
+
+def _reduce(aig):
+    """The cone of property 0 alone: ``(reduced AIG, ReductionInfo)``."""
+    result = ConeOfInfluencePass().run(aig, property_index=0)
+    return result.aig, result.info
 
 
 def _with_dead_logic(case, extra_latches=4):
@@ -83,10 +89,10 @@ class TestReduction:
     )
     def test_dead_logic_removed_and_verdict_preserved(self, case_factory):
         case = _with_dead_logic(case_factory())
-        reduced, info = reduce_to_coi(case.aig)
+        reduced, info = _reduce(case.aig)
 
         assert info.reduced
-        assert info.removed_latches >= 4
+        assert info.latches_before - info.latches_after >= 4
         assert reduced.num_latches < case.aig.num_latches
 
         original = IC3(case.aig, IC3Options().with_prediction()).check(time_limit=60)
@@ -97,21 +103,21 @@ class TestReduction:
 
     def test_reduction_is_identity_when_everything_matters(self):
         case = token_ring(5)
-        reduced, info = reduce_to_coi(case.aig)
+        reduced, info = _reduce(case.aig)
         assert not info.reduced
         assert reduced.num_latches == case.aig.num_latches
         assert reduced.num_inputs == case.aig.num_inputs
 
     def test_latch_resets_and_names_preserved(self):
         case = _with_dead_logic(fifo_controller(2))
-        reduced, _ = reduce_to_coi(case.aig)
+        reduced, _ = _reduce(case.aig)
         kept_names = [latch.name for latch in reduced.latches]
         assert all(not (name or "").startswith("dead") for name in kept_names)
         assert all(latch.init == 0 for latch in reduced.latches)
 
     def test_reduced_circuit_behaviour_matches_on_property(self):
         case = _with_dead_logic(modular_counter(3, modulus=6, bad_value=3))
-        reduced, _ = reduce_to_coi(case.aig)
+        reduced, _ = _reduce(case.aig)
         # Simulate both circuits with arbitrary inputs: the bad signal must agree.
         steps = 8
         inputs_full = [
@@ -130,7 +136,13 @@ class TestReduction:
 
     def test_info_counters_consistent(self):
         case = _with_dead_logic(token_ring(3))
-        _, info = reduce_to_coi(case.aig)
-        assert info.kept_latches + info.removed_latches == case.aig.num_latches
-        assert info.kept_inputs + info.removed_inputs == case.aig.num_inputs
-        assert info.kept_ands + info.removed_ands == case.aig.num_ands
+        reduced, info = _reduce(case.aig)
+        assert (info.latches_before, info.latches_after) == (
+            case.aig.num_latches,
+            reduced.num_latches,
+        )
+        assert (info.inputs_before, info.inputs_after) == (
+            case.aig.num_inputs,
+            reduced.num_inputs,
+        )
+        assert (info.ands_before, info.ands_after) == (case.aig.num_ands, reduced.num_ands)
