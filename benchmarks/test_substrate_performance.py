@@ -41,7 +41,7 @@ class TestSatSolverMicrobenchmarks:
         solver = Solver()
         solver.ensure_var(ts.num_vars)
         for clause in ts.trans:
-            solver.add_clause(clause.literals)
+            solver.add_clause(clause)
         latches = ts.latch_vars
 
         def run():

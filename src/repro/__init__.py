@@ -2,7 +2,8 @@
 
 The package provides, from the bottom up:
 
-* :mod:`repro.logic` — literals, cubes, clauses, CNF;
+* :mod:`repro.logic` — cubes, clauses and the diff set over DIMACS
+  literals;
 * :mod:`repro.sat` — a CDCL SAT solver with assumptions and cores;
 * :mod:`repro.aiger` — AIG construction, simulation and AIGER file I/O
   (the AIGER 1.9 ``J``/``F`` sections are read and written, not checked);
@@ -33,7 +34,7 @@ from repro.core.kinduction import KInduction
 from repro.core.options import IC3Options
 from repro.core.result import CheckOutcome, CheckResult
 
-__version__ = "1.0.0"
+__version__ = "1.1.0"
 
 __all__ = [
     "IC3",

@@ -47,15 +47,6 @@ class AndGate:
     rhs1: int
 
 
-@dataclass
-class Symbol:
-    """A named input/latch/output for symbol tables."""
-
-    kind: str
-    index: int
-    name: str
-
-
 class AIG:
     """A mutable And-Inverter Graph."""
 
@@ -96,16 +87,6 @@ class AIG:
     def num_ands(self) -> int:
         """Number of AND gates."""
         return len(self.ands)
-
-    @staticmethod
-    def lit_var(lit: int) -> int:
-        """Variable index of a literal."""
-        return lit >> 1
-
-    @staticmethod
-    def lit_is_negated(lit: int) -> bool:
-        """True if the literal carries an inversion."""
-        return bool(lit & 1)
 
     def _check_lit(self, lit: int) -> None:
         if lit < 0 or (lit >> 1) > self._max_var:
@@ -213,10 +194,6 @@ class AIG:
             self.add_and(sel, if_true), self.add_and(self.negate(sel), if_false)
         )
 
-    def implies_gate(self, a: int, b: int) -> int:
-        """Return a literal for ``a -> b``."""
-        return self.or_gate(self.negate(a), b)
-
     def equal_const(self, lits: Sequence[int], value: int) -> int:
         """Return a literal that is true iff the word ``lits`` equals ``value``.
 
@@ -292,14 +269,6 @@ class AIG:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def is_input(self, lit: int) -> bool:
-        """True if the (positive form of the) literal is a primary input."""
-        return (lit & ~1) in set(self.inputs)
-
-    def is_latch(self, lit: int) -> bool:
-        """True if the (positive form of the) literal is a latch output."""
-        return (lit & ~1) in self._latch_by_lit
-
     def latch_of(self, lit: int) -> Latch:
         """Return the :class:`Latch` whose output literal matches ``lit``."""
         latch = self._latch_by_lit.get(lit & ~1)

@@ -181,8 +181,8 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument(
         "--frame-backend",
         choices=available_frame_backends(),
-        default=None,
-        help="IC3 frame-management substrate (default: monolithic)",
+        default=IC3Options.frame_backend,
+        help="IC3 frame-management substrate (default: %(default)s)",
     )
     check.add_argument(
         "--jobs",
@@ -417,13 +417,29 @@ def _live_workers_line(monitor):
     return LiveStatus(_line)
 
 
-def _configure_verbose_logging(args: argparse.Namespace) -> None:
+@contextmanager
+def _verbose_logging(verbose: bool):
     """Route the engines' INFO-level ``logging`` progress (IC3's
-    per-frame line) to stderr."""
-    if args.verbose:
-        logging.basicConfig(
-            level=logging.INFO, format="%(message)s", stream=sys.stderr
-        )
+    per-frame line) to stderr while one command runs.
+
+    The handler sits on the ``repro`` logger, so it works whether or not
+    the embedding process configured the root logger, and it is removed
+    afterwards, so repeated :func:`main` calls do not stack handlers.
+    """
+    if not verbose:
+        yield
+        return
+    logger = logging.getLogger("repro")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(message)s"))
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.INFO)
+    try:
+        yield
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
 
 
 def _command_version(args: argparse.Namespace) -> int:
@@ -479,8 +495,6 @@ def _engine_kwargs(args: argparse.Namespace) -> dict:
         "reduce": not args.no_reduce,
         "passes": args.passes,
     }
-    if getattr(args, "frame_backend", None):
-        kwargs["frame_backend"] = args.frame_backend
     if args.engine == "bmc":
         kwargs["max_depth"] = args.max_depth
     elif args.engine in ("kind", "k-induction"):
@@ -500,8 +514,7 @@ def _engine_kwargs(args: argparse.Namespace) -> dict:
 
 
 def _command_check(args: argparse.Namespace) -> int:
-    _configure_verbose_logging(args)
-    with session(trace_out=args.trace_out, label="check"):
+    with _verbose_logging(args.verbose), session(trace_out=args.trace_out, label="check"):
         with _live_check_session(args.live):
             exit_code = _check_body(args)
     if args.trace_out:
@@ -537,7 +550,7 @@ def _property_indices(aig, index: Optional[int] = None) -> List[int]:
 
 def _check_body(args: argparse.Namespace) -> int:
     aig = _read_model(args.model)
-    options = IC3Options(seed=args.seed)
+    options = IC3Options(seed=args.seed, frame_backend=args.frame_backend)
     if args.all_properties:
         return _check_properties(args, aig, options, _property_indices(aig))
     if args.property is not None:

@@ -74,14 +74,6 @@ class BMC:
             CheckResult.UNKNOWN, start, reason=f"no counterexample up to depth {max_depth}"
         )
 
-    def check_depth(self, depth: int) -> bool:
-        """True if a counterexample of exactly ``depth`` transitions exists."""
-        bad_lit = self.unroller.bad_lit_at(depth, self.property_index)
-        self.stats.sat_calls += 1
-        return self.unroller.solver.solve(
-            self.unroller.init_assumptions() + [bad_lit]
-        )
-
     # ------------------------------------------------------------------
     def _outcome(self, result: CheckResult, start: float, reason: str = "") -> CheckOutcome:
         solver_stats = self.unroller.solver.stats

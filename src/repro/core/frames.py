@@ -492,10 +492,6 @@ class FrameManagerBase:
         """Number of lemmas stored exactly at each level."""
         return [len(frame) for frame in self.frames]
 
-    def total_lemmas(self) -> int:
-        """Number of lemmas across all frames."""
-        return sum(len(frame) for frame in self.frames)
-
     def solvers(self) -> List[ArenaSolver]:
         """The SAT solvers the substrate holds at this point of the run."""
         raise NotImplementedError
@@ -536,7 +532,7 @@ class FrameManagerBase:
         solver.set_seed(self.options.seed)
         solver.ensure_var(self.ts.num_vars)
         for clause in self.ts.trans:
-            solver.add_clause(clause.literals)
+            solver.add_clause(clause)
         return solver
 
     # ------------------------------------------------------------------

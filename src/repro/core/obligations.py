@@ -72,12 +72,6 @@ class ObligationQueue:
         self._size -= 1
         return obligation
 
-    def peek_level(self) -> Optional[int]:
-        """Level of the next obligation, or None when empty."""
-        if self._size == 0:
-            return None
-        return self._heap[0][0]
-
     def clear(self) -> None:
         """Drop all pending obligations."""
         self._heap.clear()

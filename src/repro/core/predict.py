@@ -92,10 +92,6 @@ class CtpTable:
         """Drop every entry (Algorithm 2 line 44)."""
         self._entries.clear()
 
-    def entries(self) -> Dict[Tuple[Cube, int], Cube]:
-        """A copy of the table content (for inspection and tests)."""
-        return {key: self.lookup(*key) for key in list(self._entries)}
-
 
 class LemmaPredictor:
     """Implements the prediction part of Algorithm 2 (lines 10-27)."""

@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, List, Optional
 
-from repro.logic.cnf import CNF
 from repro.logic.cube import Clause, Cube
 from repro.core.stats import IC3Stats
 
@@ -45,13 +44,6 @@ class Certificate:
     clauses: List[Clause] = field(default_factory=list)
     level: int = 0
     """The frame index at which ``F_i = F_{i+1}`` was detected."""
-
-    def to_cnf(self) -> CNF:
-        """The invariant clauses as a CNF formula."""
-        cnf = CNF()
-        for clause in self.clauses:
-            cnf.add(clause)
-        return cnf
 
     def __len__(self) -> int:
         return len(self.clauses)

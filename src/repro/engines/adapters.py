@@ -5,7 +5,10 @@ from there); each adapter normalizes one of them to the ``(aig, *,
 options, property_index, **kwargs)`` construction and ``check(time_limit)``
 call shape that the registry, the harness and the portfolio expect.
 Engine-specific knobs (BMC's ``max_depth``, k-induction's ``max_k``)
-become constructor keywords instead of ``check()`` arguments.
+become constructor keywords instead of ``check()`` arguments.  Run
+settings travel only in ``options`` (:class:`~repro.core.options.IC3Options`):
+the IC3 adapters read all of them, BMC and k-induction read its
+SAT-kernel ``seed``.
 
 Every adapter also runs the :mod:`repro.reduce` preprocessing pipeline at
 construction time (disable with ``reduce=False``, choose passes with
@@ -18,7 +21,6 @@ numbering.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Optional, Sequence
 
 from repro.aiger.aig import AIG
@@ -82,15 +84,9 @@ class IC3Engine:
         name: Optional[str] = None,
         reduce: bool = True,
         passes: Optional[Sequence[str]] = None,
-        frame_backend: Optional[str] = None,
-        seed: Optional[int] = None,
         **_ignored,
     ):
         self.options = options if options is not None else IC3Options()
-        if frame_backend is not None:
-            self.options = replace(self.options, frame_backend=frame_backend)
-        if seed is not None:
-            self.options = replace(self.options, seed=seed)
         self.name = name or ("ic3-pl" if self.options.enable_prediction else "ic3")
         model, model_property, self.reduction = prepare_model(
             aig, property_index, reduce, passes
@@ -119,15 +115,13 @@ class BMCEngine:
         max_depth: int = 50,
         reduce: bool = True,
         passes: Optional[Sequence[str]] = None,
-        seed: Optional[int] = None,
         **_ignored,
     ):
         self.max_depth = max_depth
         model, model_property, self.reduction = prepare_model(
             aig, property_index, reduce, passes
         )
-        if seed is None:
-            seed = (options or IC3Options()).seed
+        seed = (options or IC3Options()).seed
         self._engine = BMC(model, property_index=model_property, seed=seed)
 
     def check(self, time_limit: Optional[float] = None) -> CheckOutcome:
@@ -152,15 +146,13 @@ class KInductionEngine:
         max_k: int = 20,
         reduce: bool = True,
         passes: Optional[Sequence[str]] = None,
-        seed: Optional[int] = None,
         **_ignored,
     ):
         self.max_k = max_k
         model, model_property, self.reduction = prepare_model(
             aig, property_index, reduce, passes
         )
-        if seed is None:
-            seed = (options or IC3Options()).seed
+        seed = (options or IC3Options()).seed
         self._engine = KInduction(model, property_index=model_property, seed=seed)
 
     def check(self, time_limit: Optional[float] = None) -> CheckOutcome:

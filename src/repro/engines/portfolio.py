@@ -18,14 +18,17 @@ grace period.  Members are children of :class:`repro.supervise.Supervisor`.
 
 Members may repeat an engine kind (``["ic3-pl", "ic3-pl", "bmc"]``):
 duplicates are auto-labelled ``name#k``, and every member gets its own
-SAT-kernel seed, so repeated members search differently.
+SAT-kernel seed, so repeated members search differently.  Each member
+receives the portfolio's :class:`~repro.core.options.IC3Options` with
+only that seed replaced; the frame substrate and every other setting
+reach the members unchanged.
 """
 
 from __future__ import annotations
 
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.aiger.aig import AIG
@@ -49,17 +52,19 @@ class PortfolioOptions:
     """Portfolio member seeding."""
 
     base_seed: int = 1
-    """Member ``i`` runs with SAT-kernel seed ``base_seed + i`` so the
-    kernels branch differently.  0 disables seeding entirely (all
-    members run the deterministic unseeded decision order)."""
+    """Member ``i`` runs with the options ``replace(options, seed=base_seed
+    + i)`` so the kernels branch differently.  0 leaves every member on
+    the portfolio's own options (by default the deterministic unseeded
+    decision order)."""
 
 
 @dataclass
 class _MemberPlan:
-    """One spawn slot: resolved label, engine name and kwargs."""
+    """One spawn slot: resolved label, engine name, options and kwargs."""
 
     label: str
     engine: str
+    options: Optional[IC3Options]
     kwargs: Dict[str, object] = field(default_factory=dict)
 
 
@@ -90,7 +95,6 @@ class PortfolioEngine:
         grace: float = 0.5,
         reduce: bool = True,
         passes: Optional[Sequence[str]] = None,
-        frame_backend: Optional[str] = None,
         portfolio_options: Optional[PortfolioOptions] = None,
         **_ignored,
     ):
@@ -104,11 +108,6 @@ class PortfolioEngine:
         )
         self.jobs = jobs if jobs and jobs > 0 else len(self.engines)
         self.member_kwargs = dict(member_kwargs or {})
-        # Substrate selection applies to every member that honours it
-        # (the IC3 adapters); per-member kwargs still win on conflict.
-        self._common_kwargs: Dict[str, object] = {}
-        if frame_backend is not None:
-            self._common_kwargs["frame_backend"] = frame_backend
         self.grace = grace
         # Reduce once in the parent: every member races on the same shrunk
         # model (members are spawned with reduce=False), and the winning
@@ -120,12 +119,12 @@ class PortfolioEngine:
 
     # ------------------------------------------------------------------
     def _build_plan(self, canonical: Sequence[str]) -> List[_MemberPlan]:
-        """Resolve labels and seeds for every member.
+        """Resolve labels, options and kwargs for every member.
 
         Duplicated engine kinds get ``name#k`` labels; every member gets a
         distinct SAT-kernel seed derived from ``PortfolioOptions.base_seed``.
-        Per-member kwargs supplied by the caller (keyed by label, falling
-        back to the raw engine name) always win.
+        Per-member kwargs supplied by the caller are keyed by label,
+        falling back to the raw engine name.
         """
         base_seed = self.portfolio_options.base_seed
         totals = Counter(canonical)
@@ -134,12 +133,12 @@ class PortfolioEngine:
         for index, (member, canon) in enumerate(zip(self.engines, canonical)):
             seen[canon] += 1
             label = member if totals[canon] == 1 else f"{member}#{seen[canon]}"
-            kwargs: Dict[str, object] = {"reduce": False}
+            options = self.options
             if base_seed:
-                kwargs["seed"] = base_seed + index
-            kwargs.update(self._common_kwargs)
+                options = replace(options or IC3Options(), seed=base_seed + index)
+            kwargs: Dict[str, object] = {"reduce": False}
             kwargs.update(self.member_kwargs.get(label, self.member_kwargs.get(member, {})))
-            plan.append(_MemberPlan(label, member, kwargs))
+            plan.append(_MemberPlan(label, member, options, kwargs))
         return plan
 
     # ------------------------------------------------------------------
@@ -191,7 +190,7 @@ class PortfolioEngine:
                             plan.label,
                             plan.engine,
                             self._aig,
-                            self.options,
+                            plan.options,
                             self.property_index,
                             remaining,
                             plan.kwargs,

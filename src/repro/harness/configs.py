@@ -25,8 +25,9 @@ class EngineConfig:
 
     ``engine`` is a registry kind from :mod:`repro.engines` (``"ic3"``,
     ``"bmc"``, ``"kind"``, ``"portfolio"``, ...); ``options`` configures
-    IC3-based engines and is ignored by the others; ``engine_kwargs`` is
-    forwarded verbatim to the engine factory (e.g. BMC's ``max_depth``).
+    IC3-based engines, and BMC and k-induction read only its ``seed``;
+    ``engine_kwargs`` is forwarded verbatim to the engine factory (e.g.
+    BMC's ``max_depth``).
     """
 
     name: str
@@ -109,18 +110,16 @@ def apply_seed(
     """Override the SAT-kernel RNG seed of every configuration.
 
     Mirrors :func:`apply_frame_backend` for the ``--seed`` override.  The
-    same seed is applied to every configuration — per-run determinism,
-    not portfolio diversification (the portfolio derives distinct
-    per-member seeds itself, see ``PortfolioOptions.base_seed``).
+    seed travels in the options, so a configuration without options gets
+    ``IC3Options(seed=seed)``; BMC and k-induction read it from there.
+    The same seed is applied to every configuration — per-run
+    determinism, not portfolio diversification (the portfolio derives
+    distinct per-member seeds itself, see ``PortfolioOptions.base_seed``).
     """
     if seed is None:
         return list(configs)
     return [
-        replace(config, options=replace(config.options, seed=seed))
-        if config.options is not None
-        else replace(
-            config, engine_kwargs={**config.engine_kwargs, "seed": seed}
-        )
+        replace(config, options=replace(config.options or IC3Options(), seed=seed))
         for config in configs
     ]
 

@@ -31,8 +31,8 @@ Schema v3 (``repro-check/manifest/v3``) additions over v2:
   (clause-free consecution re-queries) and ``assumption_levels_reused``
   (solver trail reuse across queries);
 * per-configuration ``frame_backend`` and the SAT-kernel name — which
-  solving substrate the configuration ran on (None for engines that do
-  not take IC3 options; the kernel name was dropped in v10).
+  solving substrate the configuration ran on (None for a configuration
+  without options; the kernel name was dropped in v10).
 
 Schema v4 (``repro-check/manifest/v4``) additions over v3:
 
@@ -83,7 +83,7 @@ Schema v8 (``repro-check/manifest/v8``) additions over v7:
   in v13);
 * per-configuration ``seed`` — the SAT-kernel RNG seed the
   configuration ran with (0 for the deterministic unseeded order, None
-  for engines that do not take IC3 options);
+  for a configuration without options);
 * per-result ``sharing`` — for cooperative portfolio runs, the lemma
   bus accounting; None when the run did not share lemmas (removed in
   v13).

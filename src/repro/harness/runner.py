@@ -83,7 +83,7 @@ class SuiteResult:
     """All per-case results of one harness run.
 
     Lookups are backed by indexes maintained incrementally on
-    :meth:`add`, so :meth:`lookup`, :meth:`by_case` and :meth:`by_config`
+    :meth:`add`, so :meth:`lookup`, :meth:`cases` and :meth:`by_config`
     are O(1) instead of scanning the whole result list on every call.
     Appending to ``results`` directly also works (the indexes are rebuilt
     lazily when the list length changes); same-length in-place mutation
@@ -100,7 +100,7 @@ class SuiteResult:
     def _rebuild_index(self) -> None:
         self._pair_index: Dict[Tuple[str, str], CaseResult] = {}
         self._config_index: Dict[str, List[CaseResult]] = {}
-        self._case_index: Dict[str, Dict[str, CaseResult]] = {}
+        self._case_index: Dict[str, None] = {}
         for result in self.results:
             self._index_one(result)
         self._indexed_count = len(self.results)
@@ -108,7 +108,7 @@ class SuiteResult:
     def _index_one(self, result: CaseResult) -> None:
         self._pair_index.setdefault((result.config_name, result.case_name), result)
         self._config_index.setdefault(result.config_name, []).append(result)
-        self._case_index.setdefault(result.case_name, {})[result.config_name] = result
+        self._case_index.setdefault(result.case_name)
 
     def _ensure_index(self) -> None:
         if self._indexed_count != len(self.results):
@@ -136,11 +136,6 @@ class SuiteResult:
         """All results of one configuration."""
         self._ensure_index()
         return list(self._config_index.get(config_name, ()))
-
-    def by_case(self, case_name: str) -> Dict[str, CaseResult]:
-        """Results of one case keyed by configuration name."""
-        self._ensure_index()
-        return dict(self._case_index.get(case_name, {}))
 
     def lookup(self, config_name: str, case_name: str) -> Optional[CaseResult]:
         """The result of one (configuration, case) pair, if present."""

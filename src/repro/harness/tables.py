@@ -49,13 +49,6 @@ class Table:
         index = self.columns.index(name)
         return [row[index] for row in self.rows]
 
-    def row_for(self, key: object) -> Optional[List[object]]:
-        """The first row whose first column equals ``key``."""
-        for row in self.rows:
-            if row[0] == key:
-                return row
-        return None
-
 
 def _format_cell(value: object) -> str:
     if isinstance(value, float):

@@ -2,28 +2,11 @@
 
 Literals are plain DIMACS-style signed integers (variable ``v >= 1``,
 negation ``-v``); :class:`~repro.logic.cube.Cube` and
-:class:`~repro.logic.cube.Clause` wrap immutable literal sets, and
-:class:`~repro.logic.cnf.CNF` is a conjunction of clauses.
+:class:`~repro.logic.cube.Clause` wrap immutable literal sets.  A clause
+set (the transition relation, a frame's lemmas) is a list of literal
+lists or of :class:`~repro.logic.cube.Clause` objects.
 """
 
-from repro.logic.literal import (
-    lit_var,
-    lit_neg,
-    lit_sign,
-    lit_from_var,
-    is_valid_lit,
-)
 from repro.logic.cube import Cube, Clause, diff
-from repro.logic.cnf import CNF
 
-__all__ = [
-    "lit_var",
-    "lit_neg",
-    "lit_sign",
-    "lit_from_var",
-    "is_valid_lit",
-    "Cube",
-    "Clause",
-    "diff",
-    "CNF",
-]
+__all__ = ["Cube", "Clause", "diff"]

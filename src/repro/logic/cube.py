@@ -21,8 +21,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import FrozenSet, Iterable, Iterator, Tuple, TypeVar
 
-from repro.logic.literal import lit_var
-
 
 def _canonical(literals: Iterable[int]) -> Tuple[int, ...]:
     """Deduplicate and sort literals by (variable, polarity)."""
@@ -31,7 +29,7 @@ def _canonical(literals: Iterable[int]) -> Tuple[int, ...]:
         if not isinstance(lit, int) or lit == 0:
             raise ValueError(f"invalid literal: {lit!r}")
         seen.add(lit)
-    return tuple(sorted(seen, key=lambda l: (lit_var(l), l < 0)))
+    return tuple(sorted(seen, key=lambda l: (abs(l), l < 0)))
 
 
 _Self = TypeVar("_Self", bound="_LiteralSet")
@@ -109,7 +107,7 @@ class _LiteralSet:
     @property
     def variables(self) -> FrozenSet[int]:
         """The set of variables mentioned."""
-        return frozenset(lit_var(l) for l in self._lits)
+        return frozenset(map(abs, self._lits))
 
     def is_empty(self) -> bool:
         """True if no literals are present."""
@@ -122,18 +120,6 @@ class _LiteralSet:
         is in fact the empty (unsatisfiable) cube ⊥.
         """
         return any(-l in self._set for l in self._lits)
-
-    def subsumes(self, other: "_LiteralSet") -> bool:
-        """Return True if ``self``'s literals are a subset of ``other``'s.
-
-        For clauses this is logical subsumption (self implies other); for
-        cubes the direction reverses (other implies self, Theorem 3.4).
-        """
-        return self._set <= other._set
-
-    def intersection(self, other: "_LiteralSet") -> FrozenSet[int]:
-        """Literals occurring in both containers."""
-        return self._set & other._set
 
     def __repr__(self) -> str:
         body = ", ".join(str(l) for l in self._lits)
@@ -171,19 +157,6 @@ class Cube(_LiteralSet):
         index = bisect_left(list(map(abs, lits)), abs(lit))
         return Cube._from_canonical(lits[:index] + (lit,) + lits[index:])
 
-    def implies(self, other: "Cube") -> bool:
-        """Theorem 3.4: for non-⊥ cubes, ``a ⇒ b`` iff ``b ⊆ a``."""
-        return other._set <= self._set
-
-    def contradicts(self, other: "Cube") -> bool:
-        """Theorem 3.2: ``a ∧ b = ⊥`` iff ``diff(a, b) ≠ ∅`` (non-⊥ inputs)."""
-        return bool(diff(self, other))
-
-    def restrict_to(self, variables: Iterable[int]) -> "Cube":
-        """Keep only literals whose variable is in ``variables``."""
-        keep = set(variables)
-        return Cube(l for l in self._lits if lit_var(l) in keep)
-
 
 class Clause(_LiteralSet):
     """A disjunction of literals (an IC3 lemma is a clause)."""
@@ -191,16 +164,6 @@ class Clause(_LiteralSet):
     def negate(self) -> Cube:
         """Return the cube ``¬clause``."""
         return _negated(self, Cube)
-
-    def without(self, lit: int) -> "Clause":
-        """Return a copy of the clause with ``lit`` removed."""
-        if lit not in self._set:
-            raise KeyError(f"literal {lit} not in clause")
-        return Clause(l for l in self._lits if l != lit)
-
-    def implies(self, other: "Clause") -> bool:
-        """Clause implication by syntactic subsumption: ``a ⇒ b`` if a ⊆ b."""
-        return self._set <= other._set
 
 
 def _negated(literals: _LiteralSet, kind: "type[_Self]") -> _Self:

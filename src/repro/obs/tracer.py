@@ -16,8 +16,10 @@ Design constraints, in order:
    site.
 2. **A hard-killed worker must leave a post-mortem.**  A worker's
    tracer writes every event to a :class:`JsonlSink` instead of memory,
-   flushing every ``flush_every`` events, so SIGKILL loses at most that
-   many.  The sink file exists from the moment the worker starts.
+   one unbuffered write per event, so SIGKILL loses no event whose
+   recording call returned (only a span still open at the kill, which
+   has not been recorded yet).  The sink file exists from the moment the
+   worker starts.
 3. **Worker processes activate themselves.**  The one observability
    bootstrap (:mod:`repro.obs.bootstrap`) installs a sink tracer in
    every supervised worker of a session that asked for a trace; the
@@ -124,24 +126,18 @@ class _Span:
 
 
 class JsonlSink:
-    """Append-only JSONL event sink with bounded-loss flushing."""
+    """Append-only JSONL event sink: each event is one unbuffered write,
+    so it reaches the file before :meth:`write` returns."""
 
-    def __init__(self, path: str, flush_every: int = 32):
+    def __init__(self, path: str):
         self.path = path
-        self._fh = open(path, "a", encoding="utf-8")
-        self._flush_every = max(1, flush_every)
-        self._pending = 0
+        self._fh = open(path, "ab", buffering=0)
 
     def write(self, event: Dict[str, Any]) -> None:
-        self._fh.write(json.dumps(event, separators=(",", ":")) + "\n")
-        self._pending += 1
-        if self._pending >= self._flush_every:
-            self._fh.flush()
-            self._pending = 0
+        self._fh.write((json.dumps(event, separators=(",", ":")) + "\n").encode())
 
     def close(self) -> None:
         try:
-            self._fh.flush()
             self._fh.close()
         except OSError:  # pragma: no cover - defensive
             pass

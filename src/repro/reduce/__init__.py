@@ -24,7 +24,7 @@ Typical use::
 
     result = reduce_aig(aig)            # default pipeline
     outcome = IC3(result.aig).check()   # solve the reduced model
-    trace = result.lift_trace(outcome.trace)   # speak the original's language
+    outcome = result.lift_outcome(outcome)      # speak the original's language
 """
 
 from repro.reduce.base import (
@@ -35,7 +35,7 @@ from repro.reduce.base import (
     ReductionPass,
     rebuild_aig,
 )
-from repro.reduce.coi import ConeOfInfluencePass, coi_variables
+from repro.reduce.coi import ConeOfInfluencePass
 from repro.reduce.latchmerge import EquivalentLatchPass, equivalent_latch_classes
 from repro.reduce.recon import ReconstructionMap
 from repro.reduce.ternary import TernaryConstantPass, ternary_constants
@@ -57,7 +57,6 @@ __all__ = [
     "LatchFate",
     "rebuild_aig",
     "ConeOfInfluencePass",
-    "coi_variables",
     "TernaryConstantPass",
     "ternary_constants",
     "EquivalentLatchPass",

@@ -11,8 +11,6 @@ constraints are always kept because they restrict every behaviour.
 
 from __future__ import annotations
 
-from typing import Set
-
 from repro.aiger.aig import AIG
 from repro.reduce.base import (
     FREE,
@@ -29,18 +27,12 @@ from repro.reduce.base import (
 )
 
 
-def coi_variables(aig: AIG, property_index: int = 0) -> Set[int]:
-    """Variables (AIG variable indices) in the property's cone of influence.
+def _property_cone(aig: AIG, property_index: int = 0) -> FaninCone:
+    """The property's cone of influence, from one walk of its fan-in.
 
     The cone is closed under combinational fan-in and under latch
     next-state functions; invariant constraints are always included because
     they restrict every behaviour of the circuit.
-    """
-    return _property_cone(aig, property_index).variables
-
-
-def _property_cone(aig: AIG, property_index: int = 0) -> FaninCone:
-    """The property's cone of influence, from one walk of its fan-in.
 
     Its gate positions are exactly the gates a rebuild that keeps the
     cone's latches must materialize, so :class:`ConeOfInfluencePass`

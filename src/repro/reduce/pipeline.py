@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Type, Union
 
 from repro.aiger.aig import AIG
-from repro.core.result import Certificate, CheckOutcome, CounterexampleTrace
+from repro.core.result import CheckOutcome
 from repro.obs.tracer import get_tracer
 from repro.reduce.base import PassResult, ReductionError, ReductionInfo, ReductionPass
 from repro.reduce.coi import ConeOfInfluencePass
@@ -100,15 +100,6 @@ class ReductionResult:
         """True if any pass removed anything."""
         return any(info.reduced for info in self.infos)
 
-    # Witness lift-back, delegated to the reconstruction map -----------
-    def lift_trace(self, trace: CounterexampleTrace) -> CounterexampleTrace:
-        """Lift a reduced-model counterexample back to the original AIG."""
-        return self.recon.lift_trace(trace)
-
-    def lift_certificate(self, certificate: Certificate) -> Certificate:
-        """Lift a reduced-model invariant back to the original AIG."""
-        return self.recon.lift_certificate(certificate)
-
     def lift_outcome(self, outcome: CheckOutcome) -> CheckOutcome:
         """Lift whatever witness an outcome carries back to the original."""
         return self.recon.lift_outcome(outcome)
@@ -143,11 +134,6 @@ class ReductionPipeline:
         ]
         if not self.passes:
             raise ReductionError("a reduction pipeline needs at least one pass")
-
-    @property
-    def pass_names(self) -> List[str]:
-        """Names of the passes, in application order."""
-        return [p.name for p in self.passes]
 
     def run(self, aig: AIG, property_index: int = 0) -> ReductionResult:
         """Apply every pass in order and compose the reconstruction map."""

@@ -24,7 +24,6 @@ from repro.sat.solver import Solver, SolverStats
 from repro.sat.arena import ArenaClauseRef, ArenaSolver
 from repro.sat.exceptions import SolverError, ResourceBudgetExceeded
 from repro.sat.luby import luby
-from repro.sat.dimacs import parse_dimacs, write_dimacs
 
 __all__ = [
     "Solver",
@@ -34,6 +33,4 @@ __all__ = [
     "SolverError",
     "ResourceBudgetExceeded",
     "luby",
-    "parse_dimacs",
-    "write_dimacs",
 ]

@@ -29,7 +29,6 @@ from __future__ import annotations
 from operator import attrgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.logic.cube import Cube
 from repro.obs.tracer import get_tracer
 from repro.sat import build
 from repro.sat.exceptions import ResourceBudgetExceeded, SolverError
@@ -323,19 +322,6 @@ class ArenaSolver:
             if value
         }
 
-    def model_value(self, lit: int) -> Optional[bool]:
-        """Value of a literal in the last model (None if unassigned)."""
-        model = self._model
-        if model is None:
-            raise SolverError("no model available (last call was not SAT)")
-        index = abs(lit) << 1
-        if index >= len(model):
-            return None
-        value = model[index]
-        if value == 0:
-            return None
-        return (value == 1) == (lit > 0)
-
     def model_literals(self, variables: Sequence[int]) -> Tuple[int, ...]:
         """The last model projected onto ``variables``, as signed literals.
 
@@ -366,10 +352,6 @@ class ArenaSolver:
         if variables and (variables.start < 1 or variables.stop > len(model) >> 1):
             check_model_variables(variables, (len(model) >> 1) - 1)
         return model[variables.start << 1:variables.stop << 1:2]
-
-    def model_cube(self, variables: Iterable[int]) -> Cube:
-        """The last model projected onto a cube; unassigned variables read as false."""
-        return Cube(self.model_literals(list(variables)))
 
     def unsat_core(self) -> List[int]:
         """Subset of the assumptions responsible for the last UNSAT answer."""

@@ -11,7 +11,7 @@ at level 0, and learnt clauses are kept across solves.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.sat.exceptions import ResourceBudgetExceeded, SolverError
@@ -56,10 +56,6 @@ class SolverStats:
     blocker_hits: int = 0
     literal_pool_bytes: int = 0
     arena_compactions: int = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        """Return the statistics as a plain dictionary."""
-        return asdict(self)
 
 
 class Solver:
@@ -179,12 +175,6 @@ class Solver:
     def get_model(self) -> Dict[int, bool]:
         """Return the last model as a ``var -> bool`` mapping."""
         return {var: value == _TRUE for var, value in enumerate(self._last_model()) if value}
-
-    def model_value(self, lit: int) -> Optional[bool]:
-        """Value of a literal in the last model (None if unassigned)."""
-        model = self._last_model()
-        value = model[abs(lit)] if abs(lit) < len(model) else _UNDEF
-        return None if value == _UNDEF else (value == _TRUE) == (lit > 0)
 
     def model_literals(self, variables: Sequence[int]) -> Tuple[int, ...]:
         """The last model on ``variables``, in order: ``var`` if true, else ``-var``.

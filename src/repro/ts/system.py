@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Sequence, Set
 
 from repro.aiger.aig import AIG, FALSE_LIT, TRUE_LIT, AndGate, Latch
-from repro.logic.cnf import CNF
 from repro.logic.cube import Clause, Cube
 
 
@@ -146,9 +145,6 @@ class TransitionSystem:
         self._latch_range = latch_vars
         self.input_vars: List[int] = list(self._input_range)
         self.latch_vars: List[int] = list(latch_vars)
-        self._gate_vars: List[int] = list(
-            range(latch_vars.stop, latch_vars.stop + len(aig.ands))
-        )
         aig_vars = [
             *[lit >> 1 for lit in aig.inputs],
             *[latch.lit >> 1 for latch in aig.latches],
@@ -164,7 +160,6 @@ class TransitionSystem:
         self._primed_range = range(first_primed, first_primed + len(self.latch_vars))
         self._num_vars = self._primed_range.stop - 1
         self.primed_of: Dict[int, int] = dict(zip(self.latch_vars, self._primed_range))
-        self.unprimed_of: Dict[int, int] = dict(zip(self._primed_range, self.latch_vars))
         # Signed latch literal -> signed primed literal (both polarities).
         self._primed_lit: Dict[int, int] = {
             **self.primed_of,
@@ -185,16 +180,6 @@ class TransitionSystem:
         """Number of solver variables allocated by the encoding."""
         return self._num_vars
 
-    @property
-    def state_variables(self) -> List[int]:
-        """The current-state (latch) variables X."""
-        return list(self.latch_vars)
-
-    @property
-    def next_state_variables(self) -> List[int]:
-        """The next-state (primed latch) variables X'."""
-        return list(self._primed_range)
-
     def to_solver_lit(self, aig_lit: int) -> int:
         """Translate an AIG literal to a solver literal over current vars."""
         if aig_lit == FALSE_LIT:
@@ -212,14 +197,6 @@ class TransitionSystem:
             raise EncodingError(f"variable {var} is not a latch variable")
         return primed if lit > 0 else -primed
 
-    def unprime_lit(self, lit: int) -> int:
-        """Translate a primed latch literal back to the current-state copy."""
-        var = abs(lit)
-        unprimed = self.unprimed_of.get(var)
-        if unprimed is None:
-            raise EncodingError(f"variable {var} is not a primed latch variable")
-        return unprimed if lit > 0 else -unprimed
-
     def primed_literals(self, cube: Cube) -> List[int]:
         """The primed copies of a latch cube's literals, in the cube's order.
 
@@ -229,18 +206,6 @@ class TransitionSystem:
         """
         return list(map(self._primed_lit.__getitem__, cube.literals))
 
-    def prime_cube(self, cube: Cube) -> Cube:
-        """Prime every literal of a cube over latch variables."""
-        return Cube(self.prime_lit(l) for l in cube)
-
-    def prime_clause(self, clause: Clause) -> Clause:
-        """Prime every literal of a clause over latch variables."""
-        return Clause(self.prime_lit(l) for l in clause)
-
-    def unprime_cube(self, cube: Cube) -> Cube:
-        """Map a cube over primed variables back to current-state variables."""
-        return Cube(self.unprime_lit(l) for l in cube)
-
     def is_state_lit(self, lit: int) -> bool:
         """True if the literal ranges over a current-state latch variable."""
         return abs(lit) in self.primed_of
@@ -249,14 +214,16 @@ class TransitionSystem:
     # Encoding
     # ------------------------------------------------------------------
     @functools.cached_property
-    def trans(self) -> CNF:
-        """The transition relation T, encoded on first read."""
-        return CNF([
+    def trans(self) -> List[List[int]]:
+        """The transition relation T as plain literal lists, encoded on
+        first read: the TRUE unit, the gates in ``aig.ands`` order, the
+        next-state equivalences, then the constraint units."""
+        return [
             [self._const_true],
             *self._gate_clauses(self.aig.ands),
             *self._next_state_clauses(self.aig.latches),
             *self._constraint_units(),
-        ])
+        ]
 
     def cone_trans(self, state_vars: Iterable[int]) -> Cone:
         """T restricted to the one-step cone of the latches ``state_vars``.
@@ -351,13 +318,6 @@ class TransitionSystem:
         """True if ``I ⇒ clause`` (the lemma excludes no initial state)."""
         return not self.cube_intersects_init(clause.negate())
 
-    def init_clauses(self) -> CNF:
-        """The initial condition as unit clauses (frame 0 of IC3)."""
-        cnf = CNF()
-        for lit in self.init_cube:
-            cnf.add_unit(lit)
-        return cnf
-
     # ------------------------------------------------------------------
     # Model projection
     # ------------------------------------------------------------------
@@ -387,14 +347,6 @@ class TransitionSystem:
     def input_values_of(self, bits) -> Dict[int, bool]:
         """AIG input literal -> value, from :meth:`input_bits` values."""
         return dict(zip(self.aig.inputs, [value == 1 for value in bits]))
-
-    def describe(self) -> str:
-        """One-line human-readable summary."""
-        return (
-            f"TransitionSystem(latches={len(self.latch_vars)}, "
-            f"inputs={len(self.input_vars)}, gates={len(self._gate_vars)}, "
-            f"trans_clauses={len(self.trans)})"
-        )
 
 
 def _cube_of(variables: range, values) -> Cube:

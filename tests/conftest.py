@@ -56,7 +56,7 @@ def _trans_solver(ts):
     solver = Solver()
     solver.ensure_var(ts.num_vars)
     for clause in ts.trans:
-        solver.add_clause(clause.literals)
+        solver.add_clause(clause)
     return solver
 
 

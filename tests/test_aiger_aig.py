@@ -44,13 +44,14 @@ class TestConstruction:
         with pytest.raises(AigerError):
             aig.set_latch_next(i, TRUE_LIT)
 
-    def test_is_input_is_latch(self):
+    def test_input_name_and_latch_of(self):
         aig = AIG()
         i = aig.add_input("a")
         l = aig.add_latch()
-        assert aig.is_input(i) and not aig.is_input(l)
-        assert aig.is_latch(l) and not aig.is_latch(i)
         assert aig.input_name(i) == "a"
+        assert aig.latch_of(l).lit == l
+        with pytest.raises(AigerError):
+            aig.latch_of(i)
 
     def test_validate_passes_for_wellformed(self):
         aig = AIG()
@@ -134,12 +135,6 @@ class TestDerivedGates:
         self._check_truth_table(
             lambda g, a, b: g.xnor_gate(a, b),
             {(0, 0): True, (0, 1): False, (1, 0): False, (1, 1): True},
-        )
-
-    def test_implies_gate(self):
-        self._check_truth_table(
-            lambda g, a, b: g.implies_gate(a, b),
-            {(0, 0): True, (0, 1): True, (1, 0): False, (1, 1): True},
         )
 
     def test_mux(self):

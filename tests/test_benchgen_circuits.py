@@ -123,10 +123,11 @@ class TestExpectedDepthsAgainstBMC:
     def test_bmc_confirms_shortest_depth(self, case):
         depth = case.expected_depth
         assert depth is not None
-        bmc = BMC(case.aig)
         if depth > 0:
-            assert bmc.check_depth(depth - 1) is False
-        assert bmc.check_depth(depth) is True
+            assert BMC(case.aig).check(max_depth=depth - 1).result == CheckResult.UNKNOWN
+        outcome = BMC(case.aig).check(max_depth=depth)
+        assert outcome.result == CheckResult.UNSAFE
+        assert outcome.trace.depth == depth
 
 
 class TestTransformationsAgainstExplicitSearch:

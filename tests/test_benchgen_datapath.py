@@ -34,9 +34,11 @@ class TestGroundTruth:
         ids=lambda c: c.name,
     )
     def test_bmc_confirms_depth(self, case):
-        bmc = BMC(case.aig)
-        assert bmc.check_depth(case.expected_depth - 1) is False
-        assert bmc.check_depth(case.expected_depth) is True
+        shallower = BMC(case.aig).check(max_depth=case.expected_depth - 1)
+        assert shallower.result == CheckResult.UNKNOWN
+        outcome = BMC(case.aig).check(max_depth=case.expected_depth)
+        assert outcome.result == CheckResult.UNSAFE
+        assert outcome.trace.depth == case.expected_depth
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):

@@ -1,9 +1,11 @@
 """Tests for the command-line interface."""
 
+import logging
 import os
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -413,10 +415,38 @@ class TestVersionCommand:
         assert "sat backends" not in out
 
 
+    def test_version_matches_pyproject(self):
+        # Parsed by hand: tomllib is not in every supported Python.
+        import repro
+
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        (line,) = [
+            line for line in pyproject.read_text().splitlines()
+            if line.startswith("version = ")
+        ]
+        assert line.split("=", 1)[1].strip().strip('"') == repro.__version__
+
+
 class TestCheckCommand:
     def test_safe_model_exit_code(self, safe_model, capsys):
         assert main(["check", safe_model]) == 0
         assert "safe" in capsys.readouterr().out
+
+    def test_verbose_prints_each_frame_once_under_a_configured_root(
+        self, safe_model, capsys
+    ):
+        # pytest has configured the root logger, so logging.basicConfig
+        # would do nothing here.
+        assert logging.getLogger().handlers
+        runs = []
+        for _ in range(2):
+            assert main(["check", safe_model, "--engine", "ic3", "--verbose"]) == 0
+            lines = capsys.readouterr().err.splitlines()
+            runs.append([int(line.split()[1][2:]) for line in lines if line.startswith("[ic3] k=")])
+        frames = runs[0]
+        assert frames and frames == list(range(frames[0], frames[0] + len(frames)))
+        assert runs[1] == frames  # the first run's handler is gone
+        assert logging.getLogger("repro").handlers == []
 
     def test_unsafe_model_exit_code(self, unsafe_model, capsys):
         assert main(["check", unsafe_model]) == 1

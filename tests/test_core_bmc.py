@@ -51,11 +51,12 @@ class TestCounterexampleSearch:
         assert outcome.result == CheckResult.UNSAFE
         assert outcome.trace.depth == 0
 
-    def test_check_depth_exact(self):
+    def test_shortest_depth_is_exact(self):
         case = modular_counter(3, modulus=8, bad_value=5)
-        bmc = BMC(case.aig)
-        assert bmc.check_depth(4) is False
-        assert bmc.check_depth(5) is True
+        assert BMC(case.aig).check(max_depth=4).result == CheckResult.UNKNOWN
+        outcome = BMC(case.aig).check(max_depth=5)
+        assert outcome.result == CheckResult.UNSAFE
+        assert outcome.trace.depth == 5
 
     def test_time_limit_respected(self):
         case = combination_lock([1, 2, 3, 1, 2, 3, 1, 2], symbol_bits=2)

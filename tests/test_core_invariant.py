@@ -133,7 +133,7 @@ def _full_solver(ts, kernel=Solver):
     solver = kernel()
     solver.ensure_var(ts.num_vars)
     for clause in ts.trans:
-        solver.add_clause(clause.literals)
+        solver.add_clause(clause)
     return solver
 
 
@@ -154,7 +154,7 @@ def _reference_failures(ts, clauses, kernel=Solver):
         return "init-bad", []
     solver = _full_solver(ts, kernel)
     for clause in clauses:
-        solver.add_clause(clause.literals)
+        solver.add_clause(clause)
     if solver.solve([ts.bad_lit]):
         return "bad", []
     solver.add_clause([-ts.bad_lit])
@@ -363,13 +363,13 @@ def _single_cone(ts, mentioned):
         if index is not None and index not in gates:
             gates.add(index)
             stack += [aig.ands[index].rhs0 >> 1, aig.ands[index].rhs1 >> 1]
-    trans, base = list(ts.trans), 1 + 3 * len(aig.ands)
+    trans, base = ts.trans, 1 + 3 * len(aig.ands)
     kept = [trans[0], *trans[base + 2 * len(aig.latches):]]
     for index in gates:
         kept += trans[1 + 3 * index: 4 + 3 * index]
     for index in latches:
         kept += trans[base + 2 * index: base + 2 * index + 2]
-    return set(kept)
+    return set(map(Clause, kept))
 
 
 def _split(aig, clauses):

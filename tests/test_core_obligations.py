@@ -27,7 +27,6 @@ class TestObligationQueue:
         queue = ObligationQueue()
         assert queue.is_empty()
         assert len(queue) == 0
-        assert queue.peek_level() is None
         with pytest.raises(IndexError):
             queue.pop()
 
@@ -57,13 +56,6 @@ class TestObligationQueue:
         queue.push(second)
         assert queue.pop() is first
         assert queue.pop() is second
-
-    def test_peek_level(self):
-        queue = ObligationQueue()
-        queue.push(Obligation(level=4, depth=0, cube=Cube([1])))
-        assert queue.peek_level() == 4
-        queue.push(Obligation(level=2, depth=0, cube=Cube([2])))
-        assert queue.peek_level() == 2
 
     def test_len_tracks_push_pop(self):
         queue = ObligationQueue()

@@ -65,10 +65,8 @@ class TestResultContainers:
         assert CheckResult.UNSAFE.solved
         assert not CheckResult.UNKNOWN.solved
 
-    def test_certificate_to_cnf(self):
+    def test_certificate_length(self):
         certificate = Certificate(clauses=[Clause([1, 2]), Clause([-3])])
-        cnf = certificate.to_cnf()
-        assert len(cnf) == 2
         assert len(certificate) == 2
 
     def test_trace_depth_and_inputs(self):

@@ -1,6 +1,7 @@
 """Tests for the pluggable engine layer: protocol, registry, adapters, portfolio."""
 
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -20,6 +21,8 @@ from repro.engines import (
     register_engine,
     resolve_engine,
 )
+from repro.harness.configs import EngineConfig, apply_seed, paper_configurations
+from repro.sat import ArenaSolver
 
 
 class _SleepyEngine:
@@ -104,6 +107,35 @@ class TestAdapters:
         outcome = KInductionEngine(aig, max_k=1).check(time_limit=20)
         assert outcome.result in (CheckResult.UNKNOWN, CheckResult.SAFE)
 
+    @pytest.mark.parametrize("kind", ["bmc", "kind"])
+    def test_bmc_and_kind_read_the_seed_from_the_options(self, kind, monkeypatch):
+        # --seed reaches a configuration without options as IC3Options(seed=...).
+        seeds = []
+        monkeypatch.setattr(ArenaSolver, "set_seed", lambda _solver, seed: seeds.append(seed))
+        (config,) = apply_seed([EngineConfig(name=kind, engine=kind)], 3)
+        assert config.options == IC3Options(seed=3) and config.engine_kwargs == {}
+        create_engine(kind, token_ring(3).aig, options=config.options)
+        assert seeds == [3]
+
+    @pytest.mark.parametrize("config", paper_configurations(), ids=lambda config: config.name)
+    def test_paper_configuration_seeds_every_kernel_it_creates(self, config, monkeypatch):
+        # --seed replaces only the seed of a paper profile, and every
+        # kernel the IC3 run creates is seeded with it.
+        seeds = []
+        set_seed = ArenaSolver.set_seed
+
+        def recording(solver, seed):
+            seeds.append(seed)
+            set_seed(solver, seed)
+
+        monkeypatch.setattr(ArenaSolver, "set_seed", recording)
+        (seeded,) = apply_seed([config], 7)
+        assert seeded.options == replace(config.options, seed=7)
+        assert seeded.engine_kwargs == config.engine_kwargs
+        engine = create_engine(seeded.engine, token_ring(3).aig, options=seeded.options)
+        assert engine.check(time_limit=60).result == CheckResult.SAFE
+        assert seeds and set(seeds) == {7}
+
 
 class TestPortfolio:
     def test_default_members(self):
@@ -120,16 +152,17 @@ class TestPortfolio:
 
     def test_duplicate_members_get_labels_and_seeds(self):
         # Duplicated kinds are allowed and auto-labelled; member i runs
-        # with seed base_seed + i, and every member shares the options.
+        # with the shared options, only the seed replaced by base_seed + i.
         options = IC3Options().with_prediction()
         engine = PortfolioEngine(
             token_ring(3).aig, engines=("ic3", "ic3", "bmc"), options=options
         )
         labels = [plan.label for plan in engine._plan]
         assert labels == ["ic3#1", "ic3#2", "bmc"]
-        seeds = [plan.kwargs.get("seed") for plan in engine._plan]
-        assert seeds == [1, 2, 3]
-        assert all(set(plan.kwargs) == {"reduce", "seed"} for plan in engine._plan)
+        assert [plan.options for plan in engine._plan] == [
+            replace(options, seed=seed) for seed in (1, 2, 3)
+        ]
+        assert all(plan.kwargs == {"reduce": False} for plan in engine._plan)
         assert engine.options is options
 
     def test_alias_duplicates_are_labelled_together(self):

@@ -83,12 +83,12 @@ class TestRunner:
             assert result.solved
             assert result.validated is True
 
-    def test_lookup_and_by_case(self, small_run):
+    def test_lookup(self, small_run):
         result = small_run.lookup("IC3ref", "ring_n3_safe")
         assert result is not None
         assert result.result == CheckResult.SAFE
-        by_case = small_run.by_case("ring_n3_safe")
-        assert set(by_case) == {"IC3ref", "IC3ref-pl"}
+        configs = {r.config_name for r in small_run.results if r.case_name == "ring_n3_safe"}
+        assert configs == {"IC3ref", "IC3ref-pl"}
         assert small_run.lookup("IC3ref", "missing") is None
 
     def test_solved_count(self, small_run):
@@ -124,8 +124,7 @@ class TestRunner:
 class TestTables:
     def test_table1_counts(self, small_run):
         table = summary_table(small_run)
-        row = table.row_for("IC3ref-pl")
-        assert row is not None
+        [row] = [row for row in table.rows if row[0] == "IC3ref-pl"]
         config, solved, safe, unsafe, _, wrong = row
         assert solved == 4 and safe == 2 and unsafe == 2 and wrong == 0
 
@@ -143,7 +142,7 @@ class TestTables:
     def test_table2_only_prediction_configs(self, small_run):
         table = success_rate_table(small_run)
         assert [row[0] for row in table.rows] == ["IC3ref-pl"]
-        assert table.row_for("IC3ref-pl")[1] is not None  # SR_lp defined
+        assert table.rows[0][1] is not None  # SR_lp defined
 
     def test_table2_rates_in_percent_range(self, small_run):
         table = success_rate_table(small_run)

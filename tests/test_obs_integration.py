@@ -82,12 +82,12 @@ class TestCliTracing:
         assert main(["trace-report", str(missing)]) == 2
 
 
-FLUSH_EVERY = 32  # JsonlSink's default flush period
+RECORDED = 71
 
 
 def _stuck_worker(payload):
     tracer = get_tracer()
-    for i in range(2 * FLUSH_EVERY + 7):
+    for i in range(RECORDED):
         tracer.instant(f"progress-{i}", cat="harness", step=i)
     time.sleep(60)  # way past the hard deadline; SIGKILL ends us
     return "unreachable"
@@ -101,7 +101,7 @@ def _observed_layers(payload):
 
 
 class TestPoolWorkers:
-    def test_sigkilled_worker_sink_holds_events_up_to_its_last_flush(
+    def test_sigkilled_worker_sink_holds_every_recorded_event(
         self, tmp_path, monkeypatch
     ):
         (tmp_path / TRACE_SUBDIR).mkdir()
@@ -113,11 +113,9 @@ class TestPoolWorkers:
         (sink,) = os.listdir(tmp_path / TRACE_SUBDIR)
         assert sink.startswith("harness-")
         events = read_jsonl_events(str(tmp_path / TRACE_SUBDIR / sink))
-        # Two flushes reached the file before the kill; the unflushed
-        # tail and the never-closed harness.task span are lost.
-        assert [e["name"] for e in events] == [
-            f"progress-{i}" for i in range(2 * FLUSH_EVERY)
-        ]
+        # Every instant reached the file before the kill; only the
+        # never-closed harness.task span is missing.
+        assert [e["name"] for e in events] == [f"progress-{i}" for i in range(RECORDED)]
 
     def test_live_only_session_writes_heartbeats_and_no_trace(self):
         with session(live=True) as monitor:

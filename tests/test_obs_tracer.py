@@ -2,10 +2,15 @@
 
 import json
 import os
+import signal
+import subprocess
+import sys
 import threading
 
 import pytest
 
+import repro
+from repro.obs.export import read_jsonl_events
 from repro.obs.tracer import (
     NULL_TRACER,
     JsonlSink,
@@ -15,6 +20,19 @@ from repro.obs.tracer import (
     install,
     uninstall,
 )
+
+
+_SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+
+_KILLED_WRITER = """
+import sys, time
+from repro.obs.tracer import JsonlSink, Tracer
+tracer = Tracer(sink=JsonlSink(sys.argv[1]))
+for i in range(int(sys.argv[2])):
+    tracer.instant(f"e{i}")
+print("recorded", flush=True)
+time.sleep(60)
+"""
 
 
 @pytest.fixture(autouse=True)
@@ -149,7 +167,7 @@ class TestSinkAndMemory:
 
     def test_jsonl_sink_appends_events(self, tmp_path):
         path = str(tmp_path / "events.jsonl")
-        tracer = Tracer(sink=JsonlSink(path, flush_every=1))
+        tracer = Tracer(sink=JsonlSink(path))
         tracer.instant("one")
         tracer.instant("two")
         tracer.close()
@@ -166,12 +184,21 @@ class TestSinkAndMemory:
         lines = (tmp_path / "events.jsonl").read_text().splitlines()
         assert [json.loads(line)["name"] for line in lines] == ["tick", "work"]
 
-    def test_sink_flushes_every_flush_every_events(self, tmp_path):
+    def test_sigkilled_writer_keeps_every_event(self, tmp_path):
+        # The child records N events, reports, and is SIGKILLed before
+        # close() can run: every event it recorded is on disk.
         path = str(tmp_path / "events.jsonl")
-        tracer = Tracer(sink=JsonlSink(path, flush_every=4))
-        for i in range(10):
-            tracer.instant(f"e{i}")
-        # Eight events reached the file; two wait for the next flush.
-        assert len((tmp_path / "events.jsonl").read_text().splitlines()) == 8
-        tracer.close()
-        assert len((tmp_path / "events.jsonl").read_text().splitlines()) == 10
+        child = subprocess.Popen(
+            [sys.executable, "-c", _KILLED_WRITER, path, "37"],
+            stdout=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": _SRC},
+        )
+        try:
+            assert child.stdout.readline() == b"recorded\n"
+        finally:
+            child.kill()
+            child.wait()
+            child.stdout.close()
+        assert child.returncode == -signal.SIGKILL
+        events = read_jsonl_events(path)
+        assert [event["name"] for event in events] == [f"e{i}" for i in range(37)]

@@ -173,7 +173,6 @@ class TestSuiteResultIndex:
         assert sr.lookup("b", "z") is None
         assert sr.configs() == ["a", "b"]
         assert sr.cases() == ["x", "y"]
-        assert set(sr.by_case("x")) == {"a", "b"}
         assert len(sr.by_config("a")) == 2
 
     def test_constructor_indexes_existing_results(self):
@@ -185,7 +184,7 @@ class TestSuiteResultIndex:
         sr.results.append(self._result("a", "x"))
         assert sr.lookup("a", "x") is sr.results[0]
         sr.results.append(self._result("b", "x"))
-        assert sr.by_case("x")["b"] is sr.results[1]
+        assert sr.lookup("b", "x") is sr.results[1]
 
     def test_duplicate_pairs_keep_first_for_lookup(self):
         first = self._result("a", "x")

@@ -1,12 +1,14 @@
 """Portfolio races: teardown hygiene, seeding, removed sharing switches.
 
-Three contracts pinned here:
+The contracts pinned here:
 
 * killing the losers leaks nothing — no member process survives a race,
   whether the members finished or were killed midway;
 * ``--seed`` is deterministic end to end: the same seed reproduces a
   byte-identical evaluation manifest (modulo wall-clock fields), seeded
   kernels are self-consistent, and seed 0 is exactly the unseeded order;
+* member ``i`` runs with the portfolio's options, only the seed replaced
+  by ``base_seed + i``, so ``--frame-backend`` reaches the IC3 members;
 * cooperative lemma sharing is gone: its CLI switches are refused and
   ``PortfolioOptions`` no longer takes its fields;
 * an ``ic3-pl,kind`` race gives every case of the canonical bench suite its
@@ -27,7 +29,7 @@ from repro.cli import main
 from repro.core.invariant import check_certificate, check_counterexample
 from repro.core.options import IC3Options
 from repro.core.result import CheckOutcome, CheckResult
-from repro.engines import register_engine
+from repro.engines import register_engine, registry
 from repro.engines.portfolio import PortfolioEngine, PortfolioOptions
 from repro.harness.configs import EngineConfig, apply_seed
 from repro.harness.manifest import build_manifest
@@ -55,6 +57,24 @@ class _LingeringUnsafe:
 
 register_engine(
     "lingering-unsafe-test", lambda aig, **kw: _LingeringUnsafe(aig, **kw), overwrite=True
+)
+
+
+class _OptionsProbe:
+    """Gives up at once, naming the seed and substrate of its options."""
+
+    name = "options-probe"
+
+    def __init__(self, aig, options=None, **_):
+        self.options = options
+
+    def check(self, time_limit=None):
+        reason = f"seed={self.options.seed} backend={self.options.frame_backend}"
+        return CheckOutcome(result=CheckResult.UNKNOWN, engine=self.name, reason=reason)
+
+
+register_engine(
+    "options-probe-test", lambda aig, **kw: _OptionsProbe(aig, **kw), overwrite=True
 )
 
 
@@ -180,6 +200,28 @@ class TestCLISwitches:
         assert main(["check", safe_model, "--seed", "3"]) == 0
         assert "safe" in capsys.readouterr().out
 
+    def test_frame_backend_flag_reaches_the_portfolio_members(
+        self, safe_model, tmp_path, monkeypatch, capsys
+    ):
+        # The first member (ic3-pl) runs alone (--jobs 1) and records the
+        # options its engine was built with, in its own process.
+        record = tmp_path / "members.txt"
+        make_ic3_pl = registry.resolve_engine("ic3-pl")
+
+        def recording(aig, **kwargs):
+            engine = make_ic3_pl(aig, **kwargs)
+            frames = type(engine._engine.frames).__name__
+            with open(record, "a") as handle:
+                handle.write(f"{engine.options.frame_backend} {engine.options.seed} {frames}\n")
+            return engine
+
+        monkeypatch.setitem(registry._REGISTRY, "ic3-pl", recording)
+        command = ["check", safe_model, "--engine", "portfolio", "--jobs", "1",
+                   "--frame-backend", "per-frame", "--seed", "4"]
+        assert main(command) == 0
+        assert "won by ic3-pl" in capsys.readouterr().out
+        assert record.read_text() == "per-frame 4 PerFrameFrameManager\n"
+
     @pytest.mark.parametrize("flag", ["--portfolio-share", "--no-portfolio-share"])
     def test_removed_sharing_flags_are_refused(self, safe_model, flag, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -194,19 +236,20 @@ class TestPortfolioOptions:
 
     @pytest.mark.parametrize("base_seed", [0, 1, 7])
     def test_member_seeds_follow_base_seed(self, base_seed):
-        # Member i runs with seed base_seed + i; 0 leaves every member
-        # on the unseeded decision order.
-        engine = PortfolioEngine(
+        # Member i runs with IC3Options.seed == base_seed + i, and the
+        # other settings unchanged; 0 leaves every member on the
+        # portfolio's own options.
+        outcome = PortfolioEngine(
             token_ring(3).aig,
-            engines=("ic3-pl", "ic3-pl", "bmc"),
+            engines=("options-probe-test",) * 3,
+            options=IC3Options(seed=5, frame_backend="per-frame"),
             portfolio_options=PortfolioOptions(base_seed=base_seed),
-        )
-        seeds = [plan.kwargs.get("seed") for plan in engine._plan]
-        if base_seed:
-            assert seeds == [base_seed, base_seed + 1, base_seed + 2]
-        else:
-            assert seeds == [None, None, None]
-        assert [plan.label for plan in engine._plan] == ["ic3-pl#1", "ic3-pl#2", "bmc"]
+        ).check(time_limit=60)
+        assert outcome.result == CheckResult.UNKNOWN
+        for index in range(3):
+            seed = base_seed + index if base_seed else 5
+            member = f"options-probe-test#{index + 1}"
+            assert f"{member}: seed={seed} backend=per-frame" in outcome.reason
 
     @pytest.mark.parametrize(
         "field", ["share", "transport", "capacity", "max_lits", "min_level", "diversify"]

@@ -101,7 +101,7 @@ class TestWitnessLiftBack:
             property_index=result.property_index,
         ).check(time_limit=60)
         assert outcome.result == CheckResult.SAFE
-        lifted = result.lift_certificate(outcome.certificate)
+        lifted = result.recon.lift_certificate(outcome.certificate)
         assert check_certificate(case.aig, lifted)
 
     @pytest.mark.parametrize("factory", [
@@ -116,7 +116,7 @@ class TestWitnessLiftBack:
             property_index=result.property_index,
         ).check(time_limit=60)
         assert outcome.result == CheckResult.UNSAFE
-        lifted = result.lift_trace(outcome.trace)
+        lifted = result.recon.lift_trace(outcome.trace)
         assert check_counterexample(case.aig, lifted)
         assert lifted.depth == outcome.trace.depth
 
@@ -127,7 +127,7 @@ class TestWitnessLiftBack:
             max_depth=10
         )
         assert outcome.result == CheckResult.UNSAFE
-        lifted = result.lift_trace(outcome.trace)
+        lifted = result.recon.lift_trace(outcome.trace)
         assert check_counterexample(case.aig, lifted)
 
     def test_certificate_valid_even_when_model_vanishes(self):
@@ -144,7 +144,7 @@ class TestWitnessLiftBack:
         assert result.aig.num_latches == 0
         outcome = IC3(result.aig, property_index=result.property_index).check()
         assert outcome.result == CheckResult.SAFE
-        lifted = result.lift_certificate(outcome.certificate)
+        lifted = result.recon.lift_certificate(outcome.certificate)
         assert check_certificate(aig, lifted)
 
     def test_lift_outcome_keeps_verdict_and_stats(self):

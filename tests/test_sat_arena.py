@@ -12,13 +12,14 @@ that re-solve to UNSAT.
 
 import itertools
 import random
+from dataclasses import asdict
 
 import pytest
 
-from repro.benchgen import johnson_counter
+from repro.benchgen import johnson_counter, quick_suite
 from repro.core.ic3 import IC3
-from repro.logic import Cube
 from repro.harness.configs import config_by_name
+from repro.logic import Clause
 from repro.obs.tracer import Tracer, install, uninstall
 from repro.sat import (
     ArenaClauseRef,
@@ -28,6 +29,7 @@ from repro.sat import (
     SolverError,
 )
 from repro.sat.arena import MAX_VAR
+from repro.ts import TransitionSystem
 
 
 def brute_force_satisfiable(num_vars, clauses):
@@ -115,7 +117,7 @@ class TestArenaBasics:
         solver.add_clause([1, 2, 3])
         solver.add_clause([-1, 2])
         solver.solve([-2])
-        stats = solver.stats.as_dict()
+        stats = asdict(solver.stats)
         for key in (
             "watch_traversals",
             "blocker_hits",
@@ -148,7 +150,7 @@ class TestActivationLayer:
         solver.add_guarded(act, [2])
         assert solver.solve([act, -1]) is False
         assert solver.solve([-1]) is True  # group not selected
-        assert solver.solve([act]) is True and solver.model_value(1) is True
+        assert solver.solve([act]) is True and solver.get_model()[1] is True
 
     def test_remove_guarded_disables_one_clause(self):
         solver = ArenaSolver()
@@ -478,6 +480,88 @@ class TestPinnedSearch:
         ) == self.ENGINE_COUNTERS[config]
 
 
+def _replay(clauses, num_vars, queries):
+    """Load ``clauses`` into a fresh kernel and answer ``queries`` in order.
+
+    Returns every verdict with its model or core, and the search counters.
+    """
+    solver = ArenaSolver()
+    solver.ensure_var(num_vars)
+    for clause in clauses:
+        solver.add_clause(clause)
+    answers = []
+    for assumptions in queries:
+        if solver.solve(assumptions):
+            answers.append((True, solver.model_literals(range(1, num_vars + 1))))
+        else:
+            answers.append((False, sorted(solver.unsat_core())))
+    return answers, _search_counters(solver)
+
+
+class TestClauseOrderIndependence:
+    """The kernel sorts and deduplicates every clause it is given.
+
+    So a clause set handed over as plain literal lists, in any order and
+    with repeated literals, is searched exactly as its canonical form:
+    same verdicts, models, cores and search counters.  The frame
+    managers rely on this when they load ``TransitionSystem.trans``
+    without canonicalising it first.
+    """
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_shuffled_duplicated_literals_give_the_same_search(self, seed):
+        rng = random.Random(seed)
+        num_vars = 24
+        canonical = [
+            list(Clause(rng.choice([-1, 1]) * rng.randint(1, num_vars) for _ in range(3)))
+            for _ in range(80)
+        ]
+        scrambled = []
+        for clause in canonical:
+            clause = clause + [rng.choice(clause) for _ in range(rng.randint(0, 2))]
+            rng.shuffle(clause)
+            scrambled.append(clause)
+        queries = [
+            [rng.choice([-1, 1]) * var for var in rng.sample(range(1, num_vars + 1), 4)]
+            for _ in range(12)
+        ]
+        expected = _replay(canonical, num_vars, queries)
+        assert _replay(scrambled, num_vars, queries) == expected
+        assert {verdict for verdict, _ in expected[0]} == {True, False}
+
+    @pytest.mark.parametrize("case", quick_suite(), ids=lambda case: case.name)
+    def test_transition_relation_loads_like_its_canonical_clauses(self, case):
+        ts = TransitionSystem(case.aig, warn_on_ambiguity=False)
+        rng = random.Random(case.name)
+        queries = [
+            [var if rng.random() < 0.5 else -var for var in ts.latch_vars] + [lit]
+            for lit in (ts.bad_lit, -ts.bad_lit)
+            for _ in range(4)
+        ]
+        canonical = [list(Clause(clause)) for clause in ts.trans]
+        assert _replay(ts.trans, ts.num_vars, queries) == _replay(
+            canonical, ts.num_vars, queries
+        )
+
+
+@pytest.mark.parametrize("kernel", [Solver, ArenaSolver])
+class TestDegenerateClauses:
+    """Both kernels read a clause as the set of its literals."""
+
+    def test_tautology_constrains_nothing(self, kernel):
+        solver = kernel()
+        solver.add_clause([2, -1, 1, 2])
+        assert solver.solve([-1, -2]) is True
+        assert solver.solve([1, 2]) is True
+
+    def test_empty_clause_makes_the_set_unsatisfiable(self, kernel):
+        solver = kernel()
+        solver.add_clause([1, 2])
+        solver.add_clause([])
+        assert solver.solve() is False
+        assert solver.solve([1]) is False
+
+
 def _random_cnf(rng, num_vars):
     return [
         [rng.choice([-1, 1]) * rng.randint(1, num_vars) for _ in range(rng.randint(1, 3))]
@@ -533,7 +617,6 @@ class TestModelLiterals:
             assert tuple(v if value == 1 else -v for v, value in zip(every, values)) == (
                 solver.model_literals(every)
             )
-        assert arena.model_cube(variables) == Cube(projections[0])
         # Each kernel's projection is a model of the CNF for the other.
         assert oracle.solve(list(projections[0]))
         assert arena.solve(list(projections[1]))

@@ -70,7 +70,7 @@ class TestActivationScopes:
         assert act2 == act
         solver.add_guarded(act2, [5])
         assert solver.solve([act2, -1])  # no stale learnt blocks this
-        assert solver.model_value(5) is True
+        assert solver.get_model()[5] is True
 
     def test_remove_guarded_deferred_while_trail_live(self):
         solver = ArenaSolver()

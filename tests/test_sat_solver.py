@@ -7,6 +7,7 @@ feature, randomized cross-checks against brute-force enumeration
 
 import itertools
 import random
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -40,7 +41,7 @@ class TestBasicSolving:
         solver = Solver()
         solver.add_clause([1])
         assert solver.solve() is True
-        assert solver.model_value(1) is True
+        assert solver.get_model()[1] is True
 
     def test_contradictory_units(self):
         solver = Solver()
@@ -60,7 +61,7 @@ class TestBasicSolving:
             solver.add_clause([-i, i + 1])
         solver.add_clause([1])
         assert solver.solve() is True
-        assert solver.model_value(20) is True
+        assert solver.get_model()[20] is True
 
     def test_pigeonhole_3_into_2_unsat(self):
         # Pigeon i in hole j -> variable 2*(i-1)+j, i in 1..3, j in 1..2.
@@ -80,13 +81,13 @@ class TestBasicSolving:
         solver.add_clause([1, -1])
         solver.add_clause([-2])
         assert solver.solve() is True
-        assert solver.model_value(2) is False
+        assert solver.get_model()[2] is False
 
     def test_duplicate_literals_collapsed(self):
         solver = Solver()
         solver.add_clause([3, 3, 3])
         assert solver.solve() is True
-        assert solver.model_value(3) is True
+        assert solver.get_model()[3] is True
 
     def test_inconsistency_at_level_zero_is_permanent(self):
         solver = Solver()
@@ -129,12 +130,11 @@ class TestModels:
         with pytest.raises(SolverError):
             solver.get_model()
 
-    def test_model_value_of_negative_literal(self):
+    def test_model_of_negative_unit(self):
         solver = Solver()
         solver.add_clause([-4])
         solver.solve()
-        assert solver.model_value(-4) is True
-        assert solver.model_value(4) is False
+        assert solver.get_model()[4] is False
 
     def test_model_literals_projection(self):
         solver = Solver()
@@ -151,7 +151,7 @@ class TestAssumptions:
         solver = Solver()
         solver.add_clause([-1, 2])
         assert solver.solve([1]) is True
-        assert solver.model_value(2) is True
+        assert solver.get_model()[2] is True
         assert solver.solve([-1]) is True
 
     def test_unsat_under_assumptions_only(self):
@@ -215,7 +215,7 @@ class TestIncremental:
         assert solver.solve() is True
         solver.add_clause([-1])
         assert solver.solve() is True
-        assert solver.model_value(2) is True
+        assert solver.get_model()[2] is True
         solver.add_clause([-2])
         assert solver.solve() is False
 
@@ -243,7 +243,7 @@ class TestIncremental:
         solver = Solver()
         solver.add_clause([1, 2])
         solver.solve()
-        stats = solver.stats.as_dict()
+        stats = asdict(solver.stats)
         assert stats["solve_calls"] == 1
         assert "conflicts" in stats and "decisions" in stats
 
