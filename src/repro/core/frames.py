@@ -28,7 +28,7 @@ The three queries every IC3 variant needs are provided by both:
   store of :class:`FrameManagerBase`, which answers later failing
   queries without a SAT call;
 * :meth:`FrameManagerBase.lift_predecessor` — assumption-core shrinking of
-  a concrete predecessor state.
+  a concrete predecessor state, or of a bad state against the property.
 """
 
 from __future__ import annotations
@@ -477,6 +477,13 @@ class FrameManagerBase:
         ts = self.ts
         return _FailedAnswer(predecessor, ts.successor_cube(solver), ts, ts.input_bits(solver))
 
+    def _lift_target(self, successor: Optional[Cube]) -> List[int]:
+        """The temporary clause of a lift query: ``¬successor'``, or
+        ``¬Bad`` when ``successor`` is None."""
+        if successor is None:
+            return [-self.ts.bad_lit]
+        return [-lit for lit in self.ts.primed_literals(successor)]
+
     @staticmethod
     def _lifted(solver: ArenaSolver, predecessor: Cube) -> Cube:
         """The literals of ``predecessor`` in the UNSAT core of a lift
@@ -560,7 +567,7 @@ class FrameManagerBase:
         raise NotImplementedError
 
     def lift_predecessor(
-        self, predecessor: Cube, inputs: Cube, successor: Cube
+        self, predecessor: Cube, inputs: Cube, successor: Optional[Cube] = None
     ) -> Cube:
         raise NotImplementedError
 
@@ -572,14 +579,18 @@ class MonolithicFrameManager(FrameManagerBase):
     relation for the whole run.  Every frame ``i >= 1`` owns a persistent
     activation literal ``act_i``; the lemma ``¬c`` at level ``i`` becomes
     the single clause ``¬act_i ∨ ¬c`` and a query against the logical
-    frame ``F_i`` assumes ``{act_i, …, act_top}``.  Frame 0 is exactly
+    frame ``F_i`` assumes ``{act_top, …, act_i}`` and, for ``i >= 2``,
+    ``¬act_{i-1}``.  The chain clauses ``act_{j-1} → act_j`` then force
+    every lower activation false, so the lemma clauses below the query
+    level are satisfied and take no part in propagation, as in a
+    per-frame solver that never holds them.  Frame 0 is exactly
     the initial states and never receives lemmas, so its queries run in a
     small dedicated solver with the initial cube asserted as persistent
-    unit clauses; predecessor lifting runs in a third.  Per-query
-    clauses — the ``¬c`` of a consecution fallback, the ``¬t'`` of a
-    lift — live in recyclable activation scopes that are released right
-    after the query, so the solver never accumulates garbage from
-    temporary clauses and no rebuild heuristic is needed.
+    unit clauses; lifting runs in a third.  Per-query
+    clauses — the ``¬c`` of a consecution fallback, the ``¬t'`` or
+    ``¬Bad`` of a lift — live in recyclable activation scopes that are
+    released right after the query, so the solver never accumulates
+    garbage from temporary clauses and no rebuild heuristic is needed.
     """
 
     def __init__(self, ts: TransitionSystem, options: IC3Options, stats: IC3Stats):
@@ -753,14 +764,22 @@ class MonolithicFrameManager(FrameManagerBase):
     def _frame_assumptions(self, level: int) -> List[int]:
         """Activation literals selecting the logical frame F_level.
 
-        Ordered from the top frame downwards: successive queries at
-        nearby levels then share an assumption-list prefix, which the
-        solver's trail reuse turns into skipped re-propagation of the
-        whole active lemma set.
+        ``act_top … act_level``, ordered from the top frame downwards:
+        successive queries at nearby levels then share an assumption-list
+        prefix, which the solver's trail reuse turns into skipped
+        re-propagation of the whole active lemma set.  For ``level >= 2``
+        the list ends with ``¬act_{level-1}``: through the frame chain it
+        switches off every lower frame, whose lemma clauses would
+        otherwise stay unresolved and keep propagating.  It changes no
+        answer, since F_level does not contain those lemmas.
         """
         if level == 0:
             return []  # frame 0 queries run in the dedicated init solver
-        return self._acts[len(self._acts) - 1:level - 1:-1]
+        acts = self._acts
+        assumptions = acts[len(acts) - 1:level - 1:-1]
+        if level >= 2:
+            assumptions.append(-acts[level - 1])
+        return assumptions
 
     def _query_solver(self, level: int) -> ArenaSolver:
         return self._init_solver if level == 0 else self._solver
@@ -842,19 +861,24 @@ class MonolithicFrameManager(FrameManagerBase):
         return result
 
     def lift_predecessor(
-        self, predecessor: Cube, inputs: Cube, successor: Cube
+        self, predecessor: Cube, inputs: Cube, successor: Optional[Cube] = None
     ) -> Cube:
-        """Shrink a concrete predecessor with an assumption core.
+        """Shrink a concrete state with an assumption core.
 
         ``predecessor ∧ inputs ∧ T ⇒ successor'`` holds by construction, so
         the query ``predecessor ∧ inputs ∧ T ∧ ¬successor'`` is UNSAT and
         the core restricted to the predecessor literals is a generalized
-        predecessor cube.  The query uses no frame lemmas, so it runs in
-        the dedicated lift solver against the bare transition relation.
+        predecessor cube.  With ``successor`` None the state is a bad
+        state and is lifted against the property instead:
+        ``predecessor ∧ inputs ∧ T ∧ ¬Bad`` is UNSAT, and on a model
+        without invariant constraints every state of the core cube asserts
+        Bad under ``inputs``.  The query uses no
+        frame lemmas, so it runs in the dedicated lift solver against the
+        bare transition relation.
         """
         solver = self._lift_solver
         scope = solver.new_activation()
-        solver.add_guarded(scope, [-lit for lit in self.ts.primed_literals(successor)])
+        solver.add_guarded(scope, self._lift_target(successor))
         assumptions = [scope, *predecessor.literals, *inputs.literals]
 
         start = time.perf_counter()
@@ -1010,14 +1034,13 @@ class PerFrameFrameManager(FrameManagerBase):
         return result
 
     def lift_predecessor(
-        self, predecessor: Cube, inputs: Cube, successor: Cube
+        self, predecessor: Cube, inputs: Cube, successor: Optional[Cube] = None
     ) -> Cube:
-        """Shrink a concrete predecessor with an assumption core."""
+        """Shrink a concrete predecessor, or with ``successor`` None a bad
+        state, with an assumption core."""
         solver = self._lift_solver
         activation = solver.new_var()
-        solver.add_clause(
-            [-activation] + [-lit for lit in self.ts.primed_literals(successor)]
-        )
+        solver.add_clause([-activation] + self._lift_target(successor))
         assumptions = [activation, *predecessor.literals, *inputs.literals]
 
         start = time.perf_counter()

@@ -85,6 +85,11 @@ class IC3:
             self.frames, self.ts, self.options, self.stats, self._literal_activity
         )
         self.predictor = LemmaPredictor(self.frames, self.stats)
+        # Lifting is sound for blocking but makes *traces* partial: on
+        # models with invariant constraints the deterministic replay of a
+        # partial cube may leave the constrained state space, so
+        # counterexamples must stay concrete there.
+        self._lifting = self.options.enable_lifting and not self.ts.aig.constraints
 
         self._deadline: Optional[float] = None
         self._start_time = 0.0
@@ -175,12 +180,15 @@ class IC3:
         self, bad: BadState, level: int
     ) -> Tuple[bool, Optional[CounterexampleTrace]]:
         """Block a bad state of the top frame; False means a real counterexample."""
+        cube = bad.state
+        if self._lifting:
+            cube = self.frames.lift_predecessor(cube, bad.inputs)
         queue = ObligationQueue()
         queue.push(
             Obligation(
                 level=level,
                 depth=0,
-                cube=bad.state,
+                cube=cube,
                 inputs=bad.input_values,
                 successor=None,
             )
@@ -228,12 +236,7 @@ class IC3:
             else:
                 self.stats.ctis += 1
                 predecessor = result.predecessor
-                # Lifting is sound for blocking but makes *traces* partial:
-                # on models with invariant constraints the deterministic
-                # replay of a partial cube may leave the constrained state
-                # space, so counterexamples must stay concrete there.
-                lifting_ok = self.options.enable_lifting and not self.ts.aig.constraints
-                if lifting_ok and predecessor is not None:
+                if self._lifting and predecessor is not None:
                     predecessor = self.frames.lift_predecessor(
                         predecessor, result.inputs, obligation.cube
                     )

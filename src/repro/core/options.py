@@ -44,7 +44,10 @@ class IC3Options:
 
     # --- engine behaviour -------------------------------------------------
     enable_lifting: bool = True
-    """Shrink predecessor states with assumption cores before enqueuing them."""
+    """Shrink the states of proof obligations with assumption cores before
+    enqueuing them: each predecessor against its successor, and the bad
+    state that starts a blocking round against the property.  Off on
+    models with invariant constraints, whose traces must stay concrete."""
 
     aggressive_push: bool = True
     """After blocking, re-enqueue the obligation one level higher (IC3ref style)."""

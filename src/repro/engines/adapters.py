@@ -84,7 +84,6 @@ class IC3Engine:
         name: Optional[str] = None,
         reduce: bool = True,
         passes: Optional[Sequence[str]] = None,
-        **_ignored,
     ):
         self.options = options if options is not None else IC3Options()
         self.name = name or ("ic3-pl" if self.options.enable_prediction else "ic3")
@@ -115,7 +114,6 @@ class BMCEngine:
         max_depth: int = 50,
         reduce: bool = True,
         passes: Optional[Sequence[str]] = None,
-        **_ignored,
     ):
         self.max_depth = max_depth
         model, model_property, self.reduction = prepare_model(
@@ -146,7 +144,6 @@ class KInductionEngine:
         max_k: int = 20,
         reduce: bool = True,
         passes: Optional[Sequence[str]] = None,
-        **_ignored,
     ):
         self.max_k = max_k
         model, model_property, self.reduction = prepare_model(

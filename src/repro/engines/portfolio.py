@@ -96,7 +96,6 @@ class PortfolioEngine:
         reduce: bool = True,
         passes: Optional[Sequence[str]] = None,
         portfolio_options: Optional[PortfolioOptions] = None,
-        **_ignored,
     ):
         if not engines:
             raise ValueError("portfolio needs at least one member engine")

@@ -14,8 +14,8 @@ new engine becomes available everywhere by registering one factory::
         return MyEngine(aig, property_index=property_index)
 
 Factories must accept ``(aig, *, options=None, property_index=0,
-**kwargs)`` and ignore keywords they do not understand; this keeps one
-uniform construction path for heterogeneous engines.
+**kwargs)``; this keeps one uniform construction path for heterogeneous
+engines.  A keyword that the kind does not take raises ``TypeError``.
 """
 
 from __future__ import annotations

@@ -6,7 +6,10 @@ Every test in this module runs against both frame-management substrates
 the bottom.  Both substrates run on the production arena kernel.
 """
 
+import itertools
+
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from repro.benchgen import token_ring, modular_counter
 from repro.core.frames import (
@@ -20,6 +23,7 @@ from repro.core.stats import IC3Stats
 from repro.logic import Cube
 from repro.sat.arena import ArenaSolver
 from repro.ts import TransitionSystem
+from tests.test_flat_evaluators import random_aigs
 
 
 @pytest.fixture(params=["monolithic", "per-frame"])
@@ -202,6 +206,30 @@ class TestQueries:
         )
         assert lifted.literal_set <= result.predecessor.literal_set
         assert len(lifted) >= 1
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+    @given(random_aigs(max_vars=12), st.sampled_from(["monolithic", "per-frame"]))
+    def test_lifted_bad_state_asserts_bad_everywhere(self, aig, backend):
+        # Lifting against the property keeps a sub-cube of the bad state
+        # in which every state, under the model's inputs, asserts Bad.
+        assume(len(aig.latches) <= 5 and len(aig.inputs) <= 3 and not aig.constraints)
+        assume(aig.bads or aig.outputs)
+        ts = TransitionSystem(aig, warn_on_ambiguity=False)
+        manager = make_frame_manager(ts, IC3Options(frame_backend=backend), IC3Stats())
+        manager.add_frame()
+        bad = manager.get_bad_state(1)
+        assume(bad is not None)
+        lifted = manager.lift_predecessor(bad.state, bad.inputs)
+        assert lifted.literal_set <= bad.state.literal_set
+        fixed = {abs(lit): lit > 0 for lit in lifted}
+        free = [var for var in ts.latch_vars if var not in fixed]
+        for values in itertools.product((False, True), repeat=len(free)):
+            state = {**fixed, **dict(zip(free, values))}
+            latches = {
+                latch.lit: state[var] for var, latch in zip(ts.latch_vars, aig.latches)
+            }
+            (record,) = aig.simulate([bad.input_values], initial_latches=latches)
+            assert (record["bads"] or record["outputs"])[0]
 
     def test_solver_rebuild_preserves_answers(self, backend, monkeypatch):
         monkeypatch.setattr(PerFrameFrameManager, "REBUILD_INTERVAL", 2)
@@ -442,6 +470,43 @@ class TestMonolithicSubstrate:
         assert stats.lemma_clauses_removed == 0
         # The level-5 placement still blocks the cube for level-4 queries.
         assert manager.consecution(4, x) is not None
+
+    def test_query_assumptions_switch_off_the_frame_below(self, monkeypatch):
+        manager, ts, _ = _manager(token_ring(4), backend="monolithic")
+        for _ in range(4):
+            manager.add_frame()
+        queries = []
+        solve = ArenaSolver.solve
+
+        def recording(solver, assumptions=(), *args, **kwargs):
+            if solver is manager._solver:
+                queries.append(list(assumptions))
+            return solve(solver, assumptions, *args, **kwargs)
+
+        monkeypatch.setattr(ArenaSolver, "solve", recording)
+        acts = manager._acts
+        for level in (1, 2, 4):
+            queries.clear()
+            manager.get_bad_state(level)
+            manager.consecution(level, Cube([ts.latch_vars[0]]), reuse=False)
+            expected = acts[:level - 1:-1] + ([-acts[level - 1]] if level >= 2 else [])
+            assert queries[0] == expected + [ts.bad_lit]
+            assert queries[1][:len(expected)] == expected
+
+    def test_lemma_below_the_query_level_leaves_the_answer_unconstrained(self):
+        # The only bad state (counter = 2) is blocked at level 1 only, so
+        # F_2 still contains it and a level-2 query returns it, with the
+        # level-1 frame switched off.
+        case = modular_counter(3, modulus=8, bad_value=2)
+        manager, ts, _ = _manager(case, backend="monolithic")
+        for _ in range(3):
+            manager.add_frame()
+        bad = manager.get_bad_state(1)
+        manager.add_blocked_cube(bad.state, 1)
+        assert manager.get_bad_state(1) is None
+        again = manager.get_bad_state(2)
+        assert again is not None and again.state == bad.state
+        assert manager._solver.model_literals([manager._acts[1]]) == (-manager._acts[1],)
 
     def test_finalize_stats_reports_activation_accounting(self):
         manager, ts, stats = _manager(token_ring(4), backend="monolithic")

@@ -71,6 +71,13 @@ class TestRegistry:
         engine = create_engine("custom-test", token_ring(3).aig, max_depth=7)
         assert engine.max_depth == 7
 
+    @pytest.mark.parametrize("kind", ["ic3", "ic3-pl", "bmc", "kind", "portfolio"])
+    def test_unknown_keyword_raises_type_error(self, kind):
+        # Settings travel in IC3Options: a stray keyword is an error, not
+        # a silent run with the defaults.
+        with pytest.raises(TypeError, match="frame_backend"):
+            create_engine(kind, token_ring(3).aig, frame_backend="per-frame")
+
     def test_created_engines_satisfy_protocol(self):
         aig = token_ring(3).aig
         for name in ("ic3", "ic3-pl", "bmc", "kind", "portfolio"):
