@@ -446,21 +446,21 @@ class TestPinnedSearch:
     ENGINE_COUNTERS = {
         "RIC3": (152, 122, 165, 24, 50, 0, 0),
         "RIC3-pl": (346, 300, 612, 49, 65, 53, 26),
-        "IC3ref": (304, 249, 385, 38, 120, 0, 0),
-        "IC3ref-pl": (364, 301, 456, 61, 69, 65, 39),
-        "IC3ref-CAV23": (304, 249, 385, 38, 120, 0, 0),
-        "ABC-PDR": (395, 342, 432, 52, 136, 0, 0),
+        "IC3ref": (314, 249, 385, 38, 120, 0, 0),
+        "IC3ref-pl": (373, 301, 456, 61, 69, 65, 39),
+        "IC3ref-CAV23": (314, 249, 385, 38, 120, 0, 0),
+        "ABC-PDR": (405, 344, 440, 52, 128, 0, 0),
     }
 
     @pytest.mark.parametrize(
         "config, counters",
         [
-            ("IC3ref", (20, 171, 5317, 20)),
-            ("IC3ref-pl", (24, 93, 5873, 24)),
-            ("RIC3", (13, 119, 2325, 13)),
-            ("RIC3-pl", (33, 142, 7089, 33)),
-            ("IC3ref-CAV23", (20, 176, 5262, 20)),
-            ("ABC-PDR", (26, 178, 7032, 26)),
+            ("IC3ref", (20, 171, 5424, 20)),
+            ("IC3ref-pl", (24, 93, 6418, 24)),
+            ("RIC3", (13, 119, 2497, 13)),
+            ("RIC3-pl", (34, 142, 7657, 34)),
+            ("IC3ref-CAV23", (20, 176, 5398, 20)),
+            ("ABC-PDR", (25, 157, 6511, 25)),
         ],
     )
     def test_ic3_johnson_counter(self, created_kernels, config, counters):
