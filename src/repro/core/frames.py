@@ -619,10 +619,10 @@ class MonolithicFrameManager(FrameManagerBase):
 
         self._push_new_frame()
 
-        # Predecessor lifting runs against the bare transition relation
-        # (no frame lemmas), so it gets its own small solver: routing it
-        # through the main solver would flush the reusable assumption
-        # trail between consecutive consecution queries.
+        # Lifting (of predecessors and bad states) runs against the bare
+        # transition relation (no frame lemmas), so it gets its own small
+        # solver: routing it through the main solver would flush the
+        # reusable assumption trail between consecutive consecution queries.
         self._lift_solver = self._trans_solver()
 
         # One live clause per lemma: ``_lemma_handles`` maps a cube's
@@ -872,9 +872,8 @@ class MonolithicFrameManager(FrameManagerBase):
         state and is lifted against the property instead:
         ``predecessor ∧ inputs ∧ T ∧ ¬Bad`` is UNSAT, and on a model
         without invariant constraints every state of the core cube asserts
-        Bad under ``inputs``.  The query uses no
-        frame lemmas, so it runs in the dedicated lift solver against the
-        bare transition relation.
+        Bad under ``inputs``.  The query uses no frame lemmas, so it runs
+        in the dedicated lift solver against the bare transition relation.
         """
         solver = self._lift_solver
         scope = solver.new_activation()
