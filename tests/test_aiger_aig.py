@@ -1,9 +1,12 @@
 """Tests for AIG construction, derived gates and simulation."""
 
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.aiger import AIG, AigerError, FALSE_LIT, TRUE_LIT, parse_aiger
+from repro.aiger.aig import AndGate, Latch
 
 
 class TestConstruction:
@@ -314,3 +317,73 @@ class TestAndGateOrder:
         aig = parse_aiger("aag 3 1 0 0 1 1\n2\n6\n6 5 2\n")
         with pytest.raises(AigerError, match="AND gate 6 reads literal 5 before it is defined"):
             aig.validate()
+
+
+def _small_model():
+    """Input 2, latch 4 loading gate 6 = 2 & 4, bad 4 (variables 1-3)."""
+    aig = AIG()
+    i = aig.add_input()
+    l = aig.add_latch()
+    aig.set_latch_next(l, aig.add_and(i, l))
+    aig.add_bad(l)
+    return aig
+
+
+# (edit of the small model, the message validate raises)
+VALIDATE_ERRORS = {
+    "odd input": (lambda aig: aig.inputs.append(7), "input literal 7 must be positive"),
+    "odd latch": (lambda aig: aig.latches.append(Latch(lit=9)),
+                  "latch literal 9 must be positive"),
+    "odd AND": (lambda aig: aig.ands.append(AndGate(lhs=11, rhs0=2, rhs1=4)),
+                "AND literal 11 must be positive"),
+    "AND below rhs0": (lambda aig: aig.ands.append(AndGate(lhs=8, rhs0=8, rhs1=2)),
+                       "AND gate 8 is not in topological order"),
+    "AND below rhs1": (lambda aig: aig.ands.append(AndGate(lhs=8, rhs0=2, rhs1=9)),
+                       "AND gate 8 is not in topological order"),
+    "rhs0 undefined": (lambda aig: aig.ands.append(AndGate(lhs=10, rhs0=9, rhs1=2)),
+                       "AND gate 10 reads literal 9 before it is defined"),
+    "rhs1 undefined": (lambda aig: aig.ands.append(AndGate(lhs=10, rhs0=2, rhs1=9)),
+                       "AND gate 10 reads literal 9 before it is defined"),
+    "both undefined": (lambda aig: aig.ands.append(AndGate(lhs=12, rhs0=9, rhs1=10)),
+                       "AND gate 12 reads literal 9 before it is defined"),
+    "negative rhs": (lambda aig: aig.ands.append(AndGate(lhs=10, rhs0=2, rhs1=-2)),
+                     "AND gate 10 reads literal -2 before it is defined"),
+    "output": (lambda aig: aig.outputs.append(9), "literal 9 refers to an undefined variable"),
+    "bad": (lambda aig: aig.bads.append(8), "literal 8 refers to an undefined variable"),
+    "negative bad": (lambda aig: aig.bads.append(-1),
+                     "literal -1 refers to an undefined variable"),
+    "bad past max_var": (lambda aig: aig.bads.append(999),
+                         "literal 999 refers to an undefined variable"),
+    "constraint": (lambda aig: aig.constraints.append(8),
+                   "literal 8 refers to an undefined variable"),
+    "justice": (lambda aig: aig.justice.append([2, 9]),
+                "literal 9 refers to an undefined variable"),
+    "fairness": (lambda aig: aig.fairness.append(8),
+                 "literal 8 refers to an undefined variable"),
+    "latch next": (lambda aig: setattr(aig.latches[0], "next", 11),
+                   "literal 11 refers to an undefined variable"),
+    "empty justice": (lambda aig: aig.justice.append([]),
+                      "a justice property needs at least one literal"),
+}
+
+
+class TestValidateErrors:
+    """Every error :meth:`AIG.validate` raises, with its exact message."""
+
+    @pytest.mark.parametrize("edit, message", VALIDATE_ERRORS.values(),
+                             ids=list(VALIDATE_ERRORS))
+    def test_error_and_message(self, edit, message):
+        aig = _small_model()
+        aig.validate()
+        edit(aig)
+        with pytest.raises(AigerError, match=f"^{re.escape(message)}$"):
+            aig.validate()
+
+    def test_element_past_max_var_still_defines_its_variable(self):
+        # The builder never numbers past max_var, but a hand-edited model
+        # may; validate judges it by what the lists define.
+        aig = _small_model()
+        aig.inputs.append(20)
+        aig.ands.append(AndGate(lhs=30, rhs0=20, rhs1=6))
+        aig.bads.append(31)
+        aig.validate()

@@ -1,8 +1,10 @@
 """Integration tests: pipeline composition and witness lift-back."""
 
+from hashlib import sha256
+
 import pytest
 
-from repro.aiger import AIG, AigerError, parse_aiger
+from repro.aiger import AIG, AigerError, parse_aiger, to_aag_string
 from repro.benchgen import (
     default_suite,
     monitored_counter,
@@ -303,3 +305,51 @@ class TestEngineIntegration:
         assert outcome.winner
         assert outcome.reduction is not None
         assert check_counterexample(case.aig, outcome.trace)
+
+
+def _reduction_digest(aig):
+    """sha256 over the default reduction of ``aig`` and IC3ref's lifted witness.
+
+    Covers the reduced model's AAG text, every pass's info, the composed
+    fate of every original latch and the verdict with its witness.
+    """
+    result = reduce_aig(aig)
+    fates = [(fate.kind, fate.reduced_index, fate.value, fate.rep_original_index,
+              fate.negated) for fate in result.recon.latch_fates]
+    outcome = create_engine("ic3", aig, options=IC3Options.profile_ic3_a()).check()
+    witness = []
+    if outcome.trace is not None:
+        witness = [(list(step.state), sorted(step.inputs.items()))
+                   for step in outcome.trace.steps]
+    if outcome.certificate is not None:
+        witness = [list(clause) for clause in outcome.certificate.clauses]
+    parts = [
+        to_aag_string(result.aig),
+        repr([info.as_dict() for info in result.infos]),
+        repr(fates),
+        outcome.result.value,
+        repr(witness),
+    ]
+    return sha256("\n".join(parts).encode()).hexdigest()
+
+
+class TestPinnedReductions:
+    """The three wide SoC cases of the benchmark (generator numbering),
+    reduced and checked: any change to a reduced model, its bookkeeping
+    or the lifted witness shows as a changed digest."""
+
+    @pytest.mark.parametrize(
+        "make, digest",
+        [
+            (lambda: monitored_counter(4, noise=1000, copies=16, safe=True),
+             "b0801872dce466d79acf5643080bdf081a6fc3dd905f760eee6670ee3e9024e0"),
+            (lambda: shadowed_ring(4, noise=1000, safe=True),
+             "1efa8459254abdc9f82a76563a917b29a41d2554ed3e8f960b3ee2841c3113b2"),
+            (lambda: monitored_counter(3, noise=1000, copies=16, safe=False),
+             "7d96b341d9ef4ab8bdd2d3fd69f5f269a41be8e005ebedb28b7d8c25b1461ad8"),
+        ],
+        ids=["moncnt_w4", "shring_n4", "moncnt_w3"],
+    )
+    def test_digest(self, make, digest):
+        aig = parse_aiger(to_aag_string(make().aig))
+        assert _reduction_digest(aig) == digest
