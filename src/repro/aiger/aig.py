@@ -14,7 +14,7 @@ generators in :mod:`repro.benchgen`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 FALSE_LIT = 0
 TRUE_LIT = 1
@@ -45,6 +45,52 @@ class AndGate:
     lhs: int
     rhs0: int
     rhs1: int
+
+
+GateColumns = Tuple[Sequence[int], Sequence[int], Sequence[int]]
+"""AND gates as three parallel literal columns: ``lhs``, ``rhs0``, ``rhs1``."""
+
+
+def hash_ands(
+    columns: GateColumns,
+    lit_map: List[int],
+    cache: Dict[Tuple[int, int], int],
+    max_var: int,
+    ands: Optional[List[AndGate]] = None,
+) -> int:
+    """Fold and structurally hash a gate list through a literal table.
+
+    Each gate's operands are mapped through ``lit_map`` (indexed by
+    literal, both polarities), folded and looked up in ``cache`` by the
+    rule of :meth:`AIG.add_and`, in list order; the result is written
+    back at ``lit_map[lhs]`` and its complement at ``lit_map[lhs ^ 1]``,
+    so later gates read it.  A gate not yet in ``cache`` takes variable
+    ``max_var + 1``, enters ``cache`` and, when ``ands`` is given, is
+    appended to it.  Returns the new ``max_var``.
+
+    The loop keeps to plain ints and one dict: no call per gate.
+    """
+    for lhs, rhs0, rhs1 in zip(*columns):
+        a = lit_map[rhs0]
+        b = lit_map[rhs1]
+        if a == FALSE_LIT or b == FALSE_LIT or a == (b ^ 1):
+            lit = FALSE_LIT
+        elif a == TRUE_LIT:
+            lit = b
+        elif b == TRUE_LIT or a == b:
+            lit = a
+        else:
+            key = (a, b) if a <= b else (b, a)
+            lit = cache.get(key)
+            if lit is None:
+                max_var += 1
+                lit = 2 * max_var
+                cache[key] = lit
+                if ands is not None:
+                    ands.append(AndGate(lhs=lit, rhs0=key[1], rhs1=key[0]))
+        lit_map[lhs] = lit
+        lit_map[lhs ^ 1] = lit ^ 1
+    return max_var
 
 
 class AIG:
@@ -136,7 +182,11 @@ class AIG:
         latch.next = next_lit
 
     def add_and(self, a: int, b: int) -> int:
-        """Return a literal for ``a & b`` (folded / structurally hashed)."""
+        """Return a literal for ``a & b`` (folded / structurally hashed).
+
+        :func:`hash_ands` applies the same rule to a whole gate list; the
+        two must stay in step.
+        """
         max_var = self._max_var
         if a < 0 or b < 0 or (a >> 1) > max_var or (b >> 1) > max_var:
             self._check_lit(a)
@@ -158,6 +208,18 @@ class AIG:
         self.ands.append(AndGate(lhs=lhs, rhs0=key[1], rhs1=key[0]))
         self._and_cache[key] = lhs
         return lhs
+
+    def add_mapped_ands(self, columns: GateColumns, lit_map: List[int]) -> None:
+        """Add another model's gates, read through the literal table ``lit_map``.
+
+        ``columns`` are the gates' ``lhs``/``rhs0``/``rhs1`` literals in
+        the other model, in topological order; ``lit_map`` maps each of
+        that model's literals (both polarities) to a literal of this one
+        and receives every gate's result (see :func:`hash_ands`).  The
+        gates are folded and hashed as :meth:`add_and` would, and the new
+        ones enter this AIG's hash table.
+        """
+        self._max_var = hash_ands(columns, lit_map, self._and_cache, self._max_var, self.ands)
 
     # Derived gates -----------------------------------------------------
     def and_many(self, lits: Sequence[int]) -> int:
@@ -282,36 +344,66 @@ class AIG:
 
     def validate(self) -> None:
         """Check structural well-formedness; raises :class:`AigerError`."""
-        seen_vars = {0}
+        # One mark per variable up to max_var.  A hand-edited model may
+        # define a variable past it (or a negative one): those go in a set.
+        size = self._max_var + 1
+        defined = bytearray(size)
+        defined[0] = 1
+        beyond: Set[int] = set()
+
+        def is_defined(var: int) -> bool:
+            return defined[var] == 1 if 0 <= var < size else var in beyond
+
         for lit in self.inputs:
             if lit & 1:
                 raise AigerError(f"input literal {lit} must be positive")
-            seen_vars.add(lit >> 1)
+            var = lit >> 1
+            if 0 <= var < size:
+                defined[var] = 1
+            else:
+                beyond.add(var)
         for latch in self.latches:
             if latch.lit & 1:
                 raise AigerError(f"latch literal {latch.lit} must be positive")
-            seen_vars.add(latch.lit >> 1)
+            var = latch.lit >> 1
+            if 0 <= var < size:
+                defined[var] = 1
+            else:
+                beyond.add(var)
+        limit = 2 * size  # the literals the marks cover
         for gate in self.ands:
             lhs, rhs0, rhs1 = gate.lhs, gate.rhs0, gate.rhs1
             if lhs & 1:
                 raise AigerError(f"AND literal {lhs} must be positive")
+            # Evaluators read the gates front to back, so an operand must
+            # be defined by an input, a latch or an earlier gate.
+            if (
+                0 <= rhs0 < lhs < limit and 0 <= rhs1 < lhs
+                and defined[rhs0 >> 1] and defined[rhs1 >> 1]
+            ):
+                defined[lhs >> 1] = 1
+                continue
             if lhs <= rhs0 or lhs <= rhs1:
                 raise AigerError(
                     f"AND gate {lhs} is not in topological order"
                 )
-            # Evaluators read the gates front to back, so an operand must
-            # be defined by an input, a latch or an earlier gate.
-            if (rhs0 >> 1) not in seen_vars or (rhs1 >> 1) not in seen_vars:
-                rhs = rhs0 if (rhs0 >> 1) not in seen_vars else rhs1
+            defined0 = is_defined(rhs0 >> 1)
+            if not (defined0 and is_defined(rhs1 >> 1)):
+                rhs = rhs1 if defined0 else rhs0
                 raise AigerError(
                     f"AND gate {lhs} reads literal {rhs} before it is defined"
                 )
-            seen_vars.add(lhs >> 1)
+            var = lhs >> 1
+            if 0 <= var < size:
+                defined[var] = 1
+            else:
+                beyond.add(var)
         justice_lits = [lit for group in self.justice for lit in group]
         for lit in self.outputs + self.bads + self.constraints + justice_lits + self.fairness + [
             latch.next for latch in self.latches
         ]:
-            if (lit >> 1) not in seen_vars:
+            var = lit >> 1
+            if not (0 <= var < size and defined[var] or var in beyond):
                 raise AigerError(f"literal {lit} refers to an undefined variable")
         for group in self.justice:
             if not group:
@@ -360,6 +452,25 @@ class AIG:
             })
             latch_values = [values[lit] for lit in next_lits]
         return trace
+
+    def latch_states(
+        self, input_sequence: Sequence[Dict[int, bool]], initial: Sequence[bool]
+    ) -> List[List[bool]]:
+        """The values of the latches entering each step, in latch order.
+
+        ``initial`` gives every latch's value entering the first step;
+        each later step's values are the next-state literals the step
+        before evaluates to.  Steps as :meth:`simulate` does, without its
+        per-step records, and skips the last step's evaluation, which no
+        returned state needs.
+        """
+        next_lits = [latch.next for latch in self.latches]
+        gates = self.gate_columns()
+        states = [list(initial)] if input_sequence else []
+        for step_inputs in input_sequence[:-1]:
+            values = self._evaluate_flat(step_inputs, states[-1], gates)
+            states.append([values[lit] for lit in next_lits])
+        return states
 
     def gate_columns(self) -> Tuple[List[int], List[int], List[int]]:
         """The AND gates' ``lhs``, ``rhs0`` and ``rhs1`` literals, in order.

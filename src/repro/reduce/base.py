@@ -12,18 +12,21 @@ AIG and reports two things alongside the rebuilt circuit:
   the reduced model back to the original one.
 
 All passes funnel their circuit surgery through :func:`rebuild_aig`,
-which re-creates the AIG through the structural-hashing builder (so every
-pass gets constant folding and common-subexpression sharing for free),
-drops gates that no longer feed any latch, constraint or selected
-property, and applies latch substitutions (constants from ternary
-simulation, representatives from equivalent-latch merging).
+which re-creates the AIG with its gates folded and structurally hashed
+(so every pass gets constant folding and common-subexpression sharing
+for free), drops gates that no longer feed any latch, constraint or
+selected property, and applies latch substitutions (constants from
+ternary simulation, representatives from equivalent-latch merging).
+When the input itself came out of a rebuild and the pass would change
+nothing, the rebuild hands the input on instead.
 """
 
 from __future__ import annotations
 
+import collections.abc
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import AbstractSet, Dict, Iterable, Iterator, List, Optional, Sequence, Set
 
 from repro.aiger.aig import AIG, FALSE_LIT, TRUE_LIT
 
@@ -106,6 +109,10 @@ class PassResult:
     property_index: int
     """Index of the checked property in the output model's bad list."""
 
+    hashed: bool = False
+    """True when ``aig`` came out of :func:`rebuild_aig` (the built-in
+    passes' output always does), so a later pass may hand it on."""
+
 
 class ReductionPass(ABC):
     """One named, composable AIG-level reduction."""
@@ -113,8 +120,13 @@ class ReductionPass(ABC):
     name: str = "pass"
 
     @abstractmethod
-    def run(self, aig: AIG, property_index: int = 0) -> PassResult:
-        """Apply the pass; must be sound and complete for the property."""
+    def run(self, aig: AIG, property_index: int = 0, *, hashed: bool = False) -> PassResult:
+        """Apply the pass; must be sound and complete for the property.
+
+        ``hashed`` says that ``aig`` came out of a rebuild earlier in the
+        same pipeline run: a pass that would change nothing may then
+        return ``aig`` itself (see :func:`rebuild_aig`).
+        """
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}()"
@@ -141,11 +153,27 @@ def no_properties_message(aig: AIG) -> str:
     return message
 
 
+class MarkedVariables(collections.abc.Set):
+    """The variables a var-indexed ``bytearray`` marks 1, seen as a set."""
+
+    def __init__(self, marks: bytearray):
+        self.marks = marks
+
+    def __contains__(self, var: object) -> bool:
+        return isinstance(var, int) and 0 <= var < len(self.marks) and self.marks[var] == 1
+
+    def __iter__(self) -> Iterator[int]:
+        return (var for var, mark in enumerate(self.marks) if mark)
+
+    def __len__(self) -> int:
+        return self.marks.count(1)
+
+
 @dataclass
 class FaninCone:
     """One walk of a model's fan-in from a set of root literals."""
 
-    variables: Set[int]
+    variables: AbstractSet[int]
     """Every variable reached, the constant excluded."""
 
     gates: List[int]
@@ -164,34 +192,44 @@ def fanin_cone(
     ``through_latches`` it also follows every reached latch to its
     next-state function, which closes the cone over time (the cone of
     influence); otherwise latches are leaves.
+
+    Variables are marked in a ``bytearray`` and found in one
+    var-indexed position list (gate position ``p`` as ``p + 1``, latch
+    position ``p`` as ``~p``, anything else 0), not in sets and dicts
+    keyed by fresh ints.
     """
     ands = source.ands
-    gate_at = {gate.lhs >> 1: index for index, gate in enumerate(ands)}
-    latch_at = {latch.lit >> 1: index for index, latch in enumerate(source.latches)}
-    reached: Set[int] = set()
+    latch_list = source.latches
+    size = source.max_var + 1
+    position = [0] * size
+    for index, latch in enumerate(latch_list):
+        position[latch.lit >> 1] = ~index
+    for index, gate in enumerate(ands):
+        position[gate.lhs >> 1] = index + 1
+    marks = bytearray(size)
+    marks[0] = 1  # never walked; unmarked again below
     gates: List[int] = []
     latches: List[int] = []
     pending = [lit >> 1 for lit in roots]
     while pending:
         var = pending.pop()
-        if var in reached or var == 0:
+        if marks[var]:
             continue
-        reached.add(var)
-        index = gate_at.get(var)
-        if index is not None:
-            gates.append(index)
-            gate = ands[index]
+        marks[var] = 1
+        at = position[var]
+        if at > 0:
+            gates.append(at - 1)
+            gate = ands[at - 1]
             pending.append(gate.rhs0 >> 1)
             pending.append(gate.rhs1 >> 1)
-            continue
-        index = latch_at.get(var)
-        if index is not None:
-            latches.append(index)
+        elif at < 0:
+            latches.append(~at)
             if through_latches:
-                pending.append(source.latches[index].next >> 1)
+                pending.append(latch_list[~at].next >> 1)
+    marks[0] = 0
     gates.sort()
     latches.sort()
-    return FaninCone(variables=reached, gates=gates, latches=latches)
+    return FaninCone(variables=MarkedVariables(marks), gates=gates, latches=latches)
 
 
 @dataclass
@@ -213,8 +251,9 @@ def rebuild_aig(
     property_index: int = 0,
     only_property: bool = False,
     cone: Optional[FaninCone] = None,
+    hashed: bool = False,
 ) -> RebuildResult:
-    """Rebuild ``source`` through the structural-hashing builder.
+    """Rebuild ``source`` with its gates folded and structurally hashed.
 
     ``keep_inputs``/``keep_latches`` are index sets (None keeps all);
     ``replace`` maps a latch's positive literal to the source-domain
@@ -226,11 +265,22 @@ def rebuild_aig(
     ``only_property`` the output declares a single bad literal (the
     selected property, at index 0); otherwise all properties are kept.
 
+    Source literals are read through one table indexed by literal, and
+    the gates go through :meth:`AIG.add_mapped_ands` in one loop (the
+    rule of :meth:`AIG.add_and`, no call per gate).  The output numbers
+    its inputs, then its latches, then its gates in list order, and its
+    hash table holds every gate.
+
     ``cone`` hands over a walk the caller already made (the cone of
     influence pass does): its gates must be exactly those the rebuild
     emits feed on.  Without it, the rebuild walks from what it emits.
+
+    ``hashed`` says ``source`` itself came out of a rebuild.  Rebuilding
+    such a model changes nothing when it keeps every input and latch,
+    replaces nothing, emits every bad and feeds on every gate; the source
+    is then handed on as it is, with identity maps.
     """
-    replace = dict(replace or {})
+    replace = replace or {}
     bads = selected_bads(source)
     if not bads:
         raise ReductionError(no_properties_message(source))
@@ -239,60 +289,80 @@ def rebuild_aig(
     emitted_bads = [bads[property_index]] if only_property else bads
     new_property_index = 0 if only_property else property_index
 
-    new = AIG(comment=source.comment)
-    new_lit_of: Dict[int, int] = {FALSE_LIT: FALSE_LIT, TRUE_LIT: TRUE_LIT}
-
     # Kept elements are visited by index, in list order, so a small keep
     # set costs no scan of a wide model.
-    input_map: List[Optional[int]] = [None] * source.num_inputs
-    for index in _kept_indices(source.num_inputs, keep_inputs):
-        lit = source.inputs[index]
-        input_map[index] = new.num_inputs
-        new_lit_of[lit] = new.add_input(source.input_name(lit))
-
-    latch_map: List[Optional[int]] = [None] * source.num_latches
-    kept_latches = []
-    for index in _kept_indices(source.num_latches, keep_latches):
-        latch = source.latches[index]
-        if latch.lit in replace:
-            continue
-        latch_map[index] = new.num_latches
-        new_lit_of[latch.lit] = new.add_latch(init=latch.init, name=latch.name)
-        kept_latches.append(latch)
+    kept_inputs = _kept_indices(source.num_inputs, keep_inputs)
+    kept_latches = [
+        index
+        for index in _kept_indices(source.num_latches, keep_latches)
+        if source.latches[index].lit not in replace
+    ]
 
     # Only gates in the fan-in cone of something we emit are materialized.
     if cone is None:
-        roots = [latch.next for latch in kept_latches]
+        roots = [source.latches[index].next for index in kept_latches]
         roots += source.constraints
         roots += emitted_bads
         roots += replace.values()
         cone = fanin_cone(source, roots)
 
-    def map_lit(lit: int) -> int:
-        # Replaced latches are never in ``new_lit_of``, so the common case,
-        # an element already rebuilt, needs one lookup.
-        base = lit & ~1
-        mapped = new_lit_of.get(base)
-        if mapped is not None:
-            return mapped ^ (lit & 1)
-        target = replace.get(base)
-        if target is not None:
-            return map_lit(target ^ (lit & 1))
-        # A dropped element can only be referenced from logic that cannot
-        # influence the property; any constant is sound.
-        return FALSE_LIT ^ (lit & 1)
+    if (
+        hashed
+        and not replace
+        and len(kept_inputs) == source.num_inputs
+        and len(kept_latches) == source.num_latches
+        and len(emitted_bads) == len(bads)
+        and len(cone.gates) == source.num_ands
+    ):
+        return RebuildResult(
+            aig=source,
+            input_map=list(range(source.num_inputs)),
+            latch_map=list(range(source.num_latches)),
+            property_index=new_property_index,
+        )
+
+    new = AIG(comment=source.comment)
+    # Source literal -> new literal.  A dropped element can only be
+    # referenced from logic that cannot influence the property, so it
+    # reads as a constant (FALSE, and TRUE when negated): the default.
+    lit_map = [FALSE_LIT, TRUE_LIT] * (source.max_var + 1)
+
+    input_map: List[Optional[int]] = [None] * source.num_inputs
+    for index in kept_inputs:
+        lit = source.inputs[index]
+        input_map[index] = new.num_inputs
+        new_lit = new.add_input(source.input_name(lit))
+        lit_map[lit] = new_lit
+        lit_map[lit ^ 1] = new_lit ^ 1
+
+    latch_map: List[Optional[int]] = [None] * source.num_latches
+    for index in kept_latches:
+        latch = source.latches[index]
+        latch_map[index] = new.num_latches
+        new_lit = new.add_latch(init=latch.init, name=latch.name)
+        lit_map[latch.lit] = new_lit
+        lit_map[latch.lit ^ 1] = new_lit ^ 1
+    for lit, target in replace.items():
+        lit_map[lit] = lit_map[target]
+        lit_map[lit ^ 1] = lit_map[target ^ 1]
 
     ands = source.ands
-    for index in cone.gates:
-        gate = ands[index]
-        new_lit_of[gate.lhs] = new.add_and(map_lit(gate.rhs0), map_lit(gate.rhs1))
+    new.add_mapped_ands(
+        (
+            [ands[index].lhs for index in cone.gates],
+            [ands[index].rhs0 for index in cone.gates],
+            [ands[index].rhs1 for index in cone.gates],
+        ),
+        lit_map,
+    )
 
-    for latch in kept_latches:
-        new.set_latch_next(new_lit_of[latch.lit], map_lit(latch.next))
+    for index in kept_latches:
+        latch = source.latches[index]
+        new.set_latch_next(lit_map[latch.lit], lit_map[latch.next])
     for constraint in source.constraints:
-        new.add_constraint(map_lit(constraint))
+        new.add_constraint(lit_map[constraint])
     for bad in emitted_bads:
-        new.add_bad(map_lit(bad))
+        new.add_bad(lit_map[bad])
     new.validate()
     return RebuildResult(
         aig=new,

@@ -7,11 +7,12 @@ pairs with the classic greatest-fixpoint partition refinement:
 1. Normalize each latch ``L`` to ``n(L) = L xor init(L)`` so every
    initialized latch starts at 0, and optimistically place all of them in
    one equivalence class (latches without a defined reset stay singleton).
-2. Refine: rebuild every latch's next-state function in a scratch AIG,
-   substituting each latch with a per-class placeholder variable
-   (phase-corrected).  The structurally hashed result literal, XOR'd with
-   the latch's init phase, is the latch's *signature*; latches with
-   different signatures cannot stay in one class.
+2. Refine: hash-cons every latch's next-state function in a scratch
+   graph of plain ints, substituting each latch with a per-class
+   placeholder variable (phase-corrected).  The structurally hashed
+   result literal, XOR'd with the latch's init phase, is the latch's
+   *signature*; latches with different signatures cannot stay in one
+   class.
 3. Iterate until the partition is stable.
 
 At the fixpoint every class is self-consistent — all members have
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.aiger.aig import AIG, FALSE_LIT, TRUE_LIT
+from repro.aiger.aig import AIG, FALSE_LIT, TRUE_LIT, GateColumns, hash_ands
 from repro.reduce.base import (
     KEPT,
     MERGED,
@@ -56,8 +57,9 @@ def equivalent_latch_classes(aig: AIG) -> List[List[int]]:
     for latch in latches:
         class_of.append(0 if latch.init is not None else -1)
 
+    gates = aig.gate_columns()
     while True:
-        signatures = _signatures(aig, class_of)
+        signatures = _signatures(aig, class_of, gates)
         # Split every class by signature.
         next_class_of = list(class_of)
         key_to_class: Dict[object, int] = {}
@@ -81,48 +83,42 @@ def equivalent_latch_classes(aig: AIG) -> List[List[int]]:
     return [sorted(group) for cls, group in sorted(members.items()) if len(group) > 1]
 
 
-def _signatures(aig: AIG, class_of: List[int]) -> List[int]:
+def _signatures(aig: AIG, class_of: List[int], gates: GateColumns) -> List[int]:
     """Normalized structural signature of every latch's next function.
 
-    Signatures are literals of a scratch AIG in which each equivalence
-    class (and each unmergeable latch) is one placeholder input; equal
+    Every latch's next function is hash-consed in a scratch graph of
+    plain ints (:func:`~repro.aiger.aig.hash_ands` into a dict of literal
+    pairs; no AIG is built) in which each input, each equivalence class
+    and each unmergeable latch is one placeholder variable.  Equal
     signature literals mean structurally identical normalized next
     functions under the current partition.
     """
-    scratch = AIG()
-    placeholder: Dict[int, int] = {}  # class id (or ~latch index) -> scratch input lit
-
-    def class_var(key: int) -> int:
-        lit = placeholder.get(key)
-        if lit is None:
-            lit = scratch.add_input()
-            placeholder[key] = lit
-        return lit
-
-    # Source base literal -> scratch literal, built lazily in topological
-    # order (aig.ands is topologically sorted by construction).
-    mapping: Dict[int, int] = {FALSE_LIT: FALSE_LIT, TRUE_LIT: TRUE_LIT}
+    lit_map = [FALSE_LIT, TRUE_LIT] * (aig.max_var + 1)
+    var = 0
     for lit in aig.inputs:
-        mapping[lit] = scratch.add_input()
+        var += 1
+        lit_map[lit] = 2 * var
+        lit_map[lit ^ 1] = 2 * var + 1
+    placeholder: Dict[int, int] = {}  # class id -> placeholder literal
     for index, latch in enumerate(aig.latches):
         cls = class_of[index]
         if cls < 0:
-            mapping[latch.lit] = class_var(~index)
+            var += 1
+            lit = 2 * var
         else:
+            lit = placeholder.get(cls)
+            if lit is None:
+                var += 1
+                lit = placeholder[cls] = 2 * var
             # Normalized: latch == class placeholder xor init.
-            mapping[latch.lit] = class_var(cls) ^ int(latch.init)
-
-    def map_lit(lit: int) -> int:
-        return mapping[lit & ~1] ^ (lit & 1)
-
-    for gate in aig.ands:
-        mapping[gate.lhs] = scratch.add_and(map_lit(gate.rhs0), map_lit(gate.rhs1))
-
-    signatures = []
-    for latch in aig.latches:
-        init = int(latch.init) if latch.init is not None else 0
-        signatures.append(map_lit(latch.next) ^ init)
-    return signatures
+            lit ^= int(latch.init)
+        lit_map[latch.lit] = lit
+        lit_map[latch.lit ^ 1] = lit ^ 1
+    hash_ands(gates, lit_map, {}, var)
+    return [
+        lit_map[latch.next] ^ (int(latch.init) if latch.init is not None else 0)
+        for latch in aig.latches
+    ]
 
 
 class EquivalentLatchPass(ReductionPass):
@@ -130,7 +126,7 @@ class EquivalentLatchPass(ReductionPass):
 
     name = "merge"
 
-    def run(self, aig: AIG, property_index: int = 0) -> PassResult:
+    def run(self, aig: AIG, property_index: int = 0, *, hashed: bool = False) -> PassResult:
         classes = equivalent_latch_classes(aig)
         replace: Dict[int, int] = {}
         merged_with: Dict[int, LatchFate] = {}
@@ -145,7 +141,9 @@ class EquivalentLatchPass(ReductionPass):
                     kind=MERGED, rep_index=rep_index, negated=negated
                 )
 
-        rebuilt = rebuild_aig(aig, replace=replace, property_index=property_index)
+        rebuilt = rebuild_aig(
+            aig, replace=replace, property_index=property_index, hashed=hashed
+        )
         fates = []
         for index in range(aig.num_latches):
             fate = merged_with.get(index)
@@ -165,4 +163,5 @@ class EquivalentLatchPass(ReductionPass):
             latch_fates=fates,
             input_map=rebuilt.input_map,
             property_index=rebuilt.property_index,
+            hashed=True,
         )

@@ -12,7 +12,9 @@ kinds back so they validate against the *original* AIG with the stock
 
 * **Traces** are lifted by mapping every step's input assignment back to
   original input literals (dropped inputs are free — any value works, 0
-  is used) and re-simulating the original circuit, which yields full,
+  is used) and stepping the original circuit's latches from the lifted
+  initial state (:meth:`~repro.aiger.aig.AIG.latch_states`, the flat
+  evaluator without simulation records), which yields full,
   simulation-consistent state cubes by construction.
 * **Certificates** are lifted by renaming kept latch variables, then
   re-asserting what the passes assumed away: one unit clause per
@@ -206,7 +208,13 @@ class ReconstructionMap:
     # Lifting
     # ------------------------------------------------------------------
     def lift_trace(self, trace: CounterexampleTrace) -> CounterexampleTrace:
-        """Translate a reduced-model counterexample to the original model."""
+        """Translate a reduced-model counterexample to the original model.
+
+        The original's latches are stepped with the flat evaluator
+        (:meth:`~repro.aiger.aig.AIG.latch_states`), one list of values
+        per step and no simulation record; the independent checker
+        replays the lifted trace with :meth:`~repro.aiger.aig.AIG.simulate`.
+        """
         if not trace.steps:
             raise ReductionError("cannot lift an empty counterexample trace")
         original, reduced = self.original, self.reduced
@@ -223,13 +231,13 @@ class ReconstructionMap:
             if index is not None:
                 first_cube_value[index] = lit > 0
 
-        initial: Dict[int, bool] = {}
+        initial: List[bool] = []
         for index, latch in enumerate(original.latches):
             fate = self.latch_fates[index]
             value = bool(latch.init) if latch.init is not None else False
             if fate.kind == KEPT and fate.reduced_index in first_cube_value:
                 value = first_cube_value[fate.reduced_index]
-            initial[latch.lit] = value
+            initial.append(value)
 
         # 2. Input assignments, renamed to original input literals.
         input_index_of_lit = {
@@ -246,16 +254,12 @@ class ReconstructionMap:
                 assignment[original_lit] = bool(value) != bool(reduced_lit & 1)
             input_sequence.append(assignment)
 
-        # 3. Re-simulate the original circuit; the records are full,
-        # consistent-by-construction states.  The latch variables ascend,
-        # so each cube is built in canonical order.  Values are looked up
-        # by latch literal, one per latch, so the cube covers every latch
-        # even where the record's dictionary does not.
-        records = original.simulate(input_sequence, initial_latches=initial)
-        latch_lits = [latch.lit for latch in original.latches]
+        # 3. Step the original circuit's latches; the states are full and
+        # consistent by construction.  The latch variables ascend, so each
+        # cube is built in canonical order.
+        states = original.latch_states(input_sequence, initial)
         steps = []
-        for record, assignment in zip(records, input_sequence):
-            values = map(record["latches"].__getitem__, latch_lits)
+        for values, assignment in zip(states, input_sequence):
             literals = tuple([
                 var if value else -var for var, value in zip(original_var, values)
             ])

@@ -1,8 +1,11 @@
 """Unit tests for the individual reduction passes."""
 
-import pytest
+from typing import Dict
 
-from repro.aiger import AIG, FALSE_LIT, TRUE_LIT
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.aiger import AIG, FALSE_LIT, TRUE_LIT, to_aag_string
 from repro.benchgen import fifo_controller, monitored_counter, token_ring
 from repro.reduce import (
     ConeOfInfluencePass,
@@ -11,7 +14,10 @@ from repro.reduce import (
     equivalent_latch_classes,
     ternary_constants,
 )
-from repro.reduce.base import CONST, FREE, KEPT, MERGED, rebuild_aig
+from repro.reduce.base import CONST, FREE, KEPT, MERGED, rebuild_aig, selected_bads
+
+from tests.test_flat_evaluators import random_aigs
+from tests.test_reduce_cone import noisy_aigs
 
 
 def _toggle(aig, init=0, name=None):
@@ -259,3 +265,182 @@ class TestPassErrors:
         aig.add_bad(latch)
         with pytest.raises(ValueError):
             ConeOfInfluencePass().run(aig, property_index=3)
+
+
+# ---------------------------------------------------------------------------
+# Differential references: the rebuild and the latch signatures as they were
+# written before the hash-consing loop took over, one add_and call per gate.
+# ---------------------------------------------------------------------------
+
+
+def reference_rebuild(source, keep_inputs, keep_latches, replace, property_index,
+                      only_property):
+    """Rebuild through ``AIG.add_and``, with a set-based walk of the cone."""
+    bads = selected_bads(source)
+    emitted_bads = [bads[property_index]] if only_property else bads
+    new = AIG(comment=source.comment)
+    new_lit_of = {FALSE_LIT: FALSE_LIT, TRUE_LIT: TRUE_LIT}
+    input_map = [None] * source.num_inputs
+    for index, lit in enumerate(source.inputs):
+        if keep_inputs is None or index in keep_inputs:
+            input_map[index] = new.num_inputs
+            new_lit_of[lit] = new.add_input(source.input_name(lit))
+    latch_map = [None] * source.num_latches
+    kept_latches = []
+    for index, latch in enumerate(source.latches):
+        if (keep_latches is None or index in keep_latches) and latch.lit not in replace:
+            latch_map[index] = new.num_latches
+            new_lit_of[latch.lit] = new.add_latch(init=latch.init, name=latch.name)
+            kept_latches.append(latch)
+
+    gate_of = {gate.lhs >> 1: gate for gate in source.ands}
+    reached = set()
+    pending = [lit >> 1 for lit in [latch.next for latch in kept_latches]
+               + source.constraints + emitted_bads + list(replace.values())]
+    while pending:
+        var = pending.pop()
+        if var not in reached:
+            reached.add(var)
+            if var in gate_of:
+                pending += [gate_of[var].rhs0 >> 1, gate_of[var].rhs1 >> 1]
+
+    def map_lit(lit):
+        base = lit & ~1
+        if base in new_lit_of:
+            return new_lit_of[base] ^ (lit & 1)
+        if base in replace:
+            return map_lit(replace[base] ^ (lit & 1))
+        return FALSE_LIT ^ (lit & 1)
+
+    for gate in source.ands:
+        if gate.lhs >> 1 in reached:
+            new_lit_of[gate.lhs] = new.add_and(map_lit(gate.rhs0), map_lit(gate.rhs1))
+    for latch in kept_latches:
+        new.set_latch_next(new_lit_of[latch.lit], map_lit(latch.next))
+    for constraint in source.constraints:
+        new.add_constraint(map_lit(constraint))
+    for bad in emitted_bads:
+        new.add_bad(map_lit(bad))
+    return new, input_map, latch_map
+
+
+def reference_latch_classes(aig):
+    """Partition refinement with signatures from a scratch ``AIG`` per round."""
+    latches = aig.latches
+    class_of = [0 if latch.init is not None else -1 for latch in latches]
+    while True:
+        signatures = _reference_signatures(aig, class_of)
+        next_class_of = list(class_of)
+        key_to_class = {}
+        for index in range(len(latches)):
+            if class_of[index] >= 0:
+                key = (class_of[index], signatures[index])
+                next_class_of[index] = key_to_class.setdefault(key, len(key_to_class))
+        if next_class_of == class_of:
+            break
+        class_of = next_class_of
+    members: Dict[int, list] = {}
+    for index, cls in enumerate(class_of):
+        if cls >= 0:
+            members.setdefault(cls, []).append(index)
+    return [sorted(group) for cls, group in sorted(members.items()) if len(group) > 1]
+
+
+def _reference_signatures(aig, class_of):
+    scratch = AIG()
+    placeholder = {}
+
+    def class_var(key):
+        if key not in placeholder:
+            placeholder[key] = scratch.add_input()
+        return placeholder[key]
+
+    mapping = {FALSE_LIT: FALSE_LIT, TRUE_LIT: TRUE_LIT}
+    for lit in aig.inputs:
+        mapping[lit] = scratch.add_input()
+    for index, latch in enumerate(aig.latches):
+        cls = class_of[index]
+        if cls < 0:
+            mapping[latch.lit] = class_var(~index)
+        else:
+            mapping[latch.lit] = class_var(cls) ^ int(latch.init)
+
+    def map_lit(lit):
+        return mapping[lit & ~1] ^ (lit & 1)
+
+    for gate in aig.ands:
+        mapping[gate.lhs] = scratch.add_and(map_lit(gate.rhs0), map_lit(gate.rhs1))
+    return [map_lit(latch.next) ^ (int(latch.init) if latch.init is not None else 0)
+            for latch in aig.latches]
+
+
+def _subsets(draw, count):
+    """None (keep all) or a set of indices below ``count``."""
+    if draw(st.booleans()):
+        return None
+    return draw(st.sets(st.sampled_from(range(count)))) if count else set()
+
+
+@st.composite
+def rebuild_requests(draw):
+    """A noisy model with random keep sets, a random ``replace`` map (each
+    replaced latch goes to a constant or to a kept, unreplaced latch,
+    either phase) and a random property selection."""
+    aig = draw(noisy_aigs())
+    keep_inputs = _subsets(draw, aig.num_inputs)
+    keep_latches = _subsets(draw, aig.num_latches)
+    replaced = draw(st.sets(st.sampled_from(range(aig.num_latches))))
+    kept = range(aig.num_latches) if keep_latches is None else keep_latches
+    targets = [FALSE_LIT, TRUE_LIT] + [
+        aig.latches[index].lit ^ phase
+        for index in kept if index not in replaced for phase in (0, 1)
+    ]
+    replace = {aig.latches[index].lit: draw(st.sampled_from(targets))
+               for index in sorted(replaced)}
+    property_index = draw(st.integers(0, len(selected_bads(aig)) - 1))
+    return aig, keep_inputs, keep_latches, replace, property_index, draw(st.booleans())
+
+
+@st.composite
+def lockstep_aigs(draw):
+    """A random model plus copies of some latches: a copy starts from the
+    same reset and loads the same next-state literal, or starts from the
+    opposite reset and loads its negation (equivalent or anti-equivalent)."""
+    aig = draw(random_aigs())
+    originals = list(aig.latches)
+    for latch in originals:
+        if latch.init is not None and draw(st.booleans()):
+            flip = draw(st.integers(0, 1))
+            copy = aig.add_latch(init=latch.init ^ flip)
+            aig.set_latch_next(copy, latch.next ^ flip)
+    return aig
+
+
+class TestHashConsDifferential:
+    @settings(max_examples=200, deadline=None)
+    @given(rebuild_requests())
+    def test_rebuild_equals_add_and_reference(self, request):
+        aig, keep_inputs, keep_latches, replace, property_index, only_property = request
+        rebuilt = rebuild_aig(aig, keep_inputs=keep_inputs, keep_latches=keep_latches,
+                              replace=replace, property_index=property_index,
+                              only_property=only_property)
+        reference, input_map, latch_map = reference_rebuild(
+            aig, keep_inputs, keep_latches, replace, property_index, only_property)
+        assert to_aag_string(rebuilt.aig) == to_aag_string(reference)
+        assert (rebuilt.input_map, rebuilt.latch_map) == (input_map, latch_map)
+        # The rebuilt model's hash table holds every gate.
+        new = rebuilt.aig
+        for gate in list(new.ands):
+            assert new.add_and(gate.rhs0, gate.rhs1) == gate.lhs
+            assert new.add_and(gate.rhs1, gate.rhs0) == gate.lhs
+        assert new.num_ands == reference.num_ands
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(lockstep_aigs(), noisy_aigs()))
+    def test_latch_classes_equal_scratch_aig_reference(self, aig):
+        assert equivalent_latch_classes(aig) == reference_latch_classes(aig)
+
+    def test_latch_classes_on_a_wide_model(self):
+        aig = monitored_counter(3, noise=40, copies=4).aig
+        classes = equivalent_latch_classes(aig)
+        assert classes and classes == reference_latch_classes(aig)
