@@ -195,8 +195,7 @@ def fanin_cone(
 
     Variables are marked in a ``bytearray`` and found in one
     var-indexed position list (gate position ``p`` as ``p + 1``, latch
-    position ``p`` as ``~p``, anything else 0), not in sets and dicts
-    keyed by fresh ints.
+    position ``p`` as ``~p``, anything else 0).
     """
     ands = source.ands
     latch_list = source.latches
