@@ -14,7 +14,7 @@ generators in :mod:`repro.benchgen`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 FALSE_LIT = 0
 TRUE_LIT = 1
@@ -343,34 +343,27 @@ class AIG:
         return self._input_names.get(lit & ~1)
 
     def validate(self) -> None:
-        """Check structural well-formedness; raises :class:`AigerError`."""
-        # One mark per variable up to max_var.  A hand-edited model may
-        # define a variable past it (or a negative one): those go in a set.
-        size = self._max_var + 1
-        defined = bytearray(size)
-        defined[0] = 1
-        beyond: Set[int] = set()
+        """Check structural well-formedness; raises :class:`AigerError`.
 
-        def is_defined(var: int) -> bool:
-            return defined[var] == 1 if 0 <= var < size else var in beyond
+        Inputs, latches and AND gates must define variables up to
+        :attr:`max_var`, the bound the evaluators and the writer use.
+        """
+        max_var = self._max_var
+        limit = 2 * max_var + 2  # the literals of variables 0..max_var
+        defined = bytearray(max_var + 1)  # one mark per variable
+        defined[0] = 1
+
+        def define(kind: str, lit: int) -> None:
+            if lit & 1:
+                raise AigerError(f"{kind} literal {lit} must be positive")
+            if not 0 <= lit < limit:
+                raise AigerError(f"{kind} literal {lit} is out of range for max_var {max_var}")
+            defined[lit >> 1] = 1
 
         for lit in self.inputs:
-            if lit & 1:
-                raise AigerError(f"input literal {lit} must be positive")
-            var = lit >> 1
-            if 0 <= var < size:
-                defined[var] = 1
-            else:
-                beyond.add(var)
+            define("input", lit)
         for latch in self.latches:
-            if latch.lit & 1:
-                raise AigerError(f"latch literal {latch.lit} must be positive")
-            var = latch.lit >> 1
-            if 0 <= var < size:
-                defined[var] = 1
-            else:
-                beyond.add(var)
-        limit = 2 * size  # the literals the marks cover
+            define("latch", latch.lit)
         for gate in self.ands:
             lhs, rhs0, rhs1 = gate.lhs, gate.rhs0, gate.rhs1
             if lhs & 1:
@@ -387,23 +380,17 @@ class AIG:
                 raise AigerError(
                     f"AND gate {lhs} is not in topological order"
                 )
-            defined0 = is_defined(rhs0 >> 1)
-            if not (defined0 and is_defined(rhs1 >> 1)):
-                rhs = rhs1 if defined0 else rhs0
-                raise AigerError(
-                    f"AND gate {lhs} reads literal {rhs} before it is defined"
-                )
-            var = lhs >> 1
-            if 0 <= var < size:
-                defined[var] = 1
-            else:
-                beyond.add(var)
+            for rhs in (rhs0, rhs1):
+                if not (0 <= rhs < limit and defined[rhs >> 1]):
+                    raise AigerError(
+                        f"AND gate {lhs} reads literal {rhs} before it is defined"
+                    )
+            define("AND", lhs)
         justice_lits = [lit for group in self.justice for lit in group]
         for lit in self.outputs + self.bads + self.constraints + justice_lits + self.fairness + [
             latch.next for latch in self.latches
         ]:
-            var = lit >> 1
-            if not (0 <= var < size and defined[var] or var in beyond):
+            if not (0 <= lit < limit and defined[lit >> 1]):
                 raise AigerError(f"literal {lit} refers to an undefined variable")
         for group in self.justice:
             if not group:

@@ -17,8 +17,6 @@ which re-creates the AIG with its gates folded and structurally hashed
 for free), drops gates that no longer feed any latch, constraint or
 selected property, and applies latch substitutions (constants from
 ternary simulation, representatives from equivalent-latch merging).
-When the input itself came out of a rebuild and the pass would change
-nothing, the rebuild hands the input on instead.
 """
 
 from __future__ import annotations
@@ -109,10 +107,6 @@ class PassResult:
     property_index: int
     """Index of the checked property in the output model's bad list."""
 
-    hashed: bool = False
-    """True when ``aig`` came out of :func:`rebuild_aig` (the built-in
-    passes' output always does), so a later pass may hand it on."""
-
 
 class ReductionPass(ABC):
     """One named, composable AIG-level reduction."""
@@ -120,13 +114,8 @@ class ReductionPass(ABC):
     name: str = "pass"
 
     @abstractmethod
-    def run(self, aig: AIG, property_index: int = 0, *, hashed: bool = False) -> PassResult:
-        """Apply the pass; must be sound and complete for the property.
-
-        ``hashed`` says that ``aig`` came out of a rebuild earlier in the
-        same pipeline run: a pass that would change nothing may then
-        return ``aig`` itself (see :func:`rebuild_aig`).
-        """
+    def run(self, aig: AIG, property_index: int = 0) -> PassResult:
+        """Apply the pass; must be sound and complete for the property."""
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}()"
@@ -250,7 +239,6 @@ def rebuild_aig(
     property_index: int = 0,
     only_property: bool = False,
     cone: Optional[FaninCone] = None,
-    hashed: bool = False,
 ) -> RebuildResult:
     """Rebuild ``source`` with its gates folded and structurally hashed.
 
@@ -273,11 +261,6 @@ def rebuild_aig(
     ``cone`` hands over a walk the caller already made (the cone of
     influence pass does): its gates must be exactly those the rebuild
     emits feed on.  Without it, the rebuild walks from what it emits.
-
-    ``hashed`` says ``source`` itself came out of a rebuild.  Rebuilding
-    such a model changes nothing when it keeps every input and latch,
-    replaces nothing, emits every bad and feeds on every gate; the source
-    is then handed on as it is, with identity maps.
     """
     replace = replace or {}
     bads = selected_bads(source)
@@ -304,21 +287,6 @@ def rebuild_aig(
         roots += emitted_bads
         roots += replace.values()
         cone = fanin_cone(source, roots)
-
-    if (
-        hashed
-        and not replace
-        and len(kept_inputs) == source.num_inputs
-        and len(kept_latches) == source.num_latches
-        and len(emitted_bads) == len(bads)
-        and len(cone.gates) == source.num_ands
-    ):
-        return RebuildResult(
-            aig=source,
-            input_map=list(range(source.num_inputs)),
-            latch_map=list(range(source.num_latches)),
-            property_index=new_property_index,
-        )
 
     new = AIG(comment=source.comment)
     # Source literal -> new literal.  A dropped element can only be

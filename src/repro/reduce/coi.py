@@ -62,7 +62,7 @@ class ConeOfInfluencePass(ReductionPass):
 
     name = "coi"
 
-    def run(self, aig: AIG, property_index: int = 0, *, hashed: bool = False) -> PassResult:
+    def run(self, aig: AIG, property_index: int = 0) -> PassResult:
         cone = _property_cone(aig, property_index)
         keep_inputs = {
             index for index, lit in enumerate(aig.inputs) if (lit >> 1) in cone.variables
@@ -74,7 +74,6 @@ class ConeOfInfluencePass(ReductionPass):
             property_index=property_index,
             only_property=True,
             cone=cone,
-            hashed=hashed,
         )
         fates = [_OUTSIDE_CONE] * aig.num_latches
         for index in cone.latches:
@@ -92,5 +91,4 @@ class ConeOfInfluencePass(ReductionPass):
             latch_fates=fates,
             input_map=rebuilt.input_map,
             property_index=rebuilt.property_index,
-            hashed=True,
         )

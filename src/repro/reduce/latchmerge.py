@@ -126,7 +126,7 @@ class EquivalentLatchPass(ReductionPass):
 
     name = "merge"
 
-    def run(self, aig: AIG, property_index: int = 0, *, hashed: bool = False) -> PassResult:
+    def run(self, aig: AIG, property_index: int = 0) -> PassResult:
         classes = equivalent_latch_classes(aig)
         replace: Dict[int, int] = {}
         merged_with: Dict[int, LatchFate] = {}
@@ -141,9 +141,7 @@ class EquivalentLatchPass(ReductionPass):
                     kind=MERGED, rep_index=rep_index, negated=negated
                 )
 
-        rebuilt = rebuild_aig(
-            aig, replace=replace, property_index=property_index, hashed=hashed
-        )
+        rebuilt = rebuild_aig(aig, replace=replace, property_index=property_index)
         fates = []
         for index in range(aig.num_latches):
             fate = merged_with.get(index)
@@ -163,5 +161,4 @@ class EquivalentLatchPass(ReductionPass):
             latch_fates=fates,
             input_map=rebuilt.input_map,
             property_index=rebuilt.property_index,
-            hashed=True,
         )

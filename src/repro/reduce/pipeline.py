@@ -14,11 +14,6 @@ engine registry::
     class RetimingPass(ReductionPass):
         ...
 
-The pipeline tells each pass whether its input came out of a rebuild
-earlier in the same run (``run(aig, property_index, hashed=...)``); only
-then may a pass that changes nothing return its input as it is, so a
-raw model is always rebuilt.
-
 Engines apply :data:`DEFAULT_PASSES` unless constructed with
 ``reduce=False`` or an explicit ``passes=[...]`` list; the CLI exposes
 the same knobs as ``--no-reduce`` and ``--passes``.
@@ -47,11 +42,10 @@ DEFAULT_PASSES = ("coi", "ternary", "merge", "coi")
 COI first cuts the model down before the more expensive analyses run;
 ternary sweeping and latch merging then substitute constants and
 representatives; the final COI collects the logic those substitutions
-orphaned.  The first COI always rebuilds
-(:func:`~repro.reduce.base.rebuild_aig`: structural sharing, constant
-folding and dead-gate removal included), so the model is fully hashed
-from there on.  A later pass that would change nothing (no constant, no
-class, a cone holding everything) hands that hashed model on unchanged.
+orphaned.  Every pass rebuilds the model, folding and hashing its gates
+in one loop (:func:`~repro.reduce.base.rebuild_aig`: structural sharing,
+constant folding and dead-gate removal included), so the model is fully
+hashed from the first COI on.
 """
 
 
@@ -147,7 +141,6 @@ class ReductionPipeline:
         results: List[PassResult] = []
         current = aig
         current_property = property_index
-        hashed = False  # the input model is not a rebuild's output
         tracer = get_tracer()
         for reduction_pass in self.passes:
             with tracer.span(
@@ -156,7 +149,7 @@ class ReductionPipeline:
                 latches=current.num_latches,
                 ands=current.num_ands,
             ) as span:
-                result = reduction_pass.run(current, current_property, hashed=hashed)
+                result = reduction_pass.run(current, current_property)
                 span.add(
                     latches_after=result.aig.num_latches,
                     ands_after=result.aig.num_ands,
@@ -164,7 +157,6 @@ class ReductionPipeline:
             results.append(result)
             current = result.aig
             current_property = result.property_index
-            hashed = result.hashed
         recon = ReconstructionMap.from_pass_results(aig, results, property_index)
         return ReductionResult(
             original=aig,

@@ -154,15 +154,13 @@ class TernaryConstantPass(ReductionPass):
 
     name = "ternary"
 
-    def run(self, aig: AIG, property_index: int = 0, *, hashed: bool = False) -> PassResult:
+    def run(self, aig: AIG, property_index: int = 0) -> PassResult:
         constants = ternary_constants(aig)
         replace = {
             lit: (TRUE_LIT if value else FALSE_LIT)
             for lit, value in constants.items()
         }
-        rebuilt = rebuild_aig(
-            aig, replace=replace, property_index=property_index, hashed=hashed
-        )
+        rebuilt = rebuild_aig(aig, replace=replace, property_index=property_index)
         fates = []
         for index, latch in enumerate(aig.latches):
             if latch.lit in constants:
@@ -181,5 +179,4 @@ class TernaryConstantPass(ReductionPass):
             latch_fates=fates,
             input_map=rebuilt.input_map,
             property_index=rebuilt.property_index,
-            hashed=True,
         )

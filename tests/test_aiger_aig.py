@@ -362,6 +362,14 @@ VALIDATE_ERRORS = {
                  "literal 8 refers to an undefined variable"),
     "latch next": (lambda aig: setattr(aig.latches[0], "next", 11),
                    "literal 11 refers to an undefined variable"),
+    "input past max_var": (lambda aig: aig.inputs.append(20),
+                           "input literal 20 is out of range for max_var 3"),
+    "negative input": (lambda aig: aig.inputs.append(-2),
+                       "input literal -2 is out of range for max_var 3"),
+    "latch past max_var": (lambda aig: aig.latches.append(Latch(lit=8)),
+                           "latch literal 8 is out of range for max_var 3"),
+    "AND past max_var": (lambda aig: aig.ands.append(AndGate(lhs=30, rhs0=2, rhs1=6)),
+                         "AND literal 30 is out of range for max_var 3"),
     "empty justice": (lambda aig: aig.justice.append([]),
                       "a justice property needs at least one literal"),
 }
@@ -378,12 +386,3 @@ class TestValidateErrors:
         edit(aig)
         with pytest.raises(AigerError, match=f"^{re.escape(message)}$"):
             aig.validate()
-
-    def test_element_past_max_var_still_defines_its_variable(self):
-        # The builder never numbers past max_var, but a hand-edited model
-        # may; validate judges it by what the lists define.
-        aig = _small_model()
-        aig.inputs.append(20)
-        aig.ands.append(AndGate(lhs=30, rhs0=20, rhs1=6))
-        aig.bads.append(31)
-        aig.validate()
