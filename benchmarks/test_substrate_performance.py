@@ -9,7 +9,7 @@ end-to-end IC3 numbers.
 
 from repro.benchgen import johnson_counter, modular_counter, token_ring
 from repro.core import BMC, CheckResult, IC3Options
-from repro.core.frames import make_frame_manager
+from repro.core.frames import MonolithicFrameManager, PerFrameFrameManager
 from repro.core.stats import IC3Stats
 from repro.logic import Cube
 from repro.sat import Solver
@@ -67,7 +67,7 @@ class TestEncodingMicrobenchmarks:
     def test_consecution_query_cost(self, benchmark):
         case = token_ring(10)
         ts = TransitionSystem(case.aig)
-        manager = make_frame_manager(ts, IC3Options(), IC3Stats())
+        manager = MonolithicFrameManager(ts, IC3Options(), IC3Stats())
         manager.add_frame()
         cube = Cube([ts.latch_vars[0], ts.latch_vars[1]])
 
@@ -78,15 +78,14 @@ class TestEncodingMicrobenchmarks:
 
 
 class TestFrameBackendMicrobenchmarks:
-    """Monolithic vs per-frame substrate on the same consecution workload."""
+    """IC3's frame substrate on a consecution workload, checked against
+    the per-frame reference."""
 
     @staticmethod
-    def _consecution_burst(backend: str) -> int:
+    def _consecution_burst(substrate) -> int:
         case = token_ring(8)
         ts = TransitionSystem(case.aig)
-        manager = make_frame_manager(
-            ts, IC3Options(frame_backend=backend), IC3Stats()
-        )
+        manager = substrate(ts, IC3Options(), IC3Stats())
         for _ in range(4):
             manager.add_frame()
         held = 0
@@ -97,19 +96,14 @@ class TestFrameBackendMicrobenchmarks:
                 held += manager.consecution(level, cube).holds
         return held
 
-    def test_consecution_burst_per_frame(self, benchmark):
-        benchmark.pedantic(
-            lambda: self._consecution_burst("per-frame"), rounds=5, iterations=1
-        )
-
     def test_consecution_burst_monolithic(self, benchmark):
         benchmark.pedantic(
-            lambda: self._consecution_burst("monolithic"), rounds=5, iterations=1
+            lambda: self._consecution_burst(MonolithicFrameManager), rounds=5, iterations=1
         )
 
     def test_backends_agree_on_burst(self):
-        assert self._consecution_burst("per-frame") == self._consecution_burst(
-            "monolithic"
+        assert self._consecution_burst(PerFrameFrameManager) == self._consecution_burst(
+            MonolithicFrameManager
         )
 
 

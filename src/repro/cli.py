@@ -52,15 +52,10 @@ from repro.benchgen.suite import (
     quick_suite,
     reduction_suite,
 )
-from repro.core.frames import available_frame_backends
 from repro.core.options import IC3Options
 from repro.core.result import CheckResult
 from repro.engines import available_engines, create_engine
-from repro.harness.configs import (
-    apply_frame_backend,
-    apply_seed,
-    paper_configurations,
-)
+from repro.harness.configs import apply_seed, paper_configurations
 from repro.harness.manifest import build_manifest, write_manifest
 from repro.harness.report import run_paper_evaluation
 from repro.harness.runner import validate_witness
@@ -179,12 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
         "'reduce --property'), re-checking its witness",
     )
     check.add_argument(
-        "--frame-backend",
-        choices=available_frame_backends(),
-        default=IC3Options.frame_backend,
-        help="IC3 frame-management substrate (default: %(default)s)",
-    )
-    check.add_argument(
         "--jobs",
         type=_non_negative_int,
         default=None,
@@ -271,12 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-reduce",
         action="store_true",
         help="solve the original models without reduction preprocessing",
-    )
-    evaluate.add_argument(
-        "--frame-backend",
-        choices=available_frame_backends(),
-        default=None,
-        help="frame-management substrate for every IC3 configuration",
     )
     evaluate.add_argument(
         "--seed",
@@ -445,10 +428,9 @@ def _verbose_logging(verbose: bool):
 def _command_version(args: argparse.Namespace) -> int:
     """Print the version plus every extension registry's contents.
 
-    The registries are the supported customization points (engines,
-    frame substrates, reduction passes); listing them in
-    one place is the quickest way to see what a given checkout or
-    third-party plugin actually provides.
+    The registries are the supported customization points (engines and
+    reduction passes); listing them in one place is the quickest way to
+    see what a given checkout or third-party plugin actually provides.
     """
     import repro
     from repro.harness.manifest import MANIFEST_SCHEMA
@@ -456,7 +438,6 @@ def _command_version(args: argparse.Namespace) -> int:
     print(f"repro-check {repro.__version__}")
     print(f"manifest schema:  {MANIFEST_SCHEMA}")
     print(f"engines:          {', '.join(available_engines(include_aliases=True))}")
-    print(f"frame backends:   {', '.join(available_frame_backends())}")
     print(f"reduction passes: {', '.join(available_passes())}")
     return 0
 
@@ -550,7 +531,7 @@ def _property_indices(aig, index: Optional[int] = None) -> List[int]:
 
 def _check_body(args: argparse.Namespace) -> int:
     aig = _read_model(args.model)
-    options = IC3Options(seed=args.seed, frame_backend=args.frame_backend)
+    options = IC3Options(seed=args.seed)
     if args.all_properties:
         return _check_properties(args, aig, options, _property_indices(aig))
     if args.property is not None:
@@ -659,16 +640,12 @@ def _evaluate_body(args: argparse.Namespace) -> int:
         verbose=args.verbose,
         jobs=args.jobs,
         reduce=not args.no_reduce,
-        frame_backend=args.frame_backend,
         seed=args.seed,
     )
     wall_clock = time.perf_counter() - start
     print(report.to_text())
     if args.output:
-        configs = apply_seed(
-            apply_frame_backend(paper_configurations(), args.frame_backend),
-            args.seed,
-        )
+        configs = apply_seed(paper_configurations(), args.seed)
         manifest = build_manifest(
             report.suite_result,
             suite=suite_name,
@@ -690,6 +667,12 @@ def _evaluate_body(args: argparse.Namespace) -> int:
     wrong = report.suite_result.incorrect_results()
     if wrong:
         print(f"\nWARNING: {len(wrong)} results contradict the ground truth")
+        exit_code = 1
+    rejected = [r for r in report.suite_result.results if r.validated is False]
+    if rejected:
+        print(f"\nWARNING: {len(rejected)} witness(es) failed validation:")
+        for result in rejected[:10]:
+            print(f"  {result.config_name} / {result.case_name}: {result.result.value}")
         exit_code = 1
     return exit_code
 

@@ -4,22 +4,20 @@ The frame sequence is *delta encoded*: ``frames[i]`` stores only the cubes
 whose lemma lives exactly at level ``i``; the logical frame ``F_i`` is the
 conjunction of the lemmas stored at every level ``j >= i``.
 
-Two interchangeable solving substrates implement the SAT queries
-(selected with :attr:`repro.core.options.IC3Options.frame_backend`):
+IC3 runs on :class:`MonolithicFrameManager`: **one** persistent
+incremental solver for the whole run.  Frame membership is expressed by
+activation literals: the lemma ``¬c`` at level ``i`` is added once as
+``¬act_i ∨ ¬c`` and a query against the logical frame ``F_i`` simply
+assumes ``{act_i, …, act_top}``.  Temporary per-query clauses live in
+recyclable activation scopes that are truly deleted after the query, so
+no garbage-driven solver rebuilds are needed.
 
-* :class:`MonolithicFrameManager` (the default) keeps **one** persistent
-  incremental solver for the whole run.  Frame membership is expressed by
-  activation literals: the lemma ``¬c`` at level ``i`` is added once as
-  ``¬act_i ∨ ¬c`` and a query against the logical frame ``F_i`` simply
-  assumes ``{act_i, …, act_top}``.  Temporary per-query clauses live in
-  recyclable activation scopes that are truly deleted after the query, so
-  no garbage-driven solver rebuilds are needed.
-* :class:`PerFrameFrameManager` is the classic IC3ref architecture kept as
-  the comparison baseline: one solver per frame, each loaded with the
-  transition relation, lemma clauses copied into every covered frame, and
-  periodic rebuilds to shed accumulated activation garbage.
+:class:`PerFrameFrameManager` (one solver per frame, the IC3ref
+architecture) is not reachable from the engine; the tests keep it as the
+differential reference for the monolithic activation chain and deferred
+promotions.
 
-The three queries every IC3 variant needs are provided by both:
+The three queries every IC3 variant needs:
 
 * :meth:`FrameManagerBase.get_bad_state` — ``SAT?(F_k ∧ Bad)``;
 * :meth:`FrameManagerBase.consecution` — ``SAT?(F_i ∧ ¬c ∧ T ∧ c')`` with
@@ -504,11 +502,7 @@ class FrameManagerBase:
         raise NotImplementedError
 
     def finalize_stats(self) -> None:
-        """Fold the solvers' kernel counters into the run's :class:`IC3Stats`.
-
-        Rebuilt per-frame solvers take their counters with them, so the
-        totals cover the solvers alive at the end of the run.
-        """
+        """Fold the solvers' kernel counters into the run's :class:`IC3Stats`."""
         for solver in self.solvers():
             solver_stats = solver.stats
             self.stats.solver_conflicts += solver_stats.conflicts
@@ -903,29 +897,29 @@ class MonolithicFrameManager(FrameManagerBase):
 
 
 class PerFrameFrameManager(FrameManagerBase):
-    """The classic per-frame solver architecture (comparison baseline).
+    """One solver per frame: the reference for :class:`MonolithicFrameManager`.
 
     Each frame has its own incremental SAT solver loaded with the
     transition relation and the frame's lemmas (the IC3ref architecture);
-    lemma clauses are copied into every covered frame, temporary clauses
-    use activation literals that are tombstoned with a unit clause, and
-    the solvers are rebuilt periodically to shed accumulated garbage.
-    """
+    lemma clauses are copied into every covered frame and temporary
+    clauses use activation literals that are tombstoned with a unit
+    clause.  Subsumed lemmas and tombstones stay in the solvers.
 
-    REBUILD_INTERVAL = 400
-    """Rebuild a frame solver (or the lifting solver) after this many
-    garbage clauses: temporary activation tombstones and subsumed lemmas."""
+    The engine never builds it: the monolithic substrate was faster end to
+    end on every workload measured.  The tests run IC3 on both substrates
+    and compare their answers, as the object ``Solver`` checks
+    ``ArenaSolver``; that is its only use.  It can be deleted once
+    ``perfbench/layers.py`` no longer wraps its three queries by name.
+    """
 
     def __init__(self, ts: TransitionSystem, options: IC3Options, stats: IC3Stats):
         super().__init__(ts, options, stats)
         self._solvers: List[ArenaSolver] = []
-        self._garbage: List[int] = []
 
         # Frame 0 holds the initial states.
         self._push_new_frame()
 
         self._lift_solver = self._trans_solver()
-        self._lift_garbage = 0
 
     # ------------------------------------------------------------------
     # Substrate hooks
@@ -938,50 +932,23 @@ class PerFrameFrameManager(FrameManagerBase):
         # At creation time no lemma lives above the new frame, so there
         # is nothing else to add.
         self._solvers.append(solver)
-        self._garbage.append(0)
 
     def _install_lemma(self, cube: Cube, level: int) -> None:
         clause = cube.negate().literals
         for frame_level in range(1, level + 1):
             self._solvers[frame_level].add_clause(clause)
         self.stats.lemma_clauses_added += level
-        self.stats.solver_clauses_duplicated += max(level - 1, 0)
 
     def _install_promotion(self, cube: Cube, from_level: int, to_level: int) -> None:
         clause = cube.negate().literals
         for frame_level in range(from_level + 1, to_level + 1):
             self._solvers[frame_level].add_clause(clause)
-        copies = to_level - from_level
-        self.stats.lemma_clauses_added += copies
-        self.stats.solver_clauses_duplicated += max(copies - 1, 0)
+        self.stats.lemma_clauses_added += to_level - from_level
 
     def _note_subsumed(self, cube: Cube, frame_level: int) -> None:
-        # The dropped lemma's clauses stay live in the solvers of every
-        # frame it covered; count them toward the rebuild heuristic so
-        # subsumption-heavy runs shed them (satellite of ISSUE 4).
-        for level in range(1, frame_level + 1):
-            self._garbage[level] += 1
-            self.stats.solver_garbage_lemmas += 1
-
-    # ------------------------------------------------------------------
-    # Solver lifecycle
-    # ------------------------------------------------------------------
-    def _rebuild_solver(self, level: int) -> None:
-        solver = self._trans_solver()
-        if level == 0:
-            for lit in self.ts.init_cube:
-                solver.add_clause([lit])
-        for frame_level in range(max(level, 1), len(self.frames)):
-            for cube in self.frames[frame_level]:
-                solver.add_clause(cube.negate().literals)
-        self._solvers[level] = solver
-        self._garbage[level] = 0
-        self.stats.solver_rebuilds += 1
-
-    def _note_garbage(self, level: int) -> None:
-        self._garbage[level] += 1
-        if self._garbage[level] >= self.REBUILD_INTERVAL:
-            self._rebuild_solver(level)
+        # The dropped lemma's clauses stay in the solvers of every frame it
+        # covered: the subsuming lemma implies them.
+        pass
 
     # ------------------------------------------------------------------
     def solvers(self) -> List[ArenaSolver]:
@@ -1029,7 +996,6 @@ class PerFrameFrameManager(FrameManagerBase):
             result = _HeldAnswer(cube, primed_cube, solver.unsat_core())
 
         solver.add_clause([-activation])
-        self._note_garbage(level)
         return result
 
     def lift_predecessor(
@@ -1051,35 +1017,4 @@ class PerFrameFrameManager(FrameManagerBase):
         # A SAT answer should not happen; keep the unshrunk predecessor.
         lifted = predecessor if satisfiable else self._lifted(solver, predecessor)
         solver.add_clause([-activation])
-        self._lift_garbage += 1
-        if self._lift_garbage >= self.REBUILD_INTERVAL:
-            self._lift_solver = self._trans_solver()
-            self._lift_garbage = 0
-            self.stats.solver_rebuilds += 1
         return lifted
-
-
-_FRAME_BACKENDS = {
-    "monolithic": MonolithicFrameManager,
-    "per-frame": PerFrameFrameManager,
-}
-
-
-def available_frame_backends() -> List[str]:
-    """Names of the frame-management substrates."""
-    return sorted(_FRAME_BACKENDS)
-
-
-def make_frame_manager(
-    ts: TransitionSystem, options: IC3Options, stats: IC3Stats
-) -> FrameManagerBase:
-    """Instantiate the frame manager selected by ``options.frame_backend``."""
-    try:
-        backend = _FRAME_BACKENDS[options.frame_backend]
-    except KeyError:
-        raise ValueError(
-            f"unknown frame backend {options.frame_backend!r} "
-            f"(available: {', '.join(available_frame_backends())})"
-        ) from None
-    return backend(ts, options, stats)
-

@@ -52,11 +52,6 @@ class IC3Options:
     aggressive_push: bool = True
     """After blocking, re-enqueue the obligation one level higher (IC3ref style)."""
 
-    frame_backend: str = "monolithic"
-    """Frame-management substrate: ``"monolithic"`` keeps one incremental
-    solver with activation-literal frame selection; ``"per-frame"`` is the
-    classic one-solver-per-frame baseline."""
-
     seed: int = 0
     """Deterministic RNG seed for the SAT kernel's randomized branching
     (see :meth:`repro.sat.arena.ArenaSolver.set_seed`).  0 disables the
@@ -109,14 +104,5 @@ class IC3Options:
 
     def validate(self) -> None:
         """Raise ``ValueError`` on inconsistent settings."""
-        # Imported lazily: frames imports this module at load time.
-        from repro.core.frames import available_frame_backends
-
-        if self.frame_backend not in available_frame_backends():
-            raise ValueError(
-                f"frame_backend must be one of "
-                f"{', '.join(available_frame_backends())}, "
-                f"got {self.frame_backend!r}"
-            )
         if self.seed < 0:
             raise ValueError("seed must be non-negative (0 disables randomization)")

@@ -44,15 +44,12 @@ class IC3Stats:
     lemma_clauses_added: int = 0      # physical lemma clause insertions
     lemma_clauses_removed: int = 0    # promoted/subsumed copies deleted
     solver_clauses_shared: int = 0    # placements served by an existing clause
-    solver_clauses_duplicated: int = 0  # per-frame copies beyond the first
-    solver_garbage_lemmas: int = 0    # dead lemma clauses left in solvers
-    solver_rebuilds: int = 0          # from-scratch solver reconstructions
     activation_vars_allocated: int = 0
     activation_vars_recycled: int = 0
     activation_vars_retired: int = 0
 
     # SAT-kernel memory-system activity (manifest schema v5); aggregated
-    # over every solver the run created, same semantics in both backends.
+    # over every solver the run created.
     watch_traversals: int = 0         # watch-list entries inspected in propagate
     blocker_hits: int = 0             # entries resolved from the blocker alone
     literal_pool_bytes: int = 0       # live clause-storage bytes at finalize

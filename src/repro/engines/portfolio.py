@@ -20,8 +20,8 @@ Members may repeat an engine kind (``["ic3-pl", "ic3-pl", "bmc"]``):
 duplicates are auto-labelled ``name#k``, and every member gets its own
 SAT-kernel seed, so repeated members search differently.  Each member
 receives the portfolio's :class:`~repro.core.options.IC3Options` with
-only that seed replaced; the frame substrate and every other setting
-reach the members unchanged.
+only that seed replaced; every other setting reaches the members
+unchanged.
 """
 
 from __future__ import annotations

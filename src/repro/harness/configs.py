@@ -85,32 +85,14 @@ def paper_configurations() -> List[EngineConfig]:
     ]
 
 
-def apply_frame_backend(
-    configs: Sequence[EngineConfig], frame_backend: Optional[str]
-) -> List[EngineConfig]:
-    """Override the frame-management substrate of every IC3 configuration.
-
-    The single source of truth for the ``--frame-backend`` override: the
-    harness uses it to build the engines it runs and the CLI uses it to
-    record the same configurations in the manifest.
-    """
-    if frame_backend is None:
-        return list(configs)
-    return [
-        replace(config, options=replace(config.options, frame_backend=frame_backend))
-        if config.options is not None
-        else config
-        for config in configs
-    ]
-
-
 def apply_seed(
     configs: Sequence[EngineConfig], seed: Optional[int]
 ) -> List[EngineConfig]:
     """Override the SAT-kernel RNG seed of every configuration.
 
-    Mirrors :func:`apply_frame_backend` for the ``--seed`` override.  The
-    seed travels in the options, so a configuration without options gets
+    The single source of truth for the ``--seed`` override: the harness
+    uses it to build the engines it runs and the CLI uses it to record
+    the same configurations in the manifest.  The seed travels in the options, so a configuration without options gets
     ``IC3Options(seed=seed)``; BMC and k-induction read it from there.
     The same seed is applied to every configuration — per-run
     determinism, not portfolio diversification (the portfolio derives

@@ -26,13 +26,15 @@ Schema v3 (``repro-check/manifest/v3``) additions over v2:
   ``solver_clauses_shared`` vs ``solver_clauses_duplicated`` (frame
   placements served by one clause vs per-frame copies),
   ``solver_garbage_lemmas`` and ``solver_rebuilds`` (per-frame backend
-  garbage shedding), ``activation_vars_allocated`` / ``_recycled`` /
+  garbage shedding; these three removed in v17),
+  ``activation_vars_allocated`` / ``_recycled`` /
   ``_retired`` (removable-clause scopes), ``consecution_fallbacks``
   (clause-free consecution re-queries) and ``assumption_levels_reused``
   (solver trail reuse across queries);
-* per-configuration ``frame_backend`` and the SAT-kernel name — which
+* per-configuration frame-substrate and SAT-kernel names — which
   solving substrate the configuration ran on (None for a configuration
-  without options; the kernel name was dropped in v10).
+  without options; the kernel name was dropped in v10, the substrate
+  name in v17).
 
 Schema v4 (``repro-check/manifest/v4``) additions over v3:
 
@@ -148,6 +150,14 @@ Schema v16 (``repro-check/manifest/v16``) changes over v15:
   are gone and per-result ``stats`` drops the three v4 sharing
   counters.  Every result is one safety property checked by one engine
   run.
+
+Schema v17 (``repro-check/manifest/v17``) changes over v16:
+
+* IC3 always runs on the monolithic frame substrate, so the
+  per-configuration substrate name of v3 is gone, and per-result
+  ``stats`` drops the three counters only the per-frame substrate set:
+  ``solver_clauses_duplicated``, ``solver_garbage_lemmas`` and
+  ``solver_rebuilds`` (always 0 on the monolithic substrate).
 """
 
 from __future__ import annotations
@@ -159,7 +169,7 @@ from typing import Dict, Optional, Sequence
 from repro.harness.configs import EngineConfig
 from repro.harness.runner import CaseResult, SuiteResult
 
-MANIFEST_SCHEMA = "repro-check/manifest/v16"
+MANIFEST_SCHEMA = "repro-check/manifest/v17"
 
 
 def _phase_times(results: Sequence[CaseResult]) -> Dict[str, float]:
@@ -229,9 +239,6 @@ def build_manifest(
             "engine": config.engine,
             "plays_role_of": config.plays_role_of,
             "uses_prediction": config.uses_prediction,
-            "frame_backend": (
-                config.options.frame_backend if config.options is not None else None
-            ),
             "seed": (
                 config.options.seed if config.options is not None else None
             ),

@@ -4,8 +4,39 @@ import weakref
 
 import pytest
 
-from repro.core.frames import FrameManagerBase
+from repro.core.frames import (
+    FrameManagerBase,
+    MonolithicFrameManager,
+    PerFrameFrameManager,
+)
 from repro.sat.solver import Solver
+
+FRAME_SUBSTRATES = {
+    "monolithic": MonolithicFrameManager,
+    "per-frame": PerFrameFrameManager,
+}
+"""The production frame manager and its per-frame reference, by test id."""
+
+
+def use_frame_substrate(monkeypatch, name):
+    """Make IC3 build its frames on the substrate ``name``; return its class."""
+    substrate = FRAME_SUBSTRATES[name]
+    monkeypatch.setattr("repro.core.ic3.MonolithicFrameManager", substrate)
+    return substrate
+
+
+@pytest.fixture(params=list(FRAME_SUBSTRATES))
+def frame_substrate(request, monkeypatch):
+    """Each frame substrate in turn, ids ``monolithic`` and ``per-frame``.
+
+    IC3 runs only on :class:`MonolithicFrameManager`;
+    :class:`PerFrameFrameManager` is its differential reference, as the
+    object ``Solver`` is for ``ArenaSolver``.  Inside the test IC3 builds
+    its frames on the current substrate, and tests that build a manager
+    themselves instantiate the returned class.  Parametrize it with
+    ``indirect=True`` to place its id among the other parameters.
+    """
+    return use_frame_substrate(monkeypatch, request.param)
 
 
 def assert_witness_answers(solver, frames, level, cube, result):

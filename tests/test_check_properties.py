@@ -130,7 +130,6 @@ class TestLoop:
             ["--passes", "merge"],
             ["--passes", "ternary"],
             ["--passes", "coi,merge,ternary"],
-            ["--frame-backend", "per-frame"],
         ],
         ids=lambda argv: " ".join(argv) or "default",
     )

@@ -50,6 +50,14 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(argv + ["--sat-backend", "arena"])
 
+    # IC3 runs on one frame substrate; its flag was retired with the option.
+    @pytest.mark.parametrize("argv", [["check", "model.aag"], ["evaluate"]])
+    def test_retired_frame_backend_flag_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + ["--frame-backend", "monolithic"])
+        assert exit_info.value.code == 2
+        assert "--frame-backend" in capsys.readouterr().err
+
     def test_retired_property_timeout_flag_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["check", "model.aag", "--property-timeout", "5"])
@@ -409,10 +417,15 @@ class TestVersionCommand:
         assert main(["version"]) == 0
         out = capsys.readouterr().out
         assert MANIFEST_SCHEMA in out
-        for line in ("engines:", "frame backends:", "reduction passes:"):
+        for line in ("engines:", "reduction passes:"):
             assert line in out
-        assert "ic3-pl" in out and "monolithic" in out
+        assert "ic3-pl" in out
         assert "sat backends" not in out
+
+    def test_version_lists_no_frame_backends(self, capsys):
+        assert main(["version"]) == 0
+        out = capsys.readouterr().out
+        assert "frame backends" not in out and "per-frame" not in out
 
 
     def test_version_matches_pyproject(self):
@@ -509,6 +522,38 @@ class TestEvaluateCommand:
         assert "Table 1" in output
         assert "RIC3-pl" in output
 
+    def test_validate_passes_checked_witnesses(self, capsys, monkeypatch):
+        from repro import cli
+        from repro.benchgen import token_ring as ring
+
+        monkeypatch.setattr(cli, "quick_suite", lambda: [ring(3), ring(3, safe=False)])
+        exit_code = main(["evaluate", "--quick", "--timeout", "20", "--validate"])
+        assert exit_code == 0
+        assert "WARNING" not in capsys.readouterr().out
+
+    def test_validate_fails_on_rejected_witnesses(self, capsys, monkeypatch, tmp_path):
+        import json
+
+        from repro import cli
+        from repro.benchgen import token_ring as ring
+        from repro.harness import runner
+
+        monkeypatch.setattr(cli, "quick_suite", lambda: [ring(3), ring(3, safe=False)])
+        monkeypatch.setattr(runner, "check_certificate", lambda *args, **kwargs: False)
+        monkeypatch.setattr(runner, "check_counterexample", lambda *args, **kwargs: False)
+        manifest_path = tmp_path / "run.json"
+        exit_code = main(
+            ["evaluate", "--quick", "--timeout", "20", "--validate",
+             "--output", str(manifest_path)]
+        )
+        output = capsys.readouterr().out
+        assert exit_code == 1
+        assert "WARNING: 12 witness(es) failed validation:" in output
+        assert "RIC3 / ring_n3_safe: safe" in output
+        assert "IC3ref-pl / ring_n3_unsafe: unsafe" in output
+        results = json.loads(manifest_path.read_text())["results"]
+        assert [r["validated"] for r in results] == [False] * 12
+
     @pytest.mark.parametrize("live", [False, True], ids=["plain", "live"])
     def test_parallel_evaluation_with_manifest(self, live, capsys, monkeypatch, tmp_path):
         import json
@@ -542,7 +587,7 @@ class TestEvaluateCommand:
             "RIC3", "RIC3-pl", "IC3ref", "IC3ref-pl", "IC3ref-CAV23", "ABC-PDR"
         }
         # The engines' counts travel per result, never in a telemetry block.
-        assert manifest["schema"] == "repro-check/manifest/v16"
+        assert manifest["schema"] == "repro-check/manifest/v17"
         assert "telemetry" not in manifest
         assert all(r["error"] is None for r in manifest["results"])
         assert all(r["stats"]["sat_calls"] > 0 for r in manifest["results"])

@@ -1,9 +1,10 @@
 """Tests for frame management and the IC3 SAT queries.
 
 Every test in this module runs against both frame-management substrates
-(the monolithic single-solver manager and the per-frame baseline) via the
-``backend`` fixture; backend-specific behaviour has its own classes at
-the bottom.  Both substrates run on the production arena kernel.
+(the monolithic single-solver manager IC3 runs on and its per-frame
+reference) via the ``frame_substrate`` fixture of ``conftest.py``;
+substrate-specific behaviour has its own classes at the bottom.  Both
+substrates run on the production arena kernel.
 """
 
 import itertools
@@ -12,57 +13,47 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from repro.benchgen import token_ring, modular_counter
-from repro.core.frames import (
-    MonolithicFrameManager,
-    PerFrameFrameManager,
-    available_frame_backends,
-    make_frame_manager,
-)
+from repro.core.frames import MonolithicFrameManager, PerFrameFrameManager
 from repro.core.options import IC3Options
 from repro.core.stats import IC3Stats
 from repro.logic import Cube
 from repro.sat.arena import ArenaSolver
 from repro.ts import TransitionSystem
+from tests.conftest import FRAME_SUBSTRATES
 from tests.test_flat_evaluators import random_aigs
 
 
-@pytest.fixture(params=["monolithic", "per-frame"])
-def backend(request):
-    return request.param
-
-
-def _manager(case=None, backend="monolithic", **option_kwargs):
+def _manager(case=None, substrate=MonolithicFrameManager, **option_kwargs):
     case = case if case is not None else token_ring(3)
     ts = TransitionSystem(case.aig)
-    options = IC3Options(frame_backend=backend, **option_kwargs)
     stats = IC3Stats()
-    manager = make_frame_manager(ts, options, stats)
+    manager = substrate(ts, IC3Options(**option_kwargs), stats)
     return manager, ts, stats
 
 
 class TestFrameBookkeeping:
-    def test_every_solver_is_an_arena_kernel(self, backend):
-        manager, _, _ = _manager(backend=backend)
+    def test_every_solver_is_an_arena_kernel(self, frame_substrate):
+        manager, _, _ = _manager(substrate=frame_substrate)
         manager.add_frame()
         solvers = manager.solvers()
         # Monolithic: main, lift and init; per-frame: frames 0-1 and lift.
         assert len(solvers) == 3
         assert all(type(solver) is ArenaSolver for solver in solvers)
 
-    def test_initial_state(self, backend):
-        manager, _, _ = _manager(backend=backend)
+    def test_initial_state(self, frame_substrate):
+        manager, _, _ = _manager(substrate=frame_substrate)
         assert manager.top_level == 0
         assert manager.lemma_counts() == [0]
 
-    def test_add_frame(self, backend):
-        manager, _, stats = _manager(backend=backend)
+    def test_add_frame(self, frame_substrate):
+        manager, _, stats = _manager(substrate=frame_substrate)
         assert manager.add_frame() == 1
         assert manager.add_frame() == 2
         assert manager.top_level == 2
         assert stats.frames_opened == 2
 
-    def test_add_blocked_cube_levels(self, backend):
-        manager, ts, stats = _manager(backend=backend)
+    def test_add_blocked_cube_levels(self, frame_substrate):
+        manager, ts, stats = _manager(substrate=frame_substrate)
         manager.add_frame()
         manager.add_frame()
         cube = Cube([ts.latch_vars[0], ts.latch_vars[1]])
@@ -72,13 +63,13 @@ class TestFrameBookkeeping:
         assert manager.lemmas_at_or_above(1) == [cube]
         assert stats.lemmas_added == 1
 
-    def test_add_blocked_cube_invalid_level(self, backend):
-        manager, ts, _ = _manager(backend=backend)
+    def test_add_blocked_cube_invalid_level(self, frame_substrate):
+        manager, ts, _ = _manager(substrate=frame_substrate)
         with pytest.raises(ValueError):
             manager.add_blocked_cube(Cube([ts.latch_vars[0]]), 1)
 
-    def test_subsumption_removes_weaker_lemmas(self, backend):
-        manager, ts, stats = _manager(backend=backend)
+    def test_subsumption_removes_weaker_lemmas(self, frame_substrate):
+        manager, ts, stats = _manager(substrate=frame_substrate)
         manager.add_frame()
         weak = Cube([ts.latch_vars[0], ts.latch_vars[1], ts.latch_vars[2]])
         strong = Cube([ts.latch_vars[0]])
@@ -87,8 +78,8 @@ class TestFrameBookkeeping:
         assert manager.lemmas_exactly_at(1) == [strong]
         assert stats.subsumed_lemmas == 1
 
-    def test_subsumption_only_below_new_level(self, backend):
-        manager, ts, _ = _manager(backend=backend)
+    def test_subsumption_only_below_new_level(self, frame_substrate):
+        manager, ts, _ = _manager(substrate=frame_substrate)
         manager.add_frame()
         manager.add_frame()
         weak = Cube([ts.latch_vars[0], ts.latch_vars[1]])
@@ -98,8 +89,8 @@ class TestFrameBookkeeping:
         # The weak lemma lives at level 2 > 1, so it must survive.
         assert weak in manager.lemmas_exactly_at(2)
 
-    def test_promote_cube(self, backend):
-        manager, ts, stats = _manager(backend=backend)
+    def test_promote_cube(self, frame_substrate):
+        manager, ts, stats = _manager(substrate=frame_substrate)
         manager.add_frame()
         manager.add_frame()
         cube = Cube([ts.latch_vars[1]])
@@ -109,8 +100,8 @@ class TestFrameBookkeeping:
         assert manager.lemmas_exactly_at(2) == [cube]
         assert stats.lemmas_pushed == 1
 
-    def test_is_blocked_syntactically(self, backend):
-        manager, ts, _ = _manager(backend=backend)
+    def test_is_blocked_syntactically(self, frame_substrate):
+        manager, ts, _ = _manager(substrate=frame_substrate)
         manager.add_frame()
         manager.add_frame()
         lemma = Cube([ts.latch_vars[1]])
@@ -120,15 +111,15 @@ class TestFrameBookkeeping:
         assert manager.is_blocked_syntactically(bigger, 2)
         assert not manager.is_blocked_syntactically(Cube([ts.latch_vars[2]]), 1)
 
-    def test_frames_equal_detection(self, backend):
-        manager, ts, _ = _manager(backend=backend)
+    def test_frames_equal_detection(self, frame_substrate):
+        manager, ts, _ = _manager(substrate=frame_substrate)
         manager.add_frame()
         assert manager.frames_equal(1)  # nothing stored at level 1 yet
         manager.add_blocked_cube(Cube([ts.latch_vars[1]]), 1)
         assert not manager.frames_equal(1)
 
-    def test_frame_clauses_are_negations(self, backend):
-        manager, ts, _ = _manager(backend=backend)
+    def test_frame_clauses_are_negations(self, frame_substrate):
+        manager, ts, _ = _manager(substrate=frame_substrate)
         manager.add_frame()
         cube = Cube([ts.latch_vars[1], -ts.latch_vars[2]])
         manager.add_blocked_cube(cube, 1)
@@ -137,23 +128,23 @@ class TestFrameBookkeeping:
 
 
 class TestQueries:
-    def test_get_bad_state_level0_for_safe_design(self, backend):
-        manager, _, _ = _manager(token_ring(3), backend=backend)
+    def test_get_bad_state_level0_for_safe_design(self, frame_substrate):
+        manager, _, _ = _manager(token_ring(3), substrate=frame_substrate)
         assert manager.get_bad_state(0) is None
 
-    def test_get_bad_state_finds_violation(self, backend):
+    def test_get_bad_state_finds_violation(self, frame_substrate):
         # bad value 0 is the initial state itself.
         case = modular_counter(3, modulus=8, bad_value=0)
-        manager, ts, _ = _manager(case, backend=backend)
+        manager, ts, _ = _manager(case, substrate=frame_substrate)
         bad = manager.get_bad_state(0)
         assert bad is not None
         assert ts.cube_intersects_init(bad.state)
 
-    def test_consecution_holds_for_unreachable_cube(self, backend):
+    def test_consecution_holds_for_unreachable_cube(self, frame_substrate):
         # In the token ring, "two tokens at once" is unreachable and its
         # negation is inductive relative to the one-token initial frame.
         case = token_ring(3)
-        manager, ts, _ = _manager(case, backend=backend)
+        manager, ts, _ = _manager(case, substrate=frame_substrate)
         manager.add_frame()
         two_tokens = Cube([ts.latch_vars[0], ts.latch_vars[1]])
         result = manager.consecution(0, two_tokens)
@@ -161,10 +152,10 @@ class TestQueries:
         assert result.core_cube is not None
         assert result.core_cube.literal_set <= two_tokens.literal_set
 
-    def test_consecution_fails_with_counterexample(self, backend):
+    def test_consecution_fails_with_counterexample(self, frame_substrate):
         # "token in stage 1" is reachable from the initial state in one step.
         case = token_ring(3)
-        manager, ts, _ = _manager(case, backend=backend)
+        manager, ts, _ = _manager(case, substrate=frame_substrate)
         manager.add_frame()
         reachable = Cube([ts.latch_vars[1]])
         result = manager.consecution(0, reachable)
@@ -176,9 +167,9 @@ class TestQueries:
         # The predecessor is an initial state (frame 0 = I).
         assert ts.cube_intersects_init(result.predecessor)
 
-    def test_consecution_uses_frame_lemmas(self, backend):
+    def test_consecution_uses_frame_lemmas(self, frame_substrate):
         case = token_ring(3)
-        manager, ts, _ = _manager(case, backend=backend)
+        manager, ts, _ = _manager(case, substrate=frame_substrate)
         manager.add_frame()
         target = Cube([ts.latch_vars[1], -ts.latch_vars[0], -ts.latch_vars[2]])
         # Without extra lemmas the cube is reachable from F_1 = ⊤ ...
@@ -187,17 +178,17 @@ class TestQueries:
         manager.add_blocked_cube(Cube([ts.latch_vars[0]]), 1)
         assert manager.consecution(1, target).holds
 
-    def test_counters_track_sat_calls(self, backend):
-        manager, ts, stats = _manager(token_ring(3), backend=backend)
+    def test_counters_track_sat_calls(self, frame_substrate):
+        manager, ts, stats = _manager(token_ring(3), substrate=frame_substrate)
         manager.add_frame()
         manager.consecution(0, Cube([ts.latch_vars[1]]))
         manager.get_bad_state(0)
         assert stats.sat_calls == 2
         assert stats.consecution_calls == 1
 
-    def test_lift_predecessor_returns_subcube(self, backend):
+    def test_lift_predecessor_returns_subcube(self, frame_substrate):
         case = token_ring(4)
-        manager, ts, _ = _manager(case, backend=backend)
+        manager, ts, _ = _manager(case, substrate=frame_substrate)
         manager.add_frame()
         result = manager.consecution(0, Cube([ts.latch_vars[1]]))
         assert not result.holds
@@ -208,14 +199,14 @@ class TestQueries:
         assert len(lifted) >= 1
 
     @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
-    @given(random_aigs(max_vars=12), st.sampled_from(["monolithic", "per-frame"]))
-    def test_lifted_bad_state_asserts_bad_everywhere(self, aig, backend):
+    @given(random_aigs(max_vars=12), st.sampled_from(list(FRAME_SUBSTRATES.values())))
+    def test_lifted_bad_state_asserts_bad_everywhere(self, aig, substrate):
         # Lifting against the property keeps a sub-cube of the bad state
         # in which every state, under the model's inputs, asserts Bad.
         assume(len(aig.latches) <= 5 and len(aig.inputs) <= 3 and not aig.constraints)
         assume(aig.bads or aig.outputs)
         ts = TransitionSystem(aig, warn_on_ambiguity=False)
-        manager = make_frame_manager(ts, IC3Options(frame_backend=backend), IC3Stats())
+        manager = substrate(ts, IC3Options(), IC3Stats())
         manager.add_frame()
         bad = manager.get_bad_state(1)
         assume(bad is not None)
@@ -231,27 +222,18 @@ class TestQueries:
             (record,) = aig.simulate([bad.input_values], initial_latches=latches)
             assert (record["bads"] or record["outputs"])[0]
 
-    def test_solver_rebuild_preserves_answers(self, backend, monkeypatch):
-        monkeypatch.setattr(PerFrameFrameManager, "REBUILD_INTERVAL", 2)
-        case = token_ring(3)
-        manager, ts, _ = _manager(case, backend=backend)
-        manager.add_frame()
-        cube = Cube([ts.latch_vars[0], ts.latch_vars[1]])
-        results = [manager.consecution(0, cube).holds for _ in range(8)]
-        assert all(results)
-
-    def test_total_lemmas(self, backend):
-        manager, ts, _ = _manager(backend=backend)
+    def test_total_lemmas(self, frame_substrate):
+        manager, ts, _ = _manager(substrate=frame_substrate)
         manager.add_frame()
         manager.add_blocked_cube(Cube([ts.latch_vars[1]]), 1)
         manager.add_blocked_cube(Cube([ts.latch_vars[2]]), 1)
         assert sum(manager.lemma_counts()) == 2
 
 
-def _witness_manager(backend, levels):
+def _witness_manager(substrate, levels):
     """A token ring manager with ``levels`` frames and one stored witness
     ``(s, t)`` recorded at ``levels``: token in stage 0, then stage 1."""
-    manager, ts, stats = _manager(token_ring(3), backend=backend)
+    manager, ts, stats = _manager(token_ring(3), substrate=substrate)
     for _ in range(levels):
         manager.add_frame()
     a, b, c = ts.latch_vars
@@ -261,8 +243,8 @@ def _witness_manager(backend, levels):
 
 
 class TestWitnessStore:
-    def test_failed_query_is_answered_from_its_witness(self, backend):
-        manager, ts, stats, witness = _witness_manager(backend, 1)
+    def test_failed_query_is_answered_from_its_witness(self, frame_substrate):
+        manager, ts, stats, witness = _witness_manager(frame_substrate, 1)
         manager.add_frame()
         calls = (stats.sat_calls, stats.consecution_calls)
         for level in (1, 2):
@@ -274,8 +256,8 @@ class TestWitnessStore:
         assert (stats.sat_calls, stats.consecution_calls) == calls
         assert stats.consecution_reuses == 2
 
-    def test_reuse_false_runs_the_solver_and_records(self, backend):
-        manager, ts, stats, _ = _witness_manager(backend, 1)
+    def test_reuse_false_runs_the_solver_and_records(self, frame_substrate):
+        manager, ts, stats, _ = _witness_manager(frame_substrate, 1)
         query = Cube([ts.latch_vars[1]])
         calls = stats.consecution_calls
         assert not manager.consecution(1, query, reuse=False).holds
@@ -283,8 +265,8 @@ class TestWitnessStore:
         assert stats.consecution_reuses == 0
         assert manager._reuse_witness(1, query) is not None
 
-    def test_lemma_at_or_above_the_level_blocking_s_disables_it(self, backend):
-        manager, ts, _, witness = _witness_manager(backend, 1)
+    def test_lemma_at_or_above_the_level_blocking_s_disables_it(self, frame_substrate):
+        manager, ts, _, witness = _witness_manager(frame_substrate, 1)
         manager.add_frame()
         query = Cube([ts.latch_vars[1]])
         manager.add_blocked_cube(witness.predecessor, 1)
@@ -292,15 +274,15 @@ class TestWitnessStore:
         # F_2 does not contain the lemma: s is still in it.
         assert manager._reuse_witness(2, query) is not None
 
-    def test_lemma_below_the_level_keeps_it(self, backend):
-        manager, ts, _, witness = _witness_manager(backend, 2)
+    def test_lemma_below_the_level_keeps_it(self, frame_substrate):
+        manager, ts, _, witness = _witness_manager(frame_substrate, 2)
         query = Cube([ts.latch_vars[1]])
         manager.add_blocked_cube(witness.predecessor, 1)
         assert manager._reuse_witness(1, query) is None
         assert manager._reuse_witness(2, query) is not None
 
-    def test_promotion_counts_as_insertion_at_its_target(self, backend):
-        manager, ts, _, witness = _witness_manager(backend, 2)
+    def test_promotion_counts_as_insertion_at_its_target(self, frame_substrate):
+        manager, ts, _, witness = _witness_manager(frame_substrate, 2)
         manager.add_frame()
         query = Cube([ts.latch_vars[1]])
         manager.add_blocked_cube(witness.predecessor, 1)
@@ -308,14 +290,14 @@ class TestWitnessStore:
         assert manager._reuse_witness(2, query) is None
         assert manager._reuse_witness(3, query) is not None
 
-    def test_query_inside_the_pre_state_is_not_answered(self, backend):
-        manager, _, _, witness = _witness_manager(backend, 1)
+    def test_query_inside_the_pre_state_is_not_answered(self, frame_substrate):
+        manager, _, _, witness = _witness_manager(frame_substrate, 1)
         common = witness.predecessor.literal_set & witness.successor.literal_set
         assert common
         assert manager._reuse_witness(1, Cube(sorted(common))) is None
 
-    def test_frame_zero_is_never_recorded_or_answered(self, backend):
-        manager, ts, stats = _manager(token_ring(3), backend=backend)
+    def test_frame_zero_is_never_recorded_or_answered(self, frame_substrate):
+        manager, ts, stats = _manager(token_ring(3), substrate=frame_substrate)
         manager.add_frame()
         query = Cube([ts.latch_vars[1]])
         assert not manager.consecution(0, query).holds
@@ -332,8 +314,8 @@ class TestRefutedPush:
     """``refuted_push`` answers from the witness of a cube's last failed
     consecution, SAT or store answer, while it is usable at the level."""
 
-    def test_skips_while_the_witness_is_usable(self, backend):
-        manager, ts, stats, witness = _witness_manager(backend, 1)
+    def test_skips_while_the_witness_is_usable(self, frame_substrate):
+        manager, ts, stats, witness = _witness_manager(frame_substrate, 1)
         manager.add_frame()
         query = Cube([-ts.latch_vars[0], ts.latch_vars[1], -ts.latch_vars[2]])
         assert manager.refuted_push(1, query) == manager._usable[1] != 0
@@ -344,8 +326,8 @@ class TestRefutedPush:
         assert manager.refuted_push(2, query)
         assert stats.consecution_reuses == 3
 
-    def test_store_answers_are_remembered_too(self, backend):
-        manager, ts, stats, _ = _witness_manager(backend, 1)
+    def test_store_answers_are_remembered_too(self, frame_substrate):
+        manager, ts, stats, _ = _witness_manager(frame_substrate, 1)
         query = Cube([ts.latch_vars[1]])
         assert manager.refuted_push(1, query) == 0
         assert not manager.consecution(1, query).holds
@@ -353,8 +335,8 @@ class TestRefutedPush:
         assert manager.refuted_push(1, query)
         assert stats.consecution_reuses == 2
 
-    def test_drop_attempts_are_not_remembered(self, backend):
-        manager, ts, stats = _manager(token_ring(3), backend=backend)
+    def test_drop_attempts_are_not_remembered(self, frame_substrate):
+        manager, ts, stats = _manager(token_ring(3), substrate=frame_substrate)
         manager.add_frame()
         query = Cube([ts.latch_vars[1]])
         assert not manager.consecution(1, query, reuse=False).holds
@@ -362,8 +344,8 @@ class TestRefutedPush:
         assert not manager.consecution(1, query).holds
         assert manager.refuted_push(1, query)
 
-    def test_no_skip_at_frame_zero_or_for_held_queries(self, backend):
-        manager, ts, stats = _manager(token_ring(3), backend=backend)
+    def test_no_skip_at_frame_zero_or_for_held_queries(self, frame_substrate):
+        manager, ts, stats = _manager(token_ring(3), substrate=frame_substrate)
         manager.add_frame()
         query = Cube([ts.latch_vars[1]])
         assert not manager.consecution(0, query).holds
@@ -374,27 +356,9 @@ class TestRefutedPush:
         assert stats.consecution_reuses == 0
 
 
-class TestBackendSelection:
-    def test_available_backends(self):
-        assert available_frame_backends() == ["monolithic", "per-frame"]
-
-    def test_factory_dispatches_on_options(self):
-        ts = TransitionSystem(token_ring(3).aig)
-        mono = make_frame_manager(ts, IC3Options(), IC3Stats())
-        assert isinstance(mono, MonolithicFrameManager)
-        per_frame = make_frame_manager(
-            ts, IC3Options(frame_backend="per-frame"), IC3Stats()
-        )
-        assert isinstance(per_frame, PerFrameFrameManager)
-
-    def test_unknown_backend_rejected_by_options(self):
-        with pytest.raises(ValueError, match="frame_backend"):
-            IC3Options(frame_backend="nonsense").validate()
-
-
 class TestMonolithicSubstrate:
     def test_lemma_added_once_and_shared(self):
-        manager, ts, stats = _manager(backend="monolithic")
+        manager, ts, stats = _manager()
         for _ in range(3):
             manager.add_frame()
         cube = Cube([ts.latch_vars[0], ts.latch_vars[1]])
@@ -402,10 +366,9 @@ class TestMonolithicSubstrate:
         # One physical clause serves logical frames 1..3.
         assert stats.lemma_clauses_added == 1
         assert stats.solver_clauses_shared == 2
-        assert stats.solver_clauses_duplicated == 0
 
     def test_promotion_moves_single_clause(self):
-        manager, ts, stats = _manager(backend="monolithic")
+        manager, ts, stats = _manager()
         manager.add_frame()
         manager.add_frame()
         cube = Cube([ts.latch_vars[1]])
@@ -418,7 +381,7 @@ class TestMonolithicSubstrate:
         assert stats.lemma_clauses_removed == 1
 
     def test_pending_cover_counts_the_moves_each_level_needs(self):
-        manager, ts, stats = _manager(backend="monolithic")
+        manager, ts, stats = _manager()
         for _ in range(3):
             manager.add_frame()
         a, b, c = ts.latch_vars
@@ -445,7 +408,7 @@ class TestMonolithicSubstrate:
         assert manager._pending_cover == scanned() == [0, 0, 0, 0]
 
     def test_subsumed_lemma_clause_physically_removed(self):
-        manager, ts, stats = _manager(backend="monolithic")
+        manager, ts, stats = _manager()
         manager.add_frame()
         weak = Cube([ts.latch_vars[0], ts.latch_vars[1]])
         strong = Cube([ts.latch_vars[0]])
@@ -459,7 +422,7 @@ class TestMonolithicSubstrate:
         # higher-level copy; the higher clause already covers the lower
         # placement through the assumption suffix, so no copy is added
         # and subsuming one list entry must not delete the shared clause.
-        manager, ts, stats = _manager(token_ring(4), backend="monolithic")
+        manager, ts, stats = _manager(token_ring(4))
         for _ in range(5):
             manager.add_frame()
         x = Cube([ts.latch_vars[0], ts.latch_vars[1]])
@@ -472,7 +435,7 @@ class TestMonolithicSubstrate:
         assert manager.consecution(4, x) is not None
 
     def test_query_assumptions_switch_off_the_frame_below(self, monkeypatch):
-        manager, ts, _ = _manager(token_ring(4), backend="monolithic")
+        manager, ts, _ = _manager(token_ring(4))
         for _ in range(4):
             manager.add_frame()
         queries = []
@@ -498,7 +461,7 @@ class TestMonolithicSubstrate:
         # F_2 still contains it and a level-2 query returns it, with the
         # level-1 frame switched off.
         case = modular_counter(3, modulus=8, bad_value=2)
-        manager, ts, _ = _manager(case, backend="monolithic")
+        manager, ts, _ = _manager(case)
         for _ in range(3):
             manager.add_frame()
         bad = manager.get_bad_state(1)
@@ -509,7 +472,7 @@ class TestMonolithicSubstrate:
         assert manager._solver.model_literals([manager._acts[1]]) == (-manager._acts[1],)
 
     def test_finalize_stats_reports_activation_accounting(self):
-        manager, ts, stats = _manager(token_ring(4), backend="monolithic")
+        manager, ts, stats = _manager(token_ring(4))
         manager.add_frame()
         result = manager.consecution(0, Cube([ts.latch_vars[1]]))
         assert not result.holds
@@ -521,10 +484,10 @@ class TestMonolithicSubstrate:
 
 
 class TestPerFrameSubstrate:
-    def test_subsumed_lemmas_count_toward_garbage(self):
-        # Satellite of ISSUE 4: dropped-but-live clauses feed the
-        # rebuild heuristic instead of leaking silently.
-        manager, ts, stats = _manager(backend="per-frame")
+    def test_subsumed_lemma_keeps_its_clauses(self):
+        # The dropped lemma leaves the frames, but its clauses stay in the
+        # solvers of the frames it covered: the subsuming lemma implies them.
+        manager, ts, stats = _manager(substrate=PerFrameFrameManager)
         manager.add_frame()
         manager.add_frame()
         weak = Cube([ts.latch_vars[0], ts.latch_vars[1]])
@@ -532,40 +495,24 @@ class TestPerFrameSubstrate:
         manager.add_blocked_cube(weak, 2)  # copies in solvers 1 and 2
         manager.add_blocked_cube(strong, 2)
         assert stats.subsumed_lemmas == 1
-        assert stats.solver_garbage_lemmas == 2
-        assert manager._garbage[1] == 1 and manager._garbage[2] == 1
-
-    def test_subsumption_garbage_triggers_rebuild(self, monkeypatch):
-        monkeypatch.setattr(PerFrameFrameManager, "REBUILD_INTERVAL", 2)
-        manager, ts, stats = _manager(backend="per-frame")
-        manager.add_frame()
-        weak_a = Cube([ts.latch_vars[0], ts.latch_vars[1]])
-        weak_b = Cube([ts.latch_vars[0], ts.latch_vars[2]])
-        strong = Cube([ts.latch_vars[0]])
-        manager.add_blocked_cube(weak_a, 1)
-        manager.add_blocked_cube(weak_b, 1)
-        manager.add_blocked_cube(strong, 1)
-        assert stats.solver_garbage_lemmas == 2
-        # The garbage counter is at the threshold; the next consecution
-        # note pushes it over and rebuilds.
-        manager.consecution(1, Cube([ts.latch_vars[1], ts.latch_vars[2]]))
-        assert stats.solver_rebuilds >= 1
+        assert manager.lemmas_at_or_above(1) == [strong]
+        assert stats.lemma_clauses_added == 4
+        assert stats.lemma_clauses_removed == 0
 
     def test_lemma_clause_duplication_counted(self):
-        manager, ts, stats = _manager(backend="per-frame")
+        manager, ts, stats = _manager(substrate=PerFrameFrameManager)
         for _ in range(3):
             manager.add_frame()
         cube = Cube([ts.latch_vars[0], ts.latch_vars[1]])
         manager.add_blocked_cube(cube, 3)
         assert stats.lemma_clauses_added == 3  # one copy per covered frame
-        assert stats.solver_clauses_duplicated == 2
 
 
 class TestBackendEquivalence:
     def test_same_query_answers_on_lemma_workload(self):
         results = {}
-        for name in ("monolithic", "per-frame"):
-            manager, ts, _ = _manager(token_ring(4), backend=name)
+        for name, substrate in FRAME_SUBSTRATES.items():
+            manager, ts, _ = _manager(token_ring(4), substrate=substrate)
             manager.add_frame()
             manager.add_frame()
             latches = ts.latch_vars

@@ -2,7 +2,7 @@
 
 
 from repro.benchgen import token_ring, modular_counter, round_robin_arbiter
-from repro.core.frames import ConsecutionResult, make_frame_manager
+from repro.core.frames import ConsecutionResult, MonolithicFrameManager
 from repro.core.generalize import (
     MAX_CTGS,
     BasicGeneralizer,
@@ -21,7 +21,7 @@ def _setup(case=None, **option_kwargs):
     ts = TransitionSystem(case.aig)
     options = IC3Options(**option_kwargs)
     stats = IC3Stats()
-    frames = make_frame_manager(ts, options, stats)
+    frames = MonolithicFrameManager(ts, options, stats)
     frames.add_frame()
     generalizer = make_generalizer(frames, ts, options, stats, {})
     return generalizer, frames, ts, stats

@@ -38,7 +38,6 @@ class TestDefaults:
             "literal_ordering",
             "enable_lifting",
             "aggressive_push",
-            "frame_backend",
             "seed",
         ]
         assert list(LiteralOrdering) == [LiteralOrdering.INDEX, LiteralOrdering.ACTIVITY]
@@ -79,7 +78,7 @@ class TestProfiles:
 
 
 class TestValidation:
-    @pytest.mark.parametrize("field,value", [("frame_backend", "bogus"), ("seed", -1)])
+    @pytest.mark.parametrize("field,value", [("seed", -1)])
     def test_invalid_values_rejected(self, field, value):
         options = dataclasses.replace(IC3Options(), **{field: value})
         with pytest.raises(ValueError):
@@ -88,8 +87,6 @@ class TestValidation:
     @pytest.mark.parametrize(
         "field,value",
         [
-            ("frame_backend", "monolithic"),
-            ("frame_backend", "per-frame"),
             ("seed", 0),
             ("seed", 7),
         ],
@@ -124,6 +121,11 @@ class TestValidation:
         # One production SAT kernel: the kernel is no longer an option.
         with pytest.raises(TypeError):
             IC3Options(sat_backend="arena")
+
+    def test_retired_frame_backend_option_rejected(self):
+        # One production frame substrate: it is no longer an option.
+        with pytest.raises(TypeError, match="frame_backend"):
+            IC3Options(frame_backend="monolithic")
 
     def test_reverse_index_ordering_rejected(self):
         with pytest.raises(ValueError):

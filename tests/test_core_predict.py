@@ -5,7 +5,7 @@ import pytest
 from collections import Counter
 
 from repro.benchgen import bench_suite, token_ring
-from repro.core.frames import ConsecutionResult, make_frame_manager
+from repro.core.frames import ConsecutionResult, MonolithicFrameManager
 from repro.core.options import IC3Options
 from repro.core.predict import MAX_PREDICTION_QUERIES, CtpTable, LemmaPredictor
 from repro.core.stats import IC3Stats
@@ -53,7 +53,7 @@ class TestLazyCtpEntries:
     def _store():
         ts = TransitionSystem(token_ring(3).aig)
         stats = IC3Stats()
-        frames = make_frame_manager(ts, IC3Options(), stats)
+        frames = MonolithicFrameManager(ts, IC3Options(), stats)
         frames.add_frame()
         frames.add_frame()
         return frames, ts.latch_vars, stats
@@ -130,7 +130,7 @@ def _predictor_setup(case=None):
     case = case if case is not None else token_ring(4)
     ts = TransitionSystem(case.aig)
     stats = IC3Stats()
-    frames = make_frame_manager(ts, IC3Options(enable_prediction=True), stats)
+    frames = MonolithicFrameManager(ts, IC3Options(enable_prediction=True), stats)
     predictor = LemmaPredictor(frames, stats)
     return predictor, frames, ts, stats
 

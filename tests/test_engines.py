@@ -75,8 +75,8 @@ class TestRegistry:
     def test_unknown_keyword_raises_type_error(self, kind):
         # Settings travel in IC3Options: a stray keyword is an error, not
         # a silent run with the defaults.
-        with pytest.raises(TypeError, match="frame_backend"):
-            create_engine(kind, token_ring(3).aig, frame_backend="per-frame")
+        with pytest.raises(TypeError, match="mic_max_rounds"):
+            create_engine(kind, token_ring(3).aig, mic_max_rounds=3)
 
     def test_created_engines_satisfy_protocol(self):
         aig = token_ring(3).aig

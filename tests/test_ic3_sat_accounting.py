@@ -6,16 +6,14 @@ match the solves the kernel actually ran, and the search totals folded
 in by ``finalize_stats`` must match the solvers the frame manager holds.
 """
 
-from dataclasses import replace
-
 import pytest
 
 from repro.benchgen.suite import quick_suite
-from repro.core.frames import available_frame_backends
 from repro.core.ic3 import IC3
 from repro.core.result import CheckResult
 from repro.harness.configs import paper_configurations
 from repro.sat.arena import ArenaSolver
+from tests.conftest import FRAME_SUBSTRATES
 
 CASES = {case.name: case for case in quick_suite()}
 CASE_NAMES = ["ring_n4_safe", "pipe_s3_safe", "traffic_unsafe", "lfsr_w3_unsafe_d4"]
@@ -36,21 +34,20 @@ def solve_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("backend", available_frame_backends())
+@pytest.mark.parametrize("frame_substrate", list(FRAME_SUBSTRATES), indirect=True)
 @pytest.mark.parametrize("config", CONFIGS, ids=[config.name for config in CONFIGS])
 @pytest.mark.parametrize("case_name", CASE_NAMES)
-def test_sat_calls_match_kernel_solves(case_name, config, backend, solve_calls):
+def test_sat_calls_match_kernel_solves(case_name, config, frame_substrate, solve_calls):
     case = CASES[case_name]
-    ic3 = IC3(case.aig, options=replace(config.options, frame_backend=backend))
+    ic3 = IC3(case.aig, options=config.options)
     outcome = ic3.check(time_limit=60.0)
     assert outcome.result == case.expected
 
     stats = outcome.stats
     assert stats.sat_calls == len(solve_calls) > 0
     solvers = ic3.frames.solvers()
-    if backend == "monolithic":
-        # No solver outside the manager's three answers a query.
-        assert {id(solver) for solver in solve_calls} <= {id(s) for s in solvers}
+    # No solver outside the manager's answers a query.
+    assert {id(solver) for solver in solve_calls} <= {id(s) for s in solvers}
     assert stats.solver_conflicts == sum(s.stats.conflicts for s in solvers)
     assert stats.solver_decisions == sum(s.stats.decisions for s in solvers)
     assert stats.solver_propagations == sum(s.stats.propagations for s in solvers)

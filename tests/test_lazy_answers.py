@@ -14,18 +14,15 @@ object itself.
 import pickle
 from unittest import mock
 
-import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.aiger import AIG
-from repro.core.frames import make_frame_manager
+from repro.core.frames import MonolithicFrameManager
 from repro.core.options import IC3Options
 from repro.core.stats import IC3Stats
 from repro.logic import Clause, Cube
 from repro.sat.arena import ArenaSolver
 from repro.ts import TransitionSystem
-
-BACKENDS = ("monolithic", "per-frame")
 
 
 @st.composite
@@ -102,13 +99,16 @@ def _read(answer, fields):
     return {name: getattr(answer, name) for name in fields}
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-@settings(max_examples=100, deadline=None)
+@settings(
+    max_examples=100,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
 @given(aig=small_models(), data=st.data())
-def test_lazy_fields_equal_their_definitions(backend, aig, data):
+def test_lazy_fields_equal_their_definitions(frame_substrate, aig, data):
     ts = TransitionSystem(aig)
     stats = IC3Stats()
-    frames = make_frame_manager(ts, IC3Options(frame_backend=backend), stats)
+    frames = frame_substrate(ts, IC3Options(), stats)
     for _ in range(data.draw(st.integers(1, 3))):
         frames.add_frame()
     latch_lits = [lit for var in ts.latch_vars for lit in (var, -var)]
@@ -155,7 +155,7 @@ def test_lazy_fields_equal_their_definitions(backend, aig, data):
         assert _read(answer, expected) == expected  # a second read agrees
 
 
-def _fallback_manager(backend):
+def _fallback_manager():
     """Two latches: ``hold`` keeps its value, ``flip`` becomes the input."""
     aig = AIG(comment="fallback")
     data = aig.add_input()
@@ -166,7 +166,7 @@ def _fallback_manager(backend):
     aig.add_bad(aig.add_and(hold, flip))
     ts = TransitionSystem(aig)
     stats = IC3Stats()
-    frames = make_frame_manager(ts, IC3Options(frame_backend=backend), stats)
+    frames = MonolithicFrameManager(ts, IC3Options(), stats)
     frames.add_frame()
     return frames, ts, stats
 
@@ -176,7 +176,7 @@ class TestFallback:
     answer describes the second solve, even when read after others."""
 
     def test_unsat_core_is_the_second_solves(self):
-        frames, ts, stats = _fallback_manager("monolithic")
+        frames, ts, stats = _fallback_manager()
         hold, _ = ts.latch_vars
         # Only ``hold`` reaches ``hold``: the relaxed answer lies inside
         # the cube, and the exact query is UNSAT.
@@ -193,7 +193,7 @@ class TestFallback:
     def test_sat_model_is_the_second_solves(self):
         fallbacks = 0
         for polarity in (1, -1):
-            frames, ts, stats = _fallback_manager("monolithic")
+            frames, ts, stats = _fallback_manager()
             hold, flip = ts.latch_vars
             # Both values of ``flip`` reach either value of ``flip``: when
             # the relaxed answer lies inside the cube, the exact one does not.

@@ -2,9 +2,9 @@
 
 The harness promises byte-identical results regardless of worker-pool
 parallelism.  With manifest schema v3 the per-result ``stats`` block also
-carries the solving-substrate counters (activation variables, shared vs
-duplicated clauses, trail reuse), all of which must be deterministic —
-only wall-clock fields may differ between runs.
+carries the solving-substrate counters (activation variables, shared
+clauses, trail reuse), all of which must be deterministic — only
+wall-clock fields may differ between runs.
 """
 
 import json
@@ -75,7 +75,7 @@ class TestManifestDeterminism:
 
     def test_substrate_stats_present_and_deterministic(self):
         manifest = _manifest(jobs=4)
-        assert manifest["schema"] == MANIFEST_SCHEMA == "repro-check/manifest/v16"
+        assert manifest["schema"] == MANIFEST_SCHEMA == "repro-check/manifest/v17"
         # v14: the daemon's service block is gone; v15: so is the
         # metrics registry's telemetry block.
         assert "service" not in manifest
@@ -86,7 +86,6 @@ class TestManifestDeterminism:
                 "lemma_clauses_added",
                 "lemma_clauses_removed",
                 "solver_clauses_shared",
-                "solver_clauses_duplicated",
                 "activation_vars_allocated",
                 "activation_vars_recycled",
                 "activation_vars_retired",
@@ -120,11 +119,18 @@ class TestManifestDeterminism:
             assert "properties" not in result
             assert "transformation" not in result
             assert not [key for key in stats if key.startswith("shared_")]
+            # v17: one frame substrate, so no per-frame counters.
+            for field in (
+                "solver_clauses_duplicated",
+                "solver_garbage_lemmas",
+                "solver_rebuilds",
+            ):
+                assert field not in stats
             assert result["validated"] is True
-        # Every configuration records its solving substrate and seed.
+        # Every configuration records its seed; v17: one frame substrate,
+        # so none records it.
         for meta in manifest["configs"].values():
-            assert meta["frame_backend"] == "monolithic"
-            assert "sat_backend" not in meta
+            assert set(meta) == {"engine", "plays_role_of", "uses_prediction", "seed"}
             assert meta["seed"] == 0
         # v7: every configuration total carries the phase-time breakdown.
         for totals in manifest["totals"].values():

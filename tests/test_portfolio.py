@@ -8,7 +8,8 @@ The contracts pinned here:
   byte-identical evaluation manifest (modulo wall-clock fields), seeded
   kernels are self-consistent, and seed 0 is exactly the unseeded order;
 * member ``i`` runs with the portfolio's options, only the seed replaced
-  by ``base_seed + i``, so ``--frame-backend`` reaches the IC3 members;
+  by ``base_seed + i``, so ``--seed`` and every other setting reach the
+  IC3 members;
 * cooperative lemma sharing is gone: its CLI switches are refused and
   ``PortfolioOptions`` no longer takes its fields;
 * an ``ic3-pl,kind`` race gives every case of the canonical bench suite its
@@ -61,7 +62,7 @@ register_engine(
 
 
 class _OptionsProbe:
-    """Gives up at once, naming the seed and substrate of its options."""
+    """Gives up at once, naming the seed and push setting of its options."""
 
     name = "options-probe"
 
@@ -69,7 +70,7 @@ class _OptionsProbe:
         self.options = options
 
     def check(self, time_limit=None):
-        reason = f"seed={self.options.seed} backend={self.options.frame_backend}"
+        reason = f"seed={self.options.seed} push={self.options.aggressive_push}"
         return CheckOutcome(result=CheckResult.UNKNOWN, engine=self.name, reason=reason)
 
 
@@ -200,7 +201,7 @@ class TestCLISwitches:
         assert main(["check", safe_model, "--seed", "3"]) == 0
         assert "safe" in capsys.readouterr().out
 
-    def test_frame_backend_flag_reaches_the_portfolio_members(
+    def test_seed_flag_reaches_the_portfolio_members(
         self, safe_model, tmp_path, monkeypatch, capsys
     ):
         # The first member (ic3-pl) runs alone (--jobs 1) and records the
@@ -212,15 +213,15 @@ class TestCLISwitches:
             engine = make_ic3_pl(aig, **kwargs)
             frames = type(engine._engine.frames).__name__
             with open(record, "a") as handle:
-                handle.write(f"{engine.options.frame_backend} {engine.options.seed} {frames}\n")
+                handle.write(f"{engine.options.seed} {frames}\n")
             return engine
 
         monkeypatch.setitem(registry._REGISTRY, "ic3-pl", recording)
         command = ["check", safe_model, "--engine", "portfolio", "--jobs", "1",
-                   "--frame-backend", "per-frame", "--seed", "4"]
+                   "--seed", "4"]
         assert main(command) == 0
         assert "won by ic3-pl" in capsys.readouterr().out
-        assert record.read_text() == "per-frame 4 PerFrameFrameManager\n"
+        assert record.read_text() == "4 MonolithicFrameManager\n"
 
     @pytest.mark.parametrize("flag", ["--portfolio-share", "--no-portfolio-share"])
     def test_removed_sharing_flags_are_refused(self, safe_model, flag, capsys):
@@ -242,14 +243,14 @@ class TestPortfolioOptions:
         outcome = PortfolioEngine(
             token_ring(3).aig,
             engines=("options-probe-test",) * 3,
-            options=IC3Options(seed=5, frame_backend="per-frame"),
+            options=IC3Options(seed=5, aggressive_push=False),
             portfolio_options=PortfolioOptions(base_seed=base_seed),
         ).check(time_limit=60)
         assert outcome.result == CheckResult.UNKNOWN
         for index in range(3):
             seed = base_seed + index if base_seed else 5
             member = f"options-probe-test#{index + 1}"
-            assert f"{member}: seed={seed} backend=per-frame" in outcome.reason
+            assert f"{member}: seed={seed} push=False" in outcome.reason
 
     @pytest.mark.parametrize(
         "field", ["share", "transport", "capacity", "max_lits", "min_level", "diversify"]

@@ -24,8 +24,8 @@ from repro.core.options import GeneralizationStrategy
 from repro.core.predict import CtpTable
 from repro.harness.configs import paper_configurations
 from repro.obs.tracer import Tracer, install, uninstall
+from tests.conftest import FRAME_SUBSTRATES
 
-BACKENDS = ("monolithic", "per-frame")
 CONFIGS = paper_configurations()
 CASES = [
     johnson_counter(7, safe=True),
@@ -61,19 +61,19 @@ def _assert_verdict(aig, outcome, expected):
         assert check_counterexample(aig, outcome.trace)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("frame_substrate", list(FRAME_SUBSTRATES), indirect=True)
 @pytest.mark.parametrize("config", CONFIGS, ids=lambda config: config.name)
 class TestReusedAnswersAreModels:
     @pytest.mark.parametrize("case", CASES, ids=lambda case: case.name)
-    def test_benchmark_cases(self, checked_reuses, config, backend, case):
-        options = dataclasses.replace(config.options, frame_backend=backend)
+    def test_benchmark_cases(self, checked_reuses, config, frame_substrate, case):
+        options = config.options
         outcome = _check(case.aig, options)
         _assert_verdict(case.aig, outcome, case.expected)
         assert outcome.stats.consecution_reuses == len(checked_reuses) > 0
 
-    def test_invariant_constraints(self, checked_reuses, config, backend):
+    def test_invariant_constraints(self, checked_reuses, config, frame_substrate):
         aig = _constrained_johnson(6)
-        options = dataclasses.replace(config.options, frame_backend=backend)
+        options = config.options
         _assert_verdict(aig, _check(aig, options), CheckResult.SAFE)
         assert checked_reuses
 
@@ -133,11 +133,11 @@ def _search(outcome):
     return outcome.result, witness, stats
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("frame_substrate", list(FRAME_SUBSTRATES), indirect=True)
 @pytest.mark.parametrize("config", CONFIGS, ids=lambda config: config.name)
-def test_skipped_pushes_leave_the_search_unchanged(config, backend, monkeypatch):
+def test_skipped_pushes_leave_the_search_unchanged(config, frame_substrate, monkeypatch):
     """Asking every push the sweep skips gives the same run."""
-    options = dataclasses.replace(config.options, frame_backend=backend)
+    options = config.options
     aigs = [case.aig for case in CASES] + [_constrained_johnson(6)]
     original = FrameManagerBase.refuted_push
     skips = []
@@ -155,11 +155,11 @@ def test_skipped_pushes_leave_the_search_unchanged(config, backend, monkeypatch)
     assert skipping == asking
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("frame_substrate", list(FRAME_SUBSTRATES), indirect=True)
 @pytest.mark.parametrize("config", CONFIGS, ids=lambda config: config.name)
-def test_lazy_answers_leave_the_search_unchanged(config, backend, monkeypatch):
+def test_lazy_answers_leave_the_search_unchanged(config, frame_substrate, monkeypatch):
     """Answers that decode every field when they are made give the same run."""
-    options = dataclasses.replace(config.options, frame_backend=backend)
+    options = config.options
     aigs = [case.aig for case in CASES] + [_constrained_johnson(6)]
     lazy = [_search(_check(aig, options)) for aig in aigs]
     decoded = []

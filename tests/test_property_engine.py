@@ -4,14 +4,14 @@ Random small AIGs are generated from a hypothesis-drawn recipe; IC3 (with
 and without prediction), BMC, k-induction and explicit-state reachability
 must agree on every one of them, and every certificate / counterexample
 must validate.
-IC3 runs on both frame substrates with the ``checked_reuses`` fixture
-active, so every consecution answered from a stored witness is re-solved.
+IC3 runs on its frame substrate and on the per-frame reference, with the
+``checked_reuses`` fixture active, so every consecution answered from a
+stored witness is re-solved.
 This is the strongest end-to-end guard against soundness bugs anywhere in
 the stack (encoding, SAT solver, frames, witness store, generalization,
 prediction).
 """
 
-import dataclasses
 import itertools
 
 from hypothesis import given, settings, strategies as st, HealthCheck
@@ -26,8 +26,8 @@ from repro.core import (
     check_certificate,
     check_counterexample,
 )
+from tests.conftest import FRAME_SUBSTRATES, use_frame_substrate
 
-BACKENDS = ("monolithic", "per-frame")
 ENGINES = (IC3Options(), IC3Options().with_prediction())
 SETTINGS = dict(
     deadline=None,
@@ -35,12 +35,12 @@ SETTINGS = dict(
 )
 
 
-def _ic3_runs(aig):
-    """IC3 and IC3-pl on both substrates: ``(options, outcome)`` pairs."""
-    for backend in BACKENDS:
+def _ic3_runs(monkeypatch, aig):
+    """IC3 and IC3-pl on both substrates: ``((substrate, options), outcome)``."""
+    for substrate in FRAME_SUBSTRATES:
+        use_frame_substrate(monkeypatch, substrate)
         for options in ENGINES:
-            options = dataclasses.replace(options, frame_backend=backend)
-            yield options, IC3(aig, options).check(time_limit=30)
+            yield (substrate, options), IC3(aig, options).check(time_limit=30)
 
 
 def build_random_aig(recipe):
@@ -133,13 +133,13 @@ recipe_strategy = st.tuples(
 class TestEnginesAgreeOnRandomCircuits:
     @settings(max_examples=25, **SETTINGS)
     @given(recipe_strategy)
-    def test_ic3_matches_explicit_reachability(self, checked_reuses, recipe):
+    def test_ic3_matches_explicit_reachability(self, checked_reuses, monkeypatch, recipe):
         aig = build_random_aig(recipe)
         expected_reachable, expected_depth = explicit_reachability(aig)
 
-        for options, outcome in _ic3_runs(aig):
-            assert outcome.result != CheckResult.UNKNOWN, options
-            assert (outcome.result == CheckResult.UNSAFE) == expected_reachable, options
+        for run, outcome in _ic3_runs(monkeypatch, aig):
+            assert outcome.result != CheckResult.UNKNOWN, run
+            assert (outcome.result == CheckResult.UNSAFE) == expected_reachable, run
 
             if outcome.result == CheckResult.SAFE:
                 assert check_certificate(aig, outcome.certificate)
@@ -149,9 +149,9 @@ class TestEnginesAgreeOnRandomCircuits:
 
     @settings(max_examples=15, **SETTINGS)
     @given(recipe_strategy)
-    def test_base_and_prediction_engines_agree(self, checked_reuses, recipe):
+    def test_base_and_prediction_engines_agree(self, checked_reuses, monkeypatch, recipe):
         aig = build_random_aig(recipe)
-        verdicts = {outcome.result for _, outcome in _ic3_runs(aig)}
+        verdicts = {outcome.result for _, outcome in _ic3_runs(monkeypatch, aig)}
         assert len(verdicts) == 1
 
     @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
