@@ -13,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from repro.benchgen import token_ring, modular_counter
+from repro.core import IC3, CheckResult
 from repro.core.frames import MonolithicFrameManager, PerFrameFrameManager
 from repro.core.options import IC3Options
 from repro.core.stats import IC3Stats
@@ -221,6 +222,17 @@ class TestQueries:
             }
             (record,) = aig.simulate([bad.input_values], initial_latches=latches)
             assert (record["bads"] or record["outputs"])[0]
+
+    def test_repeated_consecution_keeps_its_answer(self, frame_substrate):
+        # Each query adds and retires a temporary ¬cube clause; what it
+        # leaves behind must not change the answer of a later query.
+        manager, ts, _ = _manager(token_ring(3), substrate=frame_substrate)
+        manager.add_frame()
+        unreachable = Cube([ts.latch_vars[0], ts.latch_vars[1]])
+        reachable = Cube([ts.latch_vars[1]])
+        for _ in range(8):
+            assert manager.consecution(0, unreachable).holds
+            assert not manager.consecution(0, reachable, reuse=False).holds
 
     def test_total_lemmas(self, frame_substrate):
         manager, ts, _ = _manager(substrate=frame_substrate)
@@ -526,3 +538,16 @@ class TestBackendEquivalence:
                 answers.append(manager.get_bad_state(level) is None)
             results[name] = answers
         assert results["monolithic"] == results["per-frame"]
+
+
+class TestIC3Substrate:
+    def test_ic3_builds_the_monolithic_manager(self):
+        ic3 = IC3(token_ring(3).aig, IC3Options())
+        assert type(ic3.frames) is MonolithicFrameManager
+
+    def test_fixture_sets_the_substrate_ic3_builds(self, frame_substrate):
+        # The IC3-level substrate sweeps run the per-frame reference only
+        # if the fixture reaches the manager IC3 constructs.
+        ic3 = IC3(token_ring(3).aig, IC3Options())
+        assert type(ic3.frames) is frame_substrate
+        assert ic3.check(time_limit=30).result == CheckResult.SAFE

@@ -58,6 +58,17 @@ class TestSuccessRates:
         assert merged.generalizations == 3
         assert merged.time_total == pytest.approx(2.0)
 
+    @pytest.mark.parametrize(
+        "name", ["solver_clauses_duplicated", "solver_garbage_lemmas", "solver_rebuilds"]
+    )
+    def test_retired_per_frame_counters_are_gone(self, name):
+        # IC3 runs on one frame substrate, which never duplicates lemma
+        # clauses or rebuilds its solver; these counters went with the
+        # per-frame garbage rebuilds.
+        with pytest.raises(TypeError, match=name):
+            IC3Stats(**{name: 0})
+        assert name not in IC3Stats().as_dict()
+
 
 class TestResultContainers:
     def test_check_result_solved(self):
